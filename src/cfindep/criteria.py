@@ -38,7 +38,6 @@ __all__ = [
     "compute_d",
     "growth_bound",
     "check_decomposition",
-    "check_house_conditions",
     "check_condition10",
     "check_interleaving",
     "ratio_margin",
@@ -157,12 +156,6 @@ def _embedding_re_parts(x, prec: int) -> list[DyadicInterval]:
     return [from_fraction(Fraction(x), prec)]
 
 
-def _invert(x):
-    if isinstance(x, FieldElement):
-        return x.inverse()
-    return 1 / Fraction(x)
-
-
 def _scalars_equal(a, b) -> bool:
     if isinstance(a, FieldElement) and isinstance(b, FieldElement):
         if a.field is not b.field:
@@ -179,17 +172,15 @@ def _scalars_equal(a, b) -> bool:
 # the right-hand-side growth bound
 # ---------------------------------------------------------------------------
 
-def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicInterval:
-    """max(2^((log2 a)^gamma), 2^(d^(n^gamma))) as an interval enclosure.
+def _growth_branches(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int,
+                     prec: int) -> tuple[DyadicInterval, DyadicInterval]:
+    """The branches 2^((log2 a)^gamma) and 2^(d^(n^gamma)) of the growth bound.
 
     Exact fast paths keep boundary comparisons decidable: n^gamma is exact for
     perfect powers, making the second branch an exact power of two.  log2(a)
     is clamped at zero so the bound stays evaluable when a quotient dips below
     one (which the decomposition condition reports separately).
     """
-    a_iv = scalar_enclosure(a_value, prec)
-    if a_iv.lo.sign() <= 0:
-        raise ValueError("growth bound needs a positive quotient enclosure")
     lg = iv_log2(a_iv, prec)
     zero = Dyadic(0)
     lg = DyadicInterval(max(zero, lg.lo), max(zero, lg.hi))
@@ -199,24 +190,34 @@ def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicI
         second = iv_exp2(singleton(d ** ng.lo.floor()), prec)
     else:
         second = iv_exp2(iv_mul(ng, iv_log2(singleton(d), prec), prec), prec)
-    return iv_max(first, second)
+    return first, second
 
 
-def _escalating(fn, prec: int, doublings: int = 5):
-    """Run fn(work) until it returns a non-None verdict; None means undecided."""
-    work = prec
-    last = None
-    for _ in range(doublings + 1):
-        verdict, payload = fn(work)
-        last = payload
+def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicInterval:
+    """max(2^((log2 a)^gamma), 2^(d^(n^gamma))) as an interval enclosure."""
+    a_iv = scalar_enclosure(a_value, prec)
+    if a_iv.lo.sign() <= 0:
+        raise ValueError("growth bound needs a positive quotient enclosure")
+    return iv_max(*_growth_branches(a_iv, n, gamma, d, prec))
+
+
+def _escalating(attempt, prec: int):
+    """Run attempt(work) -> (verdict | None, margin) until the verdict is decided.
+
+    Work starts at ``prec`` and doubles at most five times (up to 32x); a
+    verdict still undecided then is indeterminate.  The margin returned is
+    the first attempt's, so reports carry margins at the requested precision.
+    """
+    verdict, margin = attempt(prec)
+    for doubling in range(1, 6):
         if verdict is not None:
-            return verdict, payload
-        work *= 2
-    return None, last
+            break
+        verdict, _ = attempt(prec << doubling)
+    return (INDET if verdict is None else verdict), margin
 
 
 # ---------------------------------------------------------------------------
-# individual condition checkers
+# individual condition evaluators
 # ---------------------------------------------------------------------------
 
 def check_decomposition(cfg: Thm1Config, n: int, j: int) -> str:
@@ -239,55 +240,37 @@ def check_decomposition(cfg: Thm1Config, n: int, j: int) -> str:
     return PASS
 
 
-def check_house_conditions(cfg: Thm1Config, n: int, j: int, precision: int = 128) -> str:
-    """Interval check of house(1/a) >= 1/2 and house(b|c|d) <= growth bound."""
-    v5 = _check_house_half(cfg, n, j, precision)
-    v4 = _check_house_bound(cfg, n, j, precision)
-    if FAIL in (v5, v4):
-        return FAIL
-    if INDET in (v5, v4):
-        raise IndeterminateAtPrecision(f"house conditions undecided at (n={n}, j={j})")
-    return PASS
-
-
 def _check_house_half(cfg: Thm1Config, n: int, j: int, precision: int):
+    """house(1/a_{n,j}) >= 1/2; margin house(1/a) - 1/2."""
     a = cfg.quotient(n, j)
     half = from_fraction(Fraction(1, 2), 32)
 
     def attempt(work):
-        h = _house(_invert(a), work)
-        if h.certainly_ge(half):
-            return PASS, h
-        if h.certainly_lt(half):
-            return FAIL, h
-        return None, h
+        if scalar_enclosure(a, work).lo.sign() <= 0:
+            return FAIL, None  # quotient not positive; decomposition check owns the witness
+        h = _house(a.inverse() if isinstance(a, FieldElement) else 1 / Fraction(a), work)
+        verdict = PASS if h.certainly_ge(half) else FAIL if h.certainly_lt(half) else None
+        return verdict, iv_sub(h, half, work)
 
-    verdict, _ = _escalating(attempt, precision)
-    return verdict if verdict is not None else INDET
+    return _escalating(attempt, precision)
 
 
 def _check_house_bound(cfg: Thm1Config, n: int, j: int, precision: int):
+    """house(b), house(c), house(d) <= growth bound of a_{n,j}; margin bound - worst house."""
     a = cfg.quotient(n, j)
     dec = cfg.sequences[j - 1].decomposition(n)
     if dec is None:
-        return INDET
+        return INDET, None
 
     def attempt(work):
         if scalar_enclosure(a, work).lo.sign() <= 0:
             return FAIL, None  # quotient not positive; decomposition check owns the witness
         bound = growth_bound(a, n, cfg.gamma, cfg.d, work)
-        worst = None
-        for part in (dec.b, dec.c, dec.d):
-            h = _house(part, work)
-            worst = h if worst is None else iv_max(worst, h)
-        if worst.certainly_le(bound):
-            return PASS, (worst, bound)
-        if worst.certainly_gt(bound):
-            return FAIL, (worst, bound)
-        return None, (worst, bound)
+        worst = iv_max(iv_max(_house(dec.b, work), _house(dec.c, work)), _house(dec.d, work))
+        verdict = PASS if worst.certainly_le(bound) else FAIL if worst.certainly_gt(bound) else None
+        return verdict, iv_sub(bound, worst, work)
 
-    verdict, _ = _escalating(attempt, precision)
-    return verdict if verdict is not None else INDET
+    return _escalating(attempt, precision)
 
 
 def derive_sign_table(cfg: Thm1Config, precision: int = 128) -> dict:
@@ -298,30 +281,25 @@ def derive_sign_table(cfg: Thm1Config, precision: int = 128) -> dict:
 
         def attempt(work):
             res = _embedding_re_parts(a1, work)
-            signs = []
-            for re in res:
-                if re.lo.sign() > 0:
-                    signs.append(0)
-                elif re.hi.sign() < 0:
-                    signs.append(1)
-                else:
-                    return None, None
-            return signs, None
+            if all(re.lo.sign() > 0 or re.hi.sign() < 0 for re in res):
+                return [0 if re.lo.sign() > 0 else 1 for re in res], None
+            return None, None
 
         signs, _ = _escalating(attempt, precision)
-        if signs is None:
+        if signs == INDET:
             raise IndeterminateAtPrecision(f"embedding sign of a_(1,{j}) undecided")
-        for i, e in enumerate(signs):
-            table[(j, i)] = e
+        table.update(((j, i), e) for i, e in enumerate(signs))
     return table
 
 
 def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int = 128,
-                      e_table: dict | None = None) -> str:
-    """(-1)^e * Re(sigma(a_{n,j})) >= 1/bound(a_{n,1}), every embedding sigma."""
-    table = e_table or cfg.e_table
-    if table is None:
-        table = derive_sign_table(cfg, precision)
+                      e_table: dict | None = None):
+    """(-1)^e * Re(sigma(a_{n,j})) >= 1/bound(a_{n,1}), every embedding sigma.
+
+    Returns (verdict, margin); the margin is the worst signed real part minus
+    the right-hand side over all embeddings, or None without a full table.
+    """
+    table = e_table or cfg.e_table or derive_sign_table(cfg, precision)
     a = cfg.quotient(n, j)
     a1 = cfg.quotient(n, 1)
 
@@ -330,46 +308,26 @@ def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int = 128,
             return FAIL, None
         rhs = iv_div(singleton(1), growth_bound(a1, n, cfg.gamma, cfg.d, work), work)
         res = _embedding_re_parts(a, work)
-        margin = None
-        for i, re in enumerate(res):
-            e = table.get((j, i))
-            if e is None:
-                return FAIL, None
-            signed = re if e == 0 else DyadicInterval(-re.hi, -re.lo)
-            m = iv_sub(signed, rhs, work)
-            margin = m if margin is None else (m if m.lo < margin.lo else margin)
-            if signed.certainly_lt(rhs):
-                return FAIL, margin
-        for i, re in enumerate(res):
-            e = table[(j, i)]
-            signed = re if e == 0 else DyadicInterval(-re.hi, -re.lo)
-            if not signed.certainly_ge(rhs):
-                return None, margin
-        return PASS, margin
+        signs = [table.get((j, i)) for i in range(len(res))]
+        if None in signs:
+            return FAIL, None
+        signed = [re if e == 0 else DyadicInterval(-re.hi, -re.lo) for re, e in zip(res, signs)]
+        margin = min((iv_sub(s, rhs, work) for s in signed), key=lambda m: m.lo)
+        if any(s.certainly_lt(rhs) for s in signed):
+            return FAIL, margin
+        if all(s.certainly_ge(rhs) for s in signed):
+            return PASS, margin
+        return None, margin
 
-    verdict, _ = _escalating(attempt, precision)
-    if verdict is None:
-        return INDET
-    return verdict
+    return _escalating(attempt, precision)
 
 
-def _condition10_margin(cfg: Thm1Config, n: int, j: int, table: dict, work: int) -> DyadicInterval | None:
-    if scalar_enclosure(cfg.quotient(n, 1), work).lo.sign() <= 0:
-        return None
-    rhs = iv_div(singleton(1), growth_bound(cfg.quotient(n, 1), n, cfg.gamma, cfg.d, work), work)
-    worst = None
-    for i, re in enumerate(_embedding_re_parts(cfg.quotient(n, j), work)):
-        e = table.get((j, i))
-        if e is None:
-            return None
-        signed = re if e == 0 else DyadicInterval(-re.hi, -re.lo)
-        m = iv_sub(signed, rhs, work)
-        worst = m if worst is None or m.lo < worst.lo else worst
-    return worst
+def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128):
+    """Strict a_{n,1} < max(a_{n,M} * 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma))).
 
-
-def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128) -> str:
-    """Strict a_{n,1} < max(a_{n,M} * 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma)))."""
+    Returns (verdict, margin) with margin rhs - lhs, or None when a_{n,M} is
+    not positive.
+    """
     a1 = cfg.quotient(n, 1)
     aM = cfg.quotient(n, cfg.M)
 
@@ -378,44 +336,12 @@ def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128) -> str:
         aM_iv = scalar_enclosure(aM, work)
         if aM_iv.lo.sign() <= 0:
             return FAIL, None
-        lg = iv_log2(aM_iv, work)
-        zero = Dyadic(0)
-        lg = DyadicInterval(max(zero, lg.lo), max(zero, lg.hi))
-        first = iv_mul(aM_iv, iv_exp2(iv_pow_frac(lg, cfg.gamma, work), work), work)
-        ng = iv_pow_frac(singleton(n), cfg.gamma, work)
-        if ng.is_point() and ng.lo.is_integer():
-            second = iv_exp2(singleton(cfg.d ** ng.lo.floor()), work)
-        else:
-            second = iv_exp2(iv_mul(ng, iv_log2(singleton(cfg.d), work), work), work)
-        rhs = iv_max(first, second)
-        margin = iv_sub(rhs, lhs, work)
-        if lhs.certainly_lt(rhs):
-            return PASS, margin
-        if lhs.certainly_ge(rhs):
-            return FAIL, margin
-        return None, margin
+        first, second = _growth_branches(aM_iv, n, cfg.gamma, cfg.d, work)
+        rhs = iv_max(iv_mul(aM_iv, first, work), second)
+        verdict = PASS if lhs.certainly_lt(rhs) else FAIL if lhs.certainly_ge(rhs) else None
+        return verdict, iv_sub(rhs, lhs, work)
 
-    verdict, margin = _escalating(attempt, precision)
-    if verdict is None:
-        return INDET
-    return verdict
-
-
-def _interleaving_margin(cfg: Thm1Config, n: int, work: int) -> DyadicInterval | None:
-    lhs = scalar_enclosure(cfg.quotient(n, 1), work)
-    aM_iv = scalar_enclosure(cfg.quotient(n, cfg.M), work)
-    if aM_iv.lo.sign() <= 0:
-        return None
-    lg = iv_log2(aM_iv, work)
-    zero = Dyadic(0)
-    lg = DyadicInterval(max(zero, lg.lo), max(zero, lg.hi))
-    first = iv_mul(aM_iv, iv_exp2(iv_pow_frac(lg, cfg.gamma, work), work), work)
-    ng = iv_pow_frac(singleton(n), cfg.gamma, work)
-    if ng.is_point() and ng.lo.is_integer():
-        second = iv_exp2(singleton(cfg.d ** ng.lo.floor()), work)
-    else:
-        second = iv_exp2(iv_mul(ng, iv_log2(singleton(cfg.d), work), work), work)
-    return iv_sub(iv_max(first, second), lhs, work)
+    return _escalating(attempt, precision)
 
 
 def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
@@ -425,7 +351,8 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     The verdict is prefix-consistent only: pass needs a certainly positive
     trailing-window minimum that is not strictly decaying; a nonpositive
     window minimum is a fail witness.  The trailing window defaults to the
-    last ceil(N/4) indices to suppress small-n transients.
+    last ceil(N/4) indices to suppress small-n transients.  An index where
+    either quotient is not certainly positive has margin 0.
     """
     if not 1 <= j <= cfg.M - 1:
         raise ValueError("ratio condition needs 1 <= j <= M-1")
@@ -433,22 +360,19 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     values: list[DyadicInterval] = []
     for n in range(1, N + 1):
         a, b = sj.quotient(n), sj1.quotient(n)
+        a_iv, b_iv = scalar_enclosure(a, precision), scalar_enclosure(b, precision)
+        if a_iv.lo.sign() <= 0 or b_iv.lo.sign() <= 0:
+            values.append(singleton(0))
+            continue
         exact_pair = _exact_ratio(a, b)
         if exact_pair is not None:
             diff_enc = scalar_enclosure(exact_pair, precision)
         else:
-            diff_enc = iv_sub(
-                iv_div(scalar_enclosure(a, precision), scalar_enclosure(b, precision), precision),
-                singleton(1),
-                precision,
-            )
+            diff_enc = iv_sub(iv_div(a_iv, b_iv, precision), singleton(1), precision)
         values.append(iv_mul(iv_sqrt(singleton(n), precision), diff_enc, precision))
     window_len = window if window is not None else -(-N // 4)
     window = values[-max(1, min(window_len, N)):]
-    wmin = window[0]
-    for v in window[1:]:
-        if v.lo < wmin.lo:
-            wmin = v
+    wmin = min(window, key=lambda v: v.lo)
     mono = _window_monotonicity(window)
     if wmin.hi.sign() <= 0:
         verdict = FAIL
@@ -461,13 +385,9 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
 
 def _exact_ratio(a, b):
     """a/b - 1 when exactly computable in a shared domain, else None."""
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-        if a.field is b.field:
-            return a / b - 1
-        return None
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        return None
-    if isinstance(a, DyadicInterval) or isinstance(b, DyadicInterval):
+    if isinstance(a, FieldElement) and isinstance(b, FieldElement) and a.field is b.field:
+        return a / b - 1
+    if isinstance(a, (FieldElement, DyadicInterval)) or isinstance(b, (FieldElement, DyadicInterval)):
         return None
     return Fraction(a) / Fraction(b) - 1
 
@@ -475,11 +395,9 @@ def _exact_ratio(a, b):
 def _window_monotonicity(window: list[DyadicInterval]) -> str:
     if len(window) < 2:
         return "flat"
-    inc = all(b.lo > a.hi for a, b in zip(window, window[1:]))
-    dec = all(b.hi < a.lo for a, b in zip(window, window[1:]))
-    if inc:
+    if all(b.lo > a.hi for a, b in zip(window, window[1:])):
         return "increasing"
-    if dec:
+    if all(b.hi < a.lo for a, b in zip(window, window[1:])):
         return "decreasing"
     return "mixed"
 
@@ -491,6 +409,7 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     pass: at least two strictly increasing records with the final one
     certainly above ``threshold``.  fail: a certainly decreasing trailing
     window that stays below the threshold.  Anything else is indeterminate.
+    An index whose quotient is not certainly positive has value 0.
     """
     seq = cfg.sequences[j - 1]
     d = cfg.d
@@ -499,7 +418,10 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     best_hi: Dyadic | None = None
     for n in range(1, N + 1):
         a_iv = scalar_enclosure(seq.quotient(n), precision)
-        g = iv_exp2(iv_div(iv_log2(a_iv, precision), singleton(d ** n), precision), precision)
+        if a_iv.lo.sign() <= 0:
+            g = singleton(0)
+        else:
+            g = iv_exp2(iv_div(iv_log2(a_iv, precision), singleton(d ** n), precision), precision)
         values.append(g)
         if best_hi is None or g.lo > best_hi:
             records.append(n)
@@ -508,10 +430,7 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     last_record_val = values[records[-1] - 1] if records else values[0]
     window = values[-max(1, -(-N // 4)):]
     mono = _window_monotonicity(window)
-    wmax = window[0]
-    for v in window[1:]:
-        if v.hi > wmax.hi:
-            wmax = v
+    wmax = max(window, key=lambda v: v.hi)
     if len(records) >= 2 and last_record_val.certainly_gt(thr):
         verdict = PASS
     elif mono == "decreasing" and wmax.certainly_lt(thr):
@@ -525,169 +444,94 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
 # aggregation
 # ---------------------------------------------------------------------------
 
+def _fold(name: str, N: int, rows, notes: dict | None = None) -> ConditionReport:
+    """Fold rows of (witness, verdict, margin | None), one row per n, into a report.
+
+    The first fail is the witness, else the first indeterminate; each row
+    keeps its worst margin by lower endpoint, 0 when it has none.
+    """
+    verdict, witness, margins = PASS, None, []
+    for row in rows:
+        worst = None
+        for index, v, m in row:
+            if v == FAIL and verdict != FAIL:
+                verdict, witness = FAIL, index
+            elif v == INDET and verdict == PASS:
+                verdict, witness = INDET, index
+            if m is not None and (worst is None or m.lo < worst.lo):
+                worst = m
+        margins.append(worst if worst is not None else singleton(0))
+    return ConditionReport(name, verdict, N, margins, witness, notes=notes or {})
+
+
+def _pairs(cfg: Thm1Config, N: int, evaluate):
+    """Rows of ((n, j), verdict, margin) over j = 1..M for each n = 1..N."""
+    return ([((n, j), *evaluate(n, j)) for j in range(1, cfg.M + 1)] for n in range(1, N + 1))
+
+
 def check_all(cfg: Thm1Config, N: int, precision: int = 128) -> HypothesisReport:
     """Run every condition for n <= N and aggregate into one report."""
-    conditions: list[ConditionReport] = []
 
-    # condition: integral decomposition and a >= 1 (exact)
-    verdict, witness = PASS, None
-    margins = []
-    for n in range(1, N + 1):
-        worst = None
-        for j in range(1, cfg.M + 1):
-            v = check_decomposition(cfg, n, j)
-            if v == FAIL and verdict != FAIL:
-                verdict, witness = FAIL, (n, j)
-            elif v == INDET and verdict == PASS:
-                verdict, witness = INDET, (n, j)
-            a = cfg.quotient(n, j)
-            m = iv_sub(scalar_enclosure(a, precision), singleton(1), precision)
-            worst = m if worst is None or m.lo < worst.lo else worst
-        margins.append(worst)
-    conditions.append(ConditionReport("decomposition", verdict, N, margins, witness))
+    def decomposition(n, j):
+        verdict = check_decomposition(cfg, n, j)
+        return verdict, iv_sub(scalar_enclosure(cfg.quotient(n, j), precision), singleton(1), precision)
 
-    # condition: house(1/a) >= 1/2, possibly replaced by the sign variant
+    conditions = [_fold("decomposition", N, _pairs(cfg, N, decomposition))]
+    # house(1/a) >= 1/2, possibly replaced by the sign variant
     mode_used, c5_report = _check_condition5(cfg, N, precision)
     conditions.append(c5_report)
+    conditions.append(_fold("house-growth-bound", N, _pairs(
+        cfg, N, lambda n, j: _check_house_bound(cfg, n, j, precision))))
+    conditions.append(_fold("interleaving", N, (
+        [((n,), *check_interleaving(cfg, n, precision))] for n in range(1, N + 1))))
 
-    # condition: house bounds on b, c, d
-    verdict, witness = PASS, None
-    margins = []
-    for n in range(1, N + 1):
-        worst = None
-        for j in range(1, cfg.M + 1):
-            v = _check_house_bound(cfg, n, j, precision)
-            if v == FAIL and verdict != FAIL:
-                verdict, witness = FAIL, (n, j)
-            elif v == INDET and verdict == PASS:
-                verdict, witness = INDET, (n, j)
-            dec = cfg.sequences[j - 1].decomposition(n)
-            if dec is not None:
-                b = growth_bound(cfg.quotient(n, j), n, cfg.gamma, cfg.d, precision)
-                h = iv_max(iv_max(_house(dec.b, precision), _house(dec.c, precision)),
-                           _house(dec.d, precision))
-                m = iv_sub(b, h, precision)
-                worst = m if worst is None or m.lo < worst.lo else worst
-        margins.append(worst if worst is not None else singleton(0))
-    conditions.append(ConditionReport("house-growth-bound", verdict, N, margins, witness))
+    ratios = {j: ratio_margin(cfg, j, N, precision) for j in range(1, cfg.M)}
+    conditions.append(_fold(
+        "ratio-liminf", N,
+        ([((j,), ms.verdict, ms.values[n - 1]) for j, ms in ratios.items()] for n in range(1, N + 1)),
+        notes={"per_j": {j: ms.verdict for j, ms in ratios.items()}, "semantics": "prefix-consistent"},
+    ))
 
-    # condition: interleaving of extremes
-    verdict, witness = PASS, None
-    margins = []
-    for n in range(1, N + 1):
-        v = check_interleaving(cfg, n, precision)
-        if v == FAIL and verdict != FAIL:
-            verdict, witness = FAIL, (n,)
-        elif v == INDET and verdict == PASS:
-            verdict, witness = INDET, (n,)
-        m = _interleaving_margin(cfg, n, precision)
-        margins.append(m if m is not None else singleton(0))
-    conditions.append(ConditionReport("interleaving", verdict, N, margins, witness))
-
-    # condition: ratio liminf margins for adjacent pairs
-    verdict, witness = PASS, None
-    worst_series: list[DyadicInterval] = []
-    per_j_verdicts = {}
-    for j in range(1, cfg.M):
-        ms = ratio_margin(cfg, j, N, precision)
-        per_j_verdicts[j] = ms.verdict
-        if ms.verdict == FAIL and verdict != FAIL:
-            verdict, witness = FAIL, (j,)
-        elif ms.verdict == INDET and verdict == PASS:
-            verdict, witness = INDET, (j,)
-        if not worst_series:
-            worst_series = list(ms.values)
-        else:
-            worst_series = [a if a.lo < b.lo else b for a, b in zip(ms.values, worst_series)]
-    if cfg.M == 1:
-        worst_series = [singleton(0)] * N
+    # growth limsup passes when at least one j passes; its series is the last
+    # passing j's, else the first j's
+    growth = {j: growth_margin(cfg, j, N, precision) for j in range(1, cfg.M + 1)}
+    per_j = {j: ms.verdict for j, ms in growth.items()}
+    passing = [ms for ms in growth.values() if ms.verdict == PASS]
+    g_verdict = PASS if passing else FAIL if all(v == FAIL for v in per_j.values()) else INDET
     conditions.append(
-        ConditionReport("ratio-liminf", verdict, N, worst_series, witness,
-                        notes={"per_j": per_j_verdicts, "semantics": "prefix-consistent"})
-    )
-
-    # condition: growth limsup; passes when at least one j passes
-    per_j = {}
-    any_pass, all_fail = False, True
-    best_series: list[DyadicInterval] | None = None
-    for j in range(1, cfg.M + 1):
-        ms = growth_margin(cfg, j, N, precision)
-        per_j[j] = ms.verdict
-        if ms.verdict == PASS:
-            any_pass = True
-        if ms.verdict != FAIL:
-            all_fail = False
-        if best_series is None or ms.verdict == PASS:
-            best_series = ms.values
-    g_verdict = PASS if any_pass else (FAIL if all_fail else INDET)
-    conditions.append(
-        ConditionReport("growth-limsup", g_verdict, N, best_series or [],
+        ConditionReport("growth-limsup", g_verdict, N, (passing[-1] if passing else growth[1]).values,
                         None if g_verdict == PASS else (1,),
                         notes={"per_j": per_j, "quantifier": "any-j",
                                "semantics": "prefix-consistent"})
     )
 
-    if any(c.verdict == FAIL for c in conditions):
-        overall = FAIL
-    elif all(c.verdict == PASS for c in conditions):
-        overall = PASS
-    else:
-        overall = INDET
+    verdicts = {c.verdict for c in conditions}
+    overall = FAIL if FAIL in verdicts else PASS if verdicts == {PASS} else INDET
     return HypothesisReport(overall, conditions, cfg.d, cfg.gamma, mode_used, cfg.name)
 
 
 def _check_condition5(cfg: Thm1Config, N: int, precision: int):
     """Try house-half, fall back to the sign condition in auto mode."""
     modes = [cfg.condition5_mode] if cfg.condition5_mode != "auto" else ["house-half", "real-part-sign"]
-    last_report = None
     for mode in modes:
         if mode == "house-half":
-            verdict, witness = PASS, None
-            margins = []
-            half = from_fraction(Fraction(1, 2), 32)
-            for n in range(1, N + 1):
-                worst = None
-                for j in range(1, cfg.M + 1):
-                    v = _check_house_half(cfg, n, j, precision)
-                    if v == FAIL and verdict != FAIL:
-                        verdict, witness = FAIL, (n, j)
-                    elif v == INDET and verdict == PASS:
-                        verdict, witness = INDET, (n, j)
-                    h = _house(_invert(cfg.quotient(n, j)), precision)
-                    m = iv_sub(h, half, precision)
-                    worst = m if worst is None or m.lo < worst.lo else worst
-                margins.append(worst)
-            report = ConditionReport("house-inverse-half", verdict, N, margins, witness)
+            report = _fold("house-inverse-half", N, _pairs(
+                cfg, N, lambda n, j: _check_house_half(cfg, n, j, precision)))
         else:
             try:
                 table = cfg.e_table or derive_sign_table(cfg, precision)
             except IndeterminateAtPrecision:
                 report = ConditionReport("real-part-sign", INDET, N, [], (1,),
                                          notes={"reason": "sign table underivable"})
-                last_report = ("real-part-sign", report)
-                continue
-            verdict, witness = PASS, None
-            margins = []
-            for n in range(1, N + 1):
-                worst = None
-                for j in range(1, cfg.M + 1):
-                    v = check_condition10(cfg, n, j, precision, e_table=table)
-                    if v == FAIL and verdict != FAIL:
-                        verdict, witness = FAIL, (n, j)
-                    elif v == INDET and verdict == PASS:
-                        verdict, witness = INDET, (n, j)
-                    m = _condition10_margin(cfg, n, j, table, precision)
-                    if m is not None:
-                        worst = m if worst is None or m.lo < worst.lo else worst
-                margins.append(worst if worst is not None else singleton(0))
-            report = ConditionReport(
-                "real-part-sign", verdict, N, margins, witness,
-                notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(table.items())}},
-            )
-        last_report = (mode, report)
+            else:
+                report = _fold(
+                    "real-part-sign", N,
+                    _pairs(cfg, N, lambda n, j: check_condition10(cfg, n, j, precision, e_table=table)),
+                    notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(table.items())}},
+                )
         if report.verdict == PASS:
-            return mode, report
-    return last_report
+            break
+    return mode, report
 
 
 def c2_config(K: int, base: CFSpec, gamma: Fraction = Fraction(1, 2), name: str | None = None) -> Thm1Config:

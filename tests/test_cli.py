@@ -61,6 +61,22 @@ def test_failing_example_exit_one(tmp_path):
     jsonschema.validate(report, _schema())
 
 
+@pytest.mark.parametrize("seq", [{"kind": "polynomial", "coeffs": ["-1", "1"]},
+                                 {"kind": "constant", "value": "-2"}])
+def test_nonpositive_quotient_exit_one(tmp_path, seq):
+    # a_1 = 0 or a_n = -2: a decomposition failure, not a crash or config error
+    cfgfile = tmp_path / "neg.json"
+    cfgfile.write_text(json.dumps({"task": "check-theorem1", "sequences": {"a": seq},
+                                   "params": {"N": 3}}))
+    out = tmp_path / "r.json"
+    assert main(["check-theorem1", "--config", str(cfgfile), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["result"]["overall"] == "fail"
+    dec = report["result"]["conditions"][0]
+    assert dec["name"] == "decomposition" and dec["failing_index"] == [1, 1]
+    jsonschema.validate(report, _schema())
+
+
 def test_malformed_config_exit_two(tmp_path):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text(json.dumps({

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from cfindep.criteria import (
     check_all,
     check_condition10,
     check_decomposition,
-    check_house_conditions,
     check_interleaving,
     compute_d,
     growth_bound,
@@ -62,32 +62,40 @@ def test_check_decomposition_examples():
     assert check_decomposition(cfg3, 1, 1) == "fail"
 
 
+def _house_reports(cfg: Thm1Config, N: int, precision: int) -> dict:
+    """The two house conditions of check_all, with house-half forced."""
+    rep = check_all(replace(cfg, condition5_mode="house-half"), N, precision)
+    return {c.name: c for c in rep.conditions if c.name.startswith("house")}
+
+
 def test_house_half_verdicts():
     # a = sqrt2 * m: house(1/a) = 1/(sqrt2 m) >= 1/2 only for m = 1
-    assert check_house_conditions(_sqrt2_scaled_config(1), 1, 1, 96) == "pass"
-    assert check_house_conditions(_sqrt2_scaled_config(2), 1, 1, 96) == "fail"
-    assert check_house_conditions(_sqrt2_scaled_config(5), 1, 1, 96) == "fail"
+    one = _house_reports(_sqrt2_scaled_config(1), 1, 96)
+    assert one["house-inverse-half"].verdict == one["house-growth-bound"].verdict == "pass"
+    assert _house_reports(_sqrt2_scaled_config(2), 1, 96)["house-inverse-half"].verdict == "fail"
+    assert _house_reports(_sqrt2_scaled_config(5), 1, 96)["house-inverse-half"].verdict == "fail"
 
 
 def test_house_bound_example():
     # b = 4 + sqrt2 scaled by doubly-exponential base: the growth bound holds
-    # for all n >= 1 at d=3, gamma=1/2 (the combined op still fails because
-    # house(1/a) < 1/2, which is exactly what auto mode is for)
+    # for all n >= 1 at d=3, gamma=1/2 (house(1/a) < 1/2 still fails, which is
+    # exactly what auto mode is for)
     from cfindep.criteria import _check_house_bound
 
     base = spec("doubly-exponential", d=3)
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
     cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     for n in range(1, 5):
-        assert _check_house_bound(cfg, n, 1, 128) == "pass"
-    assert check_house_conditions(cfg, 1, 1, 128) == "fail"
+        assert _check_house_bound(cfg, n, 1, 128)[0] == "pass"
+    half = _house_reports(cfg, 1, 128)["house-inverse-half"]
+    assert half.verdict == "fail" and half.failing_index == (1, 1)
 
 
 def test_condition10_examples():
     # rational a >= 1 passes with identity-only embedding, e = 0
     s = spec("constant", value=Fraction(3))
     cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
-    assert check_condition10(cfg, 1, 1, 96) == "pass"
+    assert check_condition10(cfg, 1, 1, 96)[0] == "pass"
     # sign alternating with n violates the fixed-sign table
     f = sqrt2_field()
 
@@ -96,24 +104,24 @@ def test_condition10_examples():
 
     s2 = spec("custom", field=f, fn=alt)
     cfg2 = Thm1Config(M=1, sequences=[s2], gamma=Fraction(1, 2), field=f)
-    assert check_condition10(cfg2, 2, 1, 96) == "fail"  # table derived at n=1 breaks at n=2
+    assert check_condition10(cfg2, 2, 1, 96)[0] == "fail"  # table derived at n=1 breaks at n=2
 
 
 def test_interleaving_examples():
     # M = 1: always passes for a > 1
     s = spec("constant", value=Fraction(7))
     cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg, 2, 96) == "pass"
+    assert check_interleaving(cfg, 2, 96)[0] == "pass"
     # a_{n,1} = 2 * a_{n,M} with huge a_{n,M}: first branch dominates
     big = spec("pow2-geometric", d=3)
     twice = spec("custom", fn=lambda n: 2 * big.quotient(n))
     cfg2 = Thm1Config(M=2, sequences=[twice, big], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg2, 2, 96) == "pass"
+    assert check_interleaving(cfg2, 2, 96)[0] == "pass"
     # a_{n,1} = a_{n,M}^3 with a_{n,M} = 2^n: fails for large n (gamma = 1/2)
     base = spec("custom", fn=lambda n: Fraction(2) ** n)
     cube = spec("custom", fn=lambda n: Fraction(2) ** (3 * n))
     cfg3 = Thm1Config(M=2, sequences=[cube, base], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg3, 60, 96) == "fail"
+    assert check_interleaving(cfg3, 60, 96)[0] == "fail"
 
 
 def test_ratio_margin_examples():
@@ -183,6 +191,28 @@ def test_check_all_ex1_and_witness():
     assert dec.verdict == "fail" and dec.failing_index == (1, 2)
 
 
+def test_nonpositive_quotient_fails_without_crash():
+    # a zero or negative quotient is a decomposition failure at (1, 1), not a
+    # crash in a later condition that takes its logarithm or inverse
+    f = sqrt2_field()
+    seqs = [
+        spec("polynomial", coeffs=(Fraction(-1), Fraction(1))),  # a_1 = 0
+        spec("constant", value=Fraction(-2)),
+        spec("custom", field=f, fn=lambda n: f.element([0, (-1) ** n * n * 2]),
+             decomp_fn=lambda n: Decomposition((-1) ** n * n * 2, f.generator(), f.zero(), f.one())),
+    ]
+    for seq in seqs:
+        rep = check_all(Thm1Config(M=1, sequences=[seq], gamma=Fraction(1, 2), field=seq.field), 3, 96)
+        assert rep.overall == "fail"
+        dec = rep.conditions[0]
+        assert dec.name == "decomposition" and dec.verdict == "fail" and dec.failing_index == (1, 1)
+    # a zero quotient as the divisor of the ratio condition
+    two = Thm1Config(M=2, sequences=[spec("constant", value=Fraction(5)), seqs[0]],
+                     gamma=Fraction(1, 2))
+    rep = check_all(two, 3, 96)
+    assert rep.overall == "fail" and rep.conditions[0].failing_index == (1, 2)
+
+
 def test_monotone_precision():
     cfg = build_config("ex1")
     r1 = check_all(cfg, 4, 128)
@@ -196,8 +226,8 @@ def test_monotone_precision():
 def test_fail_reverification_at_doubled_precision():
     # hanluc interleaving failure is not a precision artifact
     cfg = build_config("hanluc")
-    assert check_interleaving(cfg, 1, 128) == "fail"
-    assert check_interleaving(cfg, 1, 256) == "fail"
+    assert check_interleaving(cfg, 1, 128)[0] == "fail"
+    assert check_interleaving(cfg, 1, 256)[0] == "fail"
 
 
 def test_specialization_consistency():
