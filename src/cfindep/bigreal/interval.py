@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
 from .dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
@@ -36,7 +37,6 @@ __all__ = [
     "iv_square",
     "iv_pow_int",
     "iv_max",
-    "iv_min",
     "iv_hull",
     "iv_exp2",
     "iv_log2",
@@ -52,12 +52,19 @@ def get_precision() -> int:
     return _PRECISION.get()
 
 
+def _resolve_prec(prec: int | None) -> int:
+    """``None`` selects the ambient precision; fewer than 4 bits raises."""
+    if prec is None:
+        return _PRECISION.get()
+    if prec < 4:
+        raise ValueError(f"precision {prec} is below 4 bits")
+    return prec
+
+
 @contextmanager
 def precision(bits: int):
     """Set the ambient working precision for interval operators."""
-    if bits < 4:
-        raise ValueError("precision below 4 bits is meaningless")
-    token = _PRECISION.set(bits)
+    token = _PRECISION.set(_resolve_prec(bits))
     try:
         yield
     finally:
@@ -190,7 +197,7 @@ def singleton(x) -> DyadicInterval:
 
 def from_fraction(value: Fraction, prec: int | None = None) -> DyadicInterval:
     """Tight enclosure of an exact rational at the given precision."""
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     value = Fraction(value)
     lo = rational_to_dyadic(value.numerator, value.denominator, prec, up=False)
     hi = rational_to_dyadic(value.numerator, value.denominator, prec, up=True)
@@ -206,12 +213,12 @@ def _round_out(lo: Dyadic, hi: Dyadic, prec: int) -> DyadicInterval:
 
 
 def iv_add(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     return _round_out(a.lo + b.lo, a.hi + b.hi, prec)
 
 
 def iv_sub(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     return _round_out(a.lo - b.hi, a.hi - b.lo, prec)
 
 
@@ -220,30 +227,77 @@ def iv_neg(a: DyadicInterval) -> DyadicInterval:
 
 
 def iv_mul(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
-    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-    return _round_out(min(products), max(products), prec)
+    prec = _resolve_prec(prec)
+    a1, a2, b1, b2 = a.lo, a.hi, b.lo, b.hi
+    # sign cases: each branch picks the products that min/max of all four
+    # would pick, so the endpoints are exact before rounding
+    if a1.man >= 0:  # a >= 0
+        if b1.man >= 0:
+            lo, hi = a1 * b1, a2 * b2
+        elif b2.man <= 0:
+            lo, hi = a2 * b1, a1 * b2
+        else:
+            lo, hi = a2 * b1, a2 * b2
+    elif a2.man <= 0:  # a <= 0
+        if b1.man >= 0:
+            lo, hi = a1 * b2, a2 * b1
+        elif b2.man <= 0:
+            lo, hi = a2 * b2, a1 * b1
+        else:
+            lo, hi = a1 * b2, a1 * b1
+    elif b1.man >= 0:  # a straddles 0 from here on
+        lo, hi = a1 * b2, a2 * b2
+    elif b2.man <= 0:
+        lo, hi = a2 * b1, a1 * b1
+    else:
+        lo, hi = min(a1 * b2, a2 * b1), max(a1 * b1, a2 * b2)
+    return _round_out(lo, hi, prec)
+
+
+def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
+    """Directed rounding of x/y, y != 0, as rational_to_dyadic of the
+    reduced exact quotient.
+
+    The mantissas are odd, so the reduced fraction is (x.man/g) / (y.man/g)
+    times 2**(x.exp - y.exp) with g their gcd.  The rounding shift depends on
+    the bit lengths of the reduced mantissas, so the gcd cannot be skipped.
+    """
+    n, d = x.man, y.man
+    if n == 0:
+        return x
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    if d < 0:
+        n, d = -n, -d
+    return rational_to_dyadic(n, d, prec, up).scaled(x.exp - y.exp)
 
 
 def iv_div(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     if b.contains_zero():
         raise DivisorContainsZero(f"divisor {b!r} contains zero")
-    quots = [
-        a.lo.as_fraction() / b.lo.as_fraction(),
-        a.lo.as_fraction() / b.hi.as_fraction(),
-        a.hi.as_fraction() / b.lo.as_fraction(),
-        a.hi.as_fraction() / b.hi.as_fraction(),
-    ]
-    lo, hi = min(quots), max(quots)
-    return DyadicInterval(
-        rational_to_dyadic(lo.numerator, lo.denominator, prec, up=False),
-        rational_to_dyadic(hi.numerator, hi.denominator, prec, up=True),
-    )
+    a1, a2, b1, b2 = a.lo, a.hi, b.lo, b.hi
+    # sign cases: (numerator, divisor) of the lower and the upper endpoint
+    if b1.man > 0:  # b > 0
+        if a1.man >= 0:
+            lo, hi = (a1, b2), (a2, b1)
+        elif a2.man <= 0:
+            lo, hi = (a1, b1), (a2, b2)
+        else:
+            lo, hi = (a1, b1), (a2, b1)
+    elif a1.man >= 0:  # b < 0 from here on
+        lo, hi = (a2, b2), (a1, b1)
+    elif a2.man <= 0:
+        lo, hi = (a2, b1), (a1, b2)
+    else:
+        lo, hi = (a2, b2), (a1, b2)
+    return DyadicInterval(_quotient(*lo, prec, False), _quotient(*hi, prec, True))
 
 
 def iv_sqrt(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     if a.lo.sign() < 0:
         raise NegativeSqrt(f"sqrt of {a!r}")
     return DyadicInterval(sqrt_down(a.lo, prec), sqrt_up(a.hi, prec))
@@ -254,13 +308,13 @@ def iv_abs(a: DyadicInterval) -> DyadicInterval:
 
 
 def iv_square(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     lo, hi = a.mig(), a.mag()
     return _round_out(lo * lo, hi * hi, prec)
 
 
 def iv_pow_int(a: DyadicInterval, k: int, prec: int | None = None) -> DyadicInterval:
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     if k < 0:
         return iv_div(ONE_IV, iv_pow_int(a, -k, prec), prec)
     result = ONE_IV
@@ -276,10 +330,6 @@ def iv_pow_int(a: DyadicInterval, k: int, prec: int | None = None) -> DyadicInte
 
 def iv_max(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
     return DyadicInterval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def iv_min(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
-    return DyadicInterval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def iv_hull(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
@@ -362,7 +412,7 @@ def _log2_point(x: Dyadic, prec: int) -> DyadicInterval:
 
 def iv_log2(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
     """Enclosure of log2 over a strictly positive interval."""
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     if a.lo.sign() <= 0:
         raise ValueError("log2 requires a strictly positive interval")
     return DyadicInterval(_log2_point(a.lo, prec).lo, _log2_point(a.hi, prec).hi)
@@ -393,7 +443,7 @@ def _exp2_point(x: Dyadic, prec: int) -> DyadicInterval:
 
 def iv_exp2(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
     """Enclosure of 2**x over the interval."""
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     return DyadicInterval(_exp2_point(a.lo, prec).lo, _exp2_point(a.hi, prec).hi)
 
 
@@ -443,7 +493,7 @@ def _pow_point(v: Dyadic, gamma: Fraction, prec: int) -> DyadicInterval:
 
 def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int | None = None) -> DyadicInterval:
     """Enclosure of x**gamma for x >= 0 and rational gamma > 0 (monotone)."""
-    prec = prec or get_precision()
+    prec = _resolve_prec(prec)
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("exponent must be positive")

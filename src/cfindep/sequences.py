@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
-from .bigreal.interval import DyadicInterval, get_precision, iv_add, iv_div, iv_sqrt, singleton
+from .bigreal.interval import DyadicInterval, iv_add, iv_div, iv_sqrt, singleton
 from .bigreal.poly import IntPoly, sturm_count, is_squarefree
 from .errors import (
     BitBudgetExceeded,
@@ -127,16 +128,18 @@ def divisor_count(n: int) -> int:
 
 
 _HARMONIC: list[Fraction] = [Fraction(0)]
+_HARMONIC_LOCK = threading.Lock()
 
 
 def harmonic(n: int) -> Fraction:
     """Exact H_n = 1 + 1/2 + ... + 1/n."""
     if n < 0:
         raise ValueError("harmonic index must be nonnegative")
-    while len(_HARMONIC) <= n:
-        k = len(_HARMONIC)
-        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
-    return _HARMONIC[n]
+    with _HARMONIC_LOCK:
+        while len(_HARMONIC) <= n:
+            k = len(_HARMONIC)
+            _HARMONIC.append(_HARMONIC[-1] + Fraction(1, k))
+        return _HARMONIC[n]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,6 @@ class CFSpec:
         if k == "sqrt-j-scaled":
             return self._p("sqrt_elem") * self._p("base").quotient(n)
         if k == "one-plus-over-sqrt":
-            prec = prec or get_precision()
             c = Fraction(self._p("c"))
             root = iv_sqrt(singleton(n), prec)
             from .bigreal.interval import from_fraction

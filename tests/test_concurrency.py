@@ -1,8 +1,11 @@
 """Determinism under concurrent use: values are immutable, ops are pure."""
 
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+from cfindep import sequences
 from cfindep.catalog import build_config
 from cfindep.criteria import check_all
 from cfindep.lemmas import run_lemma2_suite
@@ -34,3 +37,34 @@ def test_parallel_sieve_growth():
         primes = list(pool.map(nth_prime, range(1, 200)))
     assert primes[:8] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_pi(nth_prime(199)) == 199
+
+
+class _SlowAppendList(list):
+    """A list that gives up the interpreter between computing and appending."""
+
+    def append(self, item):
+        time.sleep(1e-4)
+        super().append(item)
+
+
+def test_harmonic_cache_survives_thread_switching(monkeypatch):
+    # c4 quotients a_n * (j + H_n) read H_n from a cache shared by all
+    # threads; a lost or doubled append there shifts every later H_n.  c4's
+    # own base 2**(n * 2**n) caps n near 12, so the base here is a_n = 1.
+    seqs = [spec("harmonic", base=spec("constant", value=Fraction(1)), j=j) for j in (3, 2, 1)]
+    ns = range(1, 101)
+    expected = [s.quotient(n) for n in ns for s in seqs]
+
+    def job(_):
+        return [s.quotient(n) for n in ns for s in seqs]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(sequences, "_HARMONIC", _SlowAppendList([Fraction(0)]))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(job, range(4), timeout=60))
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(old)

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic
 from cfindep.bigreal.interval import (
     ComplexInterval,
     DyadicInterval,
@@ -51,6 +52,95 @@ def test_mul_div_sqrt_examples():
     assert s.lo == Dyadic(2) and s.hi == Dyadic(2)
     with pytest.raises(NegativeSqrt):
         iv_sqrt(DyadicInterval(Dyadic(-1), Dyadic(1)), 64)
+
+
+# Reference formulas: min/max over all four endpoint products, and over all
+# four Fraction quotients.  The sign-case kernels must match them bit for bit.
+def _fraction_mul(a, b, prec):
+    products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return DyadicInterval(min(products).round_down(prec), max(products).round_up(prec))
+
+
+def _fraction_div(a, b, prec):
+    quots = [
+        a.lo.as_fraction() / b.lo.as_fraction(),
+        a.lo.as_fraction() / b.hi.as_fraction(),
+        a.hi.as_fraction() / b.lo.as_fraction(),
+        a.hi.as_fraction() / b.hi.as_fraction(),
+    ]
+    lo, hi = min(quots), max(quots)
+    return DyadicInterval(
+        rational_to_dyadic(lo.numerator, lo.denominator, prec, up=False),
+        rational_to_dyadic(hi.numerator, hi.denominator, prec, up=True),
+    )
+
+
+@st.composite
+def _dyadics(draw):
+    # zeros, short and long mantissas, and odd factors shared across draws so
+    # that quotients often reduce
+    if draw(st.integers(0, 9)) == 0:
+        return Dyadic(0)
+    bits = draw(st.sampled_from((1, 2, 4, 8, 30, 64, 200, 1000)))
+    man = draw(st.integers(0, (1 << bits) - 1)) | 1
+    man *= draw(st.sampled_from((1, 3, 5, 9, 15, 27, 45, 3**20, 7 * 11 * 13)))
+    return Dyadic(draw(st.sampled_from((-1, 1))) * man, draw(st.integers(-300, 300)))
+
+
+@st.composite
+def _intervals(draw):
+    x = draw(_dyadics())
+    y = draw(st.one_of(st.just(x), _dyadics()))
+    return DyadicInterval(min(x, y), max(x, y))
+
+
+# half the draws near the working precisions the checkers use
+_PRECISIONS = st.one_of(st.integers(4, 160), st.integers(4, 4096))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_intervals(), _intervals(), _PRECISIONS)
+@example(DyadicInterval(Dyadic(-3), Dyadic(5, -1)), DyadicInterval(Dyadic(-7), Dyadic(0)), 4)
+def test_mul_matches_fraction_formula(a, b, prec):
+    assert iv_mul(a, b, prec) == _fraction_mul(a, b, prec)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_intervals(), _intervals(), _PRECISIONS)
+@example(singleton(15), singleton(9), 4)
+@example(DyadicInterval(Dyadic(45), Dyadic(45, 3)), DyadicInterval(Dyadic(-27, 5), Dyadic(-27)), 4096)
+@example(singleton(Dyadic(-15, 2)), singleton(9), 4)
+@example(DyadicInterval(Dyadic(0), Dyadic(3)), DyadicInterval(Dyadic(-9), Dyadic(-1, -2)), 7)
+@example(singleton(1), DyadicInterval(Dyadic(0), Dyadic(1)), 64)
+def test_div_matches_fraction_formula(a, b, prec):
+    if b.contains_zero():
+        with pytest.raises(DivisorContainsZero):
+            iv_div(a, b, prec)
+    else:
+        assert iv_div(a, b, prec) == _fraction_div(a, b, prec)
+
+
+def test_div_rounds_the_reduced_quotient():
+    # 15/9 and 5/3 round with different shifts: the endpoints carry prec+2
+    # bits for the former and prec+1 for the latter, and iv_div uses 5/3
+    for prec in (4, 53, 128, 4096):
+        q = iv_div(singleton(15), singleton(9), prec)
+        assert q == from_fraction(Fraction(5, 3), prec)
+        unreduced = DyadicInterval(
+            rational_to_dyadic(15, 9, prec, up=False), rational_to_dyadic(15, 9, prec, up=True)
+        )
+        assert q != unreduced and q.contains_interval(unreduced)
+        assert iv_div(singleton(45), singleton(27), prec) == q
+
+
+def test_precision_argument_validated():
+    x = singleton(1)
+    with pytest.raises(ValueError):
+        iv_add(x, x, 0)
+    with pytest.raises(ValueError):
+        iv_div(x, singleton(3), 3)
+    with precision(96):
+        assert iv_div(x, singleton(3), None) == iv_div(x, singleton(3), 96)
 
 
 def test_containment_against_rational_oracle():
