@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _PRECISION: ContextVar[int] = ContextVar("cfindep_precision", default=128)
+MIN_PRECISION = 4  # bits; every precision argument is at least this
 
 
 def get_precision() -> int:
@@ -56,8 +57,8 @@ def _resolve_prec(prec: int | None) -> int:
     """``None`` selects the ambient precision; fewer than 4 bits raises."""
     if prec is None:
         return _PRECISION.get()
-    if prec < 4:
-        raise ValueError(f"precision {prec} is below 4 bits")
+    if prec < MIN_PRECISION:
+        raise ValueError(f"precision {prec} is below {MIN_PRECISION} bits")
     return prec
 
 
@@ -344,34 +345,15 @@ _LN2_CACHE: dict[int, DyadicInterval] = {}
 
 
 def _ln2(prec: int) -> DyadicInterval:
-    """Enclosure of ln 2 = 2*atanh(1/3)."""
+    """Enclosure of ln 2 = 2*atanh(1/3), cached per precision."""
     cached = _LN2_CACHE.get(prec)
-    if cached is not None:
-        return cached
-    work = prec + 16
-    t = from_fraction(Fraction(1, 3), work)
-    t2 = iv_square(t, work)
-    threshold = Dyadic(1, -(prec + 8))
-    total = ZERO_IV
-    power = t
-    k = 0
-    while True:
-        term = iv_div(power, singleton(2 * k + 1), work)
-        total = iv_add(total, term, work)
-        power = iv_mul(power, t2, work)
-        k += 1
-        nxt = power.hi
-        if nxt < threshold:
-            # remaining terms are bounded by a geometric tail < 2 * next power
-            total = iv_add(total, DyadicInterval(Dyadic(0), nxt.scaled(1)), work)
-            break
-    res = iv_mul(total, singleton(2), work)
-    _LN2_CACHE[prec] = res
-    return res
+    if cached is None:
+        cached = _LN2_CACHE[prec] = _ln_mantissa(2, 0, prec)
+    return cached
 
 
 def _ln_mantissa(m_num: int, m_shift: int, prec: int) -> DyadicInterval:
-    """ln(m) for m = m_num / 2**m_shift in [1, 2), via 2*atanh((m-1)/(m+1))."""
+    """ln(m) for m = m_num / 2**m_shift in [1, 2], via 2*atanh((m-1)/(m+1))."""
     work = prec + 16
     num = m_num - (1 << m_shift)
     den = m_num + (1 << m_shift)

@@ -114,19 +114,23 @@ def _qdeg(p: list[Fraction]) -> int:
     return -1 if (len(p) == 1 and p[0] == 0) else len(p) - 1
 
 
-def _qrem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _qdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by a nonzero b."""
     a = list(a)
     db, lb = _qdeg(b), b[-1]
-    while _qdeg(a) >= db and _qdeg(a) >= 0:
+    q = [Fraction(0)] * max(1, len(a) - db)
+    while _qdeg(a) >= db:
         shift = _qdeg(a) - db
-        q = a[-1] / lb
+        coef = a[-1] / lb
+        q[shift] = coef
         for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a.pop()
+            a[shift + i] -= coef * b[i]
         _qtrim(a)
-        if _qdeg(a) < 0:
-            break
-    return _qtrim(a)
+    return _qtrim(q), a
+
+
+def _qrem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    return _qdivmod(a, b)[1]
 
 
 def _to_q(p: IntPoly) -> list[Fraction]:
@@ -144,6 +148,15 @@ def is_squarefree(p: IntPoly) -> bool:
     if p.degree() <= 1:
         return p.degree() >= 0 and not p.is_zero()
     return _qgcd_deg(_to_q(p), _to_q(p.derivative())) == 0
+
+
+def irreducible_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
+    """Irreducible factors of p over Z with their multiplicities (sympy)."""
+    from sympy import Poly, Symbol  # lazy: keeps startup light
+
+    _, factors = Poly(list(reversed(p.coeffs)), Symbol("x"), domain="ZZ").factor_list()
+    return [(IntPoly(tuple(int(c) for c in reversed(f.all_coeffs()))), mult)
+            for f, mult in factors]
 
 
 def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:

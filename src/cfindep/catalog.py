@@ -17,6 +17,7 @@ from .criteria import Thm1Config, c2_config
 from .sequences import (
     phi_field,
     polynomial_root_family,
+    prime_pi,
     spec,
     sqrt2_field,
     sqrt_j_family,
@@ -86,8 +87,7 @@ def _c5(gamma=Fraction(1, 2), K: int = 3) -> Thm1Config:
 
 
 def _t2(gamma=Fraction(1, 2), K: int = 2) -> Thm1Config:
-    pi_k = len([p for p in range(2, K + 1) if all(p % q for q in range(2, p))])
-    base = spec("doubly-exponential", d=K * 2 ** pi_k)
+    base = spec("doubly-exponential", d=K * 2 ** prime_pi(K))
     seqs = sqrt_j_family(K, base)  # already descending
     return Thm1Config(M=K, sequences=seqs, gamma=gamma, field=seqs[0].field,
                       condition5_mode="auto", name="t2")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bigreal.dyadic import Dyadic, rational_to_dyadic
-from .bigreal.interval import DyadicInterval
+from .bigreal.interval import MIN_PRECISION, DyadicInterval
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples
 from .cfcore import advance, determinant_value, enclose_value, initial_state
@@ -43,7 +43,7 @@ from .lemmas import (
 from .numfield import NumberField, field_new
 from .relation import find_relation, find_relation_over_field
 from .reportfmt import dumps_report, fraction_str, interval_payload, scalar_payload
-from .sequences import CFSpec, spec as make_spec, sqrt2_field, phi_field
+from .sequences import CFSpec, parse_int, parse_rational, parse_sequence, spec as make_spec
 
 __all__ = ["main", "RunConfig", "run"]
 
@@ -59,17 +59,6 @@ TASKS = (
     "relation",
     "list-examples",
 )
-
-
-def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, str):
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    raise ValueError(f"expected an exact rational, got {text!r}")
 
 
 @dataclass
@@ -114,62 +103,13 @@ def _field_from_dict(d: dict) -> NumberField:
         raise ValueError("field.minpoly must be a nonempty coefficient list")
     if not root or len(root) != 2:
         raise ValueError("field.root must be [lo, hi] exact rationals")
-    lo = _parse_rational(root[0])
-    hi = _parse_rational(root[1])
+    lo = parse_rational(root[0])
+    hi = parse_rational(root[1])
     iv = DyadicInterval(
         rational_to_dyadic(lo.numerator, lo.denominator, 64, up=False),
         rational_to_dyadic(hi.numerator, hi.denominator, 64, up=True),
     )
-    return field_new(IntPoly(tuple(int(c) for c in coeffs)), iv)
-
-
-def _sequence_from_dict(d: dict, ambient: NumberField | None) -> CFSpec:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ValueError("sequence descriptor needs a 'kind'")
-    kind = d["kind"]
-    base = _sequence_from_dict(d["base"], ambient) if "base" in d else None
-    if kind == "constant":
-        return make_spec("constant", value=_parse_rational(d["value"]))
-    if kind == "polynomial":
-        return make_spec("polynomial", coeffs=tuple(_parse_rational(c) for c in d["coeffs"]))
-    if kind == "doubly-exponential":
-        return make_spec("doubly-exponential", d=int(d["d"]), c=int(d.get("c", 1)))
-    if kind == "pow2-geometric":
-        return make_spec("pow2-geometric", d=int(d["d"]))
-    if kind == "hanluc":
-        return make_spec("hanluc", j=int(d["j"]), base=base, field=sqrt2_field())
-    if kind == "div-by-j":
-        return make_spec("div-by-j", base=base, j=int(d["j"]))
-    if kind == "harmonic":
-        return make_spec("harmonic", base=base, j=int(d["j"]))
-    if kind == "prime-pi-power":
-        return make_spec("prime-pi-power", base=base, j=int(d["j"]))
-    if kind == "divisor-sqrt2":
-        return make_spec("divisor-sqrt2", field=sqrt2_field(), base=base,
-                         variant=d.get("variant", "d"))
-    if kind == "phi-powers":
-        return make_spec("phi-powers", field=phi_field(), base=base, offset=int(d["offset"]))
-    if kind == "root-scaled":
-        from .sequences import polynomial_root_family
-
-        poly = IntPoly(tuple(int(c) for c in d["poly"]))
-        fam = polynomial_root_family(poly, base)
-        idx = int(d["root_index"])
-        if not 1 <= idx <= len(fam):
-            raise ValueError("root_index out of range")
-        return fam[idx - 1]
-    if kind == "sqrt-j-scaled":
-        from .sequences import sqrt_j_family
-
-        fam = sqrt_j_family(int(d["K"]), base)
-        j = int(d["j"])
-        for s in fam:
-            if s._p("j") == j:
-                return s
-        raise ValueError("j out of range for sqrt-j-scaled")
-    if kind == "one-plus-over-sqrt":
-        return make_spec("one-plus-over-sqrt", c=_parse_rational(d["c"]))
-    raise UnknownFamily(f"unknown sequence kind {kind!r}")
+    return field_new(IntPoly(tuple(parse_int(c, "field.minpoly") for c in coeffs)), iv)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +159,22 @@ def _hypothesis_exit(rep: HypothesisReport) -> tuple[str, int]:
     return "indeterminate", 0
 
 
-def _resolve_sequences(cfg: RunConfig, fld: NumberField | None) -> dict[str, CFSpec]:
-    return {name: _sequence_from_dict(d, fld) for name, d in cfg.sequences.items()}
+def _resolve_sequences(cfg: RunConfig) -> dict[str, CFSpec]:
+    return {name: parse_sequence(d) for name, d in cfg.sequences.items()}
+
+
+_PARAM_MINIMUM = {"N": 1, "precision": MIN_PRECISION}
+
+
+def _int_param(cfg: RunConfig, key: str, default: int | None) -> int | None:
+    """Integer task parameter from the config or a flag; N >= 1, precision >= 4."""
+    value = cfg.params.get(key, default)
+    return None if value is None else parse_int(value, key, _PARAM_MINIMUM.get(key))
 
 
 def _task_check_theorem1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     fld = _field_from_dict(cfg.field) if cfg.field else None
-    seqs = _resolve_sequences(cfg, fld)
+    seqs = _resolve_sequences(cfg)
     order = cfg.params.get("order") or sorted(seqs)
     try:
         ordered = [seqs[name] for name in order]
@@ -234,14 +183,14 @@ def _task_check_theorem1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     if fld is None:
         # infer the ambient field (hence the degree D) from the sequences
         fld = next((s.field for s in ordered if s.field is not None), None)
-    gamma = _parse_rational(cfg.params.get("gamma", "1/2"))
+    gamma = parse_rational(cfg.params.get("gamma", "1/2"))
     tcfg = Thm1Config(
         M=len(ordered), sequences=ordered, gamma=gamma, field=fld,
         condition5_mode=cfg.params.get("mode", "auto"),
         name=cfg.params.get("name"),
     )
-    N = int(cfg.params.get("N", 6))
-    prec = int(cfg.params.get("precision", 128))
+    N = _int_param(cfg, "N", 6)
+    prec = _int_param(cfg, "precision", 128)
     rep = check_all(tcfg, N, prec)
     status, code = _hypothesis_exit(rep)
     result = _serialize_hypothesis_report(rep)
@@ -258,10 +207,10 @@ def _task_check_named_example(cfg: RunConfig) -> tuple[str, int, dict, list[str]
     if entry is None:
         raise ValueError(f"unknown named example {name!r}")
     gamma = cfg.params.get("gamma")
-    tcfg = build_config(name, gamma=_parse_rational(gamma) if gamma else None,
-                        K=cfg.params.get("K"))
-    N = int(cfg.params.get("N", entry.defaults.get("N", 6)))
-    prec = int(cfg.params.get("precision", entry.defaults.get("precision", 128)))
+    tcfg = build_config(name, gamma=parse_rational(gamma) if gamma else None,
+                        K=_int_param(cfg, "K", None))
+    N = _int_param(cfg, "N", entry.defaults.get("N", 6))
+    prec = _int_param(cfg, "precision", entry.defaults.get("precision", 128))
     rep = check_all(tcfg, N, prec)
     status, code = _hypothesis_exit(rep)
     result = _serialize_hypothesis_report(rep)
@@ -275,12 +224,11 @@ def _single_sequence(cfg: RunConfig) -> CFSpec:
     ex = cfg.params.get("example")
     if ex:
         tcfg = build_config(ex)
-        j = int(cfg.params.get("j", 1))
+        j = _int_param(cfg, "j", 1)
         if not 1 <= j <= tcfg.M:
             raise ValueError("j out of range")
         return tcfg.sequences[j - 1]
-    fld = _field_from_dict(cfg.field) if cfg.field else None
-    seqs = _resolve_sequences(cfg, fld)
+    seqs = _resolve_sequences(cfg)
     name = cfg.params.get("sequence")
     if name is None and len(seqs) == 1:
         name = next(iter(seqs))
@@ -291,7 +239,7 @@ def _single_sequence(cfg: RunConfig) -> CFSpec:
 
 def _task_convergents(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     seq = _single_sequence(cfg)
-    N = int(cfg.params.get("N", 10))
+    N = _int_param(cfg, "N", 10)
     st = initial_state(0)
     rows = []
     lines = []
@@ -329,8 +277,8 @@ def _scalar_bits(x) -> int:
 
 def _task_enclose(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     seq = _single_sequence(cfg)
-    N = int(cfg.params.get("N", 10))
-    prec = int(cfg.params.get("precision", 128))
+    N = _int_param(cfg, "N", 10)
+    prec = _int_param(cfg, "precision", 128)
     enc = enclose_value(seq, N, prec)
     result = {
         "order": enc.order,
@@ -341,8 +289,7 @@ def _task_enclose(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
 
 
 def _task_lemma1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    fld = _field_from_dict(cfg.field) if cfg.field else None
-    seqs = _resolve_sequences(cfg, fld)
+    seqs = _resolve_sequences(cfg)
     a_name = cfg.params.get("a")
     b_name = cfg.params.get("b")
     if a_name and b_name:
@@ -350,8 +297,8 @@ def _task_lemma1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     else:
         a = make_spec("constant", value=Fraction(2))
         b = make_spec("constant", value=Fraction(1))
-    N = int(cfg.params.get("N", 20))
-    prec = int(cfg.params.get("precision", 128))
+    N = _int_param(cfg, "N", 20)
+    prec = _int_param(cfg, "precision", 128)
     tr = lemma1_trace(a, b, N, prec)
     result = {
         "indices": tr.indices,
@@ -379,15 +326,15 @@ def _lemma_suite(cfg: RunConfig, suite_fn, check_fn) -> tuple[str, int, dict, li
         outcomes = []
         all_ok = True
         for tup in tuples:
-            zs = [ComplexInterval.from_rationals(_parse_rational(re), _parse_rational(im), 96)
+            zs = [ComplexInterval.from_rationals(parse_rational(re), parse_rational(im), 96)
                   for re, im in tup]
             chk = check_fn(zs)
             outcomes.append({"passed": chk.passed, "exact": chk.exact})
             all_ok = all_ok and chk.passed
         status = "pass" if all_ok else "fail"
         return status, 0 if all_ok else 1, {"checks": outcomes}, [f"{len(outcomes)} tuples: {status}"]
-    trials = int(cfg.params.get("trials", 1000))
-    seed = int(cfg.params.get("seed", 0))
+    trials = _int_param(cfg, "trials", 1000)
+    seed = _int_param(cfg, "seed", 0)
     res = suite_fn(trials=trials, seed=seed)
     status = "pass" if res.all_passed else "fail"
     result = {
@@ -401,7 +348,7 @@ def _lemma_suite(cfg: RunConfig, suite_fn, check_fn) -> tuple[str, int, dict, li
 
 
 def _task_remark(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    N = int(cfg.params.get("N", 2000))
+    N = _int_param(cfg, "N", 2000)
     rr = remark_counterexample(N)
     below = rr.max_ratio.hi < rr.bound.lo
     result = {
@@ -419,9 +366,9 @@ def _task_remark(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
 
 
 def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    prec = int(cfg.params.get("precision", 256))
-    height = int(cfg.params.get("height", 100))
-    n_trunc = int(cfg.params.get("N", 6))
+    prec = _int_param(cfg, "precision", 256)
+    height = _int_param(cfg, "height", 100)
+    n_trunc = _int_param(cfg, "N", 6)
     use = cfg.params.get("use", "truncation")  # or "limit"
     ex = cfg.params.get("example")
     if ex:
@@ -430,7 +377,7 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
         fld = tcfg.field
     else:
         fld = _field_from_dict(cfg.field) if cfg.field else None
-        seqs = _resolve_sequences(cfg, fld)
+        seqs = _resolve_sequences(cfg)
         names = cfg.params.get("values") or sorted(seqs)
         seq_list = [seqs[nm] for nm in names]
     values = []

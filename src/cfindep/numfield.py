@@ -23,6 +23,10 @@ from .bigreal.interval import (
 )
 from .bigreal.poly import (
     IntPoly,
+    _qdeg,
+    _qdivmod,
+    _qtrim,
+    irreducible_factors,
     isolate_real_roots,
     qpoly_eval_complex,
     qpoly_eval_interval,
@@ -58,12 +62,7 @@ MAX_FIELD_DEGREE = 8
 def _is_irreducible_over_q(p: IntPoly) -> bool:
     if p.degree() == 1:
         return True
-    # exact integer factorization; lazy import keeps startup light
-    from sympy import Poly, Symbol
-
-    x = Symbol("x")
-    poly = Poly(list(reversed(p.coeffs)), x, domain="ZZ")
-    _, factors = poly.factor_list()
+    factors = irreducible_factors(p)
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -227,20 +226,15 @@ class FieldElement:
             return self.field.from_rational(1 / self.coords[0])
         # extended Euclid in Q[t] against the minimal polynomial
         f = [Fraction(c) for c in self.field.minpoly.coeffs]
-        g = list(self.coords)
-        r0, r1 = f, _trim(g)
+        r0, r1 = f, _qtrim(list(self.coords))
         s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _deg(r1) > 0:
-            q, r = _divmod_q(r0, r1)
+        while _qdeg(r1) > 0:
+            q, r = _qdivmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _sub_q(s0, _mul_q(q, s1))
-        if _deg(r1) != 0 or r1[0] == 0:
+        if _qdeg(r1) != 0:
             raise DivisionByZero("element is not invertible (degenerate field?)")
-        inv = [c / r1[0] for c in s1]
-        inv = inv[: self.field.degree] + [Fraction(0)] * max(0, self.field.degree - len(inv))
-        # s1 may exceed degree bounds only transiently; reduce by one mul round-trip
-        cand = FieldElement(tuple(inv[: self.field.degree]), self.field)
-        return cand
+        return self.field.element([c / r1[0] for c in s1])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -305,22 +299,11 @@ class FieldElement:
 
 # -- small exact polynomial helpers over Q (dense, constant first) ------------
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deg(p: list[Fraction]) -> int:
-    return -1 if (len(p) == 1 and p[0] == 0) else len(p) - 1
-
-
 def _sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     n = max(len(a), len(b))
     a = a + [Fraction(0)] * (n - len(a))
     b = b + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
+    return _qtrim([x - y for x, y in zip(a, b)])
 
 
 def _mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -330,23 +313,7 @@ def _mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _trim(out)
-
-
-def _divmod_q(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db, lb = _deg(b), b[-1]
-    while _deg(a) >= db and _deg(a) >= 0:
-        shift = _deg(a) - db
-        coef = a[-1] / lb
-        q[shift] = coef
-        for i in range(db + 1):
-            a[shift + i] -= coef * b[i]
-        a = _trim(a)
-        if _deg(a) < db:
-            break
-    return _trim(q), _trim(a)
+    return _qtrim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ __all__ = [
     "RelationResult",
     "LLL_DELTA",
     "lll_reduce",
-    "lattice_reduce",
     "find_relation",
     "find_relation_over_field",
     "none_wording",
@@ -115,11 +114,6 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA,
     if with_transform:
         return b, u
     return b
-
-
-def lattice_reduce(basis: list[list[int]]) -> list[list[int]]:
-    """Reduced basis of the same lattice (delta = 0.99)."""
-    return lll_reduce(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 A CFSpec is a declarative, deterministic description of a sequence of exact
 partial quotients a_1, a_2, ...  Each supported kind also knows how to expose
 its quotients in the shape (S*b + c)/d with S an integer and b, c, d algebraic
-integers, which is what the hypothesis checker consumes.
+integers, which is what the hypothesis checker consumes, and how to read
+itself from a JSON descriptor.  ``KINDS`` holds these three per kind.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bigreal.dyadic import Dyadic
-from .bigreal.interval import DyadicInterval, iv_add, iv_div, iv_sqrt, singleton
-from .bigreal.poly import IntPoly, sturm_count, is_squarefree
+from .bigreal.interval import DyadicInterval, from_fraction, iv_add, iv_div, iv_sqrt, singleton
+from .bigreal.poly import IntPoly, irreducible_factors, is_squarefree, sturm_count
 from .errors import (
     BitBudgetExceeded,
     RootsNotRealDistinctGreaterOne,
@@ -27,7 +29,11 @@ from .numfield import FieldElement, NumberField, field_new, multiquadratic_field
 __all__ = [
     "CFSpec",
     "Decomposition",
+    "KINDS",
     "spec",
+    "parse_sequence",
+    "parse_rational",
+    "parse_int",
     "sqrt_j_family",
     "primes_up_to",
     "nth_prime",
@@ -35,10 +41,6 @@ __all__ = [
     "divisor_count",
     "harmonic",
     "gen_doubly_exponential",
-    "gen_prime_ratio",
-    "gen_hanluc",
-    "gen_corollary_family",
-    "gen_from_polynomial_roots",
     "polynomial_root_family",
     "sqrt2_field",
     "phi_field",
@@ -54,10 +56,12 @@ def max_quotient_bits() -> int:
     return int(env) if env else DEFAULT_MAX_BITS
 
 
-def _guard_bits(bits: int) -> None:
+def _pow2(e: int) -> Fraction:
+    """2**e, refused when it needs more bits than the per-quotient guard."""
     limit = max_quotient_bits()
-    if bits > limit:
-        raise BitBudgetExceeded(f"quotient needs {bits} bits, guard is {limit}")
+    if e + 1 > limit:
+        raise BitBudgetExceeded(f"quotient needs {e + 1} bits, guard is {limit}")
+    return Fraction(1 << e)
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +183,6 @@ class Decomposition:
     d: object
 
 
-_KINDS = {
-    "constant",
-    "polynomial",
-    "doubly-exponential",
-    "pow2-geometric",
-    "hanluc",
-    "div-by-j",
-    "root-scaled",
-    "harmonic",
-    "prime-pi-power",
-    "divisor-sqrt2",
-    "phi-powers",
-    "sqrt-j-scaled",
-    "one-plus-over-sqrt",
-    "custom",
-}
-
-
 @dataclass(frozen=True)
 class CFSpec:
     """Deterministic generator of exact partial quotients, index n >= 1.
@@ -210,7 +196,7 @@ class CFSpec:
     field: NumberField | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise UnknownFamily(f"unknown sequence kind {self.kind!r}")
 
     def _p(self, name, default=None):
@@ -219,117 +205,16 @@ class CFSpec:
                 return v
         return default
 
-    # -- quotient values ------------------------------------------------------
-
     def quotient(self, n: int, prec: int | None = None):
         if n < 1:
             raise ValueError("quotient index starts at 1")
-        k = self.kind
-        if k == "constant":
-            return self._p("value")
-        if k == "polynomial":
-            coeffs = self._p("coeffs")
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * n + Fraction(c)
-            return acc
-        if k == "doubly-exponential":
-            return gen_doubly_exponential(self._p("d"), n, self._p("c", 1))
-        if k == "pow2-geometric":
-            e = self._p("d") ** n
-            _guard_bits(e + 1)
-            return Fraction(1 << e)
-        if k == "hanluc":
-            return gen_hanluc(self._p("j"), n, self._p("base"))
-        if k == "div-by-j":
-            return self._p("base").quotient(n) / self._p("j")
-        if k == "root-scaled":
-            alpha = self.field.generator()
-            return self._p("base").quotient(n) * alpha
-        if k == "harmonic":
-            return self._p("base").quotient(n) * (self._p("j") + harmonic(n))
-        if k == "prime-pi-power":
-            j = self._p("j")
-            return self._p("base").quotient(n) * (1 + Fraction(prime_pi(n), n)) ** j
-        if k == "divisor-sqrt2":
-            mult = divisor_count(n)
-            if self._p("variant") == "1+d":
-                mult += 1
-            s = int(self._p("base").quotient(n)) * mult
-            return self.field.element([0, s])
-        if k == "phi-powers":
-            e = self._p("offset") + 2 * (n - 1)
-            phi = self.field.generator()
-            return (phi ** e) * self._p("base").quotient(n)
-        if k == "sqrt-j-scaled":
-            return self._p("sqrt_elem") * self._p("base").quotient(n)
-        if k == "one-plus-over-sqrt":
-            c = Fraction(self._p("c"))
-            root = iv_sqrt(singleton(n), prec)
-            from .bigreal.interval import from_fraction
-
-            return iv_add(singleton(1), iv_div(from_fraction(c, prec), root, prec), prec)
-        if k == "custom":
-            return self._p("fn")(n)
-        raise UnknownFamily(self.kind)  # pragma: no cover
-
-    # -- integral decompositions ------------------------------------------------
+        return KINDS[self.kind].quotient(self, n, prec)
 
     def decomposition(self, n: int) -> Decomposition | None:
-        k = self.kind
-        if k in ("constant", "polynomial", "doubly-exponential", "pow2-geometric"):
-            a = self.quotient(n)
-            if isinstance(a, FieldElement):
-                return None
-            a = Fraction(a)
-            return Decomposition(a.numerator, Fraction(1), Fraction(0), Fraction(a.denominator))
-        if k == "hanluc":
-            j = self._p("j")
-            r2 = sqrt2_field().generator()
-            if j == 1:
-                return Decomposition(n + nth_prime(n), r2, sqrt2_field().zero(), sqrt2_field().from_rational(n))
-            a_n = int(self._p("base").quotient(n))
-            return Decomposition(a_n * nth_prime(n), r2, sqrt2_field().zero(), sqrt2_field().from_rational(n))
-        if k == "div-by-j":
-            a_n = self._p("base").quotient(n)
-            return Decomposition(int(a_n), Fraction(1), Fraction(0), Fraction(self._p("j")))
-        if k == "root-scaled":
-            a_n = int(self._p("base").quotient(n))
-            f = self.field
-            return Decomposition(a_n, f.generator(), f.zero(), f.one())
-        if k == "harmonic":
-            h = harmonic(n)
-            dn = h.denominator
-            a_n = int(self._p("base").quotient(n))
-            return Decomposition(a_n, Fraction(self._p("j") * dn + h.numerator), Fraction(0), Fraction(dn))
-        if k == "prime-pi-power":
-            j = self._p("j")
-            a_n = int(self._p("base").quotient(n))
-            return Decomposition(a_n * (n + prime_pi(n)) ** j, Fraction(1), Fraction(0), Fraction(n ** j))
-        if k == "divisor-sqrt2":
-            mult = divisor_count(n) + (1 if self._p("variant") == "1+d" else 0)
-            a_n = int(self._p("base").quotient(n))
-            f = self.field
-            return Decomposition(a_n * mult, f.generator(), f.zero(), f.one())
-        if k == "phi-powers":
-            e = self._p("offset") + 2 * (n - 1)
-            f = self.field
-            a_n = int(self._p("base").quotient(n))
-            return Decomposition(a_n, f.generator() ** e, f.zero(), f.one())
-        if k == "sqrt-j-scaled":
-            f = self.field
-            a_n = int(self._p("base").quotient(n))
-            return Decomposition(a_n, self._p("sqrt_elem"), f.zero(), f.one())
-        if k == "custom":
-            fn = self._p("decomp_fn")
-            return fn(n) if fn else None
-        return None
+        return KINDS[self.kind].decomposition(self, n)
 
     def is_exact(self) -> bool:
-        return self.kind != "one-plus-over-sqrt"
-
-    def describe(self) -> str:
-        return f"{self.kind}({', '.join(f'{k}={v}' for k, v in self.params if k not in ('fn', 'decomp_fn', 'sqrt_elem'))})"
+        return KINDS[self.kind].exact
 
 
 def spec(kind: str, field: NumberField | None = None, **params) -> CFSpec:
@@ -344,43 +229,7 @@ def gen_doubly_exponential(d: int, n: int, c: int = 1) -> Fraction:
     """a_n = 2**(c * n * d**n); the canonical unbounded-growth witness."""
     if d < 2 or n < 1 or c < 1:
         raise ValueError("need d >= 2, n >= 1, c >= 1")
-    e = c * n * d ** n
-    _guard_bits(e + 1)
-    return Fraction(1 << e)
-
-
-def gen_prime_ratio(n: int) -> Fraction:
-    """1 + p_n/n with p_n the n-th prime."""
-    return 1 + Fraction(nth_prime(n), n)
-
-
-def gen_hanluc(j: int, n: int, base: CFSpec | None = None) -> FieldElement:
-    """Quotients of the two prime-ratio continued fractions over Q(sqrt 2).
-
-    j=1 emits (1 + p_n/n) * sqrt2, j=2 emits a_n * (p_n/n) * sqrt2 with a_n
-    drawn from ``base`` (doubly exponential with d=3 by default).
-    """
-    f = sqrt2_field()
-    r2 = f.generator()
-    if j == 1:
-        return gen_prime_ratio(n) * r2
-    if j == 2:
-        if base is None:
-            base = spec("doubly-exponential", d=3)
-        return base.quotient(n) * Fraction(nth_prime(n), n) * r2
-    raise ValueError("j must be 1 or 2")
-
-
-def _monic_irreducible_factors(p: IntPoly) -> list[IntPoly]:
-    from sympy import Poly, Symbol
-
-    x = Symbol("x")
-    _, factors = Poly(list(reversed(p.coeffs)), x, domain="ZZ").factor_list()
-    out = []
-    for f, mult in factors:
-        coeffs = [int(c) for c in reversed(f.all_coeffs())]
-        out.append((IntPoly(tuple(coeffs)), mult))
-    return out
+    return _pow2(c * n * d ** n)
 
 
 def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
@@ -400,7 +249,7 @@ def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
         raise RootsNotRealDistinctGreaterOne("roots must all be real and > 1")
     from .bigreal.poly import isolate_real_roots, refine_root
 
-    factors = _monic_irreducible_factors(p)
+    factors = irreducible_factors(p)
     for f, _ in factors:
         if not f.is_monic():
             raise RootsNotRealDistinctGreaterOne(f"factor {f!r} is not monic")
@@ -420,39 +269,6 @@ def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
     return out
 
 
-def gen_from_polynomial_roots(p: IntPoly, j: int, n: int, base: CFSpec):
-    """Quotient and decomposition of the j-th (ascending) root family at index n."""
-    fam = polynomial_root_family(p, base)
-    if not 1 <= j <= len(fam):
-        raise ValueError(f"root index {j} out of range")
-    s = fam[j - 1]
-    return s.quotient(n), s.decomposition(n)
-
-
-def gen_corollary_family(name: str, params: dict, j: int, n: int):
-    """Dispatch for the named quotient families.
-
-    name in {div-by-j, root-scaled, harmonic, prime-pi-power, divisor-sqrt2,
-    phi-powers}; params carries the base sequence and family data.
-    """
-    base = params["base"]
-    if name == "div-by-j":
-        return spec("div-by-j", base=base, j=j).quotient(n)
-    if name == "root-scaled":
-        return gen_from_polynomial_roots(params["poly"], j, n, base)[0]
-    if name == "harmonic":
-        return spec("harmonic", base=base, j=j).quotient(n)
-    if name == "prime-pi-power":
-        return spec("prime-pi-power", base=base, j=j).quotient(n)
-    if name == "divisor-sqrt2":
-        f = sqrt2_field()
-        variant = params.get("variant", "d")
-        return spec("divisor-sqrt2", field=f, base=base, variant=variant).quotient(n)
-    if name == "phi-powers":
-        return spec("phi-powers", field=phi_field(), base=base, offset=j).quotient(n)
-    raise UnknownFamily(f"unknown family {name!r}")
-
-
 def sqrt_j_family(K: int, base: CFSpec) -> list[CFSpec]:
     """Quotients sqrt(j) * a_n, j = K..1 (descending), over Q(sqrt 1..K)."""
     if K < 2:
@@ -463,3 +279,242 @@ def sqrt_j_family(K: int, base: CFSpec) -> list[CFSpec]:
     for j in range(K, 0, -1):
         out.append(spec("sqrt-j-scaled", field=fld, base=base, j=j, sqrt_elem=sqrt_of(j)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# JSON descriptors
+# ---------------------------------------------------------------------------
+
+def parse_rational(text) -> Fraction:
+    """An exact rational from a JSON integer or a "num/den" string."""
+    if isinstance(text, int):
+        return Fraction(text)
+    if isinstance(text, str):
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    raise ValueError(f"expected an exact rational, got {text!r}")
+
+
+def parse_int(value, name: str, minimum: int | None = None) -> int:
+    """A JSON integer, at least ``minimum`` if given; bools, floats and strings raise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def parse_sequence(desc: dict) -> CFSpec:
+    """The CFSpec a JSON sequence descriptor names, e.g.
+    ``{"kind": "harmonic", "j": 2, "base": {"kind": "doubly-exponential", "d": 3}}``."""
+    if not isinstance(desc, dict) or not isinstance(desc.get("kind"), str):
+        raise ValueError("sequence descriptor needs a 'kind'")
+    kind = KINDS.get(desc["kind"])
+    if kind is None or kind.parse is None:
+        raise UnknownFamily(f"unknown sequence kind {desc['kind']!r}")
+    return kind.parse(desc)
+
+
+def _list(desc: dict, key: str) -> list:
+    values = desc[key]
+    if not isinstance(values, list):
+        raise ValueError(f"{desc['kind']} sequence: {key!r} must be a list")
+    return values
+
+
+def _int(desc: dict, key: str) -> int:
+    return parse_int(desc[key], key)
+
+
+def _base(desc: dict) -> CFSpec:
+    """The base sequence a_n that a base-scaled kind multiplies."""
+    if "base" not in desc:
+        raise ValueError(f"{desc['kind']} sequence needs 'base'")
+    return parse_sequence(desc["base"])
+
+
+# ---------------------------------------------------------------------------
+# the kinds: quotient, decomposition and JSON parser of each
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """One sequence kind.
+
+    ``quotient(spec, n, prec)`` gives a_n and ``decomposition(spec, n)`` its
+    (S*b + c)/d form.  They are separate computations, so the decomposition
+    check compares two derivations of a_n.  ``parse(descriptor)`` builds the
+    spec from JSON; a kind without it is built only from code.
+    """
+
+    quotient: Callable
+    decomposition: Callable = lambda s, n: None
+    parse: Callable | None = None
+    exact: bool = True
+
+
+def _rational_decomposition(s: CFSpec, n: int) -> Decomposition | None:
+    """A rational quotient num/den as (num*1 + 0)/den."""
+    a = s.quotient(n)
+    if isinstance(a, FieldElement):
+        return None
+    a = Fraction(a)
+    return Decomposition(a.numerator, Fraction(1), Fraction(0), Fraction(a.denominator))
+
+
+def _base_scaled(s: CFSpec, n: int, b, d=1, mult: int = 1) -> Decomposition:
+    """(S*b + 0)/d for a quotient a_n * mult * b/d with a_n the base quotient.
+
+    S takes the numerator of a_n and its denominator is folded into d, so a
+    non-integral base still gives an integral S.
+    """
+    a = Fraction(s._p("base").quotient(n))
+    S, d = a.numerator * mult, d * a.denominator
+    if isinstance(b, FieldElement):
+        return Decomposition(S, b, b.field.zero(), b.field.from_rational(d))
+    return Decomposition(S, Fraction(b), Fraction(0), Fraction(d))
+
+
+def _polynomial(s: CFSpec, n: int, prec) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(s._p("coeffs")):
+        acc = acc * n + Fraction(c)
+    return acc
+
+
+def _hanluc(s: CFSpec, n: int, prec) -> FieldElement:
+    """Prime-ratio quotients over Q(sqrt 2): (1 + p_n/n) sqrt2 for j=1 and
+    a_n (p_n/n) sqrt2 for j=2, p_n the n-th prime and a_n the base."""
+    j = s._p("j")
+    if j not in (1, 2):
+        raise ValueError("hanluc j must be 1 or 2")
+    ratio = Fraction(nth_prime(n), n)
+    scale = 1 + ratio if j == 1 else s._p("base").quotient(n) * ratio
+    return scale * sqrt2_field().generator()
+
+
+def _hanluc_decomposition(s: CFSpec, n: int) -> Decomposition:
+    f = sqrt2_field()
+    if s._p("j") == 1:
+        return Decomposition(n + nth_prime(n), f.generator(), f.zero(), f.from_rational(n))
+    return _base_scaled(s, n, f.generator(), n, nth_prime(n))
+
+
+def _parse_hanluc(desc: dict) -> CFSpec:
+    j = _int(desc, "j")
+    return spec("hanluc", field=sqrt2_field(), j=j, base=_base(desc) if j == 2 else None)
+
+
+def _harmonic_decomposition(s: CFSpec, n: int) -> Decomposition:
+    h = harmonic(n)
+    return _base_scaled(s, n, s._p("j") * h.denominator + h.numerator, h.denominator)
+
+
+def _divisor_mult(s: CFSpec, n: int) -> int:
+    return divisor_count(n) + (1 if s._p("variant") == "1+d" else 0)
+
+
+def _parse_divisor_sqrt2(desc: dict) -> CFSpec:
+    variant = desc.get("variant", "d")
+    if variant not in ("d", "1+d"):
+        raise ValueError(f"divisor-sqrt2 variant must be 'd' or '1+d', got {variant!r}")
+    return spec("divisor-sqrt2", field=sqrt2_field(), base=_base(desc), variant=variant)
+
+
+def _phi_exponent(s: CFSpec, n: int) -> int:
+    return s._p("offset") + 2 * (n - 1)
+
+
+def _parse_root_scaled(desc: dict) -> CFSpec:
+    idx = _int(desc, "root_index")
+    poly = IntPoly(tuple(parse_int(c, "poly") for c in _list(desc, "poly")))
+    fam = polynomial_root_family(poly, _base(desc))
+    if not 1 <= idx <= len(fam):
+        raise ValueError("root_index out of range")
+    return fam[idx - 1]
+
+
+def _parse_sqrt_j_scaled(desc: dict) -> CFSpec:
+    K, j = _int(desc, "K"), _int(desc, "j")
+    if not 1 <= j <= K:
+        raise ValueError("j out of range for sqrt-j-scaled")
+    return sqrt_j_family(K, _base(desc))[K - j]
+
+
+def _one_plus_over_sqrt(s: CFSpec, n: int, prec) -> DyadicInterval:
+    c = from_fraction(Fraction(s._p("c")), prec)
+    return iv_add(singleton(1), iv_div(c, iv_sqrt(singleton(n), prec), prec), prec)
+
+
+KINDS: dict[str, _Kind] = {
+    "constant": _Kind(
+        lambda s, n, prec: s._p("value"),
+        _rational_decomposition,
+        lambda desc: spec("constant", value=parse_rational(desc["value"])),
+    ),
+    "polynomial": _Kind(
+        _polynomial,
+        _rational_decomposition,
+        lambda desc: spec("polynomial",
+                          coeffs=tuple(parse_rational(c) for c in _list(desc, "coeffs"))),
+    ),
+    "doubly-exponential": _Kind(
+        lambda s, n, prec: gen_doubly_exponential(s._p("d"), n, s._p("c", 1)),
+        _rational_decomposition,
+        lambda desc: spec("doubly-exponential", d=_int(desc, "d"),
+                          c=parse_int(desc.get("c", 1), "c")),
+    ),
+    "pow2-geometric": _Kind(
+        lambda s, n, prec: _pow2(s._p("d") ** n),
+        _rational_decomposition,
+        lambda desc: spec("pow2-geometric", d=_int(desc, "d")),
+    ),
+    "hanluc": _Kind(_hanluc, _hanluc_decomposition, _parse_hanluc),
+    "div-by-j": _Kind(
+        lambda s, n, prec: s._p("base").quotient(n) / s._p("j"),
+        lambda s, n: _base_scaled(s, n, 1, s._p("j")),
+        lambda desc: spec("div-by-j", base=_base(desc), j=_int(desc, "j")),
+    ),
+    "root-scaled": _Kind(
+        lambda s, n, prec: s._p("base").quotient(n) * s.field.generator(),
+        lambda s, n: _base_scaled(s, n, s.field.generator()),
+        _parse_root_scaled,
+    ),
+    "harmonic": _Kind(
+        lambda s, n, prec: s._p("base").quotient(n) * (s._p("j") + harmonic(n)),
+        _harmonic_decomposition,
+        lambda desc: spec("harmonic", base=_base(desc), j=_int(desc, "j")),
+    ),
+    "prime-pi-power": _Kind(
+        lambda s, n, prec: s._p("base").quotient(n) * (1 + Fraction(prime_pi(n), n)) ** s._p("j"),
+        lambda s, n: _base_scaled(s, n, 1, n ** s._p("j"), (n + prime_pi(n)) ** s._p("j")),
+        lambda desc: spec("prime-pi-power", base=_base(desc), j=_int(desc, "j")),
+    ),
+    "divisor-sqrt2": _Kind(
+        lambda s, n, prec: s._p("base").quotient(n) * _divisor_mult(s, n) * s.field.generator(),
+        lambda s, n: _base_scaled(s, n, s.field.generator(), mult=_divisor_mult(s, n)),
+        _parse_divisor_sqrt2,
+    ),
+    "phi-powers": _Kind(
+        lambda s, n, prec: s.field.generator() ** _phi_exponent(s, n) * s._p("base").quotient(n),
+        lambda s, n: _base_scaled(s, n, s.field.generator() ** _phi_exponent(s, n)),
+        lambda desc: spec("phi-powers", field=phi_field(), base=_base(desc),
+                          offset=_int(desc, "offset")),
+    ),
+    "sqrt-j-scaled": _Kind(
+        lambda s, n, prec: s._p("sqrt_elem") * s._p("base").quotient(n),
+        lambda s, n: _base_scaled(s, n, s._p("sqrt_elem")),
+        _parse_sqrt_j_scaled,
+    ),
+    "one-plus-over-sqrt": _Kind(
+        _one_plus_over_sqrt,
+        parse=lambda desc: spec("one-plus-over-sqrt", c=parse_rational(desc["c"])),
+        exact=False,
+    ),
+    "custom": _Kind(
+        lambda s, n, prec: s._p("fn")(n),
+        lambda s, n: s._p("decomp_fn")(n) if s._p("decomp_fn") else None,
+    ),
+}

@@ -217,3 +217,45 @@ def test_config_driven_sqrt_j_family(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["overall"] == "pass"
     assert rc == 0
+
+
+def _run_config(tmp_path, cfg):
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(cfg))
+    return main([cfg["task"], "--config", str(f), "--out", str(tmp_path / "rep.json")])
+
+
+@pytest.mark.parametrize("seq", [
+    {"kind": "harmonic", "j": 2},
+    {"kind": "hanluc", "j": 2},
+])
+def test_missing_base_exit_two(tmp_path, capsys, seq):
+    cfg = {"task": "check-theorem1", "sequences": {"a": seq}, "params": {"N": 2}}
+    assert _run_config(tmp_path, cfg) == 2
+    assert "needs 'base'" in capsys.readouterr().err
+
+
+_CONVERGENTS = {"task": "convergents", "params": {"N": 2}}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["enclose", "--example", "ex1", "--N", "3", "--precision", "0"],
+     "precision must be at least 4"),
+    (["check-named-example", "ex3", "--N", "0"], "N must be at least 1"),
+    (["convergents", "--example", "ex3", "--N", "-1"], "N must be at least 1"),
+    ({"task": "check-named-example", "params": {"name": "ex3", "N": 2.7}},
+     "N must be an integer"),
+    ({"task": "lemma2", "params": {"trials": True}}, "trials must be an integer"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "doubly-exponential", "d": 3.0}}},
+     "d must be an integer"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "phi-powers", "offset": "1",
+                                         "base": {"kind": "constant", "value": 2}}}},
+     "offset must be an integer"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "divisor-sqrt2", "variant": "2d",
+                                         "base": {"kind": "constant", "value": 2}}}},
+     "variant must be"),
+])
+def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
+    rc = _run_config(tmp_path, args) if isinstance(args, dict) else main(args)
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -10,11 +10,11 @@ import pytest
 
 from cfindep.bigreal.interval import precision
 from cfindep.bigreal.poly import IntPoly
-from cfindep.cli import _sequence_from_dict
 from cfindep.numfield import FieldElement
 from cfindep.sequences import (
-    _KINDS,
+    KINDS,
     Decomposition,
+    parse_sequence,
     phi_field,
     polynomial_root_family,
     spec,
@@ -72,13 +72,13 @@ def _key(x):
 
 
 def test_every_parseable_kind_is_covered():
-    assert {d["kind"] for d, _ in CASES} == _KINDS - {"custom"}
+    assert {d["kind"] for d, _ in CASES} == {name for name, k in KINDS.items() if k.parse}
 
 
 @pytest.mark.parametrize("desc, build", CASES,
                          ids=[f"{d['kind']}-{d.get('j', '')}" for d, _ in CASES])
 def test_descriptor_matches_hand_built_spec(desc, build):
-    parsed, expected = _sequence_from_dict(desc, None), build()
+    parsed, expected = parse_sequence(desc), build()
     assert parsed.kind == expected.kind == desc["kind"]
     with precision(96):
         for n in range(1, 5):

@@ -12,7 +12,6 @@ from cfindep.relation import (
     LLL_DELTA,
     find_relation,
     find_relation_over_field,
-    lattice_reduce,
     lll_reduce,
     none_wording,
 )
@@ -21,13 +20,13 @@ from cfindep.sequences import sqrt2_field
 
 
 def test_lll_trivial_cases():
-    assert lattice_reduce([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
-    assert lattice_reduce([[3, 7, 1]]) == [[3, 7, 1]]
+    assert lll_reduce([[1, 0], [0, 1]]) == [[1, 0], [0, 1]]
+    assert lll_reduce([[3, 7, 1]]) == [[3, 7, 1]]
 
 
 def test_lll_short_vector_bound():
     rows = [[1, 10**9], [0, 1]]
-    red = lattice_reduce(rows)
+    red = lll_reduce(rows)
     # det = 1; ||b1|| <= 2^((k-1)/2) * det^(1/k) = sqrt(2)
     norm1 = sum(c * c for c in red[0])
     assert norm1 <= 2
@@ -35,7 +34,7 @@ def test_lll_short_vector_bound():
 
 def test_lll_rank_deficient():
     with pytest.raises(RankDeficient):
-        lattice_reduce([[1, 2], [2, 4]])
+        lll_reduce([[1, 2], [2, 4]])
 
 
 def _gso_check(rows, delta):
@@ -204,7 +203,7 @@ def test_lll_shortest_vector_quality_bruteforce():
         n = rng.randint(2, 3)
         rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
         try:
-            red = lattice_reduce(rows)
+            red = lll_reduce(rows)
         except RankDeficient:
             continue
         best = None

@@ -5,15 +5,12 @@ import pytest
 from cfindep.bigreal.interval import precision
 from cfindep.bigreal.poly import IntPoly
 from cfindep.cfcore import scalar_at_least_one
+from cfindep.criteria import Thm1Config, check_decomposition
 from cfindep.errors import BitBudgetExceeded, RootsNotRealDistinctGreaterOne, UnknownFamily
-from cfindep.numfield import is_algebraic_integer
+from cfindep.numfield import FieldElement, is_algebraic_integer
 from cfindep.sequences import (
     divisor_count,
-    gen_corollary_family,
     gen_doubly_exponential,
-    gen_from_polynomial_roots,
-    gen_hanluc,
-    gen_prime_ratio,
     harmonic,
     nth_prime,
     phi_field,
@@ -76,13 +73,12 @@ def test_bit_guard(monkeypatch):
 
 
 def test_prime_ratio_and_hanluc():
-    assert gen_prime_ratio(4) == Fraction(11, 4)
-    g = gen_hanluc(1, 1)
-    assert g.coords == (Fraction(0), Fraction(3))  # 3 sqrt2
     base = spec("doubly-exponential", d=3)
-    h2 = gen_hanluc(2, 1, base)
-    assert h2.coords == (Fraction(0), Fraction(16))  # 8 * 2 * sqrt2
     s = spec("hanluc", j=1, base=base, field=sqrt2_field())
+    assert s.quotient(4).coords == (Fraction(0), Fraction(11, 4))  # (1 + 7/4) sqrt2
+    assert s.quotient(1).coords == (Fraction(0), Fraction(3))  # 3 sqrt2
+    h2 = spec("hanluc", j=2, base=base, field=sqrt2_field()).quotient(1)
+    assert h2.coords == (Fraction(0), Fraction(16))  # 8 * 2 * sqrt2
     d = s.decomposition(4)
     assert d.S == 4 + 7 and d.d.as_fraction() == 4
     assert is_algebraic_integer(d.b)
@@ -90,7 +86,7 @@ def test_prime_ratio_and_hanluc():
 
 def test_corollary_families():
     base = spec("constant", value=Fraction(4))
-    assert gen_corollary_family("div-by-j", {"base": base}, 2, 2) == 2
+    assert spec("div-by-j", base=base, j=2).quotient(2) == 2
     div = spec("div-by-j", base=spec("custom", fn=lambda n: Fraction([3, 4, 5][n - 1])), j=2)
     assert div.quotient(2) == 2
     f = sqrt2_field()
@@ -106,7 +102,8 @@ def test_corollary_families():
 
 def test_polynomial_root_family_ex1():
     base = spec("doubly-exponential", d=3)
-    q, dec = gen_from_polynomial_roots(IntPoly.of(14, -8, 1), 2, 1, base)
+    s = polynomial_root_family(IntPoly.of(14, -8, 1), base)[1]
+    q, dec = s.quotient(1), s.decomposition(1)
     # j=2 ascending is 4 + sqrt2; a_1 = 8
     assert dec.S == 8 and dec.c.is_zero() and dec.d.as_fraction() == 1
     assert is_algebraic_integer(dec.b)
@@ -183,3 +180,31 @@ def test_catalog_quotients_at_least_one():
         for j in range(1, cfg.M + 1):
             for n in range(1, 5):
                 assert scalar_at_least_one(cfg.quotient(n, j)), (name, n, j)
+
+
+BASE_SCALED = {
+    "div-by-j": lambda base: spec("div-by-j", base=base, j=2),
+    "harmonic": lambda base: spec("harmonic", base=base, j=2),
+    "prime-pi-power": lambda base: spec("prime-pi-power", base=base, j=2),
+    "divisor-sqrt2": lambda base: spec("divisor-sqrt2", field=sqrt2_field(), base=base,
+                                       variant="1+d"),
+    "phi-powers": lambda base: spec("phi-powers", field=phi_field(), base=base, offset=1),
+    "root-scaled": lambda base: polynomial_root_family(IntPoly.of(14, -8, 1), base)[1],
+    "sqrt-j-scaled": lambda base: sqrt_j_family(3, base)[1],
+    "hanluc": lambda base: spec("hanluc", j=2, base=base, field=sqrt2_field()),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_SCALED))
+def test_rational_base_decomposes(kind):
+    # a_n = 5/2 scales the unit-base quotient by 5/2, and S*b/d recomposes it
+    s = BASE_SCALED[kind](spec("constant", value=Fraction(5, 2)))
+    unit = BASE_SCALED[kind](spec("constant", value=Fraction(1)))
+    cfg = Thm1Config(M=1, sequences=[s], field=s.field)
+
+    def coords(x):
+        return x.coords if isinstance(x, FieldElement) else x
+
+    for n in range(1, 5):
+        assert coords(s.quotient(n)) == coords(unit.quotient(n) * Fraction(5, 2)), n
+        assert check_decomposition(cfg, n, 1) == "pass", n
