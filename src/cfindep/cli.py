@@ -163,11 +163,11 @@ def _resolve_sequences(cfg: RunConfig) -> dict[str, CFSpec]:
     return {name: parse_sequence(d) for name, d in cfg.sequences.items()}
 
 
-_PARAM_MINIMUM = {"N": 1, "precision": MIN_PRECISION}
+_PARAM_MINIMUM = {"N": 1, "precision": MIN_PRECISION, "trials": 1}
 
 
 def _int_param(cfg: RunConfig, key: str, default: int | None) -> int | None:
-    """Integer task parameter from the config or a flag; N >= 1, precision >= 4."""
+    """Integer task parameter from the config or a flag, at least its minimum if it has one."""
     value = cfg.params.get(key, default)
     return None if value is None else parse_int(value, key, _PARAM_MINIMUM.get(key))
 

@@ -287,11 +287,13 @@ def sqrt_j_family(K: int, base: CFSpec) -> list[CFSpec]:
 
 def parse_rational(text) -> Fraction:
     """An exact rational from a JSON integer or a "num/den" string."""
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         if "/" in text:
             num, den = text.split("/", 1)
+            if int(den) == 0:
+                raise ValueError(f"zero denominator in {text!r}")
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     raise ValueError(f"expected an exact rational, got {text!r}")

@@ -246,6 +246,11 @@ _CONVERGENTS = {"task": "convergents", "params": {"N": 2}}
     ({"task": "check-named-example", "params": {"name": "ex3", "N": 2.7}},
      "N must be an integer"),
     ({"task": "lemma2", "params": {"trials": True}}, "trials must be an integer"),
+    (["lemma2", "--trials", "0"], "trials must be at least 1"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "constant", "value": True}}},
+     "expected an exact rational"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "constant", "value": "3/0"}}},
+     "zero denominator"),
     ({**_CONVERGENTS, "sequences": {"s": {"kind": "doubly-exponential", "d": 3.0}}},
      "d must be an integer"),
     ({**_CONVERGENTS, "sequences": {"s": {"kind": "phi-powers", "offset": "1",
