@@ -44,17 +44,6 @@ class Dyadic:
 
     # -- constructors / conversions ------------------------------------
 
-    @classmethod
-    def from_int(cls, n: int) -> "Dyadic":
-        return cls(n, 0)
-
-    @classmethod
-    def from_float(cls, x: float) -> "Dyadic":
-        if not math.isfinite(x):
-            raise ValueError("non-finite float")
-        m, e = math.frexp(x)
-        return cls(int(m * (1 << 53)), e - 53)
-
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.man << self.exp)
@@ -192,8 +181,8 @@ def rational_to_dyadic(num: int, den: int, prec: int, up: bool) -> Dyadic:
     return Dyadic(q, -shift)
 
 
-def sqrt_down(x: Dyadic, prec: int) -> Dyadic:
-    """Largest dyadic with ~prec bits that is <= sqrt(x).  Requires x >= 0."""
+def _sqrt(x: Dyadic, prec: int, up: bool) -> Dyadic:
+    """sqrt(x) rounded down or up to prec + 1 bits.  Requires x >= 0."""
     if x.man < 0:
         raise ValueError("sqrt of negative dyadic")
     if x.man == 0:
@@ -206,21 +195,18 @@ def sqrt_down(x: Dyadic, prec: int) -> Dyadic:
     man <<= extra
     exp -= extra
     r = math.isqrt(man)  # r^2 <= man
+    if up:
+        if r * r < man:
+            r += 1
+        return Dyadic(r, exp // 2).round_up(prec + 1)
     return Dyadic(r, exp // 2).round_down(prec + 1)
 
 
+def sqrt_down(x: Dyadic, prec: int) -> Dyadic:
+    """Largest dyadic with ~prec bits that is <= sqrt(x).  Requires x >= 0."""
+    return _sqrt(x, prec, up=False)
+
+
 def sqrt_up(x: Dyadic, prec: int) -> Dyadic:
-    if x.man < 0:
-        raise ValueError("sqrt of negative dyadic")
-    if x.man == 0:
-        return ZERO
-    man, exp = x.man, x.exp
-    extra = max(0, 2 * prec + 2 - man.bit_length())
-    if (exp - extra) % 2:
-        extra += 1
-    man <<= extra
-    exp -= extra
-    r = math.isqrt(man)
-    if r * r < man:
-        r += 1
-    return Dyadic(r, exp // 2).round_up(prec + 1)
+    """Smallest dyadic with ~prec bits that is >= sqrt(x).  Requires x >= 0."""
+    return _sqrt(x, prec, up=True)

@@ -1,9 +1,11 @@
 """Outward-rounded interval arithmetic over dyadic endpoints.
 
 Every operation returns an interval that contains the exact mathematical
-result of applying the operation to any points of its inputs.  Endpoints are
-rounded outward to the working precision, which is either passed explicitly
-or taken from the ambient :func:`precision` context (default 128 bits).
+result of applying the operation to any points of its inputs.  Each function
+that rounds takes its working precision as a required argument of at least
+4 bits; there is no ambient default.  The operators ``+``, ``-`` and ``*`` on
+intervals are exact (no rounding) and accept intervals, ints, Dyadics and
+integral Fractions; there is no ``/`` operator.
 
 Beyond ring operations the module provides the few directed transcendental
 bounds the hypothesis checkers need (``iv_exp2``, ``iv_log2``, rational
@@ -13,11 +15,10 @@ enclosures.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from ..errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
 from .dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
@@ -25,8 +26,6 @@ from .dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
 __all__ = [
     "DyadicInterval",
     "ComplexInterval",
-    "precision",
-    "get_precision",
     "iv_add",
     "iv_sub",
     "iv_mul",
@@ -45,31 +44,12 @@ __all__ = [
     "singleton",
 ]
 
-_PRECISION: ContextVar[int] = ContextVar("cfindep_precision", default=128)
 MIN_PRECISION = 4  # bits; every precision argument is at least this
 
 
-def get_precision() -> int:
-    return _PRECISION.get()
-
-
-def _resolve_prec(prec: int | None) -> int:
-    """``None`` selects the ambient precision; fewer than 4 bits raises."""
-    if prec is None:
-        return _PRECISION.get()
+def _check_prec(prec: int) -> None:
     if prec < MIN_PRECISION:
         raise ValueError(f"precision {prec} is below {MIN_PRECISION} bits")
-    return prec
-
-
-@contextmanager
-def precision(bits: int):
-    """Set the ambient working precision for interval operators."""
-    token = _PRECISION.set(_resolve_prec(bits))
-    try:
-        yield
-    finally:
-        _PRECISION.reset(token)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,35 +115,27 @@ class DyadicInterval:
     def __repr__(self) -> str:
         return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r})"
 
-    # -- operators at ambient precision -----------------------------------
+    # -- exact operators -------------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(other)
-        return iv_add(self, o) if o is not None else NotImplemented
+        o = _exact(other)
+        return NotImplemented if o is None else DyadicInterval(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
-        return iv_sub(self, o) if o is not None else NotImplemented
+        o = _exact(other)
+        return NotImplemented if o is None else DyadicInterval(self.lo - o.hi, self.hi - o.lo)
 
     def __rsub__(self, other):
-        o = _coerce(other)
-        return iv_sub(o, self) if o is not None else NotImplemented
+        o = _exact(other)
+        return NotImplemented if o is None else DyadicInterval(o.lo - self.hi, o.hi - self.lo)
 
     def __mul__(self, other):
-        o = _coerce(other)
-        return iv_mul(self, o) if o is not None else NotImplemented
+        o = _exact(other)
+        return NotImplemented if o is None else DyadicInterval(*_products(self, o))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _coerce(other)
-        return iv_div(self, o) if o is not None else NotImplemented
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        return iv_div(o, self) if o is not None else NotImplemented
 
     def __neg__(self):
         return iv_neg(self)
@@ -177,28 +149,26 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-def _coerce(x):
+def _exact(x) -> DyadicInterval | None:
+    """An exact operand as an interval; None for anything that would need rounding."""
     if isinstance(x, DyadicInterval):
         return x
-    if isinstance(x, Dyadic):
-        return DyadicInterval(x, x)
-    if isinstance(x, int):
-        d = Dyadic(x)
-        return DyadicInterval(d, d)
-    if isinstance(x, Fraction):
-        return from_fraction(x, get_precision())
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = x.numerator
+    if isinstance(x, (int, Dyadic)):
+        return singleton(x)
     return None
 
 
 def singleton(x) -> DyadicInterval:
-    """Exact zero-width interval from an int or Dyadic."""
-    d = x if isinstance(x, Dyadic) else Dyadic(int(x))
+    """Exact zero-width interval from an int or Dyadic; anything else raises TypeError."""
+    d = x if isinstance(x, Dyadic) else Dyadic(index(x))
     return DyadicInterval(d, d)
 
 
-def from_fraction(value: Fraction, prec: int | None = None) -> DyadicInterval:
+def from_fraction(value: Fraction, prec: int) -> DyadicInterval:
     """Tight enclosure of an exact rational at the given precision."""
-    prec = _resolve_prec(prec)
+    _check_prec(prec)
     value = Fraction(value)
     lo = rational_to_dyadic(value.numerator, value.denominator, prec, up=False)
     hi = rational_to_dyadic(value.numerator, value.denominator, prec, up=True)
@@ -213,13 +183,13 @@ def _round_out(lo: Dyadic, hi: Dyadic, prec: int) -> DyadicInterval:
     return DyadicInterval(lo.round_down(prec), hi.round_up(prec))
 
 
-def iv_add(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_add(a: DyadicInterval, b: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     return _round_out(a.lo + b.lo, a.hi + b.hi, prec)
 
 
-def iv_sub(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_sub(a: DyadicInterval, b: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     return _round_out(a.lo - b.hi, a.hi - b.lo, prec)
 
 
@@ -227,11 +197,16 @@ def iv_neg(a: DyadicInterval) -> DyadicInterval:
     return DyadicInterval(-a.hi, -a.lo)
 
 
-def iv_mul(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_mul(a: DyadicInterval, b: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
+    return _round_out(*_products(a, b), prec)
+
+
+def _products(a: DyadicInterval, b: DyadicInterval) -> tuple[Dyadic, Dyadic]:
+    """Exact endpoints of the product a*b."""
     a1, a2, b1, b2 = a.lo, a.hi, b.lo, b.hi
     # sign cases: each branch picks the products that min/max of all four
-    # would pick, so the endpoints are exact before rounding
+    # would pick
     if a1.man >= 0:  # a >= 0
         if b1.man >= 0:
             lo, hi = a1 * b1, a2 * b2
@@ -252,7 +227,7 @@ def iv_mul(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> Dya
         lo, hi = a2 * b1, a1 * b1
     else:
         lo, hi = min(a1 * b2, a2 * b1), max(a1 * b1, a2 * b2)
-    return _round_out(lo, hi, prec)
+    return lo, hi
 
 
 def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
@@ -275,8 +250,8 @@ def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
     return rational_to_dyadic(n, d, prec, up).scaled(x.exp - y.exp)
 
 
-def iv_div(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_div(a: DyadicInterval, b: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     if b.contains_zero():
         raise DivisorContainsZero(f"divisor {b!r} contains zero")
     a1, a2, b1, b2 = a.lo, a.hi, b.lo, b.hi
@@ -297,8 +272,8 @@ def iv_div(a: DyadicInterval, b: DyadicInterval, prec: int | None = None) -> Dya
     return DyadicInterval(_quotient(*lo, prec, False), _quotient(*hi, prec, True))
 
 
-def iv_sqrt(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_sqrt(a: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     if a.lo.sign() < 0:
         raise NegativeSqrt(f"sqrt of {a!r}")
     return DyadicInterval(sqrt_down(a.lo, prec), sqrt_up(a.hi, prec))
@@ -308,14 +283,14 @@ def iv_abs(a: DyadicInterval) -> DyadicInterval:
     return DyadicInterval(a.mig(), a.mag())
 
 
-def iv_square(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_square(a: DyadicInterval, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     lo, hi = a.mig(), a.mag()
     return _round_out(lo * lo, hi * hi, prec)
 
 
-def iv_pow_int(a: DyadicInterval, k: int, prec: int | None = None) -> DyadicInterval:
-    prec = _resolve_prec(prec)
+def iv_pow_int(a: DyadicInterval, k: int, prec: int) -> DyadicInterval:
+    _check_prec(prec)
     if k < 0:
         return iv_div(ONE_IV, iv_pow_int(a, -k, prec), prec)
     result = ONE_IV
@@ -392,9 +367,9 @@ def _log2_point(x: Dyadic, prec: int) -> DyadicInterval:
     return iv_add(singleton(e), frac, prec)
 
 
-def iv_log2(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
+def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
     """Enclosure of log2 over a strictly positive interval."""
-    prec = _resolve_prec(prec)
+    _check_prec(prec)
     if a.lo.sign() <= 0:
         raise ValueError("log2 requires a strictly positive interval")
     return DyadicInterval(_log2_point(a.lo, prec).lo, _log2_point(a.hi, prec).hi)
@@ -423,9 +398,9 @@ def _exp2_point(x: Dyadic, prec: int) -> DyadicInterval:
     return _round_out(total.lo.scaled(k), total.hi.scaled(k), prec)
 
 
-def iv_exp2(a: DyadicInterval, prec: int | None = None) -> DyadicInterval:
+def iv_exp2(a: DyadicInterval, prec: int) -> DyadicInterval:
     """Enclosure of 2**x over the interval."""
-    prec = _resolve_prec(prec)
+    _check_prec(prec)
     return DyadicInterval(_exp2_point(a.lo, prec).lo, _exp2_point(a.hi, prec).hi)
 
 
@@ -473,9 +448,9 @@ def _pow_point(v: Dyadic, gamma: Fraction, prec: int) -> DyadicInterval:
     return iv_exp2(lg, prec)
 
 
-def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int | None = None) -> DyadicInterval:
+def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int) -> DyadicInterval:
     """Enclosure of x**gamma for x >= 0 and rational gamma > 0 (monotone)."""
-    prec = _resolve_prec(prec)
+    _check_prec(prec)
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("exponent must be positive")
@@ -494,40 +469,32 @@ class ComplexInterval:
     im: DyadicInterval
 
     @classmethod
-    def from_rationals(cls, re: Fraction, im: Fraction, prec: int | None = None) -> "ComplexInterval":
+    def from_rationals(cls, re: Fraction, im: Fraction, prec: int) -> "ComplexInterval":
         return cls(from_fraction(Fraction(re), prec), from_fraction(Fraction(im), prec))
 
     @classmethod
     def point(cls, re, im=0) -> "ComplexInterval":
-        return cls(_coerce(re), _coerce(im))
+        """Exact box from int or Dyadic parts."""
+        return cls(singleton(re), singleton(im))
 
     def is_point(self) -> bool:
         return self.re.is_point() and self.im.is_point()
 
-    def conjugate(self) -> "ComplexInterval":
-        return ComplexInterval(self.re, iv_neg(self.im))
-
     def __neg__(self) -> "ComplexInterval":
         return ComplexInterval(iv_neg(self.re), iv_neg(self.im))
 
-    def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(iv_add(self.re, other.re), iv_add(self.im, other.im))
-
-    def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
-        return ComplexInterval(iv_sub(self.re, other.re), iv_sub(self.im, other.im))
-
-    def __mul__(self, other: "ComplexInterval") -> "ComplexInterval":
-        re = iv_sub(iv_mul(self.re, other.re), iv_mul(self.im, other.im))
-        im = iv_add(iv_mul(self.re, other.im), iv_mul(self.im, other.re))
+    def mul(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
+        re = iv_sub(iv_mul(self.re, other.re, prec), iv_mul(self.im, other.im, prec), prec)
+        im = iv_add(iv_mul(self.re, other.im, prec), iv_mul(self.im, other.re, prec), prec)
         return ComplexInterval(re, im)
 
-    def abs_squared(self, prec: int | None = None) -> DyadicInterval:
+    def abs_squared(self, prec: int) -> DyadicInterval:
         return iv_add(iv_square(self.re, prec), iv_square(self.im, prec), prec)
 
-    def abs_interval(self, prec: int | None = None) -> DyadicInterval:
+    def abs_interval(self, prec: int) -> DyadicInterval:
         return iv_sqrt(self.abs_squared(prec), prec)
 
-    def inverse(self, prec: int | None = None) -> "ComplexInterval":
+    def inverse(self, prec: int) -> "ComplexInterval":
         d = self.abs_squared(prec)
         if d.lo.sign() <= 0:
             raise TailContainsZero("complex box may contain zero")

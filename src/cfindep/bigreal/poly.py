@@ -88,10 +88,6 @@ class IntPoly:
             acc = iv_add(iv_mul(acc, x, prec), singleton(c), prec)
         return acc
 
-    def sign_at(self, x: Fraction) -> int:
-        v = self.eval_fraction(x)
-        return (v > 0) - (v < 0)
-
     def cauchy_root_bound(self) -> int:
         """Integer B with every real root in (-B, B)."""
         lead = abs(self.leading())
@@ -377,7 +373,7 @@ def qpoly_eval_interval(coeffs: list[Fraction], x: DyadicInterval, prec: int) ->
 def qpoly_eval_complex(coeffs: list[Fraction], z: ComplexInterval, prec: int) -> ComplexInterval:
     acc = ComplexInterval(singleton(0), singleton(0))
     for c in reversed(coeffs):
-        acc = acc * z
+        acc = acc.mul(z, prec)
         acc = ComplexInterval(
             iv_add(acc.re, from_fraction(Fraction(c), prec), prec), acc.im
         )

@@ -17,10 +17,10 @@ from .bigreal.interval import (
     ComplexInterval,
     DyadicInterval,
     from_fraction,
+    iv_add,
     iv_div,
     iv_hull,
     iv_mul,
-    precision,
     singleton,
 )
 from .errors import (
@@ -238,21 +238,20 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
         raise ValueError("order must be >= 1")
     work = prec + 16
     for _ in range(8):
-        with precision(work):
-            st = initial_state(0)
-            states = []
-            for k in range(1, n + 4):
-                a = cf.quotient(k)
-                if not scalar_at_least_one(a):
-                    raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
-                st = advance(st, a)
-                states.append(st)
-            c1 = _convergent_interval(states[n + 1], work)  # order n+2
-            c2 = _convergent_interval(states[n + 2], work)  # order n+3
-            value = iv_hull(c1, c2)
-            qn = scalar_enclosure(states[n - 1].q_cur, work)
-            qn1 = scalar_enclosure(states[n].q_cur, work)
-            bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
+        st = initial_state(0)
+        states = []
+        for k in range(1, n + 4):
+            a = cf.quotient(k, work)
+            if not scalar_at_least_one(a):
+                raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
+            st = advance(st, a)
+            states.append(st)
+        c1 = _convergent_interval(states[n + 1], work)  # order n+2
+        c2 = _convergent_interval(states[n + 2], work)  # order n+3
+        value = iv_hull(c1, c2)
+        qn = scalar_enclosure(states[n - 1].q_cur, work)
+        qn1 = scalar_enclosure(states[n].q_cur, work)
+        bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
         if value.width() <= bound.lo:
             return CFValueEnclosure(value, n, "nested-convergents")
         work *= 2
@@ -272,14 +271,13 @@ def error_term_diagnostic(quotients, prec: int = 128) -> dict:
     states = run_recurrence(qs[:-1])
     st = states[-1]
     a_next = qs[-1]
-    with precision(prec):
-        qn = scalar_enclosure(st.q_cur, prec)
-        qprev = scalar_enclosure(st.q_prev, prec)
-        an1 = scalar_enclosure(a_next, prec)
-        ratio = iv_div(qprev, qn, prec)
-        qn2 = iv_mul(qn, qn, prec)
-        upper = iv_div(singleton(1), iv_mul(qn2, an1 + ratio, prec), prec)
-        lower = iv_div(singleton(1), iv_mul(qn2, an1 + ratio + 1, prec), prec)
+    qn = scalar_enclosure(st.q_cur, prec)
+    qprev = scalar_enclosure(st.q_prev, prec)
+    an1 = scalar_enclosure(a_next, prec)
+    qn2 = iv_mul(qn, qn, prec)
+    tail = iv_add(an1, iv_div(qprev, qn, prec), prec)
+    upper = iv_div(singleton(1), iv_mul(qn2, tail, prec), prec)
+    lower = iv_div(singleton(1), iv_mul(qn2, iv_add(tail, singleton(1), prec), prec), prec)
     reversed_val = eval_finite([Fraction(0)] + list(reversed(qs[:-1])))
     identity_ok = scalar_is_zero(reversed_val - st.q_prev / st.q_cur)
     return {
@@ -295,10 +293,10 @@ def complex_cf_eval(zs: list[ComplexInterval], prec: int = 128) -> ComplexInterv
     """Backward evaluation of [z0; z1, ..., zn] on complex boxes."""
     if not zs:
         raise ValueError("empty quotient list")
-    with precision(prec):
-        acc = zs[-1]
-        for z in reversed(zs[:-1]):
-            acc = z + acc.inverse(prec)
+    acc = zs[-1]
+    for z in reversed(zs[:-1]):
+        inv = acc.inverse(prec)
+        acc = ComplexInterval(iv_add(z.re, inv.re, prec), iv_add(z.im, inv.im, prec))
     return acc
 
 

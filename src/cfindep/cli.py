@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bigreal.dyadic import Dyadic, rational_to_dyadic
-from .bigreal.interval import MIN_PRECISION, DyadicInterval
+from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples
 from .cfcore import advance, determinant_value, enclose_value, initial_state
@@ -244,7 +244,7 @@ def _task_convergents(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     rows = []
     lines = []
     for n in range(1, N + 1):
-        a = seq.quotient(n)
+        a = seq.quotient(n, 128)
         st = advance(st, a)
         det = determinant_value(st)
         det_str = None
@@ -387,9 +387,11 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
         else:
             from .cfcore import run_recurrence, scalar_enclosure
 
-            st = run_recurrence([s.quotient(k) for k in range(1, n_trunc + 1)])[-1]
-            trunc = st.p_cur / st.q_cur
-            values.append(scalar_enclosure(trunc, prec + 48))
+            st = run_recurrence([s.quotient(k, prec + 48) for k in range(1, n_trunc + 1)])[-1]
+            if isinstance(st.q_cur, DyadicInterval):
+                values.append(iv_div(st.p_cur, st.q_cur, prec + 48))
+            else:
+                values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
     expand = bool(cfg.params.get("expand_field", fld is not None))
     if expand and fld is not None:
         res = find_relation_over_field(values, fld, height, prec)

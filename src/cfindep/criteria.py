@@ -75,7 +75,6 @@ class Thm1Config:
     field: NumberField | None = None
     D: int | None = None
     condition5_mode: str = "auto"  # house-half | real-part-sign | auto
-    e_table: dict | None = None
     name: str | None = None
 
     def __post_init__(self):
@@ -96,8 +95,8 @@ class Thm1Config:
     def d(self) -> int:
         return compute_d(self.degree, self.M)
 
-    def quotient(self, n: int, j: int):
-        return self.sequences[j - 1].quotient(n)
+    def quotient(self, n: int, j: int, prec: int | None = None):
+        return self.sequences[j - 1].quotient(n, prec)
 
 
 @dataclass
@@ -242,10 +241,10 @@ def check_decomposition(cfg: Thm1Config, n: int, j: int) -> str:
 
 def _check_house_half(cfg: Thm1Config, n: int, j: int, precision: int):
     """house(1/a_{n,j}) >= 1/2; margin house(1/a) - 1/2."""
-    a = cfg.quotient(n, j)
     half = from_fraction(Fraction(1, 2), 32)
 
     def attempt(work):
+        a = cfg.quotient(n, j, work)
         if scalar_enclosure(a, work).lo.sign() <= 0:
             return FAIL, None  # quotient not positive; decomposition check owns the witness
         h = _house(a.inverse() if isinstance(a, FieldElement) else 1 / Fraction(a), work)
@@ -257,12 +256,12 @@ def _check_house_half(cfg: Thm1Config, n: int, j: int, precision: int):
 
 def _check_house_bound(cfg: Thm1Config, n: int, j: int, precision: int):
     """house(b), house(c), house(d) <= growth bound of a_{n,j}; margin bound - worst house."""
-    a = cfg.quotient(n, j)
     dec = cfg.sequences[j - 1].decomposition(n)
     if dec is None:
         return INDET, None
 
     def attempt(work):
+        a = cfg.quotient(n, j, work)
         if scalar_enclosure(a, work).lo.sign() <= 0:
             return FAIL, None  # quotient not positive; decomposition check owns the witness
         bound = growth_bound(a, n, cfg.gamma, cfg.d, work)
@@ -277,10 +276,8 @@ def derive_sign_table(cfg: Thm1Config, precision: int = 128) -> dict:
     """Sign table e_{j,sigma} read off from the first index n=1."""
     table: dict[tuple[int, int], int] = {}
     for j in range(1, cfg.M + 1):
-        a1 = cfg.quotient(1, j)
-
         def attempt(work):
-            res = _embedding_re_parts(a1, work)
+            res = _embedding_re_parts(cfg.quotient(1, j, work), work)
             if all(re.lo.sign() > 0 or re.hi.sign() < 0 for re in res):
                 return [0 if re.lo.sign() > 0 else 1 for re in res], None
             return None, None
@@ -299,11 +296,10 @@ def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int = 128,
     Returns (verdict, margin); the margin is the worst signed real part minus
     the right-hand side over all embeddings, or None without a full table.
     """
-    table = e_table or cfg.e_table or derive_sign_table(cfg, precision)
-    a = cfg.quotient(n, j)
-    a1 = cfg.quotient(n, 1)
+    table = e_table or derive_sign_table(cfg, precision)
 
     def attempt(work):
+        a, a1 = cfg.quotient(n, j, work), cfg.quotient(n, 1, work)
         if scalar_enclosure(a1, work).lo.sign() <= 0:
             return FAIL, None
         rhs = iv_div(singleton(1), growth_bound(a1, n, cfg.gamma, cfg.d, work), work)
@@ -328,12 +324,9 @@ def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128):
     Returns (verdict, margin) with margin rhs - lhs, or None when a_{n,M} is
     not positive.
     """
-    a1 = cfg.quotient(n, 1)
-    aM = cfg.quotient(n, cfg.M)
-
     def attempt(work):
-        lhs = scalar_enclosure(a1, work)
-        aM_iv = scalar_enclosure(aM, work)
+        lhs = scalar_enclosure(cfg.quotient(n, 1, work), work)
+        aM_iv = scalar_enclosure(cfg.quotient(n, cfg.M, work), work)
         if aM_iv.lo.sign() <= 0:
             return FAIL, None
         first, second = _growth_branches(aM_iv, n, cfg.gamma, cfg.d, work)
@@ -359,7 +352,7 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     sj, sj1 = cfg.sequences[j - 1], cfg.sequences[j]
     values: list[DyadicInterval] = []
     for n in range(1, N + 1):
-        a, b = sj.quotient(n), sj1.quotient(n)
+        a, b = sj.quotient(n, precision), sj1.quotient(n, precision)
         a_iv, b_iv = scalar_enclosure(a, precision), scalar_enclosure(b, precision)
         if a_iv.lo.sign() <= 0 or b_iv.lo.sign() <= 0:
             values.append(singleton(0))
@@ -417,7 +410,7 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
     records: list[int] = []
     best_hi: Dyadic | None = None
     for n in range(1, N + 1):
-        a_iv = scalar_enclosure(seq.quotient(n), precision)
+        a_iv = scalar_enclosure(seq.quotient(n, precision), precision)
         if a_iv.lo.sign() <= 0:
             g = singleton(0)
         else:
@@ -474,7 +467,8 @@ def check_all(cfg: Thm1Config, N: int, precision: int = 128) -> HypothesisReport
 
     def decomposition(n, j):
         verdict = check_decomposition(cfg, n, j)
-        return verdict, iv_sub(scalar_enclosure(cfg.quotient(n, j), precision), singleton(1), precision)
+        return verdict, iv_sub(scalar_enclosure(cfg.quotient(n, j, precision), precision),
+                               singleton(1), precision)
 
     conditions = [_fold("decomposition", N, _pairs(cfg, N, decomposition))]
     # house(1/a) >= 1/2, possibly replaced by the sign variant
@@ -519,7 +513,7 @@ def _check_condition5(cfg: Thm1Config, N: int, precision: int):
                 cfg, N, lambda n, j: _check_house_half(cfg, n, j, precision)))
         else:
             try:
-                table = cfg.e_table or derive_sign_table(cfg, precision)
+                table = derive_sign_table(cfg, precision)
             except IndeterminateAtPrecision:
                 report = ConditionReport("real-part-sign", INDET, N, [], (1,),
                                          notes={"reason": "sign table underivable"})

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic, rational_to_dyadic
-from .bigreal.interval import ComplexInterval, DyadicInterval, from_fraction, iv_sqrt, precision, singleton
+from .bigreal.interval import (
+    ComplexInterval,
+    DyadicInterval,
+    from_fraction,
+    iv_div,
+    iv_mul,
+    iv_sqrt,
+    iv_sub,
+    singleton,
+)
 from .cfcore import (
     GaussianRational,
     advance,
@@ -66,32 +75,30 @@ def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int = 128) -> RatioTrace:
     ratios: list[DyadicInterval] = []
     margins: list[DyadicInterval] = []
     exact_ratios: list[Fraction] | None = [] if exact else None
-    with precision(prec):
-        st_a, st_b = initial_state(0), initial_state(0)
-        for n in range(1, N + 1):
-            an = a.quotient(n, prec)
-            bn = b.quotient(n, prec)
-            for name, q in (("a", an), ("b", bn)):
-                enc = scalar_enclosure(q, prec)
-                if enc.lo < Dyadic(1):
-                    if not (enc.is_point() and enc.lo == Dyadic(1)):
-                        raise QuotientBelowOne(f"{name}_{n} is not certainly >= 1")
-            st_a = advance(st_a, an)
-            st_b = advance(st_b, bn)
-            if exact:
-                r = Fraction(st_a.q_cur) / Fraction(st_b.q_cur)
-                exact_ratios.append(r)
-                ratios.append(from_fraction(r, prec))
-                m = Fraction(an) / Fraction(bn) - 1
-                sq = iv_sqrt(singleton(n), prec)
-                margins.append(sq * from_fraction(m, prec))
-            else:
-                qa = scalar_enclosure(st_a.q_cur, prec)
-                qb = scalar_enclosure(st_b.q_cur, prec)
-                ratios.append(qa / qb)
-                diff = scalar_enclosure(an, prec) - scalar_enclosure(bn, prec)
-                rel = diff / scalar_enclosure(bn, prec)
-                margins.append(iv_sqrt(singleton(n), prec) * rel)
+    st_a, st_b = initial_state(0), initial_state(0)
+    for n in range(1, N + 1):
+        an = a.quotient(n, prec)
+        bn = b.quotient(n, prec)
+        for name, q in (("a", an), ("b", bn)):
+            enc = scalar_enclosure(q, prec)
+            if enc.lo < Dyadic(1):
+                if not (enc.is_point() and enc.lo == Dyadic(1)):
+                    raise QuotientBelowOne(f"{name}_{n} is not certainly >= 1")
+        st_a = advance(st_a, an)
+        st_b = advance(st_b, bn)
+        sq = iv_sqrt(singleton(n), prec)
+        if exact:
+            r = Fraction(st_a.q_cur) / Fraction(st_b.q_cur)
+            exact_ratios.append(r)
+            ratios.append(from_fraction(r, prec))
+            rel = from_fraction(Fraction(an) / Fraction(bn) - 1, prec)
+        else:
+            qa = scalar_enclosure(st_a.q_cur, prec)
+            qb = scalar_enclosure(st_b.q_cur, prec)
+            ratios.append(iv_div(qa, qb, prec))
+            a_iv, b_iv = scalar_enclosure(an, prec), scalar_enclosure(bn, prec)
+            rel = iv_div(iv_sub(a_iv, b_iv, prec), b_iv, prec)
+        margins.append(iv_mul(sq, rel, prec))
     return RatioTrace(list(range(1, N + 1)), ratios, margins, exact_ratios)
 
 

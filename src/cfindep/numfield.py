@@ -413,7 +413,7 @@ def embeddings(field: NumberField, precision: int = 192) -> EmbeddingSet:
                     ok = False
                     break
                 pairs.append(box)
-            if ok and _pairs_admissible(pairs, ordered, target):
+            if ok and _pairs_admissible(pairs, target):
                 break
             work *= 2
         else:  # pragma: no cover
@@ -444,7 +444,7 @@ def _certify_disk(p: IntPoly, zr: Fraction, zi: Fraction, d: int, work: int):
     return re, im
 
 
-def _pairs_admissible(pairs, real_roots, target: Dyadic) -> bool:
+def _pairs_admissible(pairs, target: Dyadic) -> bool:
     for re, im in pairs:
         if re.width() > target or im.width() > target:
             return False
@@ -474,20 +474,6 @@ def sigma_eval(e: EmbeddingSet, x: FieldElement, i: int) -> tuple[DyadicInterval
     return v.re, v.im
 
 
-def _conjugate_abs_intervals(x: FieldElement, prec: int) -> list[DyadicInterval]:
-    e = embeddings(x.field, prec)
-    out = []
-    coords = list(x.coords)
-    for iv in e.real_roots:
-        out.append(iv_abs(qpoly_eval_interval(coords, iv, prec)))
-    for re_box, im_box in e.complex_pairs:
-        v = qpoly_eval_complex(coords, ComplexInterval(re_box, im_box), prec)
-        m = v.abs_interval(prec)
-        out.append(m)
-        out.append(m)  # conjugate has the same modulus
-    return out
-
-
 def house(x: FieldElement, precision: int) -> DyadicInterval:
     """Enclosure of the maximal conjugate modulus of x."""
     if x.is_zero():
@@ -499,10 +485,13 @@ def house(x: FieldElement, precision: int) -> DyadicInterval:
         return from_fraction(c, precision + 8)
     work = precision + 8
     for _ in range(10):
-        vals = _conjugate_abs_intervals(x, work)
-        m = vals[0]
-        for v in vals[1:]:
-            m = iv_max(m, v)
+        e = embeddings(x.field, work)
+        nr = len(e.real_roots)
+        m = None
+        for i in [*range(nr), *range(nr, e.degree, 2)]:  # a conjugate pair shares its modulus
+            re, im = sigma_eval(e, x, i)
+            v = iv_abs(re) if i < nr else ComplexInterval(re, im).abs_interval(work)
+            m = v if m is None else iv_max(m, v)
         if m.width() <= Dyadic(1, -precision + 4) * max(Dyadic(1), m.mag()):
             return m
         work *= 2

@@ -206,6 +206,8 @@ class CFSpec:
         return default
 
     def quotient(self, n: int, prec: int | None = None):
+        """a_n.  An interval-valued kind needs the working precision ``prec``;
+        exact kinds ignore it."""
         if n < 1:
             raise ValueError("quotient index starts at 1")
         return KINDS[self.kind].quotient(self, n, prec)
@@ -393,7 +395,7 @@ def _hanluc(s: CFSpec, n: int, prec) -> FieldElement:
     if j not in (1, 2):
         raise ValueError("hanluc j must be 1 or 2")
     ratio = Fraction(nth_prime(n), n)
-    scale = 1 + ratio if j == 1 else s._p("base").quotient(n) * ratio
+    scale = 1 + ratio if j == 1 else s._p("base").quotient(n, prec) * ratio
     return scale * sqrt2_field().generator()
 
 
@@ -446,6 +448,8 @@ def _parse_sqrt_j_scaled(desc: dict) -> CFSpec:
 
 
 def _one_plus_over_sqrt(s: CFSpec, n: int, prec) -> DyadicInterval:
+    if prec is None:
+        raise ValueError("one-plus-over-sqrt quotients need a precision")
     c = from_fraction(Fraction(s._p("c")), prec)
     return iv_add(singleton(1), iv_div(c, iv_sqrt(singleton(n), prec), prec), prec)
 
@@ -475,38 +479,38 @@ KINDS: dict[str, _Kind] = {
     ),
     "hanluc": _Kind(_hanluc, _hanluc_decomposition, _parse_hanluc),
     "div-by-j": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n) / s._p("j"),
+        lambda s, n, prec: s._p("base").quotient(n, prec) / s._p("j"),
         lambda s, n: _base_scaled(s, n, 1, s._p("j")),
         lambda desc: spec("div-by-j", base=_base(desc), j=_int(desc, "j")),
     ),
     "root-scaled": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n) * s.field.generator(),
+        lambda s, n, prec: s._p("base").quotient(n, prec) * s.field.generator(),
         lambda s, n: _base_scaled(s, n, s.field.generator()),
         _parse_root_scaled,
     ),
     "harmonic": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n) * (s._p("j") + harmonic(n)),
+        lambda s, n, prec: s._p("base").quotient(n, prec) * (s._p("j") + harmonic(n)),
         _harmonic_decomposition,
         lambda desc: spec("harmonic", base=_base(desc), j=_int(desc, "j")),
     ),
     "prime-pi-power": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n) * (1 + Fraction(prime_pi(n), n)) ** s._p("j"),
+        lambda s, n, prec: s._p("base").quotient(n, prec) * (1 + Fraction(prime_pi(n), n)) ** s._p("j"),
         lambda s, n: _base_scaled(s, n, 1, n ** s._p("j"), (n + prime_pi(n)) ** s._p("j")),
         lambda desc: spec("prime-pi-power", base=_base(desc), j=_int(desc, "j")),
     ),
     "divisor-sqrt2": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n) * _divisor_mult(s, n) * s.field.generator(),
+        lambda s, n, prec: s._p("base").quotient(n, prec) * _divisor_mult(s, n) * s.field.generator(),
         lambda s, n: _base_scaled(s, n, s.field.generator(), mult=_divisor_mult(s, n)),
         _parse_divisor_sqrt2,
     ),
     "phi-powers": _Kind(
-        lambda s, n, prec: s.field.generator() ** _phi_exponent(s, n) * s._p("base").quotient(n),
+        lambda s, n, prec: s.field.generator() ** _phi_exponent(s, n) * s._p("base").quotient(n, prec),
         lambda s, n: _base_scaled(s, n, s.field.generator() ** _phi_exponent(s, n)),
         lambda desc: spec("phi-powers", field=phi_field(), base=_base(desc),
                           offset=_int(desc, "offset")),
     ),
     "sqrt-j-scaled": _Kind(
-        lambda s, n, prec: s._p("sqrt_elem") * s._p("base").quotient(n),
+        lambda s, n, prec: s._p("sqrt_elem") * s._p("base").quotient(n, prec),
         lambda s, n: _base_scaled(s, n, s._p("sqrt_elem")),
         _parse_sqrt_j_scaled,
     ),

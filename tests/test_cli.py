@@ -192,6 +192,20 @@ def test_relation_task_planted(tmp_path):
     assert rep["result"]["coefficients"] == [1, -1, 0]
 
 
+def test_relation_interval_kind_truncation(tmp_path):
+    # the interval-valued truncation is enclosed at the requested precision
+    cfg = {
+        "task": "relation",
+        "sequences": {"a": {"kind": "one-plus-over-sqrt", "c": "1"},
+                      "b": {"kind": "constant", "value": "3"}},
+        "params": {"N": 6, "precision": 256, "height": 100, "expand_field": False},
+    }
+    assert _run_config(tmp_path, cfg) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["result"]["status"] == "none_below_height"
+    assert rep["result"]["precision"] == 256
+
+
 def test_cli_subprocess_entrypoint():
     proc = _run_cli(["list-examples", "--format", "text"])
     assert proc.returncode == 0

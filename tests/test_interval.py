@@ -21,7 +21,6 @@ from cfindep.bigreal.interval import (
     iv_sqrt,
     iv_square,
     iv_sub,
-    precision,
     singleton,
 )
 from cfindep.errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
@@ -139,8 +138,24 @@ def test_precision_argument_validated():
         iv_add(x, x, 0)
     with pytest.raises(ValueError):
         iv_div(x, singleton(3), 3)
-    with precision(96):
-        assert iv_div(x, singleton(3), None) == iv_div(x, singleton(3), 96)
+    with pytest.raises(TypeError):
+        iv_div(x, singleton(3))
+
+
+def test_no_default_precision():
+    import inspect
+
+    from cfindep.bigreal import interval
+
+    members = [getattr(interval, name) for name in interval.__all__]
+    members += [getattr(ComplexInterval, name) for name in vars(ComplexInterval)]
+    checked = []
+    for f in filter(inspect.isroutine, members):
+        prec = inspect.signature(f).parameters.get("prec")
+        if prec is not None:
+            assert prec.default is inspect.Parameter.empty, f.__qualname__
+            checked.append(f.__qualname__)
+    assert len(checked) == 16 and "ComplexInterval.from_rationals" in checked
 
 
 def test_containment_against_rational_oracle():
@@ -164,9 +179,8 @@ def test_width_control_and_precision_doubling():
     # composing k ops at precision P: width <= 2^(k+2-P) * magnitude
     def chain(p):
         acc = from_fraction(Fraction(1, 3), p)
-        with precision(p):
-            for i in range(2, 12):
-                acc = acc * from_fraction(Fraction(1, i), p) + 1
+        for i in range(2, 12):
+            acc = iv_add(iv_mul(acc, from_fraction(Fraction(1, i), p), p), singleton(1), p)
         return acc
 
     k = 2 * 10
@@ -230,18 +244,27 @@ def test_complex_interval_ops():
     w = z.inverse(64)
     assert w.re.contains(Fraction(1, 2)) and w.im.contains(Fraction(0))
     zi = ComplexInterval.point(0, 2)
-    sq = zi * zi
+    sq = zi.mul(zi, 64)
     assert sq.re.contains(Fraction(-4)) and sq.im.contains(Fraction(0))
     with pytest.raises(TailContainsZero):
         ComplexInterval(DyadicInterval(Dyadic(-1), Dyadic(1)),
                         DyadicInterval(Dyadic(-1), Dyadic(1))).inverse(64)
 
 
-def test_interval_operators_use_context():
-    with precision(96):
-        x = from_fraction(Fraction(1, 3))
-        y = x * Fraction(2, 7) + 1
-        assert y.contains(Fraction(1, 3) * Fraction(2, 7) + 1)
+def test_interval_operators_are_exact():
+    x = from_fraction(Fraction(1, 3), 96)
+    y = x * Dyadic(5, -3) + 1 - x * x
+    one = Dyadic(1)
+    assert y == DyadicInterval(x.lo * Dyadic(5, -3) + one - x.hi * x.hi,
+                               x.hi * Dyadic(5, -3) + one - x.lo * x.lo)
+    assert -y == DyadicInterval(-y.hi, -y.lo) and x * Fraction(3) == x * 3
+    for inexact in (Fraction(2, 7), 0.5):
+        with pytest.raises(TypeError):
+            x * inexact
+    with pytest.raises(TypeError):
+        x / singleton(3)
+    with pytest.raises(TypeError):
+        ComplexInterval.point(Fraction(1, 2))  # a point is exact, never truncated
 
 
 def test_exp2_log2_high_precision_fuzz():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cfindep.bigreal.dyadic import Dyadic
@@ -94,17 +95,26 @@ def test_embeddings_quadratics():
 
 def test_embeddings_cubic_complex_pair():
     k = field_new(IntPoly.of(-2, 0, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)))
-    e = embeddings(k, 64)
-    assert len(e.real_roots) == 1 and len(e.complex_pairs) == 1
-    # cube-root oracle: real root is 2^(1/3)
-    r = e.real_roots[0]
-    lo, hi = r.lo.as_fraction(), r.hi.as_fraction()
-    assert lo ** 3 <= 2 <= hi ** 3
-    re, im = e.complex_pairs[0]
-    assert im.lo.sign() > 0
-    # conjugate pair modulus equals 2^(1/3) as well
-    m2 = (re.midpoint().as_fraction() ** 2 + im.midpoint().as_fraction() ** 2)
-    assert abs(m2 ** 3 - 4) < Fraction(1, 10**6)
+    for prec in (64, 192, 256):
+        e = embeddings(k, prec)
+        assert len(e.real_roots) == 1 and len(e.complex_pairs) == 1
+        # cube-root oracle: real root is 2^(1/3)
+        r = e.real_roots[0]
+        lo, hi = r.lo.as_fraction(), r.hi.as_fraction()
+        assert lo ** 3 <= 2 <= hi ** 3
+        re, im = e.complex_pairs[0]
+        assert im.lo.sign() > 0
+        assert re.width() <= Dyadic(1, -prec) and im.width() <= Dyadic(1, -prec)
+        # conjugate pair modulus equals 2^(1/3) as well
+        m2 = (re.midpoint().as_fraction() ** 2 + im.midpoint().as_fraction() ** 2)
+        assert abs(m2 ** 3 - 4) < Fraction(1, 10**6)
+    # the real conjugate 1 + 2^(1/3) + 2^(2/3) is the largest; the pair has modulus ~0.51
+    h = house(k.element([1, 1, 1]), 256)
+    assert h.width() <= Dyadic(1, -252) * h.mag()
+    with mpmath.workprec(1024):
+        c = mpmath.cbrt(2)
+        value = 1 + c + c * c
+        assert mpmath.ldexp(h.lo.man, h.lo.exp) <= value <= mpmath.ldexp(h.hi.man, h.hi.exp)
 
 
 def test_sigma_eval_examples():

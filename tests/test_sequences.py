@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from cfindep.bigreal.interval import precision
 from cfindep.bigreal.poly import IntPoly
 from cfindep.cfcore import scalar_at_least_one
 from cfindep.criteria import Thm1Config, check_decomposition
@@ -160,11 +159,12 @@ def test_determinism():
 
 def test_interval_kind():
     s = spec("one-plus-over-sqrt", c=Fraction(2))
-    with precision(96):
-        q4 = s.quotient(4)
+    q4 = s.quotient(4, 96)
     assert q4.contains(Fraction(2))  # 1 + 2/2
     assert s.decomposition(4) is None
     assert not s.is_exact()
+    with pytest.raises(ValueError):
+        s.quotient(4)  # an interval kind has no default precision
 
 
 def test_unknown_kind_rejected():
