@@ -166,10 +166,15 @@ def rational_to_dyadic(num: int, den: int, prec: int, up: bool) -> Dyadic:
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
+    return Dyadic(*_rational_pair(num, den, prec, up))
+
+
+def _rational_pair(num: int, den: int, prec: int, up: bool) -> tuple[int, int]:
+    """rational_to_dyadic as a raw (mantissa, exponent) pair; ``den > 0``."""
     if num == 0:
-        return ZERO
+        return 0, 0
     # scale so that the integer quotient carries prec+1 bits
-    shift = prec + 1 - (abs(num).bit_length() - den.bit_length())
+    shift = prec + 1 - (num.bit_length() - den.bit_length())
     if shift >= 0:
         n, d = num << shift, den
     else:
@@ -178,7 +183,7 @@ def rational_to_dyadic(num: int, den: int, prec: int, up: bool) -> Dyadic:
         q = -((-n) // d)
     else:
         q = n // d
-    return Dyadic(q, -shift)
+    return q, -shift
 
 
 def _sqrt(x: Dyadic, prec: int, up: bool) -> Dyadic:

@@ -16,12 +16,13 @@ enclosures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 from operator import index
 
 from ..errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
-from .dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
+from .dyadic import Dyadic, _rational_pair, rational_to_dyadic, sqrt_down, sqrt_up
 
 __all__ = [
     "DyadicInterval",
@@ -230,24 +231,26 @@ def _products(a: DyadicInterval, b: DyadicInterval) -> tuple[Dyadic, Dyadic]:
     return lo, hi
 
 
-def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
-    """Directed rounding of x/y, y != 0, as rational_to_dyadic of the
-    reduced exact quotient.
+def _pair_quotient(n: int, e: int, d: int, prec: int, up: bool) -> tuple[int, int]:
+    """Directed rounding of n * 2**e / d, d > 0, as rational_to_dyadic of the
+    reduced fraction n/d scaled by 2**e.
 
-    The mantissas are odd, so the reduced fraction is (x.man/g) / (y.man/g)
-    times 2**(x.exp - y.exp) with g their gcd.  The rounding shift depends on
-    the bit lengths of the reduced mantissas, so the gcd cannot be skipped.
+    The rounding shift depends on the bit lengths of the reduced terms, so the
+    gcd cannot be skipped (15/9 rounds as 5/3); powers of two in n or d leave
+    the rounded value unchanged.
     """
-    n, d = x.man, y.man
-    if n == 0:
-        return x
     g = gcd(n, d)
     if g != 1:
         n //= g
         d //= g
-    if d < 0:
-        n, d = -n, -d
-    return rational_to_dyadic(n, d, prec, up).scaled(x.exp - y.exp)
+    q, qe = _rational_pair(n, d, prec, up)
+    return q, qe + e
+
+
+def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
+    """Directed rounding of x/y, y != 0."""
+    n, d = (x.man, y.man) if y.man > 0 else (-x.man, -y.man)
+    return Dyadic(*_pair_quotient(n, x.exp - y.exp, d, prec, up))
 
 
 def iv_div(a: DyadicInterval, b: DyadicInterval, prec: int) -> DyadicInterval:
@@ -316,44 +319,79 @@ def iv_hull(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
 # directed exponential / logarithm bounds
 # ---------------------------------------------------------------------------
 
-_LN2_CACHE: dict[int, DyadicInterval] = {}
+# Bound on the entries of each point cache below.  The cached functions are
+# pure in (Dyadic or ints, precision) and return immutable intervals.
+_POINT_CACHE_SIZE = 4096
+
+# The log and exp series run on raw (mantissa, exponent) int pairs m * 2**e.
+# They round exactly as the interval operations they stand for (iv_add,
+# iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
+# same endpoints while building DyadicIntervals only for the result.  A pair
+# need not be canonical: rounding to p bits depends on the value alone, and
+# _pair_quotient reduces its fraction before rounding as _quotient does.
 
 
-def _ln2(prec: int) -> DyadicInterval:
-    """Enclosure of ln 2 = 2*atanh(1/3), cached per precision."""
-    cached = _LN2_CACHE.get(prec)
-    if cached is None:
-        cached = _LN2_CACHE[prec] = _ln_mantissa(2, 0, prec)
-    return cached
+def _pair_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
+    """Exact sum of two pairs."""
+    if e1 <= e2:
+        return m1 + (m2 << (e2 - e1)), e1
+    return (m1 << (e1 - e2)) + m2, e2
 
 
+def _pair_down(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded toward -inf to prec bits, as Dyadic.round_down."""
+    excess = m.bit_length() - prec
+    if excess <= 0:
+        return m, e
+    return m >> excess, e + excess
+
+
+def _pair_up(m: int, e: int, prec: int) -> tuple[int, int]:
+    """m * 2**e rounded toward +inf to prec bits, as Dyadic.round_up."""
+    excess = m.bit_length() - prec
+    if excess <= 0:
+        return m, e
+    return -((-m) >> excess), e + excess
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _ln_mantissa(m_num: int, m_shift: int, prec: int) -> DyadicInterval:
-    """ln(m) for m = m_num / 2**m_shift in [1, 2], via 2*atanh((m-1)/(m+1))."""
+    """ln(m) for m = m_num / 2**m_shift in [1, 2], via 2*atanh((m-1)/(m+1)).
+
+    Each pair below is one endpoint of an interval of the series: t and its
+    square t2, the partial sum and the power t**(2k+1).  All of them are
+    positive, so every product and quotient takes lo with lo and hi with hi.
+    """
     work = prec + 16
     num = m_num - (1 << m_shift)
     den = m_num + (1 << m_shift)
     if num == 0:
         return ZERO_IV
-    t = DyadicInterval(
-        rational_to_dyadic(num, den, work, up=False),
-        rational_to_dyadic(num, den, work, up=True),
-    )
-    t2 = iv_square(t, work)
-    threshold = Dyadic(1, -(prec + 8))
-    total = ZERO_IV
-    power = t
+    if num < 0:
+        raise ValueError("mantissa below 1")
+    pl, ple = _rational_pair(num, den, work, False)  # power, starting at t
+    ph, phe = _rational_pair(num, den, work, True)
+    sl, sle = _pair_down(pl * pl, 2 * ple, work)  # t2 = t**2, as iv_square
+    sh, she = _pair_up(ph * ph, 2 * phe, work)
+    threshold = -(prec + 8)
+    al = ale = ah = ahe = 0  # partial sum
     k = 0
     while True:
-        term = iv_div(power, singleton(2 * k + 1), work)
-        total = iv_add(total, term, work)
-        power = iv_mul(power, t2, work)
+        ql, qle = _pair_quotient(pl, ple, 2 * k + 1, work, False)  # term
+        qh, qhe = _pair_quotient(ph, phe, 2 * k + 1, work, True)
+        al, ale = _pair_down(*_pair_add(al, ale, ql, qle), work)
+        ah, ahe = _pair_up(*_pair_add(ah, ahe, qh, qhe), work)
+        pl, ple = _pair_down(pl * sl, ple + sle, work)
+        ph, phe = _pair_up(ph * sh, phe + she, work)
         k += 1
-        if power.hi < threshold:
-            total = iv_add(total, DyadicInterval(Dyadic(0), power.hi.scaled(1)), work)
+        if ph.bit_length() + phe <= threshold:  # power.hi < 2**threshold
+            ah, ahe = _pair_up(*_pair_add(ah, ahe, ph, phe + 1), work)
             break
-    return iv_mul(total, singleton(2), work)
+    # times 2; doubling keeps the bit count, so no rounding
+    return DyadicInterval(Dyadic(al, ale + 1), Dyadic(ah, ahe + 1))
 
 
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _log2_point(x: Dyadic, prec: int) -> DyadicInterval:
     if x.sign() <= 0:
         raise ValueError("log2 requires a positive argument")
@@ -363,7 +401,7 @@ def _log2_point(x: Dyadic, prec: int) -> DyadicInterval:
     e = x.exp + bits - 1
     work = prec + 16
     ln_m = _ln_mantissa(x.man, bits - 1, work)
-    frac = iv_div(ln_m, _ln2(work), work)
+    frac = iv_div(ln_m, _ln_mantissa(2, 0, work), work)
     return iv_add(singleton(e), frac, prec)
 
 
@@ -375,27 +413,34 @@ def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
     return DyadicInterval(_log2_point(a.lo, prec).lo, _log2_point(a.hi, prec).hi)
 
 
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _exp2_point(x: Dyadic, prec: int) -> DyadicInterval:
-    if x.is_integer():
-        k = x.floor()
-        return singleton(Dyadic(1, k))
+    """2**x as 2**k * exp(r ln 2) with k = floor(x), summed on pairs as in
+    _ln_mantissa: u = r ln 2, the partial sum and the term u**j / j!."""
     k = x.floor()
+    if x.is_integer():
+        return singleton(Dyadic(1, k))
     r = x - Dyadic(k)  # in (0, 1), exact
     work = prec + 16
-    u = iv_mul(DyadicInterval(r, r), _ln2(work), work)  # in (0, ln 2)
-    threshold = Dyadic(1, -(prec + 8))
-    total = ONE_IV
-    term = u
+    ln2 = _ln_mantissa(2, 0, work)
+    ul, ule = _pair_down(r.man * ln2.lo.man, r.exp + ln2.lo.exp, work)  # in (0, ln 2)
+    uh, uhe = _pair_up(r.man * ln2.hi.man, r.exp + ln2.hi.exp, work)
+    threshold = -(prec + 8)
+    al, ale, ah, ahe = 1, 0, 1, 0  # partial sum
+    tl, tle, th, the = ul, ule, uh, uhe  # term
     j = 1
     while True:
-        total = iv_add(total, term, work)
+        al, ale = _pair_down(*_pair_add(al, ale, tl, tle), work)
+        ah, ahe = _pair_up(*_pair_add(ah, ahe, th, the), work)
         j += 1
-        term = iv_div(iv_mul(term, u, work), singleton(j), work)
-        if term.hi < threshold:
+        tl, tle = _pair_quotient(*_pair_down(tl * ul, tle + ule, work), j, work, False)
+        th, the = _pair_quotient(*_pair_up(th * uh, the + uhe, work), j, work, True)
+        if th.bit_length() + the <= threshold:  # term.hi < 2**threshold
             # ratio of consecutive terms < ln2/j <= 0.35 here, tail < 2*term
-            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
+            ah, ahe = _pair_up(*_pair_add(ah, ahe, th, the + 1), work)
             break
-    return _round_out(total.lo.scaled(k), total.hi.scaled(k), prec)
+    lo, hi = _pair_down(al, ale + k, prec), _pair_up(ah, ahe + k, prec)
+    return DyadicInterval(Dyadic(*lo), Dyadic(*hi))
 
 
 def iv_exp2(a: DyadicInterval, prec: int) -> DyadicInterval:

@@ -22,7 +22,7 @@ from .bigreal.dyadic import Dyadic, rational_to_dyadic
 from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples
-from .cfcore import advance, determinant_value, enclose_value, initial_state
+from .cfcore import advance, determinant_value, enclose_value, initial_state, scalar_is_zero
 from .criteria import HypothesisReport, Thm1Config, check_all
 from .errors import (
     CFIndepError,
@@ -247,13 +247,7 @@ def _task_convergents(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
         a = seq.quotient(n, 128)
         st = advance(st, a)
         det = determinant_value(st)
-        det_str = None
-        try:
-            from .cfcore import scalar_is_zero
-
-            det_str = "+1" if scalar_is_zero(det - 1) else ("-1" if scalar_is_zero(det + 1) else "?")
-        except TypeError:  # interval scalars
-            det_str = None
+        det_str = "+1" if scalar_is_zero(det - 1) else ("-1" if scalar_is_zero(det + 1) else "?")
         rows.append({
             "n": n,
             "a": scalar_payload(a),

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from cfindep import sequences
+from cfindep.bigreal import interval
 from cfindep.catalog import build_config
 from cfindep.criteria import check_all
 from cfindep.lemmas import run_lemma2_suite
@@ -68,3 +69,27 @@ def test_harmonic_cache_survives_thread_switching(monkeypatch):
             assert all(r == expected for r in results)
     finally:
         sys.setswitchinterval(old)
+
+
+def test_shared_point_caches_under_thread_switching():
+    # the log2/exp2 point caches are filled by whichever thread gets there
+    # first; every thread must still see the serial reports exactly
+    caches = (interval._ln_mantissa, interval._log2_point, interval._exp2_point)
+    names = ("c4", "c5", "t2")
+
+    def job(_):
+        return [check_all(build_config(name), 3, 256) for name in names]
+
+    for c in caches:
+        c.cache_clear()
+    expected = job(None)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for c in caches:
+            c.cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(job, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r == expected for r in results)

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import iv
 
+from cfindep.bigreal import interval
 from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic
 from cfindep.bigreal.interval import (
     ComplexInterval,
@@ -230,7 +233,7 @@ def test_pow_frac_monotone_and_exact():
     g = Fraction(1, 2)
     assert iv_pow_frac(singleton(4), g, 64).is_point()
     v = iv_pow_frac(singleton(2), g, 96)
-    assert v.contains(Fraction(14142135623730950488, 10**19)) or True
+    assert v.lo.as_fraction() ** 2 <= 2 <= v.hi.as_fraction() ** 2
     mpmath.mp.dps = 50
     _mp_enclosure_check(v, mpmath.sqrt(2))
     w = iv_pow_frac(from_fraction(Fraction(5, 1), 96), Fraction(2, 3), 96)
@@ -289,3 +292,166 @@ def test_sqrt_interval_high_precision():
         f = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**6))
         v = iv_sqrt(from_fraction(f, 512), 512)
         _mp_enclosure_check(v, mpmath.sqrt(mpmath.mpf(f.numerator) / f.denominator))
+
+
+# Reference series: _ln_mantissa and _exp2_point with every step an interval
+# operation.  The kernels on (mantissa, exponent) int pairs must return equal
+# intervals.
+@cache
+def _object_ln_mantissa(m_num, m_shift, prec):
+    work = prec + 16
+    num = m_num - (1 << m_shift)
+    den = m_num + (1 << m_shift)
+    if num == 0:
+        return singleton(0)
+    t = DyadicInterval(
+        rational_to_dyadic(num, den, work, up=False),
+        rational_to_dyadic(num, den, work, up=True),
+    )
+    t2 = iv_square(t, work)
+    threshold = Dyadic(1, -(prec + 8))
+    total = singleton(0)
+    power = t
+    k = 0
+    while True:
+        term = iv_div(power, singleton(2 * k + 1), work)
+        total = iv_add(total, term, work)
+        power = iv_mul(power, t2, work)
+        k += 1
+        if power.hi < threshold:
+            total = iv_add(total, DyadicInterval(Dyadic(0), power.hi.scaled(1)), work)
+            break
+    return iv_mul(total, singleton(2), work)
+
+
+def _object_exp2_point(x, prec):
+    if x.is_integer():
+        return singleton(Dyadic(1, x.floor()))
+    k = x.floor()
+    r = x - Dyadic(k)
+    work = prec + 16
+    u = iv_mul(DyadicInterval(r, r), _object_ln_mantissa(2, 0, work), work)
+    threshold = Dyadic(1, -(prec + 8))
+    total = singleton(1)
+    term = u
+    j = 1
+    while True:
+        total = iv_add(total, term, work)
+        j += 1
+        term = iv_div(iv_mul(term, u, work), singleton(j), work)
+        if term.hi < threshold:
+            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
+            break
+    return DyadicInterval(total.lo.scaled(k).round_down(prec), total.hi.scaled(k).round_up(prec))
+
+
+@st.composite
+def _mantissas(draw):
+    # m = m_num / 2**m_shift across [1, 2], short and long numerators
+    m_shift = draw(st.sampled_from((0, 1, 2, 3, 7, 30, 64, 300)))
+    return (1 << m_shift) + draw(st.integers(0, 1 << m_shift)), m_shift
+
+
+@st.composite
+def _fractional_dyadics(draw):
+    # non-integers of either sign, |x| below 2**24
+    bits = draw(st.sampled_from((1, 3, 8, 30, 100)))
+    man = draw(st.integers(0, (1 << bits) - 1)) | 1
+    exp = draw(st.integers(-bits - 24, min(-1, 24 - bits)))
+    return Dyadic(draw(st.sampled_from((-1, 1))) * man, exp)
+
+
+_SERIES_PRECISIONS = st.one_of(
+    st.integers(4, 160), st.integers(4, 4096), st.sampled_from((1024, 2048, 4096))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mantissas(), _SERIES_PRECISIONS)
+@example((2, 0), 4)
+@example((2, 0), 4096)
+@example(((1 << 300) + 12345, 300), 4096)
+@example((1, 0), 64)
+@example((3, 1), 53)
+def test_ln_mantissa_matches_object_series(m, prec):
+    assert interval._ln_mantissa.__wrapped__(*m, prec) == _object_ln_mantissa(*m, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fractional_dyadics(), _SERIES_PRECISIONS)
+@example(Dyadic(1, -1), 4)
+@example(Dyadic(-1, -1), 4096)
+@example(Dyadic(-7, -2), 128)
+@example(Dyadic(5), 64)
+def test_exp2_point_matches_object_series(x, prec):
+    assert interval._exp2_point.__wrapped__(x, prec) == _object_exp2_point(x, prec)
+
+
+def test_point_caches_are_bounded():
+    for f in (interval._ln_mantissa, interval._log2_point, interval._exp2_point):
+        assert f.cache_info().maxsize is not None
+    assert not hasattr(interval, "_LN2_CACHE")
+
+
+# Containment against mpmath's interval context at 4x the working
+# precision: the enclosure must meet mpmath's enclosure of f at each endpoint
+# of the input (both functions are monotone).
+def _iv_point(d):
+    return iv.ldexp(iv.mpf(d.man), d.exp)
+
+
+def _assert_meets(ours, lo_ref, hi_ref):
+    assert (_iv_point(ours.lo) <= lo_ref.b) is True
+    assert (hi_ref.a <= _iv_point(ours.hi)) is True
+
+
+@st.composite
+def _positive_intervals(draw):
+    def positive():
+        bits = draw(st.sampled_from((1, 4, 30, 200)))
+        man = draw(st.integers(0, (1 << bits) - 1)) | 1
+        return Dyadic(man, draw(st.integers(-bits - 60, 60)))
+
+    x, y = positive(), positive()
+    return DyadicInterval(min(x, y), max(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_positive_intervals(), st.one_of(st.integers(4, 160), st.integers(4, 2048)))
+def test_log2_against_mpmath_intervals(a, prec):
+    old = iv.prec
+    iv.prec = 4 * prec
+    try:
+        lo_ref, hi_ref = (iv.log(_iv_point(x)) / iv.log(2) for x in (a.lo, a.hi))
+        _assert_meets(iv_log2(a, prec), lo_ref, hi_ref)
+    finally:
+        iv.prec = old
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fractional_dyadics(), _fractional_dyadics(),
+       st.one_of(st.integers(4, 160), st.integers(4, 2048)))
+def test_exp2_against_mpmath_intervals(x, y, prec):
+    a = DyadicInterval(min(x, y), max(x, y))
+    old = iv.prec
+    iv.prec = 4 * prec
+    try:
+        lo_ref, hi_ref = (iv.exp(_iv_point(x) * iv.log(2)) for x in (a.lo, a.hi))
+        _assert_meets(iv_exp2(a, prec), lo_ref, hi_ref)
+    finally:
+        iv.prec = old
+
+
+@settings(max_examples=40, deadline=None)
+@given(_positive_intervals(), st.integers(1, 7), st.integers(1, 7),
+       st.one_of(st.integers(4, 160), st.integers(4, 1024)))
+def test_pow_frac_against_mpmath_intervals(a, num, den, prec):
+    gamma = Fraction(num, den)
+    old = iv.prec
+    iv.prec = 4 * prec
+    try:
+        g = iv.mpf(gamma.numerator) / gamma.denominator
+        lo_ref, hi_ref = (iv.exp(iv.log(_iv_point(x)) * g) for x in (a.lo, a.hi))
+        _assert_meets(iv_pow_frac(a, gamma, prec), lo_ref, hi_ref)
+    finally:
+        iv.prec = old
