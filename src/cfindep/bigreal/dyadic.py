@@ -115,9 +115,18 @@ class Dyadic:
     # -- comparisons (exact) ----------------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:
+        # decide by sign, then by the position of the leading bit, and align
+        # mantissas only when both tie: their exponents then differ by less
+        # than the mantissa lengths, so the shift stays small
+        a, b = self.man, other.man
+        if not a or not b or (a < 0) != (b < 0):
+            return (a > b) - (a < b)
+        la, lb = self.exp + a.bit_length(), other.exp + b.bit_length()
+        if la != lb:
+            return 1 if (la > lb) == (a > 0) else -1
         e = min(self.exp, other.exp)
-        a = self.man << (self.exp - e)
-        b = other.man << (other.exp - e)
+        a <<= self.exp - e
+        b <<= other.exp - e
         return (a > b) - (a < b)
 
     def __lt__(self, other: "Dyadic") -> bool:

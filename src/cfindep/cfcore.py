@@ -258,7 +258,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     raise PrecisionInsufficient("enclosure width bound not met")  # pragma: no cover
 
 
-def error_term_diagnostic(quotients, prec: int = 128) -> dict:
+def error_term_diagnostic(quotients, prec: int) -> dict:
     """Bounds from the alternating error formula at the last index.
 
     Given a1..a_{n+1}, bounds |alpha - p_n/q_n| by
@@ -289,7 +289,7 @@ def error_term_diagnostic(quotients, prec: int = 128) -> dict:
 
 # -- complex evaluation ----------------------------------------------------------
 
-def complex_cf_eval(zs: list[ComplexInterval], prec: int = 128) -> ComplexInterval:
+def complex_cf_eval(zs: list[ComplexInterval], prec: int) -> ComplexInterval:
     """Backward evaluation of [z0; z1, ..., zn] on complex boxes."""
     if not zs:
         raise ValueError("empty quotient list")
@@ -329,7 +329,7 @@ class GaussianRational:
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def as_box(self, prec: int = 128) -> ComplexInterval:
+    def as_box(self, prec: int) -> ComplexInterval:
         return ComplexInterval.from_rationals(self.re, self.im, prec)
 
 

@@ -34,8 +34,6 @@ from .errors import (
 )
 from .lemmas import (
     lemma1_trace,
-    lemma2_check,
-    lemma3_check,
     remark_counterexample,
     run_lemma2_suite,
     run_lemma3_suite,
@@ -305,28 +303,14 @@ def _task_lemma1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
 
 
 def _task_lemma2(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    return _lemma_suite(cfg, run_lemma2_suite, lemma2_check)
+    return _lemma_suite(cfg, run_lemma2_suite)
 
 
 def _task_lemma3(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    return _lemma_suite(cfg, run_lemma3_suite, lemma3_check)
+    return _lemma_suite(cfg, run_lemma3_suite)
 
 
-def _lemma_suite(cfg: RunConfig, suite_fn, check_fn) -> tuple[str, int, dict, list[str]]:
-    tuples = cfg.params.get("tuples")
-    if tuples:
-        from .bigreal.interval import ComplexInterval
-
-        outcomes = []
-        all_ok = True
-        for tup in tuples:
-            zs = [ComplexInterval.from_rationals(parse_rational(re), parse_rational(im), 96)
-                  for re, im in tup]
-            chk = check_fn(zs)
-            outcomes.append({"passed": chk.passed, "exact": chk.exact})
-            all_ok = all_ok and chk.passed
-        status = "pass" if all_ok else "fail"
-        return status, 0 if all_ok else 1, {"checks": outcomes}, [f"{len(outcomes)} tuples: {status}"]
+def _lemma_suite(cfg: RunConfig, suite_fn) -> tuple[str, int, dict, list[str]]:
     trials = _int_param(cfg, "trials", 1000)
     seed = _int_param(cfg, "seed", 0)
     res = suite_fn(trials=trials, seed=seed)

@@ -272,7 +272,7 @@ def _check_house_bound(cfg: Thm1Config, n: int, j: int, precision: int):
     return _escalating(attempt, precision)
 
 
-def derive_sign_table(cfg: Thm1Config, precision: int = 128) -> dict:
+def derive_sign_table(cfg: Thm1Config, precision: int) -> dict:
     """Sign table e_{j,sigma} read off from the first index n=1."""
     table: dict[tuple[int, int], int] = {}
     for j in range(1, cfg.M + 1):
@@ -289,7 +289,7 @@ def derive_sign_table(cfg: Thm1Config, precision: int = 128) -> dict:
     return table
 
 
-def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int = 128,
+def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int,
                       e_table: dict | None = None):
     """(-1)^e * Re(sigma(a_{n,j})) >= 1/bound(a_{n,1}), every embedding sigma.
 
@@ -318,7 +318,7 @@ def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int = 128,
     return _escalating(attempt, precision)
 
 
-def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128):
+def check_interleaving(cfg: Thm1Config, n: int, precision: int):
     """Strict a_{n,1} < max(a_{n,M} * 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma))).
 
     Returns (verdict, margin) with margin rhs - lhs, or None when a_{n,M} is
@@ -337,14 +337,13 @@ def check_interleaving(cfg: Thm1Config, n: int, precision: int = 128):
     return _escalating(attempt, precision)
 
 
-def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
-                 window: int | None = None) -> MarginSeries:
+def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSeries:
     """Series sqrt(n) * (a_{n,j}/a_{n,j+1} - 1), with trailing-window verdict.
 
     The verdict is prefix-consistent only: pass needs a certainly positive
     trailing-window minimum that is not strictly decaying; a nonpositive
-    window minimum is a fail witness.  The trailing window defaults to the
-    last ceil(N/4) indices to suppress small-n transients.  An index where
+    window minimum is a fail witness.  The trailing window is the last
+    ceil(N/4) indices, to suppress small-n transients.  An index where
     either quotient is not certainly positive has margin 0.
     """
     if not 1 <= j <= cfg.M - 1:
@@ -363,8 +362,7 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
         else:
             diff_enc = iv_sub(iv_div(a_iv, b_iv, precision), singleton(1), precision)
         values.append(iv_mul(iv_sqrt(singleton(n), precision), diff_enc, precision))
-    window_len = window if window is not None else -(-N // 4)
-    window = values[-max(1, min(window_len, N)):]
+    window = values[-max(1, -(-N // 4)):]
     wmin = min(window, key=lambda v: v.lo)
     mono = _window_monotonicity(window)
     if wmin.hi.sign() <= 0:
@@ -395,13 +393,12 @@ def _window_monotonicity(window: list[DyadicInterval]) -> str:
     return "mixed"
 
 
-def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
-                  threshold: int = 2) -> MarginSeries:
+def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSeries:
     """Series a_{n,j}^(1/d^n) in the log domain, with record tracking.
 
     pass: at least two strictly increasing records with the final one
-    certainly above ``threshold``.  fail: a certainly decreasing trailing
-    window that stays below the threshold.  Anything else is indeterminate.
+    certainly above 2.  fail: a certainly decreasing trailing window that
+    stays below 2.  Anything else is indeterminate.
     An index whose quotient is not certainly positive has value 0.
     """
     seq = cfg.sequences[j - 1]
@@ -419,7 +416,7 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int = 128,
         if best_hi is None or g.lo > best_hi:
             records.append(n)
         best_hi = g.hi if best_hi is None else max(best_hi, g.hi)
-    thr = singleton(threshold)
+    thr = singleton(2)
     last_record_val = values[records[-1] - 1] if records else values[0]
     window = values[-max(1, -(-N // 4)):]
     mono = _window_monotonicity(window)
@@ -462,7 +459,7 @@ def _pairs(cfg: Thm1Config, N: int, evaluate):
     return ([((n, j), *evaluate(n, j)) for j in range(1, cfg.M + 1)] for n in range(1, N + 1))
 
 
-def check_all(cfg: Thm1Config, N: int, precision: int = 128) -> HypothesisReport:
+def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
     """Run every condition for n <= N and aggregate into one report."""
 
     def decomposition(n, j):

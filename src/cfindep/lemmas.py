@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bigreal.dyadic import Dyadic, rational_to_dyadic
+from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     ComplexInterval,
     DyadicInterval,
@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 TOLERANCE = Fraction(1, 2 ** 40)
+_SUITE_MAX_LEN = 8  # longest random tuple in the lemma 2 and 3 suites
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ class RatioTrace:
     ratios_exact: list[Fraction] | None
 
 
-def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int = 128) -> RatioTrace:
+def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
     """Ratios q_{n,a}/q_{n,b} plus the hypothesis margin sqrt(n)(a_n/b_n - 1).
 
     Exact when both quotient sequences are exact rationals; interval-valued
@@ -110,36 +111,14 @@ class RemarkResult:
     ratios_exact: list[Fraction]
 
 
-_PRODUCT_BOUND: DyadicInterval | None = None
-_PRODUCT_TERMS = 10 ** 6
-
-
-def _infinite_product_bound() -> DyadicInterval:
-    """Enclosure of prod_{n>=1} (1 + 1/n^2)^2.
-
-    Partial product to 10^6 terms in directed fixed-point arithmetic, then an
-    exp-tail factor: the remaining product is at most exp(2/N) <= (N/(N-1))^2.
-    """
-    global _PRODUCT_BOUND
-    if _PRODUCT_BOUND is not None:
-        return _PRODUCT_BOUND
-    bits = 96
-    one = 1 << bits
-    lo, hi = one, one
-    for n in range(1, _PRODUCT_TERMS + 1):
-        n2 = n * n
-        lo = lo * (n2 + 1) // n2
-        hi = (hi * (n2 + 1) + n2 - 1) // n2
-    big_n = _PRODUCT_TERMS
-    hi = (hi * big_n + big_n - 2) // (big_n - 1)  # tail factor N/(N-1), rounded up
-    lo_sq = lo * lo
-    hi_sq = hi * hi
-    den = one * one
-    _PRODUCT_BOUND = DyadicInterval(
-        rational_to_dyadic(lo_sq, den, 96, up=False),
-        rational_to_dyadic(hi_sq, den, 96, up=True),
-    )
-    return _PRODUCT_BOUND
+# Enclosure of prod_{n>=1} (1 + 1/n^2)^2: the partial product to 10^6 terms
+# in directed 96-bit fixed point, times the tail factor (N/(N-1))^2 >= exp(2/N)
+# that bounds the rest, squared and rounded outward to 96 bits.  The tests
+# rerun that loop and compare.
+_PRODUCT_BOUND = DyadicInterval(
+    Dyadic(267662874854023122779623248227, -94),
+    Dyadic(66915852545143955130271388157, -92),
+)
 
 
 def remark_counterexample(N: int) -> RemarkResult:
@@ -150,7 +129,6 @@ def remark_counterexample(N: int) -> RemarkResult:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    bound = _infinite_product_bound()
     qa_prev, qa = 1, 2  # q_0, q_1 for a_1 = 2
     qb_prev, qb = 1, 1
     ratios = [Fraction(2, 1)]
@@ -163,9 +141,9 @@ def remark_counterexample(N: int) -> RemarkResult:
             monotone = False
         ratios.append(Fraction(qa, qb))
     mx = max(ratios)
-    if not mx < bound.lo.as_fraction():
+    if not mx < _PRODUCT_BOUND.lo.as_fraction():
         raise AssertionError("ratio exceeded the infinite-product bound")  # pragma: no cover
-    return RemarkResult(from_fraction(mx, 96), bound, monotone, ratios)
+    return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, monotone, ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +167,7 @@ def _as_gaussians(zs: list[ComplexInterval]) -> list[GaussianRational] | None:
     return out
 
 
-def lemma2_check(zs: list[ComplexInterval], prec: int = 128) -> LemmaCheck:
+def lemma2_check(zs: list[ComplexInterval], prec: int) -> LemmaCheck:
     """|[z0; z1, ..., zn]| >= 1 whenever every |z_k| >= 2."""
     if not zs:
         raise ValueError("empty input")
@@ -210,7 +188,7 @@ def lemma2_check(zs: list[ComplexInterval], prec: int = 128) -> LemmaCheck:
     return LemmaCheck(ok, False, TOLERANCE, {"modulus_lb": lb})
 
 
-def lemma3_check(zs: list[ComplexInterval], prec: int = 128) -> LemmaCheck:
+def lemma3_check(zs: list[ComplexInterval], prec: int) -> LemmaCheck:
     """Re CF >= Re z0 for right-half-plane quotients, plus the negation identity."""
     if not zs:
         raise ValueError("empty input")
@@ -269,7 +247,7 @@ def _random_modulus_point(rng: random.Random, lo: float, hi: float) -> GaussianR
             return GaussianRational(re, im)
 
 
-def run_lemma2_suite(trials: int = 1000, seed: int = 0, max_len: int = 8) -> SuiteResult:
+def run_lemma2_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random tuples with |z_k| in [2, 10]: modulus of the CF stays >= 1 - 2^-40."""
     rng = random.Random(seed)
     passed = 0
@@ -277,7 +255,7 @@ def run_lemma2_suite(trials: int = 1000, seed: int = 0, max_len: int = 8) -> Sui
     worst = None
     floor = (1 - TOLERANCE) ** 2
     for t in range(trials):
-        k = rng.randint(1, max_len)
+        k = rng.randint(1, _SUITE_MAX_LEN)
         pts = [_random_modulus_point(rng, 2.0, 10.0) for _ in range(k)]
         v = complex_cf_eval_exact(pts)
         a2 = v.abs_squared()
@@ -289,14 +267,14 @@ def run_lemma2_suite(trials: int = 1000, seed: int = 0, max_len: int = 8) -> Sui
     return SuiteResult(trials, passed, seed, worst, failures)
 
 
-def run_lemma3_suite(trials: int = 1000, seed: int = 0, max_len: int = 8) -> SuiteResult:
+def run_lemma3_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random right-half-plane tuples: Re CF >= Re z0 - 2^-40 and negation identity."""
     rng = random.Random(seed)
     passed = 0
     failures: list[int] = []
     worst = None
     for t in range(trials):
-        k = rng.randint(1, max_len)
+        k = rng.randint(1, _SUITE_MAX_LEN)
         pts = []
         for _ in range(k):
             re = Fraction(0)

@@ -8,6 +8,7 @@ refinement, complex conjugate pairs via certified inclusion disks).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,6 +74,7 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree()
         self._root_iv = root_interval
+        self._root_lock = threading.Lock()  # guards the narrower-only store
         # theta^D, ..., theta^(2D-2) in the power basis
         self._reduction = self._build_reduction()
         self._embedding_cache: dict[int, "EmbeddingSet"] = {}
@@ -113,10 +115,14 @@ class NumberField:
     def root_enclosure(self, prec: int) -> DyadicInterval:
         """The distinguished real root, refined to width <= 2**-prec."""
         target = Dyadic(1, -prec)
-        if self._root_iv.width() <= target:
-            return self._root_iv
-        self._root_iv = refine_root(self.minpoly, self._root_iv, target)
-        return self._root_iv
+        current = self._root_iv
+        if current.width() <= target:
+            return current
+        refined = refine_root(self.minpoly, current, target)
+        with self._root_lock:  # another thread may have stored a narrower one
+            if refined.width() < self._root_iv.width():
+                self._root_iv = refined
+        return refined
 
     def __repr__(self) -> str:
         return f"NumberField({self.minpoly!r}, root~{float(self._root_iv.midpoint()):.6g})"
@@ -372,7 +378,7 @@ def _complex_seed_roots(p: IntPoly) -> list[complex]:
     return [complex(z) for z in np.roots(coeffs)]
 
 
-def embeddings(field: NumberField, precision: int = 192) -> EmbeddingSet:
+def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     """Enclosures of all D conjugates, pairwise disjoint, at the given precision."""
     cached = field._embedding_cache.get(precision)
     if cached is not None:

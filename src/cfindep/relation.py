@@ -63,8 +63,7 @@ def _init_gram(b: list[list[int]]):
     return d, lam
 
 
-def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA,
-               with_transform: bool = False):
+def lll_reduce(basis: list[list[int]], with_transform: bool = False):
     """Exact-integer LLL reduction of the given row basis.
 
     Returns the reduced rows, plus the unimodular transform U (rows_out = U *
@@ -79,7 +78,7 @@ def lll_reduce(basis: list[list[int]], delta: Fraction = LLL_DELTA,
         raise ValueError("ragged basis")
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d, lam = _init_gram(b)
-    num, den = delta.numerator, delta.denominator
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def red(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) > d[l + 1]:

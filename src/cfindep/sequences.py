@@ -9,11 +9,12 @@ itself from a JSON descriptor.  ``KINDS`` holds these three per kind.
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .bigreal.dyadic import Dyadic
@@ -44,23 +45,16 @@ __all__ = [
     "polynomial_root_family",
     "sqrt2_field",
     "phi_field",
-    "max_quotient_bits",
+    "MAX_QUOTIENT_BITS",
 ]
 
-DEFAULT_MAX_BITS = 10 ** 6
-
-
-def max_quotient_bits() -> int:
-    """Per-quotient bit guard; override with CFINDEP_MAX_BITS."""
-    env = os.environ.get("CFINDEP_MAX_BITS")
-    return int(env) if env else DEFAULT_MAX_BITS
+MAX_QUOTIENT_BITS = 10 ** 6
 
 
 def _pow2(e: int) -> Fraction:
     """2**e, refused when it needs more bits than the per-quotient guard."""
-    limit = max_quotient_bits()
-    if e + 1 > limit:
-        raise BitBudgetExceeded(f"quotient needs {e + 1} bits, guard is {limit}")
+    if e + 1 > MAX_QUOTIENT_BITS:
+        raise BitBudgetExceeded(f"quotient needs {e + 1} bits, guard is {MAX_QUOTIENT_BITS}")
     return Fraction(1 << e)
 
 
@@ -68,32 +62,26 @@ def _pow2(e: int) -> Fraction:
 # number-theory utilities
 # ---------------------------------------------------------------------------
 
-_SIEVE_LIMIT = 0
-_SPF: list[int] = []
-_PRIMES: list[int] = []
-
-
-def _ensure_sieve(limit: int) -> None:
-    global _SIEVE_LIMIT, _SPF, _PRIMES
-    if limit <= _SIEVE_LIMIT:
-        return
-    limit = max(limit, 2 * _SIEVE_LIMIT, 1 << 10)
+@lru_cache(maxsize=None)
+def _sieve(limit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Smallest prime factor of each of 0..limit, and the primes up to limit."""
     spf = list(range(limit + 1))
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == p:
             for m in range(p * p, limit + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    _SPF = spf
-    _PRIMES = [n for n in range(2, limit + 1) if spf[n] == n]
-    _SIEVE_LIMIT = limit
+    return tuple(spf), tuple(n for n in range(2, limit + 1) if spf[n] == n)
+
+
+def _sieve_covering(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sieve of the least power of two >= n, at least 1024."""
+    return _sieve(1 << max(10, (n - 1).bit_length()))
 
 
 def primes_up_to(n: int) -> list[int]:
-    _ensure_sieve(max(n, 2))
-    import bisect
-
-    return _PRIMES[: bisect.bisect_right(_PRIMES, n)]
+    _, primes = _sieve_covering(n)
+    return list(primes[: bisect.bisect_right(primes, n)])
 
 
 def prime_pi(n: int) -> int:
@@ -108,9 +96,9 @@ def nth_prime(k: int) -> int:
     bound = 16
     while True:
         guess = max(bound, int(k * (math.log(max(k, 2)) + math.log(math.log(max(k, 3))) + 2)))
-        _ensure_sieve(guess)
-        if len(_PRIMES) >= k:
-            return _PRIMES[k - 1]
+        _, primes = _sieve_covering(guess)
+        if len(primes) >= k:
+            return primes[k - 1]
         bound *= 2
 
 
@@ -119,10 +107,10 @@ def divisor_count(n: int) -> int:
         raise ValueError("divisor count needs n >= 1")
     if n == 1:
         return 1
-    _ensure_sieve(n)
+    spf, _ = _sieve_covering(n)
     out = 1
     while n > 1:
-        p = _SPF[n]
+        p = spf[n]
         e = 0
         while n % p == 0:
             n //= p
@@ -150,23 +138,18 @@ def harmonic(n: int) -> Fraction:
 # shared fields
 # ---------------------------------------------------------------------------
 
-_FIELD_CACHE: dict[str, NumberField] = {}
+# x^2 - 2 and x^2 - x - 1 with their root in [1, 2]; field_new's checks of
+# both run in the tests rather than at every import
+_SQRT2_FIELD = NumberField(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)))
+_PHI_FIELD = NumberField(IntPoly.of(-1, -1, 1), DyadicInterval(Dyadic(1), Dyadic(2)))
 
 
 def sqrt2_field() -> NumberField:
-    f = _FIELD_CACHE.get("sqrt2")
-    if f is None:
-        f = field_new(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)))
-        _FIELD_CACHE["sqrt2"] = f
-    return f
+    return _SQRT2_FIELD
 
 
 def phi_field() -> NumberField:
-    f = _FIELD_CACHE.get("phi")
-    if f is None:
-        f = field_new(IntPoly.of(-1, -1, 1), DyadicInterval(Dyadic(1), Dyadic(2)))
-        _FIELD_CACHE["phi"] = f
-    return f
+    return _PHI_FIELD
 
 
 # ---------------------------------------------------------------------------

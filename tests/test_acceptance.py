@@ -168,7 +168,7 @@ def test_c06_lemma3_suite():
 def test_c07_lemma1_and_remark():
     with criterion(7, "lemma 1 positive instance + bounded counterexample", 60):
         tr = lemma1_trace(spec("constant", value=Fraction(2)),
-                          spec("constant", value=Fraction(1)), 18)
+                          spec("constant", value=Fraction(1)), 18, 128)
         rs = tr.ratios_exact
         assert all(b > a for a, b in zip(rs[1:], rs[2:]))  # increasing from n=2
         assert rs[17] > 1000  # by n = 18

@@ -1,10 +1,13 @@
 """Determinism under concurrent use: values are immutable, ops are pure."""
 
+import os
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import cfindep
 from cfindep import sequences
 from cfindep.bigreal import interval
 from cfindep.catalog import build_config
@@ -93,3 +96,41 @@ def test_shared_point_caches_under_thread_switching():
     finally:
         sys.setswitchinterval(old)
     assert all(r == expected for r in results)
+
+
+# Runs in a fresh interpreter, so the first calls of sqrt2_field() and
+# phi_field() in the process are the ones that race.
+_FIELD_RACE = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+from cfindep.sequences import phi_field, sqrt2_field
+
+start = threading.Barrier(8)
+got = []
+
+def job():
+    start.wait()
+    got.append((sqrt2_field(), phi_field()))
+
+threads = [threading.Thread(target=job) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(len({id(s) for s, _ in got}), len({id(p) for _, p in got}))
+for k in range(2):
+    acc = got[0][k].generator()
+    for fields in got[1:]:
+        acc = acc + fields[k].generator()  # FieldMismatch across distinct fields
+    assert acc.coords == (0, 8)
+"""
+
+
+def test_shared_fields_have_one_identity_across_threads():
+    src = os.path.dirname(os.path.dirname(cfindep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for _ in range(3):
+        out = subprocess.run([sys.executable, "-c", _FIELD_RACE], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "1"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
+from cfindep.bigreal.interval import DyadicInterval
 
 
 def test_canonical_form():
@@ -69,3 +70,25 @@ def test_sqrt_negative_rejected():
 def test_float_conversion_large_mantissa():
     big = Dyadic((1 << 200) + 1, -198)
     assert 3.9 < float(big) < 4.1
+
+
+def test_comparison_across_huge_exponent_gaps():
+    # decided from sign and leading-bit position, without aligning mantissas
+    # across the 2**70-bit gap
+    big = Dyadic(1, 1 << 70)
+    small = Dyadic(3, -5)
+    assert big > small and small < big and -big < small and not big <= small
+    assert Dyadic(-3, -5) > -big
+    span = DyadicInterval(-big, big)
+    point = DyadicInterval(small, small)
+    assert span.contains_interval(point) and not point.contains_interval(span)
+    assert span.intersects(point) and not point.intersects(DyadicInterval(big, big))
+    with pytest.raises(ValueError):
+        DyadicInterval(big, small)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-64, 64), st.integers(-10**6, 10**6), st.integers(-64, 64))
+def test_comparison_matches_fractions(m1, e1, m2, e2):
+    a, b = Dyadic(m1, e1), Dyadic(m2, e2)
+    fa, fb = a.as_fraction(), b.as_fraction()
+    assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)

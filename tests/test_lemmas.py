@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cfindep.bigreal.interval import ComplexInterval, DyadicInterval
-from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic
 from cfindep.errors import HypothesisViolated, QuotientBelowOne
 from cfindep.lemmas import (
     TOLERANCE,
@@ -19,7 +19,7 @@ from cfindep.sequences import spec
 
 def test_lemma1_pell_vs_fibonacci():
     tr = lemma1_trace(spec("constant", value=Fraction(2)),
-                      spec("constant", value=Fraction(1)), 20)
+                      spec("constant", value=Fraction(1)), 20, 128)
     rs = tr.ratios_exact
     assert rs is not None
     # growth factor (1+sqrt2)/phi ~ 1.492 per step; crosses 1000 by n = 18
@@ -31,7 +31,7 @@ def test_lemma1_pell_vs_fibonacci():
 
 def test_lemma1_identical_sequences():
     s = spec("constant", value=Fraction(3))
-    tr = lemma1_trace(s, s, 10)
+    tr = lemma1_trace(s, s, 10, 128)
     assert all(r == 1 for r in tr.ratios_exact)
 
 
@@ -50,7 +50,36 @@ def test_lemma1_slow_margin():
 def test_lemma1_rejects_below_one():
     bad = spec("constant", value=Fraction(1, 2))
     with pytest.raises(QuotientBelowOne):
-        lemma1_trace(bad, spec("constant", value=Fraction(1)), 5)
+        lemma1_trace(bad, spec("constant", value=Fraction(1)), 5, 128)
+
+
+def _product_bound_by_fixed_point() -> DyadicInterval:
+    """prod_{n>=1} (1 + 1/n^2)^2 enclosed by the 10^6-term fixed-point loop.
+
+    Partial product in directed 96-bit fixed-point arithmetic, then an
+    exp-tail factor: the remaining product is at most exp(2/N) <= (N/(N-1))^2.
+    """
+    bits = 96
+    one = 1 << bits
+    lo, hi = one, one
+    terms = 10 ** 6
+    for n in range(1, terms + 1):
+        n2 = n * n
+        lo = lo * (n2 + 1) // n2
+        hi = (hi * (n2 + 1) + n2 - 1) // n2
+    big_n = terms
+    hi = (hi * big_n + big_n - 2) // (big_n - 1)  # tail factor N/(N-1), rounded up
+    lo_sq = lo * lo
+    hi_sq = hi * hi
+    den = one * one
+    return DyadicInterval(
+        rational_to_dyadic(lo_sq, den, 96, up=False),
+        rational_to_dyadic(hi_sq, den, 96, up=True),
+    )
+
+
+def test_committed_product_bound_matches_the_loop():
+    assert remark_counterexample(2).bound == _product_bound_by_fixed_point()
 
 
 def test_remark_counterexample_small():
@@ -67,42 +96,42 @@ def test_remark_counterexample_small():
 
 def test_lemma2_examples():
     z = [ComplexInterval.point(2), ComplexInterval.point(2), ComplexInterval.point(2)]
-    chk = lemma2_check(z)
+    chk = lemma2_check(z, 128)
     assert chk.passed and chk.exact and chk.slack == 0
     assert chk.details["abs_squared"] == Fraction(144, 25)  # |12/5|^2
-    chk2 = lemma2_check([ComplexInterval.point(-2), ComplexInterval.point(2)])
+    chk2 = lemma2_check([ComplexInterval.point(-2), ComplexInterval.point(2)], 128)
     assert chk2.passed  # |-3/2| = 1.5
-    chk3 = lemma2_check([ComplexInterval.point(0, 2), ComplexInterval.point(0, -2)])
+    chk3 = lemma2_check([ComplexInterval.point(0, 2), ComplexInterval.point(0, -2)], 128)
     assert chk3.passed and chk3.details["abs_squared"] == Fraction(25, 4)
 
 
 def test_lemma2_hypothesis_enforced():
     with pytest.raises(HypothesisViolated):
-        lemma2_check([ComplexInterval.point(1)])
+        lemma2_check([ComplexInterval.point(1)], 128)
 
 
 def test_lemma3_examples():
-    chk = lemma3_check([ComplexInterval.point(1), ComplexInterval.point(1)])
+    chk = lemma3_check([ComplexInterval.point(1), ComplexInterval.point(1)], 128)
     assert chk.passed and chk.details["re_value"] == 2
     z = [ComplexInterval.from_rationals(Fraction(1), Fraction(1), 96),
          ComplexInterval.from_rationals(Fraction(1), Fraction(-1), 96)]
-    chk2 = lemma3_check(z)
+    chk2 = lemma3_check(z, 128)
     assert chk2.passed and chk2.details["re_value"] == Fraction(3, 2)
     chk3 = lemma3_check([ComplexInterval.from_rationals(Fraction(1, 2), Fraction(0), 96),
-                         ComplexInterval.point(3)])
+                         ComplexInterval.point(3)], 128)
     assert chk3.passed and chk3.details["re_value"] == Fraction(5, 6)
 
 
 def test_lemma3_hypothesis_enforced():
     with pytest.raises(HypothesisViolated):
-        lemma3_check([ComplexInterval.point(-1)])
+        lemma3_check([ComplexInterval.point(-1)], 128)
 
 
 def test_lemma2_interval_path():
     pad = Dyadic(1, -60)
     z = ComplexInterval(DyadicInterval(Dyadic(2), Dyadic(2) + pad),
                         DyadicInterval(Dyadic(0), pad))
-    chk = lemma2_check([z, z])
+    chk = lemma2_check([z, z], 128)
     assert chk.passed and not chk.exact and chk.slack == TOLERANCE
 
 
@@ -137,7 +166,7 @@ def test_lemma1_threshold_crossing_bound():
     import math
 
     tr = lemma1_trace(spec("constant", value=Fraction(2)),
-                      spec("constant", value=Fraction(1)), 30)
+                      spec("constant", value=Fraction(1)), 30, 128)
     rs = tr.ratios_exact
     for T in (10, 100, 1000, 10_000):
         bound = math.ceil(math.log(T) / math.log(1.49)) + 4

@@ -6,8 +6,9 @@ import pytest
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, iv_mul
-from cfindep.bigreal.poly import IntPoly
+from cfindep.bigreal.poly import IntPoly, refine_root
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
+from cfindep import numfield
 from cfindep.numfield import (
     embeddings,
     field_new,
@@ -43,6 +44,25 @@ def test_field_new_examples():
         field_new(IntPoly.of(-1, 0, 2), DyadicInterval(Dyadic(0), Dyadic(1)))
     with pytest.raises(RootNotIsolated):
         field_new(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(-2), Dyadic(2)))
+
+
+@pytest.mark.parametrize("other_bits", [2, 128])
+def test_root_enclosure_survives_a_concurrent_store(monkeypatch, other_bits):
+    # another thread stores its refinement of the root while this call
+    # refines: the call still returns the width it asked for, and the field
+    # keeps the narrower of the two
+    k = _sqrt2()
+    other = refine_root(k.minpoly, k._root_iv, Dyadic(1, -other_bits))
+
+    def refine_meanwhile(p, iv, target):
+        out = refine_root(p, iv, target)
+        k._root_iv = other
+        return out
+
+    monkeypatch.setattr(numfield, "refine_root", refine_meanwhile)
+    got = k.root_enclosure(64)
+    assert got.width() <= Dyadic(1, -64)
+    assert k._root_iv == min(got, other, key=lambda iv: iv.width())
 
 
 def test_element_arithmetic_examples():

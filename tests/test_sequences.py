@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.interval import DyadicInterval
 from cfindep.bigreal.poly import IntPoly
 from cfindep.cfcore import scalar_at_least_one
 from cfindep.criteria import Thm1Config, check_decomposition
 from cfindep.errors import BitBudgetExceeded, RootsNotRealDistinctGreaterOne, UnknownFamily
-from cfindep.numfield import FieldElement, is_algebraic_integer
+from cfindep.numfield import FieldElement, field_new, is_algebraic_integer
 from cfindep.sequences import (
     divisor_count,
     gen_doubly_exponential,
@@ -61,14 +63,22 @@ def test_doubly_exponential_values():
     assert gen_doubly_exponential(2, 1, c=3) == 2 ** 6
 
 
-def test_bit_guard(monkeypatch):
+def test_bit_guard():
+    # the guard is a fixed 10**6 bits per quotient
+    assert gen_doubly_exponential(2, 15) == 2 ** (15 * 2 ** 15)  # 491,521 bits
+    with pytest.raises(BitBudgetExceeded):
+        gen_doubly_exponential(2, 16)  # 1,048,577 bits
     with pytest.raises(BitBudgetExceeded):
         gen_doubly_exponential(3, 14)
-    monkeypatch.setenv("CFINDEP_MAX_BITS", "100")
-    assert gen_doubly_exponential(2, 4) == 2 ** 64  # 65 bits, under the raised guard
-    monkeypatch.setenv("CFINDEP_MAX_BITS", "50")
-    with pytest.raises(BitBudgetExceeded):
-        gen_doubly_exponential(2, 4)
+
+
+def test_constant_fields_pass_field_new():
+    # sqrt2_field() and phi_field() are built without field_new's checks;
+    # run them here on each minimal polynomial with the hint [1, 2]
+    for f, minpoly in ((sqrt2_field(), IntPoly.of(-2, 0, 1)), (phi_field(), IntPoly.of(-1, -1, 1))):
+        assert f.minpoly == minpoly
+        checked = field_new(f.minpoly, DyadicInterval(Dyadic(1), Dyadic(2)))
+        assert checked.root_enclosure(64).intersects(f.root_enclosure(64))
 
 
 def test_prime_ratio_and_hanluc():
