@@ -89,8 +89,8 @@ class DyadicInterval:
         return self.lo.sign() <= 0 <= self.hi.sign()
 
     def contains(self, x) -> bool:
-        f = _as_fraction(x)
-        return self.lo.as_fraction() <= f <= self.hi.as_fraction()
+        """lo <= x <= hi for a Dyadic, int or Fraction x."""
+        return _cmp_exact(self.lo, x) <= 0 <= _cmp_exact(self.hi, x)
 
     def contains_interval(self, other: "DyadicInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
@@ -142,12 +142,35 @@ class DyadicInterval:
         return iv_neg(self)
 
 
-def _as_fraction(x) -> Fraction:
+def _cmp_exact(d: Dyadic, x) -> int:
+    """Sign of d - x for a Dyadic, int or Fraction x.
+
+    Decided like ``Dyadic._cmp``: by sign, then by leading-bit position, and
+    by cross-multiplication only when those tie, when the shift is bounded by
+    the operand sizes; ``as_fraction`` would expand an exponent like 2**70.
+    """
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = x.numerator
+    if isinstance(x, int):
+        x = Dyadic(x)
     if isinstance(x, Dyadic):
-        return x.as_fraction()
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
+        return d._cmp(x)
+    if not isinstance(x, Fraction):
+        raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
+    a, n, q = d.man, x.numerator, x.denominator
+    sa, sn = (a > 0) - (a < 0), (n > 0) - (n < 0)
+    if sa != sn:
+        return (sa > sn) - (sa < sn)
+    # |d| in [2**(la-1), 2**la) and |x| in (2**(lx-1), 2**(lx+1))
+    la = d.exp + abs(a).bit_length()
+    lx = abs(n).bit_length() - q.bit_length()
+    if la <= lx - 1 or la >= lx + 2:
+        return sa if la >= lx + 2 else -sa
+    if d.exp >= 0:
+        lhs, rhs = (a << d.exp) * q, n
+    else:
+        lhs, rhs = a * q, n << -d.exp
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def _exact(x) -> DyadicInterval | None:

@@ -1,17 +1,23 @@
-"""Integer polynomials: exact evaluation, Sturm counts, rigorous root refinement.
+"""Integer polynomials: exact evaluation, Sturm counts, rigorous root
+refinement, certified complex roots and factoring over Z.
 
 Coefficients are stored constant-term first.  All decisions (sign tests,
-root counts) are exact; only the returned enclosures carry rounding, and that
-rounding is always outward.
+root counts, factors) are exact; only the returned enclosures carry rounding,
+and that rounding is always outward.  Floating point only seeds the complex
+roots, which certified disks then confirm.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations
 
-from ..errors import NoSignChange, NonConvergent, NotSquarefree
-from .dyadic import Dyadic
+from ..errors import NoSignChange, NonConvergent, NotSquarefree, PrecisionInsufficient
+from .dyadic import Dyadic, rational_to_dyadic
 from .interval import (
     ComplexInterval,
     DyadicInterval,
@@ -28,6 +34,8 @@ __all__ = [
     "sturm_count",
     "refine_root",
     "isolate_real_roots",
+    "complex_root_boxes",
+    "irreducible_factors",
     "resultant",
     "qpoly_eval_interval",
     "qpoly_eval_complex",
@@ -144,15 +152,6 @@ def is_squarefree(p: IntPoly) -> bool:
     if p.degree() <= 1:
         return p.degree() >= 0 and not p.is_zero()
     return _qgcd_deg(_to_q(p), _to_q(p.derivative())) == 0
-
-
-def irreducible_factors(p: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Irreducible factors of p over Z with their multiplicities (sympy)."""
-    from sympy import Poly, Symbol  # lazy: keeps startup light
-
-    _, factors = Poly(list(reversed(p.coeffs)), Symbol("x"), domain="ZZ").factor_list()
-    return [(IntPoly(tuple(int(c) for c in reversed(f.all_coeffs()))), mult)
-            for f, mult in factors]
 
 
 def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
@@ -319,9 +318,7 @@ def _lcm_denoms(p: list[Fraction]) -> int:
     out = 1
     for c in p:
         d = c.denominator
-        from math import gcd
-
-        out = out * d // gcd(out, d)
+        out = out * d // math.gcd(out, d)
     return out
 
 
@@ -378,3 +375,291 @@ def qpoly_eval_complex(coeffs: list[Fraction], z: ComplexInterval, prec: int) ->
             iv_add(acc.re, from_fraction(Fraction(c), prec), prec), acc.im
         )
     return acc
+
+
+# ---------------------------------------------------------------------------
+# complex roots: Aberth-Ehrlich seeds, Newton polish, certified disks
+# ---------------------------------------------------------------------------
+
+_ABERTH_ITERATIONS = 200
+_ABERTH_ANGLE = 0.4  # start-circle offset, so no start point lies on the real axis
+
+
+def _aberth_roots(p: IntPoly) -> list[complex]:
+    """Approximations of all roots of p by Aberth-Ehrlich iteration in doubles.
+
+    The start points sit on a fixed circle (radius the geometric mean of the
+    root moduli) and the iteration count is capped, so the result depends on
+    p alone.  Nothing is decided from these values: they only seed
+    :func:`complex_root_boxes`, whose certified disks are the judge (Bini,
+    "Numerical computation of polynomial zeros by means of Aberth's method",
+    1996).
+    """
+    d = p.degree()
+    scale = max(abs(c) for c in p.coeffs)  # no float overflow, whatever the coefficient sizes
+    a = [float(Fraction(c, scale)) for c in p.coeffs]
+    c0, lead = abs(p.coeffs[0]), abs(p.leading())
+    radius = 2 ** ((math.log2(c0) - math.log2(lead)) / d) if c0 else 1.0
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / d + _ABERTH_ANGLE)) for k in range(d)]
+    for _ in range(_ABERTH_ITERATIONS):
+        moved = False
+        for i, u in enumerate(z):
+            pv, dv = 0j, 0j
+            for c in reversed(a):
+                dv = dv * u + pv
+                pv = pv * u + c
+            try:
+                ratio = pv / dv
+                w = ratio / (1 - ratio * sum(1 / (u - v) for j, v in enumerate(z) if j != i))
+            except ZeroDivisionError:  # a root hit exactly, or two points met
+                continue
+            z[i] = u - w
+            moved = moved or abs(w) > 1e-15 * abs(u)
+        if not moved:
+            break
+    return z
+
+
+def _newton_polish_complex(p: IntPoly, z: tuple[Fraction, Fraction], steps: int, bits: int):
+    dp = p.derivative()
+    zr, zi = z
+    for _ in range(steps):
+        pr, pi = _ceval(p, zr, zi)
+        dr, di = _ceval(dp, zr, zi)
+        den = dr * dr + di * di
+        if den == 0:
+            break
+        wr = (pr * dr + pi * di) / den
+        wi = (pi * dr - pr * di) / den
+        zr, zi = zr - wr, zi - wi
+        zr = Fraction((zr.numerator << bits) // zr.denominator, 1 << bits)
+        zi = Fraction((zi.numerator << bits) // zi.denominator, 1 << bits)
+    return zr, zi
+
+
+def _ceval(p: IntPoly, zr: Fraction, zi: Fraction) -> tuple[Fraction, Fraction]:
+    ar, ai = Fraction(0), Fraction(0)
+    for c in reversed(p.coeffs):
+        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
+    return ar, ai
+
+
+def _certify_disk(p: IntPoly, zr: Fraction, zi: Fraction, d: int, work: int):
+    """Inclusion box from the disk bound r = d*|p(z)/p'(z)|, or None."""
+    z = ComplexInterval.from_rationals(zr, zi, work)
+    pv = qpoly_eval_complex([Fraction(c) for c in p.coeffs], z, work)
+    dv = qpoly_eval_complex([Fraction(c) for c in p.derivative().coeffs], z, work)
+    num = pv.abs_interval(work)
+    den = dv.abs_interval(work)
+    if den.lo.sign() <= 0:
+        return None
+    r_frac = d * num.hi.as_fraction() / den.lo.as_fraction()
+    r = rational_to_dyadic(r_frac.numerator, r_frac.denominator, work, up=True)
+    re = DyadicInterval((z.re.lo - r).round_down(work), (z.re.hi + r).round_up(work))
+    im = DyadicInterval((z.im.lo - r).round_down(work), (z.im.hi + r).round_up(work))
+    if im.lo.sign() <= 0:
+        return None
+    return re, im
+
+
+def _pairs_admissible(pairs, target: Dyadic) -> bool:
+    for re, im in pairs:
+        if re.width() > target or im.width() > target:
+            return False
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            if pairs[i][0].intersects(pairs[j][0]) and pairs[i][1].intersects(pairs[j][1]):
+                return False
+    return True
+
+
+def _certified_pairs(p: IntPoly, seeds: list[complex], precision: int):
+    """Boxes around the roots near ``seeds`` (upper half plane), polished and
+    certified, in the order of the seeds."""
+    target = Dyadic(1, -precision)
+    d = p.degree()
+    work = max(64, precision + 16)
+    for attempt in range(8):
+        pairs = []
+        for z in seeds:
+            zr = Fraction(z.real).limit_denominator(1 << 40)
+            zi = Fraction(z.imag).limit_denominator(1 << 40)
+            zr, zi = _newton_polish_complex(p, (zr, zi), steps=6 + attempt * 2, bits=2 * work)
+            box = _certify_disk(p, zr, zi, d, work)
+            if box is None:
+                break
+            pairs.append(box)
+        else:
+            if _pairs_admissible(pairs, target):
+                return pairs
+        work *= 2
+    raise PrecisionInsufficient("complex conjugate enclosures failed to certify")
+
+
+def _box_order(a, b) -> int:
+    """Boxes by real part; by imaginary part where the real parts overlap.
+
+    Pairwise disjoint boxes differ in one of the two, and the order depends on
+    the certified enclosures alone, not on the noise in the float seeds.
+    """
+    for x, y in zip(a, b):
+        if x.hi < y.lo:
+            return -1
+        if y.hi < x.lo:
+            return 1
+    return 0
+
+
+def complex_root_boxes(p: IntPoly, n_pairs: int, precision: int) -> list[tuple[DyadicInterval, DyadicInterval]]:
+    """(re, im) boxes of width <= 2**-precision around the roots of p with
+    positive imaginary part, pairwise disjoint, ordered by :func:`_box_order`.
+
+    ``n_pairs`` is the number of conjugate pairs of the squarefree p (its
+    degree less its real-root count, halved).  Each box holds a root by the
+    disk bound d*|p(z)/p'(z)|; disjoint boxes hold distinct roots, so the n
+    boxes hold all of them.
+    """
+    if not n_pairs:
+        return []
+    upper = sorted(_aberth_roots(p), key=lambda z: z.imag)[-n_pairs:]
+    return sorted(_certified_pairs(p, upper, precision), key=cmp_to_key(_box_order))
+
+
+# ---------------------------------------------------------------------------
+# factoring over Z by certified root subsets
+# ---------------------------------------------------------------------------
+
+def _bisect_root(p: IntPoly, iv: DyadicInterval, prec: int) -> DyadicInterval:
+    """The root of p that ``iv`` isolates, bisected to width <= 2**-prec.
+
+    Bisection on exact signs keeps the endpoints at most prec bits past the
+    isolating ones.  refine_root sizes its Newton steps from the width's
+    exponent and can return mantissas of 10**5 bits, taking seconds at 64
+    bits.
+    """
+    lo, hi = iv.lo, iv.hi
+    s_lo = p.eval_dyadic(lo).sign()
+    target = Dyadic(1, -prec)
+    while hi - lo > target:
+        mid = (lo + hi).scaled(-1)
+        s = p.eval_dyadic(mid).sign()
+        if s == 0:
+            return DyadicInterval(mid, mid)
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return DyadicInterval(lo, hi)
+
+
+def _root_units(p: IntPoly, isolating: list[DyadicInterval], n_pairs: int, prec: int):
+    """Each real root and each conjugate pair of p as its monic factor with
+    interval coefficients, and the floor and ceiling of 2**prec times the
+    trace of its roots, from root enclosures of width at most 2**-prec."""
+    one = singleton(1)
+    units = []
+    for iv in isolating:
+        r = _bisect_root(p, iv, prec)
+        units.append(((-r, one), r))
+    for re, im in complex_root_boxes(p, n_pairs, prec):
+        units.append(((re * re + im * im, -(re * 2), one), re * 2))
+    return [(f, (t.lo.scaled(prec).floor(), -(-t.hi).scaled(prec).floor())) for f, t in units]
+
+
+def _subsets(active: list[int], n_real: int, k: int):
+    """Every set of ``active`` units holding k roots: units below ``n_real``
+    are real roots, the others conjugate pairs."""
+    reals = [u for u in active if u < n_real]
+    pairs = [u for u in active if u >= n_real]
+    for q in range(min(k // 2, len(pairs)) + 1):
+        for rs in combinations(reals, k - 2 * q):
+            for ps in combinations(pairs, q):
+                yield rs + ps
+
+
+def _exact_quotient(a: tuple[int, ...], b: list[int]) -> tuple[int, ...] | None:
+    """a / b for a monic b when b divides a over Z, else None."""
+    a = list(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for s in range(len(q) - 1, -1, -1):
+        c = q[s] = a[s + db]
+        if c:
+            for i in range(db):
+                a[s + i] -= c * b[i]
+    return None if any(a[:db]) else tuple(q)
+
+
+def _subset_factor(units, subset, rest: tuple[int, ...], prec: int):
+    """(factor, rest / factor) when the roots in ``subset`` form a factor of
+    ``rest``, False when they do not, None when the enclosures cannot tell."""
+    lo = sum(units[u][1][0] for u in subset)
+    hi = sum(units[u][1][1] for u in subset)
+    if -((-lo) >> prec) > hi >> prec:  # the trace must enclose an integer
+        return False
+    prod = [singleton(1)]
+    for u in subset:
+        f = units[u][0]
+        out = [singleton(0)] * (len(prod) + len(f) - 1)
+        for i, x in enumerate(prod):
+            for j, y in enumerate(f):
+                out[i + j] = out[i + j] + x * y
+        prod = out
+    cand, decided = [], True
+    for c in prod:
+        least, most = -((-c.lo).floor()), c.hi.floor()
+        if least > most:
+            return False
+        decided = decided and least == most
+        cand.append(least)
+    if not decided:
+        return None
+    quotient = _exact_quotient(rest, cand)
+    return False if quotient is None else (IntPoly(tuple(cand)), quotient)
+
+
+def irreducible_factors(p: IntPoly) -> list[IntPoly]:
+    """The monic irreducible factors over Z of a monic squarefree p, by degree.
+
+    A monic factor of p is the product of (x - r) over a conjugation-closed
+    set of its roots and has integer coefficients; conversely such a product
+    with integer coefficients divides p.  The roots are enclosed rigorously
+    (Sturm isolation and bisection on exact signs for real roots, certified
+    disks for complex pairs) and the sets of at most half the remaining degree are
+    tried in increasing size, so each factor found is irreducible.  A set is
+    rejected when its trace, then some coefficient of its product, encloses
+    no integer; otherwise exact division confirms or rejects the rounded
+    product.  The enclosures start at a precision taken from the Mignotte
+    bound and are refined to twice the precision while a set stays undecided.
+    Callers strip the sign and content: a primitive p that is not monic has a
+    factor that is not monic, and raises ``ValueError`` here.
+    """
+    if not p.is_monic():
+        raise ValueError(f"{p!r} is not monic")
+    d = p.degree()
+    if d <= 1:
+        return [p] if d == 1 else []
+    isolating = isolate_real_roots(p)  # raises NotSquarefree
+    n_real = len(isolating)
+    n_pairs = (d - n_real) // 2
+    half = d // 2
+    mignotte = math.comb(half, half // 2) * (math.isqrt(sum(c * c for c in p.coeffs)) + 1)
+    prec = mignotte.bit_length() + 16
+    units = _root_units(p, isolating, n_pairs, prec)
+    factors, rest, active, k = [], p.coeffs, list(range(n_real + n_pairs)), 1
+    while 2 * k < len(rest):
+        for subset in _subsets(active, n_real, k):
+            verdict = _subset_factor(units, subset, rest, prec)
+            while verdict is None:
+                prec *= 2
+                units = _root_units(p, isolating, n_pairs, prec)
+                verdict = _subset_factor(units, subset, rest, prec)
+            if verdict:
+                factor, rest = verdict
+                factors.append(factor)
+                active = [u for u in active if u not in subset]
+                break
+        else:
+            k += 1
+    factors.append(IntPoly(rest))
+    return sorted(factors, key=lambda f: (f.degree(), f.coeffs))

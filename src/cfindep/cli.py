@@ -19,10 +19,18 @@ from fractions import Fraction
 
 from . import __version__
 from .bigreal.dyadic import Dyadic, rational_to_dyadic
-from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div
+from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div, singleton
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples
-from .cfcore import advance, determinant_value, enclose_value, initial_state, scalar_is_zero
+from .cfcore import (
+    advance,
+    determinant_value,
+    enclose_value,
+    initial_state,
+    run_recurrence,
+    scalar_enclosure,
+    scalar_is_zero,
+)
 from .criteria import HypothesisReport, Thm1Config, check_all
 from .errors import (
     CFIndepError,
@@ -38,7 +46,7 @@ from .lemmas import (
     run_lemma2_suite,
     run_lemma3_suite,
 )
-from .numfield import NumberField, field_new
+from .numfield import FieldElement, NumberField, field_new
 from .relation import find_relation, find_relation_over_field
 from .reportfmt import dumps_report, fraction_str, interval_payload, scalar_payload
 from .sequences import CFSpec, parse_int, parse_rational, parse_sequence, spec as make_spec
@@ -258,8 +266,6 @@ def _task_convergents(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
 
 
 def _scalar_bits(x) -> int:
-    from .numfield import FieldElement
-
     if isinstance(x, FieldElement):
         return max(abs(c.numerator).bit_length() for c in x.coords)
     if isinstance(x, Fraction):
@@ -363,8 +369,6 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
         if use == "limit":
             values.append(enclose_value(s, n_trunc, prec + 48).value)
         else:
-            from .cfcore import run_recurrence, scalar_enclosure
-
             st = run_recurrence([s.quotient(k, prec + 48) for k in range(1, n_trunc + 1)])[-1]
             if isinstance(st.q_cur, DyadicInterval):
                 values.append(iv_div(st.p_cur, st.q_cur, prec + 48))
@@ -374,8 +378,6 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     if expand and fld is not None:
         res = find_relation_over_field(values, fld, height, prec)
     else:
-        from .bigreal.interval import singleton
-
         res = find_relation(values + [singleton(1)], height, prec)
     result = {
         "status": res.status,

@@ -10,6 +10,7 @@ rounding slack.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,8 +237,6 @@ class SuiteResult:
 
 
 def _random_modulus_point(rng: random.Random, lo: float, hi: float) -> GaussianRational:
-    import math
-
     while True:
         m = rng.uniform(lo, hi)
         phi = rng.uniform(0.0, 2.0 * math.pi)

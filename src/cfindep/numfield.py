@@ -8,6 +8,7 @@ refinement, complex conjugate pairs via certified inclusion disks).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     ComplexInterval,
     DyadicInterval,
+    from_fraction,
     iv_abs,
     iv_add,
     iv_max,
@@ -27,12 +29,15 @@ from .bigreal.poly import (
     _qdeg,
     _qdivmod,
     _qtrim,
+    complex_root_boxes,
     irreducible_factors,
+    is_squarefree,
     isolate_real_roots,
     qpoly_eval_complex,
     qpoly_eval_interval,
     refine_root,
     resultant,
+    sturm_count,
 )
 from .errors import (
     DivisionByZero,
@@ -61,10 +66,8 @@ MAX_FIELD_DEGREE = 8
 
 
 def _is_irreducible_over_q(p: IntPoly) -> bool:
-    if p.degree() == 1:
-        return True
-    factors = irreducible_factors(p)
-    return len(factors) == 1 and factors[0][1] == 1
+    """For a monic p: squarefree and a single irreducible factor."""
+    return p.degree() == 1 or (is_squarefree(p) and len(irreducible_factors(p)) == 1)
 
 
 class NumberField:
@@ -138,8 +141,6 @@ def field_new(minpoly: IntPoly, root_hint: DyadicInterval) -> NumberField:
         raise ValueError(f"degree {minpoly.degree()} exceeds supported bound {MAX_FIELD_DEGREE}")
     if not _is_irreducible_over_q(minpoly):
         raise Reducible(f"{minpoly!r} factors over Q")
-    from .bigreal.poly import sturm_count
-
     if sturm_count(minpoly, root_hint) != 1:
         raise RootNotIsolated(f"{root_hint!r} does not isolate exactly one root of {minpoly!r}")
     return NumberField(minpoly, root_hint)
@@ -346,38 +347,6 @@ class EmbeddingSet:
         return len(self.real_roots) + 2 * len(self.complex_pairs)
 
 
-def _newton_polish_complex(p: IntPoly, z: tuple[Fraction, Fraction], steps: int, bits: int):
-    dp = p.derivative()
-    zr, zi = z
-    for _ in range(steps):
-        pr, pi = _ceval(p, zr, zi)
-        dr, di = _ceval(dp, zr, zi)
-        den = dr * dr + di * di
-        if den == 0:
-            break
-        wr = (pr * dr + pi * di) / den
-        wi = (pi * dr - pr * di) / den
-        zr, zi = zr - wr, zi - wi
-        zr = Fraction((zr.numerator << bits) // zr.denominator, 1 << bits)
-        zi = Fraction((zi.numerator << bits) // zi.denominator, 1 << bits)
-    return zr, zi
-
-
-def _ceval(p: IntPoly, zr: Fraction, zi: Fraction) -> tuple[Fraction, Fraction]:
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        ar, ai = ar * zr - ai * zi + c, ar * zi + ai * zr
-    return ar, ai
-
-
-def _complex_seed_roots(p: IntPoly) -> list[complex]:
-    import numpy as np
-
-    scale = max(abs(c) for c in p.coeffs)
-    coeffs = [float(Fraction(c, scale)) for c in reversed(p.coeffs)]
-    return [complex(z) for z in np.roots(coeffs)]
-
-
 def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
     """Enclosures of all D conjugates, pairwise disjoint, at the given precision."""
     cached = field._embedding_cache.get(precision)
@@ -399,66 +368,10 @@ def embeddings(field: NumberField, precision: int) -> EmbeddingSet:
         raise RootNotIsolated("distinguished root lost during refinement")
     ordered = [refined[dist_idx]] + refined[:dist_idx] + refined[dist_idx + 1 :]
 
-    n_pairs = (d - len(refined)) // 2
-    pairs: list[tuple[DyadicInterval, DyadicInterval]] = []
-    if n_pairs:
-        seeds = [z for z in _complex_seed_roots(p) if z.imag > 0]
-        seeds.sort(key=lambda z: (z.real, z.imag))
-        if len(seeds) != n_pairs:  # pragma: no cover
-            raise PrecisionInsufficient("seed roots did not split into conjugate pairs")
-        work = max(64, precision + 16)
-        for attempt in range(8):
-            pairs = []
-            ok = True
-            for z in seeds:
-                zr = Fraction(z.real).limit_denominator(1 << 40)
-                zi = Fraction(z.imag).limit_denominator(1 << 40)
-                zr, zi = _newton_polish_complex(p, (zr, zi), steps=6 + attempt * 2, bits=2 * work)
-                box = _certify_disk(p, zr, zi, d, work)
-                if box is None:
-                    ok = False
-                    break
-                pairs.append(box)
-            if ok and _pairs_admissible(pairs, target):
-                break
-            work *= 2
-        else:  # pragma: no cover
-            raise PrecisionInsufficient("complex conjugate enclosures failed to certify")
-
+    pairs = complex_root_boxes(p, (d - len(refined)) // 2, precision)
     out = EmbeddingSet(field, tuple(ordered), tuple(pairs), precision)
     field._embedding_cache[precision] = out
     return out
-
-
-def _certify_disk(p: IntPoly, zr: Fraction, zi: Fraction, d: int, work: int):
-    """Inclusion box from the disk bound r = d*|p(z)/p'(z)|, or None."""
-    z = ComplexInterval.from_rationals(zr, zi, work)
-    pv = qpoly_eval_complex([Fraction(c) for c in p.coeffs], z, work)
-    dv = qpoly_eval_complex([Fraction(c) for c in p.derivative().coeffs], z, work)
-    num = pv.abs_interval(work)
-    den = dv.abs_interval(work)
-    if den.lo.sign() <= 0:
-        return None
-    r_frac = d * num.hi.as_fraction() / den.lo.as_fraction()
-    from .bigreal.dyadic import rational_to_dyadic
-
-    r = rational_to_dyadic(r_frac.numerator, r_frac.denominator, work, up=True)
-    re = DyadicInterval((z.re.lo - r).round_down(work), (z.re.hi + r).round_up(work))
-    im = DyadicInterval((z.im.lo - r).round_down(work), (z.im.hi + r).round_up(work))
-    if im.lo.sign() <= 0:
-        return None
-    return re, im
-
-
-def _pairs_admissible(pairs, target: Dyadic) -> bool:
-    for re, im in pairs:
-        if re.width() > target or im.width() > target:
-            return False
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0].intersects(pairs[j][0]) and pairs[i][1].intersects(pairs[j][1]):
-                return False
-    return True
 
 
 def sigma_eval(e: EmbeddingSet, x: FieldElement, i: int) -> tuple[DyadicInterval, DyadicInterval]:
@@ -486,8 +399,6 @@ def house(x: FieldElement, precision: int) -> DyadicInterval:
         return singleton(0)
     if x.is_rational():
         c = abs(x.coords[0])
-        from .bigreal.interval import from_fraction
-
         return from_fraction(c, precision + 8)
     work = precision + 8
     for _ in range(10):
@@ -566,9 +477,7 @@ def norm_exact(x: FieldElement) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _sqfree_mul(d1: int, d2: int) -> tuple[int, int]:
-    from math import gcd
-
-    g = gcd(d1, d2)
+    g = math.gcd(d1, d2)
     return g, (d1 // g) * (d2 // g)
 
 
@@ -636,8 +545,6 @@ def multiquadratic_field(primes: tuple[int, ...]):
             while j0 % (p * p) == 0:
                 j0 //= p * p
                 m *= p
-        import math
-
         s = math.isqrt(j0)
         if s * s == j0:
             return field.from_rational(m * s)

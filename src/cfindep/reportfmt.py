@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
-from .bigreal.interval import DyadicInterval
+from .bigreal.interval import DyadicInterval, from_fraction
 from .numfield import FieldElement
 
 __all__ = [
@@ -131,8 +131,6 @@ def scalar_payload(x, sig: int = _SIG_DEFAULT) -> dict:
         return {"decimal": interval_payload(x, sig)}
     fr = Fraction(x)
     bits = max(96, fr.numerator.bit_length() - fr.denominator.bit_length() + 64)
-    from .bigreal.interval import from_fraction
-
     return {"exact": fraction_str(fr), "decimal": interval_payload(from_fraction(fr, bits), sig)}
 
 

@@ -19,7 +19,14 @@ from typing import Callable
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import DyadicInterval, from_fraction, iv_add, iv_div, iv_sqrt, singleton
-from .bigreal.poly import IntPoly, irreducible_factors, is_squarefree, sturm_count
+from .bigreal.poly import (
+    IntPoly,
+    irreducible_factors,
+    is_squarefree,
+    isolate_real_roots,
+    refine_root,
+    sturm_count,
+)
 from .errors import (
     BitBudgetExceeded,
     RootsNotRealDistinctGreaterOne,
@@ -46,9 +53,12 @@ __all__ = [
     "sqrt2_field",
     "phi_field",
     "MAX_QUOTIENT_BITS",
+    "MAX_ROOT_FAMILY_DEGREE",
 ]
 
 MAX_QUOTIENT_BITS = 10 ** 6
+# root subsets of a degree-16 polynomial number about 2**15
+MAX_ROOT_FAMILY_DEGREE = 16
 
 
 def _pow2(e: int) -> Fraction:
@@ -220,29 +230,32 @@ def gen_doubly_exponential(d: int, n: int, c: int = 1) -> Fraction:
 def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
     """CFSpecs for alpha_j * a_n over all real roots alpha_j of p, ascending.
 
-    Requires every root of p to be real, simple, and greater than 1, and every
-    irreducible factor to be monic (so the roots are algebraic integers).
+    Requires every root of p to be real, simple, and greater than 1, the
+    degree to be at most ``MAX_ROOT_FAMILY_DEGREE``, and p to be an integer
+    multiple of a monic polynomial, so that every irreducible factor is
+    monic (the roots are algebraic integers).
     """
     deg = p.degree()
     if deg < 1:
         raise RootsNotRealDistinctGreaterOne("polynomial must be nonconstant")
+    if deg > MAX_ROOT_FAMILY_DEGREE:
+        raise RootsNotRealDistinctGreaterOne(f"degree {deg} exceeds {MAX_ROOT_FAMILY_DEGREE}")
     if not is_squarefree(p):
         raise RootsNotRealDistinctGreaterOne("repeated roots")
     bound = p.cauchy_root_bound()
     window = DyadicInterval(Dyadic(1), Dyadic(bound))
     if sturm_count(p, window) - (1 if p.eval_fraction(Fraction(1)) == 0 else 0) != deg:
         raise RootsNotRealDistinctGreaterOne("roots must all be real and > 1")
-    from .bigreal.poly import isolate_real_roots, refine_root
-
+    scale = math.gcd(*p.coeffs) * (1 if p.leading() > 0 else -1)
+    p = IntPoly(tuple(c // scale for c in p.coeffs))
+    if not p.is_monic():
+        raise RootsNotRealDistinctGreaterOne(f"{p!r} is not monic, so one of its factors is not")
     factors = irreducible_factors(p)
-    for f, _ in factors:
-        if not f.is_monic():
-            raise RootsNotRealDistinctGreaterOne(f"factor {f!r} is not monic")
     roots = isolate_real_roots(p)
     out = []
     for iv in roots:
         owner = None
-        for f, _ in factors:
+        for f in factors:
             if f.degree() >= 1 and f.eval_dyadic(iv.lo).sign() * f.eval_dyadic(iv.hi).sign() < 0:
                 owner = f
                 break

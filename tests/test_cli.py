@@ -273,6 +273,10 @@ _CONVERGENTS = {"task": "convergents", "params": {"N": 2}}
     ({**_CONVERGENTS, "sequences": {"s": {"kind": "divisor-sqrt2", "variant": "2d",
                                          "base": {"kind": "constant", "value": 2}}}},
      "variant must be"),
+    ({**_CONVERGENTS, "sequences": {"s": {"kind": "root-scaled", "root_index": 1,
+                                         "poly": [-(2 ** 17)] + [0] * 16 + [1],
+                                         "base": {"kind": "constant", "value": 2}}}},
+     "degree 17 exceeds 16"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
     rc = _run_config(tmp_path, args) if isinstance(args, dict) else main(args)

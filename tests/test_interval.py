@@ -178,6 +178,39 @@ def test_containment_against_rational_oracle():
         assert iv_abs(xi).contains(abs(x))
 
 
+def test_contains_across_huge_exponents():
+    # decided from signs and leading-bit positions: as_fraction() of an
+    # endpoint 2**(2**70) raised OverflowError
+    span = DyadicInterval(Dyadic(-1, 0), Dyadic(1, 2 ** 70))
+    assert span.contains(Dyadic(3, -5)) and span.contains(Fraction(1, 3)) and span.contains(7)
+    assert not span.contains(Dyadic(-3, -1)) and not span.contains(Fraction(-4, 3))
+    assert not span.contains(Dyadic(1, 2 ** 70 + 1))
+    tiny = DyadicInterval(Dyadic(1, -2 ** 70), Dyadic(1, -2 ** 69))
+    assert not tiny.contains(Fraction(1, 3)) and not tiny.contains(0) and not tiny.contains(-1)
+    with pytest.raises(TypeError):
+        span.contains(0.5)
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 6),
+    st.builds(Dyadic, st.integers(-10 ** 6, 10 ** 6), st.integers(-80, 80)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-80, 80), st.integers(0, 10 ** 6),
+       st.integers(-80, 80), _RATIONALS)
+@example(-1, 0, 1, 0, Fraction(1, 2))
+@example(1, -2, 1, -1, Fraction(1, 4))
+@example(3, -3, 1, -1, Fraction(1, 2))
+def test_contains_matches_fractions(m, e, w, we, x):
+    lo = Dyadic(m, e)
+    iv = DyadicInterval(lo, lo + Dyadic(w, we))
+    f = x.as_fraction() if isinstance(x, Dyadic) else Fraction(x)
+    assert iv.contains(x) == (iv.lo.as_fraction() <= f <= iv.hi.as_fraction())
+
+
 def test_width_control_and_precision_doubling():
     # composing k ops at precision P: width <= 2^(k+2-P) * magnitude
     def chain(p):

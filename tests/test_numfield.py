@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, iv_mul
-from cfindep.bigreal.poly import IntPoly, refine_root
+from cfindep.bigreal.poly import IntPoly, _certified_pairs, complex_root_boxes, isolate_real_roots, refine_root
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
 from cfindep import numfield
 from cfindep.numfield import (
@@ -135,6 +137,51 @@ def test_embeddings_cubic_complex_pair():
         c = mpmath.cbrt(2)
         value = 1 + c + c * c
         assert mpmath.ldexp(h.lo.man, h.lo.exp) <= value <= mpmath.ldexp(h.hi.man, h.hi.exp)
+
+
+def _numpy_seeds(p: IntPoly) -> list[complex]:
+    """The np.roots seeds of the complex pairs, in the order embeddings took
+    them before the Aberth iteration replaced them."""
+    scale = max(abs(c) for c in p.coeffs)
+    coeffs = [float(Fraction(c, scale)) for c in reversed(p.coeffs)]
+    upper = [z for z in map(complex, np.roots(coeffs)) if z.imag > 0]
+    return sorted(upper, key=lambda z: (z.real, z.imag))
+
+
+# Q(cbrt 2); x^6 - 6x + 2 (Eisenstein at 2; two real roots, two pairs);
+# x^4 + 3x^2 + 1 (pairs i*phi and i/phi, both of real part 0) and x^6 + 3x^4 - 1
+# (two real roots, two purely imaginary pairs), where the seeds' real parts
+# differ only by float noise.  The interval isolates the field's real root.
+_COMPLEX_FIELDS = {
+    "cbrt2": (IntPoly.of(-2, 0, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2))),
+    "sextic": (IntPoly.of(2, -6, 0, 0, 0, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2))),
+    "imaginary4": (IntPoly.of(1, 0, 3, 0, 1), None),
+    "imaginary6": (IntPoly.of(-1, 0, 0, 0, 3, 0, 1), DyadicInterval(Dyadic(1, -1), Dyadic(1))),
+}
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(sorted(_COMPLEX_FIELDS)), st.integers(64, 1024))
+@example("cbrt2", 1024)
+@example("sextic", 1024)
+@example("imaginary4", 1024)
+@example("imaginary6", 1024)
+def test_complex_roots_match_numpy_seeded_path(name, prec):
+    p, _ = _COMPLEX_FIELDS[name]
+    n_pairs = (p.degree() - len(isolate_real_roots(p))) // 2
+    assert complex_root_boxes(p, n_pairs, prec) == _certified_pairs(p, _numpy_seeds(p), prec)
+
+
+# full embeddings only where the real roots refine quickly: refine_root takes
+# about 4 s for the sextic's real roots at 1024 bits
+@pytest.mark.parametrize("name, prec", [
+    ("cbrt2", 64), ("cbrt2", 256), ("cbrt2", 1024), ("sextic", 64), ("sextic", 200),
+    ("imaginary6", 64), ("imaginary6", 200)])
+def test_embeddings_match_numpy_seeded_path(name, prec):
+    p, root_iv = _COMPLEX_FIELDS[name]
+    e = embeddings(field_new(p, root_iv), prec)
+    assert len(e.complex_pairs) == (p.degree() - len(e.real_roots)) // 2 > 0
+    assert list(e.complex_pairs) == _certified_pairs(p, _numpy_seeds(p), prec)
 
 
 def test_sigma_eval_examples():

@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval
 from cfindep.bigreal.poly import (
     IntPoly,
+    _aberth_roots,
+    irreducible_factors,
     isolate_real_roots,
     is_squarefree,
     refine_root,
@@ -134,3 +139,126 @@ def test_refine_root_against_numpy_roots():
         for iv, r in zip(isolated, true_roots):
             tight = refine_root(p, iv, Dyadic(1, -60))
             assert float(tight.lo) - 1e-6 <= r <= float(tight.hi) + 1e-6
+
+
+# -- factoring over Z against sympy ------------------------------------------
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _product(factors) -> IntPoly:
+    p = [1]
+    for f in factors:
+        p = _mul(p, list(f))
+    return IntPoly(tuple(p))
+
+
+def _sympy_factors(p: IntPoly) -> list[IntPoly]:
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ").factor_list()
+    assert all(mult == 1 for _, mult in factors)
+    out = [IntPoly(tuple(int(c) for c in reversed(f.all_coeffs()))) for f, _ in factors]
+    return sorted(out, key=lambda f: (f.degree(), f.coeffs))
+
+
+@st.composite
+def _monic_products(draw, max_degree):
+    """Products of random monic factors, total degree 1..max_degree."""
+    left = draw(st.integers(1, max_degree))
+    factors = []
+    while left:
+        k = draw(st.integers(1, left))
+        factors.append(draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k)) + [1])
+        left -= k
+    return _product(factors)
+
+
+# totally real irreducibles: 2cos(2pi/7), 2cos(2pi/9), sqrt2 + sqrt3,
+# sqrt(2 + sqrt2), 2cos(2pi/11)
+_TOTALLY_REAL = ((-1, -2, 1, 1), (1, -3, 0, 1), (1, 0, -10, 0, 1), (2, 0, -4, 0, 1),
+                 (-1, 3, 3, -4, -1, 1))
+
+
+def _shifted(f, s):
+    """f(x - s)."""
+    out = [0]
+    for c in reversed(f):
+        out = _mul(out, [-s, 1])
+        out[0] += c
+    return out
+
+
+_REAL_FACTOR = st.one_of(
+    st.builds(lambda a: [-a, 1], st.integers(-9, 9)),
+    st.builds(lambda b, c: [c, b, 1], st.integers(-9, 9), st.integers(-20, 20))
+    .filter(lambda f: f[1] ** 2 > 4 * f[0]),
+    st.builds(_shifted, st.sampled_from(_TOTALLY_REAL), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def _totally_real_products(draw, max_degree):
+    factors, degree = [], 0
+    for f in draw(st.lists(_REAL_FACTOR, min_size=1, max_size=8)):
+        if degree + len(f) - 1 <= max_degree:
+            factors.append(f)
+            degree += len(f) - 1
+    return _product(factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monic_products(8))
+@example(IntPoly.of(-2, 0, 0, 1))
+@example(IntPoly.of(1, 0, 0, 0, 1))  # x^4 + 1: irreducible, reducible mod every prime
+@example(_product([[2, 0, 1], [3, 0, 1]]))  # two pairs, no real root
+@example(IntPoly.of(40, 42, -125, 133, -87, 33, -9, 1))  # a real root of 5 far from the rest
+@example(IntPoly.of(-100548, 11668, 42077, 3695, 107, 1))  # Newton refinement took minutes
+def test_factors_match_sympy(p):
+    assume(is_squarefree(p))
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_totally_real_products(16))
+@example(_product([_TOTALLY_REAL[2], _TOTALLY_REAL[3], _shifted(_TOTALLY_REAL[2], 1),
+                   _shifted(_TOTALLY_REAL[3], -2)]))
+def test_totally_real_factors_match_sympy(p):
+    assume(is_squarefree(p))
+    assert irreducible_factors(p) == _sympy_factors(p)
+
+
+def test_factoring_edge_cases():
+    assert irreducible_factors(IntPoly.of(1)) == []
+    assert irreducible_factors(IntPoly.of(-7, 1)) == [IntPoly.of(-7, 1)]
+    assert irreducible_factors(IntPoly.of(0, -1, 0, 1)) == [
+        IntPoly.of(-1, 1), IntPoly.of(0, 1), IntPoly.of(1, 1)]
+    with pytest.raises(ValueError):
+        irreducible_factors(IntPoly.of(-2, 0, 2))  # primitive part x^2 - 1 is the caller's job
+    with pytest.raises(NotSquarefree):
+        irreducible_factors(IntPoly.of(1, 2, 1))
+
+
+# -- Aberth seeds against numpy ----------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=8), st.integers(1, 3))
+@example([-2, 0, 0], 1)
+@example([1, 0, 0, 0, 0, 0, 0, 0], 1)
+def test_aberth_seeds_match_numpy_roots(low, lead):
+    p = IntPoly(tuple(low) + (lead,))
+    assume(is_squarefree(p))
+    seeds = _aberth_roots(p)
+    expected = [complex(z) for z in np.roots(list(reversed(p.coeffs)))]
+    assert len(seeds) == len(expected) == p.degree()
+    # match greedily, nearest first; squarefree small-coefficient roots sit
+    # far apart compared with double-precision error
+    left = list(seeds)
+    for z in expected:
+        best = min(left, key=lambda w: abs(w - z))
+        assert abs(best - z) <= 1e-6 * max(1.0, abs(z))
+        left.remove(best)

@@ -3,11 +3,16 @@
 The library reads no environment variable, rebinds no module global, and
 never picks a working precision on the caller's behalf.  The only precision
 parameters with a default are the two ``quotient`` methods, where exact kinds
-need none.
+need none.  It runs on the standard library alone: sympy and numpy are test
+oracles, never imported by the package.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import cfindep
 
@@ -73,3 +78,57 @@ def test_precision_has_no_default():
             for arg in PRECISION_NAMES.intersection(_defaulted(fn.args)):
                 found.append(f"{path}:{fn.lineno} {cls + '.' if cls else ''}{name}({arg}=...)")
     assert found == []
+
+
+def test_no_sympy_or_numpy_import():
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] in ("sympy", "numpy")]
+    assert found == []
+
+
+# A config-built Q(cbrt 2): field_new proves x^3 - 2 irreducible through its
+# certified complex roots, and the embeddings are then computed outright.
+_CBRT2 = {
+    "task": "check-theorem1",
+    "field": {"minpoly": [-2, 0, 0, 1], "root": ["1", "2"]},
+    "sequences": {"big": {"kind": "doubly-exponential", "d": 3},
+                  "small": {"kind": "doubly-exponential", "d": 2}},
+    "params": {"order": ["big", "small"], "N": 3, "precision": 128},
+}
+
+_FRESH_RUN = """
+import contextlib, io, json, pathlib, sys
+from cfindep import cli
+from cfindep.numfield import embeddings
+
+config_path = sys.argv[1]
+runs = [["check-named-example", name, "--N", "3"] for name in ("ex1", "c3", "t2")]
+runs.append(["check-theorem1", "--config", config_path])
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+field = cli._field_from_dict(json.loads(pathlib.Path(config_path).read_text())["field"])
+pairs = embeddings(field, 128).complex_pairs
+print(codes, len(pairs), sorted({"sympy", "numpy"} & set(sys.modules)))
+"""
+
+
+def test_runs_import_neither_sympy_nor_numpy(tmp_path):
+    config = tmp_path / "cbrt2.json"
+    config.write_text(json.dumps(_CBRT2))
+    src = os.path.dirname(os.path.dirname(cfindep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, str(config)], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 1] 1 []"

@@ -128,6 +128,22 @@ def test_polynomial_root_family_rejections():
         polynomial_root_family(IntPoly.of(-2, 0, 1), base)  # root -sqrt2 < 1
     with pytest.raises(RootsNotRealDistinctGreaterOne):
         polynomial_root_family(IntPoly.of(4, -4, 1), base)  # double root
+    with pytest.raises(RootsNotRealDistinctGreaterOne, match="not monic"):
+        polynomial_root_family(IntPoly.of(8, -9, 2), base)  # roots (9 +- sqrt17)/4
+    roots_2_to_18 = [1]
+    for k in range(2, 19):
+        roots_2_to_18 = [a - k * b for a, b in zip([0] + roots_2_to_18, roots_2_to_18 + [0])]
+    with pytest.raises(RootsNotRealDistinctGreaterOne, match="degree 17 exceeds 16"):
+        polynomial_root_family(IntPoly(tuple(roots_2_to_18)), base)
+
+
+def test_polynomial_root_family_strips_sign_and_content():
+    base = spec("constant", value=Fraction(2))
+    monic = polynomial_root_family(IntPoly.of(14, -8, 1), base)
+    for p in (IntPoly.of(28, -16, 2), IntPoly.of(-14, 8, -1)):
+        fam = polynomial_root_family(p, base)
+        assert [s.field.minpoly for s in fam] == [s.field.minpoly for s in monic]
+        assert [s.quotient(2).coords for s in fam] == [s.quotient(2).coords for s in monic]
 
 
 def test_sqrt_j_family():
