@@ -69,10 +69,6 @@ class Dyadic:
     def sign(self) -> int:
         return (self.man > 0) - (self.man < 0)
 
-    def bit_size(self) -> int:
-        """Number of significant bits of the mantissa."""
-        return abs(self.man).bit_length()
-
     def is_integer(self) -> bool:
         return self.exp >= 0
 

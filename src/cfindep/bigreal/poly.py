@@ -31,11 +31,13 @@ from .interval import (
 
 __all__ = [
     "IntPoly",
+    "SturmChain",
     "sturm_count",
     "refine_root",
     "isolate_real_roots",
     "complex_root_boxes",
     "irreducible_factors",
+    "factor_with_roots",
     "resultant",
     "qpoly_eval_interval",
     "qpoly_eval_complex",
@@ -141,51 +143,97 @@ def _to_q(p: IntPoly) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def _qgcd_deg(a: list[Fraction], b: list[Fraction]) -> int:
-    a, b = list(a), list(b)
-    while _qdeg(b) >= 0:
-        a, b = b, _qrem(a, b)
-    return _qdeg(a)
-
-
 def is_squarefree(p: IntPoly) -> bool:
-    if p.degree() <= 1:
-        return p.degree() >= 0 and not p.is_zero()
-    return _qgcd_deg(_to_q(p), _to_q(p.derivative())) == 0
+    try:
+        SturmChain(p)
+    except NotSquarefree:
+        return False
+    return True
 
 
-def _sturm_chain(p: IntPoly) -> list[list[Fraction]]:
-    chain = [_to_q(p), _to_q(p.derivative())]
-    while _qdeg(chain[-1]) > 0:
-        r = _qrem(chain[-2], chain[-1])
-        if _qdeg(r) < 0:
-            break
-        chain.append([-c for c in r])
-    return chain
+def _sign_at(coeffs: tuple[int, ...], x: Dyadic) -> int:
+    """Sign of an integer polynomial at a dyadic point, by integer Horner.
+
+    With x = n / 2**k the loop computes 2**(k*deg) * p(x) exactly.
+    """
+    n, k = (x.man << x.exp, 0) if x.exp >= 0 else (x.man, -x.exp)
+    acc = shift = 0
+    for c in reversed(coeffs):
+        acc = acc * n + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        acc = Fraction(0)
-        for c in reversed(q):
-            acc = acc * x + c
-        if acc:
-            signs.append(1 if acc > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+class SturmChain:
+    """The Sturm sequence of a squarefree integer polynomial, built once.
+
+    Each member is the rational remainder scaled by a positive rational to a
+    primitive integer polynomial, so it has the same signs everywhere and the
+    sign variations are those of the rational chain.  The remainder sequence
+    is Euclid's algorithm on (p, p'), so it also decides squarefreeness.
+    """
+
+    def __init__(self, p: IntPoly):
+        if p.is_zero():
+            raise NotSquarefree("the zero polynomial has repeated roots")
+        chain = [_to_q(p)] + ([_to_q(p.derivative())] if p.degree() > 0 else [])
+        while _qdeg(chain[-1]) > 0:
+            r = _qrem(chain[-2], chain[-1])
+            if _qdeg(r) < 0:
+                raise NotSquarefree(f"{p!r} has repeated roots")
+            chain.append([-c for c in r])
+        self.p = p
+        self.members = [_positive_primitive(q) for q in chain]
+
+    def variations(self, x: Dyadic) -> int:
+        """Sign changes along the chain at x, zeros skipped."""
+        signs = [s for s in (_sign_at(q, x) for q in self.members) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def count(self, interval: DyadicInterval) -> int:
+        """Number of distinct real roots in the closed interval."""
+        count = self.variations(interval.lo) - self.variations(interval.hi)
+        return count + (_sign_at(self.p.coeffs, interval.lo) == 0)
+
+    def isolate(self) -> list[DyadicInterval]:
+        """Disjoint isolating intervals for every real root, ascending.
+
+        Each returned open interval contains exactly one root and p changes
+        sign across it.
+        """
+        p = self.p
+        if p.degree() <= 0:
+            return []
+        bound = p.cauchy_root_bound()  # strictly beyond every root
+        roots: list[DyadicInterval] = []
+        stack = [(Dyadic(-bound), Dyadic(bound))]
+        while stack:
+            a, b = stack.pop()
+            # roots in (a, b]; endpoints of stack entries are never roots,
+            # so this equals the open count
+            n = self.variations(a) - self.variations(b)
+            if n == 0:
+                continue
+            if n == 1:
+                roots.append(DyadicInterval(a, b))
+                continue
+            m = _split_point(p, a, b)
+            stack.append((a, m))
+            stack.append((m, b))
+        roots.sort(key=lambda iv: iv.lo.as_fraction())
+        return roots
+
+
+def _positive_primitive(q: list[Fraction]) -> tuple[int, ...]:
+    den = math.lcm(*(c.denominator for c in q))
+    ints = [c.numerator * (den // c.denominator) for c in q]
+    g = math.gcd(*ints) or 1
+    return tuple(c // g for c in ints)
 
 
 def sturm_count(p: IntPoly, interval: DyadicInterval) -> int:
     """Number of distinct real roots of a squarefree p in the closed interval."""
-    if not is_squarefree(p):
-        raise NotSquarefree(f"{p!r} has repeated roots")
-    chain = _sturm_chain(p)
-    a = interval.lo.as_fraction()
-    b = interval.hi.as_fraction()
-    count = _variations(chain, a) - _variations(chain, b)
-    if p.eval_fraction(a) == 0:
-        count += 1
-    return count
+    return SturmChain(p).count(interval)
 
 
 def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> DyadicInterval:
@@ -254,45 +302,18 @@ def _split_point(p: IntPoly, a: Dyadic, b: Dyadic) -> Dyadic:
     while t < 64:
         for i in range(1, 1 << t, 2):
             m = a + w * Dyadic(i, -t)
-            if p.eval_dyadic(m).sign() != 0:
+            if _sign_at(p.coeffs, m) != 0:
                 return m
         t += 1
     raise NonConvergent("could not find a non-root split point")  # pragma: no cover
 
 
 def isolate_real_roots(p: IntPoly) -> list[DyadicInterval]:
-    """Disjoint isolating intervals for every real root, ascending.
-
-    Requires a squarefree polynomial.  Each returned open interval contains
-    exactly one root and p changes sign across it.
-    """
+    """Disjoint isolating intervals for every real root of a squarefree p,
+    ascending (see ``SturmChain.isolate``)."""
     if p.degree() <= 0:
         return []
-    if not is_squarefree(p):
-        raise NotSquarefree(f"{p!r} has repeated roots")
-    chain = _sturm_chain(p)
-
-    def count_open(a: Dyadic, b: Dyadic) -> int:
-        # roots in (a, b]; endpoints of stack entries are never roots,
-        # so this equals the open count
-        return _variations(chain, a.as_fraction()) - _variations(chain, b.as_fraction())
-
-    bound = p.cauchy_root_bound()  # strictly beyond every root
-    roots: list[DyadicInterval] = []
-    stack = [(Dyadic(-bound), Dyadic(bound))]
-    while stack:
-        a, b = stack.pop()
-        n = count_open(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            roots.append(DyadicInterval(a, b))
-            continue
-        m = _split_point(p, a, b)
-        stack.append((a, m))
-        stack.append((m, b))
-    roots.sort(key=lambda iv: iv.lo.as_fraction())
-    return roots
+    return SturmChain(p).isolate()
 
 
 def resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
@@ -538,11 +559,11 @@ def _bisect_root(p: IntPoly, iv: DyadicInterval, prec: int) -> DyadicInterval:
     bits.
     """
     lo, hi = iv.lo, iv.hi
-    s_lo = p.eval_dyadic(lo).sign()
+    s_lo = _sign_at(p.coeffs, lo)
     target = Dyadic(1, -prec)
     while hi - lo > target:
         mid = (lo + hi).scaled(-1)
-        s = p.eval_dyadic(mid).sign()
+        s = _sign_at(p.coeffs, mid)
         if s == 0:
             return DyadicInterval(mid, mid)
         if s == s_lo:
@@ -621,6 +642,19 @@ def _subset_factor(units, subset, rest: tuple[int, ...], prec: int):
 def irreducible_factors(p: IntPoly) -> list[IntPoly]:
     """The monic irreducible factors over Z of a monic squarefree p, by degree.
 
+    Callers strip the sign and content: a primitive p that is not monic has a
+    factor that is not monic, and raises ``ValueError`` here.  See
+    ``factor_with_roots`` for the method.
+    """
+    if not p.is_monic():
+        raise ValueError(f"{p!r} is not monic")
+    return factor_with_roots(p, isolate_real_roots(p))  # raises NotSquarefree
+
+
+def factor_with_roots(p: IntPoly, isolating: list[DyadicInterval]) -> list[IntPoly]:
+    """``irreducible_factors`` of a monic squarefree p, given isolating
+    intervals of all its real roots in ascending order (``isolate_real_roots``).
+
     A monic factor of p is the product of (x - r) over a conjugation-closed
     set of its roots and has integer coefficients; conversely such a product
     with integer coefficients divides p.  The roots are enclosed rigorously
@@ -631,15 +665,10 @@ def irreducible_factors(p: IntPoly) -> list[IntPoly]:
     no integer; otherwise exact division confirms or rejects the rounded
     product.  The enclosures start at a precision taken from the Mignotte
     bound and are refined to twice the precision while a set stays undecided.
-    Callers strip the sign and content: a primitive p that is not monic has a
-    factor that is not monic, and raises ``ValueError`` here.
     """
-    if not p.is_monic():
-        raise ValueError(f"{p!r} is not monic")
     d = p.degree()
     if d <= 1:
         return [p] if d == 1 else []
-    isolating = isolate_real_roots(p)  # raises NotSquarefree
     n_real = len(isolating)
     n_pairs = (d - n_real) // 2
     half = d // 2

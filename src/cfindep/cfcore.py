@@ -329,9 +329,6 @@ class GaussianRational:
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def as_box(self, prec: int) -> ComplexInterval:
-        return ComplexInterval.from_rationals(self.re, self.im, prec)
-
 
 def complex_cf_eval_exact(zs: list[GaussianRational]) -> GaussianRational:
     if not zs:

@@ -26,23 +26,23 @@ from .bigreal.interval import (
 )
 from .bigreal.poly import (
     IntPoly,
+    SturmChain,
     _qdeg,
     _qdivmod,
     _qtrim,
     complex_root_boxes,
-    irreducible_factors,
-    is_squarefree,
+    factor_with_roots,
     isolate_real_roots,
     qpoly_eval_complex,
     qpoly_eval_interval,
     refine_root,
     resultant,
-    sturm_count,
 )
 from .errors import (
     DivisionByZero,
     FieldMismatch,
     NotMonic,
+    NotSquarefree,
     PrecisionInsufficient,
     Reducible,
     RootNotIsolated,
@@ -63,11 +63,6 @@ __all__ = [
 ]
 
 MAX_FIELD_DEGREE = 8
-
-
-def _is_irreducible_over_q(p: IntPoly) -> bool:
-    """For a monic p: squarefree and a single irreducible factor."""
-    return p.degree() == 1 or (is_squarefree(p) and len(irreducible_factors(p)) == 1)
 
 
 class NumberField:
@@ -139,9 +134,13 @@ def field_new(minpoly: IntPoly, root_hint: DyadicInterval) -> NumberField:
         raise NotMonic(f"{minpoly!r} is not monic")
     if minpoly.degree() > MAX_FIELD_DEGREE:
         raise ValueError(f"degree {minpoly.degree()} exceeds supported bound {MAX_FIELD_DEGREE}")
-    if not _is_irreducible_over_q(minpoly):
+    try:
+        chain = SturmChain(minpoly)
+    except NotSquarefree:
+        raise Reducible(f"{minpoly!r} factors over Q") from None
+    if len(factor_with_roots(minpoly, chain.isolate())) != 1:
         raise Reducible(f"{minpoly!r} factors over Q")
-    if sturm_count(minpoly, root_hint) != 1:
+    if chain.count(root_hint) != 1:
         raise RootNotIsolated(f"{root_hint!r} does not isolate exactly one root of {minpoly!r}")
     return NumberField(minpoly, root_hint)
 

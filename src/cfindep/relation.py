@@ -2,10 +2,25 @@
 
 The reduction is the classical all-integer LLL (Gram determinants d_i and
 scaled coefficients lambda_{i,j}; no floating-point Gram-Schmidt) with the
-Lovasz parameter fixed at delta = 99/100.  A relation search builds the
-standard scaled-value lattice, reduces it in stages of doubling scale, and
-verifies any candidate against the input enclosures at doubled precision
-before reporting it.
+Lovasz parameter fixed at delta = 99/100.  A relation search for m values
+at height H and precision P builds the standard scaled-value lattice, rows
+(c, c . x) for x the midpoints scaled by 2^s, and reduces it in stages whose
+scale s starts at 512 bits (or P, if smaller) and grows by a fixed STEP bits
+up to P, so each reduction sees entries of about s/m + STEP bits.  Any
+candidate from the last stage is verified against the input enclosures at
+doubled precision before it is reported.
+
+After each stage below P the search stops early with ``none_below_height``
+when the Gram determinants d_i of the reduced basis satisfy
+
+    d_{i+1} > (m H^2 + (m H + slack)^2) d_i  for every i,  slack = 2^max(0, s - P//2).
+
+Then every Gram-Schmidt norm^2, and so lambda_1^2, exceeds that bound.  A
+candidate c with 0 < max|c_i| <= H passes the final verification only if
+|c . mid| < 2^-(P//2); rounding the scaled midpoints then gives
+|c . x| < m H + slack, so (c, c . x) would be a lattice vector inside the
+bound.  The full search would therefore have reported ``none_below_height``
+too.
 
 A ``none_below_height`` outcome is an empirical certificate relative to the
 chosen height and precision; it is never a proof of linear independence.
@@ -32,6 +47,10 @@ __all__ = [
 ]
 
 LLL_DELTA = Fraction(99, 100)
+
+# Bits of scale added per stage of a relation search (chosen by timing
+# planted relations of 4 to 9 values at 2048 and 4096 bits).
+STEP = 128
 
 
 def none_wording(height: int, precision: int) -> str:
@@ -163,13 +182,37 @@ def _normalize(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
+def _none(m: int, height: int, precision: int) -> RelationResult:
+    return RelationResult(
+        "none_below_height", None, height, precision, None,
+        none_wording(height, precision), (m, m + 1),
+    )
+
+
+def _rules_out(reduced: list[list[int]], height: int, slack: int) -> bool:
+    """True when the lattice has no vector (c, c . x) with 0 < max|c_i| <= height
+    and |c . x| < m * height + slack.
+
+    Such a vector has norm^2 below bound = m H^2 + (m H + slack)^2, and
+    lambda_1^2 is at least the smallest Gram-Schmidt norm^2 d_{i+1} / d_i.
+    """
+    m = len(reduced)
+    bound = m * height * height + (m * height + slack) ** 2
+    d, _ = _init_gram(reduced)
+    return all(d[i + 1] > bound * d[i] for i in range(m))
+
+
 def find_relation(values: list[DyadicInterval], height: int, precision: int) -> RelationResult:
     """Search for integers c with sum c_i * values_i = 0 and max|c| <= height.
 
-    Inputs must be enclosures of width <= 2**-precision.  Candidates from the
-    reduced lattice are verified in interval arithmetic at doubled precision;
-    ``found`` requires the verified residual to contain zero with width below
-    2**(-precision/2).
+    Inputs must be enclosures of width <= 2**-precision.  The lattice is
+    reduced at scales 512, 512 + STEP, ... and finally ``precision`` bits.
+    Candidates from the last reduction are verified in interval arithmetic at
+    doubled precision; ``found`` requires the verified residual to contain
+    zero with width below 2**(-precision//2).  An earlier stage returns
+    ``none_below_height`` at once when every Gram-Schmidt norm^2 of its
+    reduced basis exceeds m*H^2 + (m*H + slack)^2, the test of the module
+    docstring: no candidate could then pass the verification.
     """
     m = len(values)
     if m < 2:
@@ -181,25 +224,22 @@ def find_relation(values: list[DyadicInterval], height: int, precision: int) -> 
         if v.width() > wmax:
             raise PrecisionTooLow("input enclosure wider than 2^-precision")
 
-    # staged reduction: reuse the transform from smaller scales
     scales = []
     s = min(precision, 512)
     while s < precision:
         scales.append(s)
-        s *= 2
+        s += STEP
     scales.append(precision)
-    transform = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    reduced = None
+    # rows are (c, c . x), so the first m columns of a reduced basis carry
+    # the coefficient vectors into the next, finer stage
+    coeffs = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for s_bits in scales:
         x = _scaled_midpoints(values, s_bits)
-        rows = []
-        for i in range(m):
-            row = [transform[i][j] for j in range(m)]
-            row.append(sum(transform[i][j] * x[j] for j in range(m)))
-            rows.append(row)
-        reduced, u = lll_reduce(rows, with_transform=True)
-        transform = [[sum(u[i][k] * transform[k][j] for k in range(m)) for j in range(m)]
-                     for i in range(m)]
+        reduced = lll_reduce([c + [sum(ci * xi for ci, xi in zip(c, x))] for c in coeffs])
+        coeffs = [row[:m] for row in reduced]
+        if s_bits < precision and _rules_out(reduced, height,
+                                             1 << max(0, s_bits - precision // 2)):
+            return _none(m, height, precision)
 
     # inspect candidates by ascending norm
     order = sorted(range(m), key=lambda i: sum(c * c for c in reduced[i]))
@@ -218,10 +258,7 @@ def find_relation(values: list[DyadicInterval], height: int, precision: int) -> 
                 "verified integer relation; residual enclosure contains zero",
                 (m, m + 1),
             )
-    return RelationResult(
-        "none_below_height", None, height, precision, None,
-        none_wording(height, precision), (m, m + 1),
-    )
+    return _none(m, height, precision)
 
 
 def find_relation_over_field(values: list[DyadicInterval], field: NumberField,

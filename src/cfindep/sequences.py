@@ -19,16 +19,10 @@ from typing import Callable
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import DyadicInterval, from_fraction, iv_add, iv_div, iv_sqrt, singleton
-from .bigreal.poly import (
-    IntPoly,
-    irreducible_factors,
-    is_squarefree,
-    isolate_real_roots,
-    refine_root,
-    sturm_count,
-)
+from .bigreal.poly import IntPoly, SturmChain, factor_with_roots, refine_root
 from .errors import (
     BitBudgetExceeded,
+    NotSquarefree,
     RootsNotRealDistinctGreaterOne,
     UnknownFamily,
 )
@@ -240,18 +234,19 @@ def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
         raise RootsNotRealDistinctGreaterOne("polynomial must be nonconstant")
     if deg > MAX_ROOT_FAMILY_DEGREE:
         raise RootsNotRealDistinctGreaterOne(f"degree {deg} exceeds {MAX_ROOT_FAMILY_DEGREE}")
-    if not is_squarefree(p):
-        raise RootsNotRealDistinctGreaterOne("repeated roots")
-    bound = p.cauchy_root_bound()
-    window = DyadicInterval(Dyadic(1), Dyadic(bound))
-    if sturm_count(p, window) - (1 if p.eval_fraction(Fraction(1)) == 0 else 0) != deg:
-        raise RootsNotRealDistinctGreaterOne("roots must all be real and > 1")
     scale = math.gcd(*p.coeffs) * (1 if p.leading() > 0 else -1)
     p = IntPoly(tuple(c // scale for c in p.coeffs))
+    try:
+        chain = SturmChain(p)
+    except NotSquarefree:
+        raise RootsNotRealDistinctGreaterOne("repeated roots") from None
+    window = DyadicInterval(Dyadic(1), Dyadic(p.cauchy_root_bound()))
+    if chain.count(window) - (1 if p.eval_fraction(Fraction(1)) == 0 else 0) != deg:
+        raise RootsNotRealDistinctGreaterOne("roots must all be real and > 1")
     if not p.is_monic():
         raise RootsNotRealDistinctGreaterOne(f"{p!r} is not monic, so one of its factors is not")
-    factors = irreducible_factors(p)
-    roots = isolate_real_roots(p)
+    roots = chain.isolate()
+    factors = factor_with_roots(p, roots)
     out = []
     for iv in roots:
         owner = None

@@ -163,7 +163,7 @@ def test_complex_exact_matches_interval():
     pts = [GaussianRational.of(Fraction(5, 2), Fraction(-1, 3)),
            GaussianRational.of(Fraction(3), Fraction(2))]
     exact = complex_cf_eval_exact(pts)
-    boxed = complex_cf_eval([p.as_box(96) for p in pts], 96)
+    boxed = complex_cf_eval([ComplexInterval.from_rationals(p.re, p.im, 96) for p in pts], 96)
     assert boxed.re.contains(exact.re) and boxed.im.contains(exact.im)
 
 

@@ -42,6 +42,8 @@ def test_field_new_examples():
     assert p.degree == 2
     with pytest.raises(Reducible):
         field_new(IntPoly.of(-4, 0, 1), DyadicInterval(Dyadic(1), Dyadic(3)))
+    with pytest.raises(Reducible):  # (x + 1)^2: a repeated root
+        field_new(IntPoly.of(1, 2, 1), DyadicInterval(Dyadic(-2), Dyadic(0)))
     with pytest.raises(NotMonic):
         field_new(IntPoly.of(-1, 0, 2), DyadicInterval(Dyadic(0), Dyadic(1)))
     with pytest.raises(RootNotIsolated):

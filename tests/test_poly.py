@@ -10,7 +10,9 @@ from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval
 from cfindep.bigreal.poly import (
     IntPoly,
+    SturmChain,
     _aberth_roots,
+    _sign_at,
     irreducible_factors,
     isolate_real_roots,
     is_squarefree,
@@ -262,3 +264,72 @@ def test_aberth_seeds_match_numpy_roots(low, lead):
         best = min(left, key=lambda w: abs(w - z))
         assert abs(best - z) <= 1e-6 * max(1.0, abs(z))
         left.remove(best)
+
+
+# -- the integer Sturm chain against the rational one -----------------------
+
+def _fraction_chain(p: IntPoly) -> list[list[Fraction]]:
+    """The Sturm sequence of p over Q: p, p', then negated remainders."""
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            coef = a[-1] / b[-1]
+            for i in range(len(b)):
+                a[len(a) - len(b) + i] -= coef * b[i]
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    chain = [[Fraction(c) for c in p.coeffs], [Fraction(c) for c in p.derivative().coeffs]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in rem(chain[-2], chain[-1])])
+    return chain
+
+
+def _fraction_variations(chain, x: Fraction) -> int:
+    signs = []
+    for q in chain:
+        acc = Fraction(0)
+        for c in reversed(q):
+            acc = acc * x + c
+        if acc:
+            signs.append(1 if acc > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+_dyadics = st.builds(Dyadic, st.integers(-(2 ** 40), 2 ** 40), st.integers(-40, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=10), _dyadics, _dyadics)
+def test_sturm_chain_matches_fraction_path(coeffs, a, b):
+    p = IntPoly(tuple(coeffs))
+    assume(p.degree() >= 1 and is_squarefree(p))
+    chain, ref = SturmChain(p), _fraction_chain(p)
+    a, b = min(a, b), max(a, b)
+    for x in (a, b):
+        assert _sign_at(p.coeffs, x) == p.eval_dyadic(x).sign()
+        assert chain.variations(x) == _fraction_variations(ref, x.as_fraction())
+    closed = (_fraction_variations(ref, a.as_fraction()) - _fraction_variations(ref, b.as_fraction())
+              + (p.eval_dyadic(a).sign() == 0))
+    assert sturm_count(p, DyadicInterval(a, b)) == closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=9))
+def test_isolation_unchanged_by_integer_signs(coeffs):
+    p = IntPoly(tuple(coeffs))
+    assume(p.degree() >= 1 and is_squarefree(p))
+    fast = isolate_real_roots(p)
+    with pytest.MonkeyPatch.context() as mp:
+        ref = _fraction_chain(p)
+        mp.setattr(SturmChain, "variations", lambda self, x: _fraction_variations(ref, x.as_fraction()))
+        assert isolate_real_roots(p) == fast
+
+
+def test_sturm_chain_rejects_repeated_roots():
+    for p in (IntPoly.of(0), IntPoly.of(1, 2, 1), IntPoly.of(0, 0, -1, 1)):
+        with pytest.raises(NotSquarefree):
+            SturmChain(p)
+    assert SturmChain(IntPoly.of(5)).count(DyadicInterval(Dyadic(-1), Dyadic(1))) == 0

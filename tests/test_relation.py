@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import from_fraction, iv_add, iv_mul, iv_sqrt, singleton
@@ -10,6 +15,7 @@ from cfindep.errors import PrecisionTooLow, RankDeficient
 from cfindep.numfield import field_new
 from cfindep.relation import (
     LLL_DELTA,
+    _normalize,
     find_relation,
     find_relation_over_field,
     lll_reduce,
@@ -37,28 +43,6 @@ def test_lll_rank_deficient():
         lll_reduce([[1, 2], [2, 4]])
 
 
-def _gso_check(rows, delta):
-    """Exact rational Gram-Schmidt: size reduction + Lovasz at delta."""
-    n = len(rows)
-    ortho = [[Fraction(c) for c in rows[0]]]
-    mu = {}
-    for i in range(1, n):
-        v = [Fraction(c) for c in rows[i]]
-        for j in range(i):
-            denom = sum(x * x for x in ortho[j])
-            m = sum(Fraction(a) * b for a, b in zip(rows[i], ortho[j])) / denom
-            mu[(i, j)] = m
-            v = [x - m * y for x, y in zip(v, ortho[j])]
-        ortho.append(v)
-    for (i, j), m in mu.items():
-        assert abs(m) <= Fraction(1, 2), "size reduction violated"
-    for k in range(1, n):
-        bk = sum(x * x for x in ortho[k])
-        bk1 = sum(x * x for x in ortho[k - 1])
-        m = mu[(k, k - 1)]
-        assert bk >= (delta - m * m) * bk1, "Lovasz condition violated"
-
-
 def test_lll_invariants_random():
     rng = random.Random(17)
     for _ in range(20):
@@ -74,7 +58,7 @@ def test_lll_invariants_random():
             assert got == red[i]
         det = _int_det([r[:] for r in u])
         assert det in (1, -1)
-        _gso_check(red, LLL_DELTA)
+        _lll_conditions_exact(red)
 
 
 def _int_det(m):
@@ -232,4 +216,108 @@ def test_lll_stress_bigger_entries():
         for i in range(n):
             got = [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(n + 1)]
             assert got == red[i]
-        _gso_check(red, LLL_DELTA)
+        _lll_conditions_exact(red)
+
+
+# ---------------------------------------------------------------------------
+# differential oracles
+# ---------------------------------------------------------------------------
+
+def _lll_conditions_exact(rows):
+    """Size reduction and the Lovasz condition at LLL_DELTA, in integers.
+
+    With the Gram matrix G, d_i is the leading i x i minor of G and
+    lambda_{i,j} = d_{j+1} mu_{i,j} is the minor on rows 0..j-1, i and
+    columns 0..j; both are computed by Bareiss, not by the reduction's code.
+    """
+    n = len(rows)
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    d = [1] + [_int_det([row[:i] for row in gram[:i]]) for i in range(1, n + 1)]
+
+    def lam(i, j):
+        return _int_det([gram[k][:j + 1] for k in list(range(j)) + [i]])
+
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
+    for i in range(n):
+        for j in range(i):
+            assert 2 * abs(lam(i, j)) <= d[j + 1], "size reduction violated"
+    for k in range(1, n):
+        lk = lam(k, k - 1)
+        assert den * (d[k + 1] * d[k - 1] + lk * lk) >= num * d[k] * d[k], "Lovasz violated"
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _bases(draw):
+    n = draw(st.integers(2, 6))
+    width = n + draw(st.integers(0, 1))
+    bits = draw(st.sampled_from([4, 12, 20]))  # sympy's lll fails its own size check near 2**52
+    entry = st.integers(-(2 ** bits), 2 ** bits)
+    return [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bases())
+def test_lll_matches_sympy_lattice(rows):
+    try:
+        red, u = lll_reduce(rows, with_transform=True)
+    except RankDeficient:
+        assume(False)
+    n, width = len(rows), len(rows[0])
+    theirs, t = DomainMatrix(rows, (n, width), ZZ).lll_transform(delta=QQ(99, 100))
+    theirs, t = theirs.to_Matrix().tolist(), t.to_Matrix().tolist()
+    # both are unimodular images of the input rows, so they span its lattice
+    assert _mat_mul(u, rows) == red and _int_det(u) in (1, -1)
+    assert _mat_mul(t, rows) == theirs and _int_det(t) in (1, -1)
+
+    def gram_det(m):
+        return _int_det(_mat_mul(m, [list(c) for c in zip(*m)]))
+
+    assert gram_det(red) == gram_det(theirs) == gram_det(rows)
+    _lll_conditions_exact(red)
+
+
+def test_lll_conditions_exact_on_relation_lattices():
+    # the scaled-value lattice of find_relation at 1024 bits, reduced
+    rng = random.Random(99)
+    for m in (3, 5, 7):
+        x = [rng.getrandbits(1024) for _ in range(m)]
+        rows = [[1 if i == j else 0 for j in range(m)] + [x[i]] for i in range(m)]
+        _lll_conditions_exact(lll_reduce(rows))
+
+
+def _planted_values(m, precision, seed):
+    rng = random.Random(seed)
+    bits = precision + 64
+    exact = [Fraction(rng.getrandbits(bits), 2 ** bits) for _ in range(m - 1)]
+    coeffs = [rng.randint(-60, 60) or 1 for _ in range(m - 1)]
+    target = sum(c * x for c, x in zip(coeffs, exact))
+    return [from_fraction(x, bits) for x in exact + [target]]
+
+
+def _pslq(values, height, precision):
+    mpmath.mp.prec = precision
+    xs = [mpmath.mpf((v.midpoint().man, v.midpoint().exp)) for v in values]
+    rel = mpmath.pslq(xs, tol=mpmath.mpf(2) ** -(precision // 2), maxcoeff=height,
+                      maxsteps=10 ** 5)
+    return None if rel is None else _normalize([int(c) for c in rel])
+
+
+@pytest.mark.parametrize("m,precision", [(3, 256), (4, 1024), (5, 2048), (6, 2048),
+                                         (4, 4096), (6, 4096)])
+def test_find_relation_agrees_with_pslq(m, precision):
+    old_prec = mpmath.mp.prec
+    try:
+        planted = _planted_values(m, precision, 7 * m + precision)
+        res = find_relation(planted, 100, precision)
+        assert res.found and res.coefficients == _pslq(planted, 100, precision)
+        rng = random.Random(precision - m)
+        free = [from_fraction(Fraction(rng.getrandbits(precision + 64), 2 ** (precision + 64)),
+                              precision + 64) for _ in range(m)]
+        res = find_relation(free, 100, precision)
+        assert not res.found and _pslq(free, 100, precision) is None
+    finally:
+        mpmath.mp.prec = old_prec

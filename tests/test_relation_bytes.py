@@ -1,9 +1,12 @@
-"""Byte oracle for the relation probes of the benchmark.
+"""Byte oracle and early-stop equivalence for the relation probes.
 
-Runs every ``relation`` operation of the probe workload in-process through
-``cli.main`` and compares the sha256 of its stdout with the digest recorded
-for the same operation id in ``perfbench/reference.json`` (read, never
-written).  The planted configs come from ``perfbench/workloads.py``.
+Runs every ``relation`` operation of the benchmark's probe workload
+in-process through ``cli.main`` and compares the sha256 of its stdout with
+the digest recorded for the same operation id in ``perfbench/reference.json``
+(read, never written).  The planted configs come from
+``perfbench/workloads.py``.  The same operations, plus planted relations that
+keep the lattice short, are then run with the early stop of
+``find_relation`` switched off, and every ``RelationResult`` must be equal.
 """
 
 import contextlib
@@ -11,11 +14,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cfindep import cli
+from cfindep import cli, relation
+from cfindep.bigreal.interval import from_fraction
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +61,91 @@ def test_planted_relation_report_bytes(tmp_path):
         path = tmp_path / f"planted{variant}.json"
         path.write_text(json.dumps(op["config"]), encoding="utf-8")
         assert _stdout_digest(op["argv"] + ["--config", str(path)]) == reference[op["id"]], op["id"]
+
+
+def _relation_results(argv: list[str], monkeypatch) -> list:
+    """Every RelationResult that find_relation returns during one cli run."""
+    seen = []
+    search = relation.find_relation
+
+    def recording(*args):
+        seen.append(search(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(relation, "find_relation", recording)
+        mp.setattr(cli, "find_relation", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    assert seen
+    return seen
+
+
+def _without_stop(run, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(relation, "_rules_out", lambda *args: False)
+        return run()
+
+
+@pytest.mark.parametrize("example,precision", PROBES)
+def test_early_stop_equals_full_search_on_probes(example, precision, monkeypatch):
+    argv = f"relation {example} --N 6 --precision {precision}".split()
+    stopped = _relation_results(argv, monkeypatch)
+    assert stopped == _without_stop(lambda: _relation_results(argv, monkeypatch), monkeypatch)
+    assert [r.status for r in stopped] == ["none_below_height"]
+
+
+def test_early_stop_equals_full_search_on_planted_configs(tmp_path, monkeypatch):
+    workloads = _workloads()
+    for variant in range(workloads.VARIANTS):
+        op = workloads.planted_op(variant)
+        path = tmp_path / f"planted{variant}.json"
+        path.write_text(json.dumps(op["config"]), encoding="utf-8")
+        argv = op["argv"] + ["--config", str(path)]
+        stopped = _relation_results(argv, monkeypatch)
+        assert stopped == _without_stop(lambda: _relation_results(argv, monkeypatch), monkeypatch)
+        assert stopped[0].coefficients == op["expect"]["coefficients"]
+
+
+def _planted(coeffs: list[int], precision: int, seed: int) -> list:
+    """Values x_1..x_k and sum coeffs_i x_i, enclosed to 2**-(precision + 64)."""
+    rng = random.Random(seed)
+    bits = precision + 64
+    exact = [Fraction(rng.getrandbits(bits), 2 ** bits) for _ in coeffs]
+    target = sum(c * x for c, x in zip(coeffs, exact))
+    return [from_fraction(x, bits) for x in exact + [target]]
+
+
+@pytest.mark.parametrize("coeffs,height,precision", [
+    ([7, -3, 5], 100, 1024),          # found after several stages
+    ([101, -4, 9], 100, 1024),        # height H + 1 searched with height H
+    ([-11, 2, 3, 8, 1], 10, 2048),    # height H + 1 with six values
+])
+def test_early_stop_equals_full_search_on_short_vectors(coeffs, height, precision, monkeypatch):
+    values = _planted(coeffs, precision, precision + len(coeffs))
+    verdicts = []
+    rules_out = relation._rules_out
+
+    def recording(*args):
+        verdicts.append(rules_out(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(relation, "_rules_out", recording)
+    stopped = relation.find_relation(values, height, precision)
+    assert verdicts and not any(verdicts)  # the short relation keeps the stop false
+    full = _without_stop(lambda: relation.find_relation(values, height, precision), monkeypatch)
+    assert stopped == full
+    assert stopped.found == (max(map(abs, coeffs)) <= height)
+
+
+def test_early_stop_fires_on_ex1_at_4096_bits(monkeypatch):
+    verdicts = []
+    rules_out = relation._rules_out
+
+    def recording(reduced, height, slack):
+        verdicts.append((slack, rules_out(reduced, height, slack)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(relation, "_rules_out", recording)
+    _relation_results("relation ex1 --N 6 --precision 4096".split(), monkeypatch)
+    assert verdicts == [(1, True)]  # stops after the first, 512-bit stage
