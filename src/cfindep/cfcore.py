@@ -9,6 +9,7 @@ dyadic intervals obtained from consecutive convergents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ __all__ = [
     "error_term_diagnostic",
     "complex_cf_eval",
     "complex_cf_eval_exact",
+    "gaussian_cf",
     "scalar_enclosure",
     "scalar_sign",
     "scalar_is_zero",
@@ -314,26 +316,38 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
-            raise TailContainsZero("exact zero tail in complex CF")
-        return GaussianRational(self.re / d, -self.im / d)
 
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
 
-def complex_cf_eval_exact(zs: list[GaussianRational]) -> GaussianRational:
+def gaussian_cf(zs: list[tuple[int, int]], scale: int) -> tuple[int, int, int, int]:
+    """Backward evaluation of [z0; z1, ..., zn] for z_k = (x_k + i*y_k)/scale.
+
+    Projective and division-free: returns the Gaussian integers A = ar + i*ai
+    and B = br + i*bi, B nonzero, with value A/B.  Each step takes the tail
+    A/B to z + B/A = (Z*A + scale*B)/(scale*A).  Raises TailContainsZero when
+    an intermediate tail is exactly zero.
+    """
     if not zs:
         raise ValueError("empty quotient list")
-    acc = zs[-1]
-    for z in reversed(zs[:-1]):
-        acc = z + acc.inverse()
-    return acc
+    ar, ai = zs[-1]
+    br, bi = scale, 0
+    for x, y in reversed(zs[:-1]):
+        if not (ar or ai):
+            raise TailContainsZero("exact zero tail in complex CF")
+        ar, ai, br, bi = (x * ar - y * ai + scale * br, x * ai + y * ar + scale * bi,
+                          scale * ar, scale * ai)
+    return ar, ai, br, bi
+
+
+def complex_cf_eval_exact(zs: list[GaussianRational]) -> GaussianRational:
+    """Exact [z0; z1, ..., zn]: ``gaussian_cf`` over the lcm of the denominators."""
+    scale = math.lcm(*(c.denominator for z in zs for c in (z.re, z.im)))
+    ar, ai, br, bi = gaussian_cf(
+        [(z.re.numerator * (scale // z.re.denominator), z.im.numerator * (scale // z.im.denominator))
+         for z in zs], scale)
+    n = br * br + bi * bi  # A/B = A*conj(B)/|B|^2
+    return GaussianRational(Fraction(ar * br + ai * bi, n), Fraction(ai * br - ar * bi, n))

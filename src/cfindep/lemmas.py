@@ -31,6 +31,7 @@ from .cfcore import (
     advance,
     complex_cf_eval,
     complex_cf_eval_exact,
+    gaussian_cf,
     initial_state,
     scalar_enclosure,
 )
@@ -109,7 +110,12 @@ class RemarkResult:
     max_ratio: DyadicInterval
     bound: DyadicInterval
     monotone: bool
-    ratios_exact: list[Fraction]
+    N: int
+
+    @property
+    def ratios_exact(self) -> list[Fraction]:
+        """q_{n,a}/q_{n,b} for n = 1..N, recomputed on each read."""
+        return [Fraction(qa, qb) for qa, qb, _ in _remark_steps(self.N)]
 
 
 # Enclosure of prod_{n>=1} (1 + 1/n^2)^2: the partial product to 10^6 terms
@@ -122,29 +128,44 @@ _PRODUCT_BOUND = DyadicInterval(
 )
 
 
+def _remark_steps(N: int):
+    """(q_{n,a}, q_{n,b}, D_n) for n = 1..N, with a_n = n^2 + 1 and b_n = n^2.
+
+    D_n = q_{n,a} q_{n-1,b} - q_{n-1,a} q_{n,b} = X_n - Y_n is positive
+    exactly when the ratio increases at n.  P = q_{n,a} q_{n,b}, X and Y are
+    carried through their own recurrences, so that every step multiplies
+    big integers by small ones only, and the sign of every D_n is checked.
+    Since a_n - b_n = 1, D_n = P_{n-1} - D_{n-1}; from D_1 = 1 < P_1 = 2 and
+    P_n > P_{n-1}, induction gives 0 < D_n < P_n for every n, so the check
+    can only fail on an arithmetic fault, and it raises if it does.
+    """
+    qa_prev, qa, qb_prev, qb = 0, 1, 0, 1  # q_{-1}, q_0 of both sequences
+    p_prev, p, x, y = 0, 1, 0, 0
+    for n in range(1, N + 1):
+        a, b = n * n + 1, n * n
+        qa_prev, qa = qa, a * qa + qa_prev
+        qb_prev, qb = qb, b * qb + qb_prev
+        p_prev, p, x, y = p, a * b * p + a * x + b * y + p_prev, a * p + y, b * p + x
+        if x <= y:
+            raise AssertionError("remark ratio is not increasing")  # pragma: no cover
+        yield qa, qb, x - y
+
+
 def remark_counterexample(N: int) -> RemarkResult:
     """Bounded-ratio counterexample: a_n = n^2 + 1 versus b_n = n^2.
 
-    Exact integer recurrences; every ratio is verified below the enclosed
-    infinite product, and monotonicity of the ratio series is reported.
+    Exact integer recurrences; the ratio series is verified increasing, so
+    its maximum is the last ratio, which is verified below the enclosed
+    infinite product.
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    qa_prev, qa = 1, 2  # q_0, q_1 for a_1 = 2
-    qb_prev, qb = 1, 1
-    ratios = [Fraction(2, 1)]
-    monotone = True
-    for n in range(2, N + 1):
-        qa_prev, qa = qa, (n * n + 1) * qa + qa_prev
-        qb_prev, qb = qb, (n * n) * qb + qb_prev
-        # monotone iff qa * qb_old > qa_old * qb; track against previous ratio
-        if qa * ratios[-1].denominator <= ratios[-1].numerator * qb:
-            monotone = False
-        ratios.append(Fraction(qa, qb))
-    mx = max(ratios)
+    for qa, qb, _ in _remark_steps(N):
+        pass
+    mx = Fraction(qa, qb)
     if not mx < _PRODUCT_BOUND.lo.as_fraction():
         raise AssertionError("ratio exceeded the infinite-product bound")  # pragma: no cover
-    return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, monotone, ratios)
+    return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, True, N)
 
 
 # ---------------------------------------------------------------------------
@@ -236,57 +257,80 @@ class SuiteResult:
         return self.passed == self.trials
 
 
-def _random_modulus_point(rng: random.Random, lo: float, hi: float) -> GaussianRational:
+def _gaussian_integers(floats: list[float]) -> tuple[list[tuple[int, int]], int]:
+    """Pairs (x_k, y_k) and a power of two s with floats[2k] + i*floats[2k+1] == (x_k + i*y_k)/s."""
+    pairs = [f.as_integer_ratio() for f in floats]
+    scale = max(d for _, d in pairs)  # every denominator is a power of two
+    ms = [n * (scale // d) for n, d in pairs]
+    return list(zip(ms[::2], ms[1::2])), scale
+
+
+def _random_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[float, float]:
     while True:
         m = rng.uniform(lo, hi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        re = Fraction(m * math.cos(phi))
-        im = Fraction(m * math.sin(phi))
-        if lo * lo <= re * re + im * im <= hi * hi:
-            return GaussianRational(re, im)
+        re, im = m * math.cos(phi), m * math.sin(phi)
+        [(x, y)], s = _gaussian_integers([re, im])
+        if lo * lo * s * s <= x * x + y * y <= hi * hi * s * s:
+            return re, im
+
+
+def _run_suite(trials: int, seed: int, trial) -> SuiteResult:
+    """Run ``trial(rng)`` -> (num, den, passed) ``trials`` times; the worst
+    value is the least num/den (den > 0), kept as a pair and compared by
+    cross-multiplication, then reduced once."""
+    rng = random.Random(seed)
+    passed = 0
+    failures: list[int] = []
+    worst = None
+    for t in range(trials):
+        num, den, ok = trial(rng)
+        if worst is None or num * worst[1] < worst[0] * den:
+            worst = num, den
+        if ok:
+            passed += 1
+        else:
+            failures.append(t)
+    return SuiteResult(trials, passed, seed, None if worst is None else Fraction(*worst), failures)
+
+
+_FLOOR = 1 - TOLERANCE
+
+
+def _lemma2_trial(rng: random.Random) -> tuple[int, int, bool]:
+    """|v|^2 = |A|^2/|B|^2 for v = A/B from ``gaussian_cf``, and |v| >= 1 - 2^-40."""
+    k = rng.randint(1, _SUITE_MAX_LEN)
+    floats = [c for _ in range(k) for c in _random_modulus_point(rng, 2, 10)]
+    ar, ai, br, bi = gaussian_cf(*_gaussian_integers(floats))
+    num, den = ar * ar + ai * ai, br * br + bi * bi
+    return num, den, num * _FLOOR.denominator ** 2 >= _FLOOR.numerator ** 2 * den
+
+
+def _lemma3_trial(rng: random.Random) -> tuple[int, int, bool]:
+    """Margin Re v - Re z0 with Re v = Re(A conj B)/|B|^2 for v = A/B; passes when
+    it is >= -2^-40 and |Re w| == Re v for w = [-z0; -z1, ...]."""
+    k = rng.randint(1, _SUITE_MAX_LEN)
+    floats = []
+    for _ in range(k):
+        re = 0.0
+        while re <= 0:
+            re = rng.uniform(0.0, 5.0)
+        floats += [re, rng.uniform(-5.0, 5.0)]
+    pts, scale = _gaussian_integers(floats)
+    ar, ai, br, bi = gaussian_cf(pts, scale)
+    cr, ci, dr, di = gaussian_cf([(-x, -y) for x, y in pts], scale)
+    v_re, v_den = ar * br + ai * bi, br * br + bi * bi
+    w_re, w_den = cr * dr + ci * di, dr * dr + di * di
+    num, den = scale * v_re - pts[0][0] * v_den, scale * v_den
+    ok = num * TOLERANCE.denominator >= -TOLERANCE.numerator * den and abs(w_re) * v_den == v_re * w_den
+    return num, den, ok
 
 
 def run_lemma2_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random tuples with |z_k| in [2, 10]: modulus of the CF stays >= 1 - 2^-40."""
-    rng = random.Random(seed)
-    passed = 0
-    failures: list[int] = []
-    worst = None
-    floor = (1 - TOLERANCE) ** 2
-    for t in range(trials):
-        k = rng.randint(1, _SUITE_MAX_LEN)
-        pts = [_random_modulus_point(rng, 2.0, 10.0) for _ in range(k)]
-        v = complex_cf_eval_exact(pts)
-        a2 = v.abs_squared()
-        worst = a2 if worst is None or a2 < worst else worst
-        if a2 >= floor:
-            passed += 1
-        else:
-            failures.append(t)
-    return SuiteResult(trials, passed, seed, worst, failures)
+    return _run_suite(trials, seed, _lemma2_trial)
 
 
 def run_lemma3_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Random right-half-plane tuples: Re CF >= Re z0 - 2^-40 and negation identity."""
-    rng = random.Random(seed)
-    passed = 0
-    failures: list[int] = []
-    worst = None
-    for t in range(trials):
-        k = rng.randint(1, _SUITE_MAX_LEN)
-        pts = []
-        for _ in range(k):
-            re = Fraction(0)
-            while re <= 0:
-                re = Fraction(rng.uniform(0.0, 5.0))
-            im = Fraction(rng.uniform(-5.0, 5.0))
-            pts.append(GaussianRational(re, im))
-        v = complex_cf_eval_exact(pts)
-        w = complex_cf_eval_exact([-p for p in pts])
-        margin = v.re - pts[0].re
-        worst = margin if worst is None or margin < worst else worst
-        if margin >= -TOLERANCE and abs(w.re) == v.re:
-            passed += 1
-        else:
-            failures.append(t)
-    return SuiteResult(trials, passed, seed, worst, failures)
+    return _run_suite(trials, seed, _lemma3_trial)

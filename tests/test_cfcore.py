@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, singleton
@@ -165,6 +166,46 @@ def test_complex_exact_matches_interval():
     exact = complex_cf_eval_exact(pts)
     boxed = complex_cf_eval([ComplexInterval.from_rationals(p.re, p.im, 96) for p in pts], 96)
     assert boxed.re.contains(exact.re) and boxed.im.contains(exact.im)
+
+
+def _stepwise_cf(zs: list[GaussianRational]) -> GaussianRational:
+    """Reference: invert and add one Gaussian rational at a time, from the tail."""
+    acc = zs[-1]
+    for z in reversed(zs[:-1]):
+        d = acc.re * acc.re + acc.im * acc.im
+        if d == 0:
+            raise TailContainsZero("exact zero tail in complex CF")
+        acc = GaussianRational(z.re + acc.re / d, z.im - acc.im / d)
+    return acc
+
+
+_gaussian_rationals = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_gaussian_rationals, min_size=1, max_size=8))
+@example([GaussianRational.of(0)])
+@example([GaussianRational.of(3), GaussianRational.of(1), GaussianRational.of(-1)])
+@example([GaussianRational.of(Fraction(1, 3), Fraction(-2, 7)), GaussianRational.of(0, 1),
+          GaussianRational.of(0, 1)])
+def test_complex_exact_matches_stepwise_evaluation(zs):
+    try:
+        expected = _stepwise_cf(zs)
+    except TailContainsZero:
+        with pytest.raises(TailContainsZero):
+            complex_cf_eval_exact(zs)
+    else:
+        assert complex_cf_eval_exact(zs) == expected
+
+
+def test_complex_exact_zero_tail_raises():
+    with pytest.raises(TailContainsZero):  # [3; 1, -1]: the tail 1 + 1/(-1) is zero
+        complex_cf_eval_exact([GaussianRational.of(3), GaussianRational.of(1), GaussianRational.of(-1)])
+    with pytest.raises(ValueError):
+        complex_cf_eval_exact([])
 
 
 def test_error_term_diagnostic():

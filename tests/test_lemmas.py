@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cfindep.bigreal.interval import ComplexInterval, DyadicInterval
+from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, from_fraction
 from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic
+from cfindep import lemmas
 from cfindep.errors import HypothesisViolated, QuotientBelowOne
 from cfindep.lemmas import (
     TOLERANCE,
@@ -92,6 +93,38 @@ def test_remark_counterexample_small():
     # hand recurrence: q_{2,a}/q_{2,b} = 11/5
     assert rr.ratios_exact[1] == Fraction(11, 5)
     assert Fraction(1) < rr.ratios_exact[1] < Fraction(1352, 100)
+
+
+def _remark_by_fractions(N: int):
+    """Reference: every ratio as a reduced Fraction, monotonicity checked
+    against the previous ratio, maximum by comparison."""
+    qa_prev, qa = 1, 2  # q_0, q_1 for a_1 = 2
+    qb_prev, qb = 1, 1
+    ratios = [Fraction(2, 1)]
+    monotone = True
+    for n in range(2, N + 1):
+        qa_prev, qa = qa, (n * n + 1) * qa + qa_prev
+        qb_prev, qb = qb, (n * n) * qb + qb_prev
+        if qa * ratios[-1].denominator <= ratios[-1].numerator * qb:
+            monotone = False
+        ratios.append(Fraction(qa, qb))
+    return max(ratios), monotone, ratios
+
+
+def test_remark_matches_fraction_loop():
+    for N in range(2, 301):
+        rr = remark_counterexample(N)
+        mx, monotone, ratios = _remark_by_fractions(N)
+        assert rr.max_ratio == from_fraction(mx, 96), N
+        assert rr.monotone == monotone, N
+        assert rr.ratios_exact == ratios, N
+
+
+def test_remark_checks_the_sign_of_the_cross_product():
+    qa_prev = qb_prev = 1  # q_0 of both sequences
+    for qa, qb, d in lemmas._remark_steps(300):
+        assert d == qa * qb_prev - qa_prev * qb
+        qa_prev, qb_prev = qa, qb
 
 
 def test_lemma2_examples():

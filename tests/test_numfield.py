@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
@@ -12,6 +13,7 @@ from cfindep.bigreal.poly import IntPoly, _certified_pairs, complex_root_boxes, 
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
 from cfindep import numfield
 from cfindep.numfield import (
+    NumberField,
     embeddings,
     field_new,
     house,
@@ -296,3 +298,29 @@ def test_sign_at_identity():
     assert (k.generator() - Fraction(3, 2)).sign_at_identity() == -1
     assert (k.generator() - Fraction(7, 5)).sign_at_identity() == 1
     assert k.zero().sign_at_identity() == 0
+
+
+# Q(sqrt 2), Q(cbrt 2) and the field of x^4 + 3x^2 + 1.  The last has no real
+# root for field_new to select, so it is built directly: minimal polynomials
+# and norms are the same at every conjugate, and sympy may take any root.
+_ORACLE_FIELDS = {
+    "sqrt2": (IntPoly.of(-2, 0, 1), sympy.sqrt(2)),
+    "cbrt2": (IntPoly.of(-2, 0, 0, 1), sympy.cbrt(2)),
+    "imaginary4": (IntPoly.of(1, 0, 3, 0, 1), sympy.I * sympy.GoldenRatio),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_ORACLE_FIELDS)),
+       st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=4, max_size=4))
+@example("imaginary4", [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])  # in Q(sqrt 5)
+@example("cbrt2", [Fraction(-7, 3), Fraction(0), Fraction(0), Fraction(0)])
+def test_norm_and_minimal_polynomial_match_sympy(name, coords):
+    poly, root = _ORACLE_FIELDS[name]
+    x = NumberField(poly, None).element(coords[:poly.degree()])
+    t, y = sympy.symbols("t y")
+    f = sum(c * t ** i for i, c in enumerate(poly.coeffs))
+    g = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(x.coords))
+    assert norm_exact(x) == Fraction(str(sympy.resultant(f, g, t)))
+    expected = sympy.Poly(sympy.minimal_polynomial(g.subs(t, root), y), y).monic().all_coeffs()[::-1]
+    assert minimal_polynomial(x) == [Fraction(str(c)) for c in expected]
