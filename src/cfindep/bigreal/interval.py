@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-from ..errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
+from ..errors import DivisorContainsZero, NegativeSqrt
 from .dyadic import Dyadic, _rational_pair, rational_to_dyadic, sqrt_down, sqrt_up
 
 __all__ = [
@@ -540,17 +540,6 @@ class ComplexInterval:
     def from_rationals(cls, re: Fraction, im: Fraction, prec: int) -> "ComplexInterval":
         return cls(from_fraction(Fraction(re), prec), from_fraction(Fraction(im), prec))
 
-    @classmethod
-    def point(cls, re, im=0) -> "ComplexInterval":
-        """Exact box from int or Dyadic parts."""
-        return cls(singleton(re), singleton(im))
-
-    def is_point(self) -> bool:
-        return self.re.is_point() and self.im.is_point()
-
-    def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(iv_neg(self.re), iv_neg(self.im))
-
     def mul(self, other: "ComplexInterval", prec: int) -> "ComplexInterval":
         re = iv_sub(iv_mul(self.re, other.re, prec), iv_mul(self.im, other.im, prec), prec)
         im = iv_add(iv_mul(self.re, other.im, prec), iv_mul(self.im, other.re, prec), prec)
@@ -561,9 +550,3 @@ class ComplexInterval:
 
     def abs_interval(self, prec: int) -> DyadicInterval:
         return iv_sqrt(self.abs_squared(prec), prec)
-
-    def inverse(self, prec: int) -> "ComplexInterval":
-        d = self.abs_squared(prec)
-        if d.lo.sign() <= 0:
-            raise TailContainsZero("complex box may contain zero")
-        return ComplexInterval(iv_div(self.re, d, prec), iv_div(iv_neg(self.im), d, prec))

@@ -38,7 +38,6 @@ __all__ = [
     "complex_root_boxes",
     "irreducible_factors",
     "factor_with_roots",
-    "resultant",
     "qpoly_eval_interval",
     "qpoly_eval_complex",
 ]
@@ -239,10 +238,13 @@ def sturm_count(p: IntPoly, interval: DyadicInterval) -> int:
 def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> DyadicInterval:
     """Shrink an isolating interval around a simple real root.
 
-    Bisection until the interval is comfortably small, then interval Newton
-    for the quadratic finish.  The returned interval lies inside ``isolating``,
-    has width <= ``target_width`` and a sign change of p across it (or is the
-    exact root when the root is dyadic).
+    Each step tries interval Newton from the midpoint and falls back to
+    bisection on exact signs.  Newton works at twice the bits that the
+    current width's leading bit resolves, plus a guard, so one step at most
+    about squares the width and the endpoints of a result of width near
+    2**-p carry about 2p bits.  The returned interval lies inside
+    ``isolating``, has width <= ``target_width`` and a sign change of p
+    across it (or is the exact root when the root is dyadic).
     """
     lo, hi = isolating.lo, isolating.hi
     s_lo = p.eval_dyadic(lo).sign()
@@ -265,7 +267,8 @@ def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> 
             raise NonConvergent(f"root refinement exceeded {cap} iterations")
         steps += 1
         mid = (lo + hi).scaled(-1)
-        work = max(64, 8 - 2 * (hi - lo).exp, target_bits + 32)
+        width = hi - lo
+        work = max(64, 8 - 2 * (width.exp + width.man.bit_length()), target_bits + 32)
         newton_done = False
         dpi = dp.eval_interval(DyadicInterval(lo, hi), work)
         if not dpi.contains_zero():
@@ -314,47 +317,6 @@ def isolate_real_roots(p: IntPoly) -> list[DyadicInterval]:
     if p.degree() <= 0:
         return []
     return SturmChain(p).isolate()
-
-
-def resultant(f: list[Fraction], g: list[Fraction]) -> Fraction:
-    """Exact resultant of two rational polynomials (constant term first)."""
-    f = _qtrim([Fraction(c) for c in f])
-    g = _qtrim([Fraction(c) for c in g])
-    m, n = _qdeg(f), _qdeg(g)
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    cf = _lcm_denoms(f)
-    cg = _lcm_denoms(g)
-    fi = [int(c * cf) for c in f]
-    gi = [int(c * cg) for c in g]
-    det = _sylvester_det(fi, gi)
-    return Fraction(det, cf ** n * cg ** m)
-
-
-def _lcm_denoms(p: list[Fraction]) -> int:
-    out = 1
-    for c in p:
-        d = c.denominator
-        out = out * d // math.gcd(out, d)
-    return out
-
-
-def _sylvester_det(f: list[int], g: list[int]) -> int:
-    m = len(f) - 1
-    n = len(g) - 1
-    size = m + n
-    rows: list[list[int]] = []
-    frow = list(reversed(f))  # leading first
-    grow = list(reversed(g))
-    for i in range(n):
-        rows.append([0] * i + frow + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + grow + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
 
 
 def _bareiss_det(mat: list[list[int]]) -> int:
@@ -550,29 +512,6 @@ def complex_root_boxes(p: IntPoly, n_pairs: int, precision: int) -> list[tuple[D
 # factoring over Z by certified root subsets
 # ---------------------------------------------------------------------------
 
-def _bisect_root(p: IntPoly, iv: DyadicInterval, prec: int) -> DyadicInterval:
-    """The root of p that ``iv`` isolates, bisected to width <= 2**-prec.
-
-    Bisection on exact signs keeps the endpoints at most prec bits past the
-    isolating ones.  refine_root sizes its Newton steps from the width's
-    exponent and can return mantissas of 10**5 bits, taking seconds at 64
-    bits.
-    """
-    lo, hi = iv.lo, iv.hi
-    s_lo = _sign_at(p.coeffs, lo)
-    target = Dyadic(1, -prec)
-    while hi - lo > target:
-        mid = (lo + hi).scaled(-1)
-        s = _sign_at(p.coeffs, mid)
-        if s == 0:
-            return DyadicInterval(mid, mid)
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return DyadicInterval(lo, hi)
-
-
 def _root_units(p: IntPoly, isolating: list[DyadicInterval], n_pairs: int, prec: int):
     """Each real root and each conjugate pair of p as its monic factor with
     interval coefficients, and the floor and ceiling of 2**prec times the
@@ -580,7 +519,7 @@ def _root_units(p: IntPoly, isolating: list[DyadicInterval], n_pairs: int, prec:
     one = singleton(1)
     units = []
     for iv in isolating:
-        r = _bisect_root(p, iv, prec)
+        r = refine_root(p, iv, Dyadic(1, -prec))
         units.append(((-r, one), r))
     for re, im in complex_root_boxes(p, n_pairs, prec):
         units.append(((re * re + im * im, -(re * 2), one), re * 2))
@@ -658,8 +597,8 @@ def factor_with_roots(p: IntPoly, isolating: list[DyadicInterval]) -> list[IntPo
     A monic factor of p is the product of (x - r) over a conjugation-closed
     set of its roots and has integer coefficients; conversely such a product
     with integer coefficients divides p.  The roots are enclosed rigorously
-    (Sturm isolation and bisection on exact signs for real roots, certified
-    disks for complex pairs) and the sets of at most half the remaining degree are
+    (Sturm isolation and ``refine_root`` for real roots, certified disks for
+    complex pairs) and the sets of at most half the remaining degree are
     tried in increasing size, so each factor found is irreducible.  A set is
     rejected when its trace, then some coefficient of its product, encloses
     no integer; otherwise exact division confirms or rejects the rounded

@@ -2,8 +2,8 @@
 
 Scalars are a closed union: int/Fraction, FieldElement, or DyadicInterval
 (the last for sequences that are real but not algebraic over a fixed field,
-e.g. 1 + 2/sqrt(n)).  Recurrences, backward evaluation and the classical
-identities are exact whenever the scalars are; value enclosures are rigorous
+e.g. 1 + 2/sqrt(n)).  Recurrences, backward evaluation and the determinant
+identity are exact whenever the scalars are; value enclosures are rigorous
 dyadic intervals obtained from consecutive convergents.
 """
 
@@ -15,10 +15,8 @@ from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
-    ComplexInterval,
     DyadicInterval,
     from_fraction,
-    iv_add,
     iv_div,
     iv_hull,
     iv_mul,
@@ -41,11 +39,7 @@ __all__ = [
     "advance",
     "run_recurrence",
     "eval_finite",
-    "alternating_sum",
-    "product_lower_bound_check",
     "enclose_value",
-    "error_term_diagnostic",
-    "complex_cf_eval",
     "complex_cf_eval_exact",
     "gaussian_cf",
     "scalar_enclosure",
@@ -180,38 +174,6 @@ def eval_finite(quotients) -> object:
     return acc
 
 
-def alternating_sum(quotients) -> object:
-    """sum_{k=1}^n (-1)^(k+1) / (q_k q_{k-1}) for the CF [0; a1, ..., an]."""
-    st = initial_state(0)
-    total = None
-    prev_q = st.q_cur
-    sign = 1
-    for a in quotients:
-        st = advance(st, a)
-        term = sign / (st.q_cur * prev_q)
-        total = term if total is None else total + term
-        prev_q = st.q_cur
-        sign = -sign
-    if total is None:
-        raise ValueError("empty quotient list")
-    return total
-
-
-def product_lower_bound_check(state: ConvergentState, quotients) -> bool:
-    """Exact check of q_n > prod(a_k) for positive quotients."""
-    prod = None
-    for a in quotients:
-        a = _normalize(a)
-        prod = a if prod is None else prod * a
-    if prod is None:
-        raise ValueError("empty quotient list")
-    diff = state.q_cur - prod
-    s = scalar_sign(diff)
-    if s is None:
-        raise PrecisionInsufficient("product bound comparison is indeterminate")
-    return s > 0
-
-
 # -- value enclosures ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -260,47 +222,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     raise PrecisionInsufficient("enclosure width bound not met")  # pragma: no cover
 
 
-def error_term_diagnostic(quotients, prec: int) -> dict:
-    """Bounds from the alternating error formula at the last index.
-
-    Given a1..a_{n+1}, bounds |alpha - p_n/q_n| by
-    1/(q_n^2 (a_{n+1} + q_{n-1}/q_n [+1]))
-    and cross-checks that [0; a_n, ..., a_1] equals q_{n-1}/q_n exactly.
-    """
-    qs = [_normalize(a) for a in quotients]
-    if len(qs) < 2:
-        raise ValueError("need at least two quotients")
-    states = run_recurrence(qs[:-1])
-    st = states[-1]
-    a_next = qs[-1]
-    qn = scalar_enclosure(st.q_cur, prec)
-    qprev = scalar_enclosure(st.q_prev, prec)
-    an1 = scalar_enclosure(a_next, prec)
-    qn2 = iv_mul(qn, qn, prec)
-    tail = iv_add(an1, iv_div(qprev, qn, prec), prec)
-    upper = iv_div(singleton(1), iv_mul(qn2, tail, prec), prec)
-    lower = iv_div(singleton(1), iv_mul(qn2, iv_add(tail, singleton(1), prec), prec), prec)
-    reversed_val = eval_finite([Fraction(0)] + list(reversed(qs[:-1])))
-    identity_ok = scalar_is_zero(reversed_val - st.q_prev / st.q_cur)
-    return {
-        "upper": upper,
-        "lower": lower,
-        "reversed_tail_identity": identity_ok,
-    }
-
-
 # -- complex evaluation ----------------------------------------------------------
-
-def complex_cf_eval(zs: list[ComplexInterval], prec: int) -> ComplexInterval:
-    """Backward evaluation of [z0; z1, ..., zn] on complex boxes."""
-    if not zs:
-        raise ValueError("empty quotient list")
-    acc = zs[-1]
-    for z in reversed(zs[:-1]):
-        inv = acc.inverse(prec)
-        acc = ComplexInterval(iv_add(z.re, inv.re, prec), iv_add(z.im, inv.im, prec))
-    return acc
-
 
 @dataclass(frozen=True)
 class GaussianRational:
@@ -312,15 +234,6 @@ class GaussianRational:
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":
         return cls(Fraction(re), Fraction(im))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
 
 def gaussian_cf(zs: list[tuple[int, int]], scale: int) -> tuple[int, int, int, int]:

@@ -34,7 +34,6 @@ from .cfcore import (
 from .criteria import HypothesisReport, Thm1Config, check_all
 from .errors import (
     CFIndepError,
-    HypothesisViolated,
     IndeterminateAtPrecision,
     PrecisionInsufficient,
     PrecisionTooLow,
@@ -492,9 +491,6 @@ def main(argv: list[str] | None = None) -> int:
     except (PrecisionInsufficient, IndeterminateAtPrecision, PrecisionTooLow) as e:
         print(f"precision exhausted: {e}", file=sys.stderr)
         return 3
-    except HypothesisViolated as e:
-        print(f"hypothesis violated: {e}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, UnknownFamily) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -72,17 +72,13 @@ class ZeroTailDivision(CFIndepError):
 
 
 class TailContainsZero(CFIndepError):
-    """Complex CF evaluation would invert a box containing zero."""
+    """Complex CF evaluation hit an exactly zero tail."""
 
 
 # -- checkers ----------------------------------------------------------------
 
 class IndeterminateAtPrecision(CFIndepError):
     """A strict inequality could not be decided after precision escalation."""
-
-
-class HypothesisViolated(CFIndepError):
-    """Input fails the hypothesis of the lemma being checked."""
 
 
 class UnknownFamily(CFIndepError):

@@ -3,9 +3,9 @@
 Covers the recurrence-ratio divergence lemma (with its bounded
 counterexample), the modulus lower bound for complex continued fractions
 with |z_k| >= 2, and the real-part lower bound plus negation identity for
-quotients in the right half plane.  Exact Gaussian-rational evaluation is
-used whenever inputs are degenerate boxes, so those verdicts carry zero
-rounding slack.
+quotients in the right half plane.  The complex lemmas are checked on
+random tuples evaluated exactly in Gaussian integers, so their verdicts
+carry no rounding slack.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
-    ComplexInterval,
     DyadicInterval,
     from_fraction,
     iv_div,
@@ -27,26 +26,20 @@ from .bigreal.interval import (
     singleton,
 )
 from .cfcore import (
-    GaussianRational,
     advance,
-    complex_cf_eval,
-    complex_cf_eval_exact,
     gaussian_cf,
     initial_state,
     scalar_enclosure,
 )
-from .errors import HypothesisViolated, QuotientBelowOne
+from .errors import QuotientBelowOne
 from .sequences import CFSpec
 
 __all__ = [
     "RatioTrace",
     "RemarkResult",
-    "LemmaCheck",
     "SuiteResult",
     "lemma1_trace",
     "remark_counterexample",
-    "lemma2_check",
-    "lemma3_check",
     "run_lemma2_suite",
     "run_lemma3_suite",
     "TOLERANCE",
@@ -166,78 +159,6 @@ def remark_counterexample(N: int) -> RemarkResult:
     if not mx < _PRODUCT_BOUND.lo.as_fraction():
         raise AssertionError("ratio exceeded the infinite-product bound")  # pragma: no cover
     return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, True, N)
-
-
-# ---------------------------------------------------------------------------
-# complex lemmas
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LemmaCheck:
-    passed: bool
-    exact: bool
-    slack: Fraction
-    details: dict
-
-
-def _as_gaussians(zs: list[ComplexInterval]) -> list[GaussianRational] | None:
-    out = []
-    for z in zs:
-        if not z.is_point():
-            return None
-        out.append(GaussianRational(z.re.lo.as_fraction(), z.im.lo.as_fraction()))
-    return out
-
-
-def lemma2_check(zs: list[ComplexInterval], prec: int) -> LemmaCheck:
-    """|[z0; z1, ..., zn]| >= 1 whenever every |z_k| >= 2."""
-    if not zs:
-        raise ValueError("empty input")
-    pts = _as_gaussians(zs)
-    if pts is not None:
-        for p in pts:
-            if p.abs_squared() < 4:
-                raise HypothesisViolated("|z_k| < 2")
-        v = complex_cf_eval_exact(pts)
-        ok = v.abs_squared() >= (1 - TOLERANCE) ** 2
-        return LemmaCheck(ok, True, Fraction(0), {"abs_squared": v.abs_squared()})
-    for z in zs:
-        if z.abs_squared(prec).lo < Dyadic(4):
-            raise HypothesisViolated("|z_k| >= 2 not certain")
-    v = complex_cf_eval(zs, prec)
-    lb = v.abs_interval(prec).lo.as_fraction()
-    ok = lb >= 1 - TOLERANCE
-    return LemmaCheck(ok, False, TOLERANCE, {"modulus_lb": lb})
-
-
-def lemma3_check(zs: list[ComplexInterval], prec: int) -> LemmaCheck:
-    """Re CF >= Re z0 for right-half-plane quotients, plus the negation identity."""
-    if not zs:
-        raise ValueError("empty input")
-    pts = _as_gaussians(zs)
-    if pts is not None:
-        for p in pts:
-            if p.re <= 0:
-                raise HypothesisViolated("Re(z_k) <= 0")
-        v = complex_cf_eval_exact(pts)
-        w = complex_cf_eval_exact([-p for p in pts])
-        lower_ok = v.re >= pts[0].re - TOLERANCE
-        negation_ok = abs(w.re) == v.re
-        return LemmaCheck(
-            lower_ok and negation_ok, True, Fraction(0),
-            {"re_value": v.re, "re_z0": pts[0].re, "negation_exact": negation_ok},
-        )
-    for z in zs:
-        if z.re.lo.sign() <= 0:
-            raise HypothesisViolated("Re(z_k) > 0 not certain")
-    v = complex_cf_eval(zs, prec)
-    w = complex_cf_eval([-z for z in zs], prec)
-    lower_ok = v.re.lo.as_fraction() >= zs[0].re.lo.as_fraction() - TOLERANCE
-    # | |Re w| - Re v | within tolerance, on intervals
-    diff_lo = abs(w.re.midpoint().as_fraction()) - v.re.midpoint().as_fraction()
-    negation_ok = abs(diff_lo) <= TOLERANCE + v.re.width().as_fraction() + w.re.width().as_fraction()
-    return LemmaCheck(lower_ok and negation_ok, False, TOLERANCE,
-                      {"re_lower": v.re.lo.as_fraction()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 Elements are rational coordinate vectors in the power basis 1, theta, ...,
 theta^(D-1).  Ring and field operations are exact; embeddings into the
-complex numbers are rigorous dyadic enclosures (real roots via Sturm-guided
-refinement, complex conjugate pairs via certified inclusion disks).
+complex numbers are rigorous dyadic enclosures (real roots via Sturm
+isolation and ``refine_root``, complex conjugate pairs via certified
+inclusion disks).  A field caches its root enclosures and embeddings by
+precision, each refined from the isolating intervals, so every enclosure is
+a function of the field and the precision alone.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +38,6 @@ from .bigreal.poly import (
     qpoly_eval_complex,
     qpoly_eval_interval,
     refine_root,
-    resultant,
 )
 from .errors import (
     DivisionByZero,
@@ -58,7 +59,6 @@ __all__ = [
     "house",
     "is_algebraic_integer",
     "minimal_polynomial",
-    "norm_exact",
     "multiquadratic_field",
 ]
 
@@ -71,10 +71,10 @@ class NumberField:
     def __init__(self, minpoly: IntPoly, root_interval: DyadicInterval):
         self.minpoly = minpoly
         self.degree = minpoly.degree()
-        self._root_iv = root_interval
-        self._root_lock = threading.Lock()  # guards the narrower-only store
+        self._root_iv = root_interval  # the isolating hint, never replaced
         # theta^D, ..., theta^(2D-2) in the power basis
         self._reduction = self._build_reduction()
+        self._root_cache: dict[int, DyadicInterval] = {}
         self._embedding_cache: dict[int, "EmbeddingSet"] = {}
 
     def _build_reduction(self) -> list[tuple[Fraction, ...]]:
@@ -111,16 +111,20 @@ class NumberField:
         return self.from_rational(1)
 
     def root_enclosure(self, prec: int) -> DyadicInterval:
-        """The distinguished real root, refined to width <= 2**-prec."""
-        target = Dyadic(1, -prec)
-        current = self._root_iv
-        if current.width() <= target:
-            return current
-        refined = refine_root(self.minpoly, current, target)
-        with self._root_lock:  # another thread may have stored a narrower one
-            if refined.width() < self._root_iv.width():
-                self._root_iv = refined
-        return refined
+        """The distinguished real root, refined from the isolating hint to
+        width <= 2**-prec.
+
+        Each precision is refined once and kept; the result depends on the
+        field and ``prec`` alone.  Two threads may refine the same precision
+        at once, and then store equal intervals.
+        """
+        cached = self._root_cache.get(prec)
+        if cached is None:
+            target = Dyadic(1, -prec)
+            hint = self._root_iv
+            cached = hint if hint.width() <= target else refine_root(self.minpoly, hint, target)
+            self._root_cache[prec] = cached
+        return cached
 
     def __repr__(self) -> str:
         return f"NumberField({self.minpoly!r}, root~{float(self._root_iv.midpoint()):.6g})"
@@ -460,15 +464,6 @@ def _solve_exact(cols, target, dim) -> list[Fraction] | None:
 def is_algebraic_integer(x: FieldElement) -> bool:
     """True iff the exact minimal polynomial of x is monic with integer coefficients."""
     return all(c.denominator == 1 for c in minimal_polynomial(x))
-
-
-def norm_exact(x: FieldElement) -> Fraction:
-    """Product of all conjugates, computed exactly via a resultant."""
-    if x.is_zero():
-        return Fraction(0)
-    f = [Fraction(c) for c in x.field.minpoly.coeffs]
-    g = list(x.coords)
-    return resultant(f, g)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from cfindep.bigreal.poly import IntPoly, refine_root
 from cfindep.catalog import build_config
 from cfindep.cfcore import (
     advance,
-    alternating_sum,
     determinant_value,
     enclose_value,
     eval_finite,
     initial_state,
-    product_lower_bound_check,
     run_recurrence,
+    scalar_sign,
 )
 from cfindep.criteria import check_all, compute_d
 from cfindep.lemmas import (
@@ -33,7 +32,7 @@ from cfindep.lemmas import (
     run_lemma2_suite,
     run_lemma3_suite,
 )
-from cfindep.numfield import field_new, house, is_algebraic_integer, norm_exact
+from cfindep.numfield import field_new, house, is_algebraic_integer, minimal_polynomial
 from cfindep.relation import find_relation, find_relation_over_field
 from cfindep.sequences import spec, sqrt2_field
 
@@ -100,18 +99,34 @@ def test_c01_determinant_identity(corpora):
                 assert (determinant_value(st) - k.from_rational((-1) ** i)).is_zero()
 
 
+def _alternating_sum(states):
+    """sum_{k=1}^n (-1)^(k+1) / (q_k q_{k-1}) over the recurrence's states."""
+    total = 1 / states[0].q_cur  # q_0 = 1
+    for k in range(1, len(states)):
+        total = total + (-1) ** k / (states[k].q_cur * states[k - 1].q_cur)
+    return total
+
+
+def _product_below_denominator(qs, state) -> bool:
+    """q_n > a_1 ... a_n, decided by the exact sign of the difference."""
+    prod = qs[0]
+    for a in qs[1:]:
+        prod = prod * a
+    return scalar_sign(state.q_cur - prod) > 0
+
+
 def test_c02_alternating_sum_and_backward(corpora):
     rational, field = corpora
     with criterion(2, "alternating sum + backward/forward agreement", 10):
         for qs in rational:
-            st = run_recurrence(qs)[-1]
-            conv = Fraction(st.p_cur) / Fraction(st.q_cur)
-            assert alternating_sum(qs) == conv
+            states = run_recurrence(qs)
+            conv = Fraction(states[-1].p_cur) / Fraction(states[-1].q_cur)
+            assert _alternating_sum(states) == conv
             assert eval_finite([Fraction(0)] + qs) == conv
         for qs in field:
-            st = run_recurrence(qs)[-1]
-            conv = st.p_cur / st.q_cur
-            assert (alternating_sum(qs) - conv).is_zero()
+            states = run_recurrence(qs)
+            conv = states[-1].p_cur / states[-1].q_cur
+            assert (_alternating_sum(states) - conv).is_zero()
             assert (eval_finite([Fraction(0)] + qs) - conv).is_zero()
 
 
@@ -123,11 +138,11 @@ def test_c03_product_lower_bound(corpora):
         for qs in rational:
             if len(qs) < 2:
                 qs = qs + [Fraction(3)]
-            assert product_lower_bound_check(run_recurrence(qs)[-1], qs)
+            assert _product_below_denominator(qs, run_recurrence(qs)[-1])
         for qs in field:
             if len(qs) < 2:
                 qs = qs + [sqrt2_field().from_rational(3)]
-            assert product_lower_bound_check(run_recurrence(qs)[-1], qs)
+            assert _product_below_denominator(qs, run_recurrence(qs)[-1])
 
 
 def test_c04_enclosure_soundness():
@@ -259,7 +274,10 @@ def test_c11_house_and_integrality():
         rng = random.Random(11)
         for _ in range(25):
             x = k.element([rng.randint(-40, 40), rng.randint(-40, 40)])
-            assert norm_exact(x).denominator == 1
+            m = minimal_polynomial(x)  # norm = ((-1)^deg m m(0))^(2 / deg m)
+            norm = ((-1) ** (len(m) - 1) * m[0]) ** (2 // (len(m) - 1))
+            a, b = x.coords
+            assert norm == a * a - 2 * b * b and norm.denominator == 1
 
 
 def test_c12_cli_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,20 +6,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
-from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, singleton
+from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, from_fraction, iv_add, iv_div, singleton
 from cfindep.bigreal.poly import IntPoly, refine_root
 from cfindep.cfcore import (
     GaussianRational,
     advance,
-    alternating_sum,
-    complex_cf_eval,
     complex_cf_eval_exact,
     determinant_value,
     enclose_value,
-    error_term_diagnostic,
     eval_finite,
+    gaussian_cf,
     initial_state,
-    product_lower_bound_check,
     run_recurrence,
     scalar_is_zero,
 )
@@ -77,6 +75,18 @@ def test_eval_finite_matches_recurrence():
         assert eval_finite([Fraction(0)] + qs) == Fraction(st.p_cur) / Fraction(st.q_cur)
 
 
+def alternating_sum(quotients):
+    """sum_{k=1}^n (-1)^(k+1) / (q_k q_{k-1}) for [0; a1, ..., an], from the
+    recurrence's denominators (q_0 = 1)."""
+    qs = [1] + [s.q_cur for s in run_recurrence(quotients)]
+    return sum(Fraction((-1) ** k) / (qs[k] * qs[k + 1]) for k in range(len(qs) - 1))
+
+
+def product_below_denominator(quotients) -> bool:
+    """q_n > a_1 a_2 ... a_n for the CF [0; a1, ..., an]."""
+    return run_recurrence(quotients)[-1].q_cur > math.prod(Fraction(a) for a in quotients)
+
+
 def test_alternating_sum_examples():
     assert alternating_sum([1, 1, 1]) == Fraction(2, 3)
     assert alternating_sum([5]) == Fraction(1, 5)
@@ -94,11 +104,11 @@ def test_alternating_sum_equals_convergent():
 
 def test_product_lower_bound():
     st = run_recurrence([2] * 5)[-1]
-    assert st.q_cur == 70 and product_lower_bound_check(st, [2] * 5)
-    st = run_recurrence([1] * 5)[-1]
-    assert product_lower_bound_check(st, [1] * 5)
+    assert st.q_cur == 70 and product_below_denominator([2] * 5)
+    assert product_below_denominator([1] * 5)
     st = run_recurrence([3, 1, 4])[-1]
-    assert st.q_cur == 19 and product_lower_bound_check(st, [3, 1, 4])
+    assert st.q_cur == 19 and product_below_denominator([3, 1, 4])
+    assert not product_below_denominator([7])  # q_1 = a_1: the bound holds from n = 2
 
 
 def test_enclose_value_golden():
@@ -150,21 +160,32 @@ def test_nested_convergents_property():
 
 
 def test_complex_cf_eval_examples():
-    v = complex_cf_eval([ComplexInterval.point(2), ComplexInterval.point(2)], 96)
-    assert v.re.contains(Fraction(5, 2)) and v.im.contains(Fraction(0))
-    vi = complex_cf_eval([ComplexInterval.point(0, 2), ComplexInterval.point(0, 2)], 96)
-    assert vi.im.contains(Fraction(3, 2)) and vi.re.contains(Fraction(0))
-    vr = complex_cf_eval([ComplexInterval.point(3), ComplexInterval.point(4), ComplexInterval.point(5)], 96)
-    assert vr.re.contains(Fraction(68, 21))
+    assert gaussian_cf([(2, 0), (2, 0)], 1) == (5, 0, 2, 0)  # 5/2
+    assert complex_cf_eval_exact([GaussianRational.of(2), GaussianRational.of(2)]) == GaussianRational.of(Fraction(5, 2))
+    vi = complex_cf_eval_exact([GaussianRational.of(0, 2), GaussianRational.of(0, 2)])
+    assert vi == GaussianRational.of(0, Fraction(3, 2))
+    vr = complex_cf_eval_exact([GaussianRational.of(3), GaussianRational.of(4), GaussianRational.of(5)])
+    assert vr == GaussianRational.of(Fraction(68, 21))
     with pytest.raises(TailContainsZero):
-        complex_cf_eval([ComplexInterval.point(1), ComplexInterval.point(0)], 96)
+        gaussian_cf([(1, 0), (0, 0)], 1)
+
+
+def _boxed_cf(zs: list[ComplexInterval], prec: int) -> ComplexInterval:
+    """Reference: invert and add one box at a time, from the tail, rounding outward."""
+    acc = zs[-1]
+    for z in reversed(zs[:-1]):
+        d = acc.abs_squared(prec)
+        assert d.lo.sign() > 0
+        acc = ComplexInterval(iv_add(z.re, iv_div(acc.re, d, prec), prec),
+                              iv_add(z.im, iv_div(-acc.im, d, prec), prec))
+    return acc
 
 
 def test_complex_exact_matches_interval():
     pts = [GaussianRational.of(Fraction(5, 2), Fraction(-1, 3)),
            GaussianRational.of(Fraction(3), Fraction(2))]
     exact = complex_cf_eval_exact(pts)
-    boxed = complex_cf_eval([ComplexInterval.from_rationals(p.re, p.im, 96) for p in pts], 96)
+    boxed = _boxed_cf([ComplexInterval(from_fraction(p.re, 96), from_fraction(p.im, 96)) for p in pts], 96)
     assert boxed.re.contains(exact.re) and boxed.im.contains(exact.im)
 
 
@@ -209,15 +230,18 @@ def test_complex_exact_zero_tail_raises():
 
 
 def test_error_term_diagnostic():
-    qs = [Fraction(x) for x in (2, 2, 2, 2, 2, 2)]
-    d = error_term_diagnostic(qs, 96)
-    assert d["reversed_tail_identity"]
-    # |alpha - p_n/q_n| for alpha = sqrt2 - 1 at n = 5
-    root = refine_root(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)), Dyadic(1, -90))
-    alpha = root.midpoint().as_fraction() - 1
+    # 1/(q_n^2 (a_{n+1} + q_{n-1}/q_n + 1)) < |alpha - p_n/q_n| < 1/(q_n^2 (a_{n+1} + q_{n-1}/q_n))
+    # and [0; a_n, ..., a_1] = q_{n-1}/q_n, for alpha = sqrt2 - 1 at n = 5
+    qs = [Fraction(2)] * 6
     st = run_recurrence(qs[:-1])[-1]
-    err = abs(alpha - Fraction(st.p_cur) / Fraction(st.q_cur))
-    assert d["lower"].lo.as_fraction() <= err <= d["upper"].hi.as_fraction()
+    assert eval_finite([Fraction(0)] + qs[-2::-1]) == Fraction(st.q_prev) / Fraction(st.q_cur)
+    tail = qs[-1] + Fraction(st.q_prev) / Fraction(st.q_cur)
+    upper = 1 / (Fraction(st.q_cur) ** 2 * tail)
+    lower = 1 / (Fraction(st.q_cur) ** 2 * (tail + 1))
+    root = refine_root(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)), Dyadic(1, -90))
+    err_lo = abs(root.lo.as_fraction() - 1 - Fraction(st.p_cur) / Fraction(st.q_cur))
+    err_hi = abs(root.hi.as_fraction() - 1 - Fraction(st.p_cur) / Fraction(st.q_cur))
+    assert lower <= min(err_lo, err_hi) and max(err_lo, err_hi) <= upper
 
 
 def test_scalar_is_zero_variants():

@@ -26,7 +26,7 @@ from cfindep.bigreal.interval import (
     iv_sub,
     singleton,
 )
-from cfindep.errors import DivisorContainsZero, NegativeSqrt, TailContainsZero
+from cfindep.errors import DivisorContainsZero, NegativeSqrt
 
 
 def rand_fraction(rng, lo=-1000, hi=1000):
@@ -158,7 +158,7 @@ def test_no_default_precision():
         if prec is not None:
             assert prec.default is inspect.Parameter.empty, f.__qualname__
             checked.append(f.__qualname__)
-    assert len(checked) == 16 and "ComplexInterval.from_rationals" in checked
+    assert len(checked) == 15 and "ComplexInterval.from_rationals" in checked
 
 
 def test_containment_against_rational_oracle():
@@ -276,15 +276,13 @@ def test_pow_frac_monotone_and_exact():
 
 
 def test_complex_interval_ops():
-    z = ComplexInterval.point(2, 0)
-    w = z.inverse(64)
-    assert w.re.contains(Fraction(1, 2)) and w.im.contains(Fraction(0))
-    zi = ComplexInterval.point(0, 2)
+    z = ComplexInterval(singleton(3), singleton(4))
+    assert z.abs_squared(64) == singleton(25) and z.abs_interval(64).contains(Fraction(5))
+    zi = ComplexInterval(singleton(0), singleton(2))
     sq = zi.mul(zi, 64)
     assert sq.re.contains(Fraction(-4)) and sq.im.contains(Fraction(0))
-    with pytest.raises(TailContainsZero):
-        ComplexInterval(DyadicInterval(Dyadic(-1), Dyadic(1)),
-                        DyadicInterval(Dyadic(-1), Dyadic(1))).inverse(64)
+    w = ComplexInterval.from_rationals(Fraction(1, 3), Fraction(-1, 5), 64).mul(z, 64)
+    assert w.re.contains(Fraction(1, 1) + Fraction(4, 5)) and w.im.contains(Fraction(4, 3) - Fraction(3, 5))
 
 
 def test_interval_operators_are_exact():
@@ -300,7 +298,7 @@ def test_interval_operators_are_exact():
     with pytest.raises(TypeError):
         x / singleton(3)
     with pytest.raises(TypeError):
-        ComplexInterval.point(Fraction(1, 2))  # a point is exact, never truncated
+        singleton(Fraction(1, 2))  # a point is exact, never truncated
 
 
 def test_exp2_log2_high_precision_fuzz():

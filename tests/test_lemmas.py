@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, from_fraction
-from cfindep.bigreal.dyadic import Dyadic, rational_to_dyadic
+from cfindep.bigreal.interval import DyadicInterval, from_fraction
+from cfindep.bigreal.dyadic import rational_to_dyadic
 from cfindep import lemmas
-from cfindep.errors import HypothesisViolated, QuotientBelowOne
+from cfindep.cfcore import GaussianRational, complex_cf_eval_exact, gaussian_cf
+from cfindep.errors import QuotientBelowOne
 from cfindep.lemmas import (
     TOLERANCE,
     lemma1_trace,
-    lemma2_check,
-    lemma3_check,
     remark_counterexample,
     run_lemma2_suite,
     run_lemma3_suite,
@@ -127,45 +126,58 @@ def test_remark_checks_the_sign_of_the_cross_product():
         qa_prev, qb_prev = qa, qb
 
 
+def _abs_squared(z: GaussianRational) -> Fraction:
+    return z.re * z.re + z.im * z.im
+
+
+def _gaussians(*parts) -> list[GaussianRational]:
+    return [GaussianRational.of(*p) for p in parts]
+
+
 def test_lemma2_examples():
-    z = [ComplexInterval.point(2), ComplexInterval.point(2), ComplexInterval.point(2)]
-    chk = lemma2_check(z, 128)
-    assert chk.passed and chk.exact and chk.slack == 0
-    assert chk.details["abs_squared"] == Fraction(144, 25)  # |12/5|^2
-    chk2 = lemma2_check([ComplexInterval.point(-2), ComplexInterval.point(2)], 128)
-    assert chk2.passed  # |-3/2| = 1.5
-    chk3 = lemma2_check([ComplexInterval.point(0, 2), ComplexInterval.point(0, -2)], 128)
-    assert chk3.passed and chk3.details["abs_squared"] == Fraction(25, 4)
+    # |[z0; z1, ...]| >= 1 when every |z_k| >= 2
+    v = complex_cf_eval_exact(_gaussians((2,), (2,), (2,)))
+    assert _abs_squared(v) == Fraction(144, 25)  # |12/5|^2
+    assert _abs_squared(complex_cf_eval_exact(_gaussians((-2,), (2,)))) == Fraction(9, 4)  # |-3/2|^2
+    ar, ai, br, bi = gaussian_cf([(0, 2), (0, -2)], 1)
+    assert Fraction(ar * ar + ai * ai, br * br + bi * bi) == Fraction(25, 4)
 
 
-def test_lemma2_hypothesis_enforced():
-    with pytest.raises(HypothesisViolated):
-        lemma2_check([ComplexInterval.point(1)], 128)
+def _suite_inputs(monkeypatch, run) -> list[tuple[list[tuple[int, int]], int]]:
+    """The (quotients, scale) pairs a suite run hands to ``gaussian_cf``."""
+    seen = []
+
+    def record(zs, scale):
+        seen.append((zs, scale))
+        return gaussian_cf(zs, scale)
+
+    monkeypatch.setattr(lemmas, "gaussian_cf", record)
+    assert run(trials=200, seed=3).all_passed
+    return seen
+
+
+def test_lemma2_hypothesis_enforced(monkeypatch):
+    # every quotient the lemma 2 suite draws has |z_k| >= 2 exactly
+    seen = _suite_inputs(monkeypatch, run_lemma2_suite)
+    assert len(seen) == 200
+    assert all(x * x + y * y >= 4 * s * s for zs, s in seen for x, y in zs)
 
 
 def test_lemma3_examples():
-    chk = lemma3_check([ComplexInterval.point(1), ComplexInterval.point(1)], 128)
-    assert chk.passed and chk.details["re_value"] == 2
-    z = [ComplexInterval.from_rationals(Fraction(1), Fraction(1), 96),
-         ComplexInterval.from_rationals(Fraction(1), Fraction(-1), 96)]
-    chk2 = lemma3_check(z, 128)
-    assert chk2.passed and chk2.details["re_value"] == Fraction(3, 2)
-    chk3 = lemma3_check([ComplexInterval.from_rationals(Fraction(1, 2), Fraction(0), 96),
-                         ComplexInterval.point(3)], 128)
-    assert chk3.passed and chk3.details["re_value"] == Fraction(5, 6)
+    # Re [z0; z1, ...] >= Re z0 when every Re z_k > 0
+    assert complex_cf_eval_exact(_gaussians((1,), (1,))).re == 2
+    assert complex_cf_eval_exact(_gaussians((1, 1), (1, -1))).re == Fraction(3, 2)
+    assert complex_cf_eval_exact(_gaussians((Fraction(1, 2),), (3,))).re == Fraction(5, 6)
 
 
-def test_lemma3_hypothesis_enforced():
-    with pytest.raises(HypothesisViolated):
-        lemma3_check([ComplexInterval.point(-1)], 128)
-
-
-def test_lemma2_interval_path():
-    pad = Dyadic(1, -60)
-    z = ComplexInterval(DyadicInterval(Dyadic(2), Dyadic(2) + pad),
-                        DyadicInterval(Dyadic(0), pad))
-    chk = lemma2_check([z, z], 128)
-    assert chk.passed and not chk.exact and chk.slack == TOLERANCE
+def test_lemma3_hypothesis_enforced(monkeypatch):
+    # every tuple the lemma 3 suite draws lies in the right half plane, and
+    # its negation is evaluated alongside it
+    seen = _suite_inputs(monkeypatch, run_lemma3_suite)
+    assert len(seen) == 400
+    for (zs, s), (neg, s_neg) in zip(seen[::2], seen[1::2]):
+        assert all(x > 0 for x, _ in zs)
+        assert s_neg == s and neg == [(-x, -y) for x, y in zs]
 
 
 def test_random_suites_small():
@@ -179,7 +191,6 @@ def test_random_suites_small():
 
 
 def test_lemma3_negation_identity_randomized():
-    from cfindep.cfcore import GaussianRational, complex_cf_eval_exact
     import random
 
     rng = random.Random(8)
@@ -188,7 +199,7 @@ def test_lemma3_negation_identity_randomized():
         pts = [GaussianRational(Fraction(rng.randint(1, 40), 8), Fraction(rng.randint(-40, 40), 8))
                for _ in range(k)]
         v = complex_cf_eval_exact(pts)
-        w = complex_cf_eval_exact([-p for p in pts])
+        w = complex_cf_eval_exact([GaussianRational(-p.re, -p.im) for p in pts])
         assert abs(w.re) == v.re
         assert v.re >= pts[0].re
 

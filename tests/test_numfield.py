@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, iv_mul
-from cfindep.bigreal.poly import IntPoly, _certified_pairs, complex_root_boxes, isolate_real_roots, refine_root
+from cfindep.bigreal.poly import IntPoly, _certified_pairs, complex_root_boxes, isolate_real_roots
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
-from cfindep import numfield
 from cfindep.numfield import (
     NumberField,
     embeddings,
@@ -20,7 +19,6 @@ from cfindep.numfield import (
     is_algebraic_integer,
     minimal_polynomial,
     multiquadratic_field,
-    norm_exact,
     sigma_eval,
 )
 
@@ -52,23 +50,16 @@ def test_field_new_examples():
         field_new(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(-2), Dyadic(2)))
 
 
-@pytest.mark.parametrize("other_bits", [2, 128])
-def test_root_enclosure_survives_a_concurrent_store(monkeypatch, other_bits):
-    # another thread stores its refinement of the root while this call
-    # refines: the call still returns the width it asked for, and the field
-    # keeps the narrower of the two
-    k = _sqrt2()
-    other = refine_root(k.minpoly, k._root_iv, Dyadic(1, -other_bits))
-
-    def refine_meanwhile(p, iv, target):
-        out = refine_root(p, iv, target)
-        k._root_iv = other
-        return out
-
-    monkeypatch.setattr(numfield, "refine_root", refine_meanwhile)
-    got = k.root_enclosure(64)
-    assert got.width() <= Dyadic(1, -64)
-    assert k._root_iv == min(got, other, key=lambda iv: iv.width())
+@pytest.mark.parametrize("earlier_bits", [2, 128, 2000])
+def test_root_enclosure_ignores_earlier_requests(earlier_bits):
+    # an enclosure is a function of the field and the precision: a wider or
+    # narrower request before it changes neither the interval nor its size
+    for make in (_sqrt2, _phi):
+        k = make()
+        k.root_enclosure(earlier_bits)
+        got = k.root_enclosure(64)
+        assert got == make().root_enclosure(64)
+        assert got.width() <= Dyadic(1, -64) and k._root_iv.contains_interval(got)
 
 
 def test_element_arithmetic_examples():
@@ -176,10 +167,8 @@ def test_complex_roots_match_numpy_seeded_path(name, prec):
     assert complex_root_boxes(p, n_pairs, prec) == _certified_pairs(p, _numpy_seeds(p), prec)
 
 
-# full embeddings only where the real roots refine quickly: refine_root takes
-# about 4 s for the sextic's real roots at 1024 bits
 @pytest.mark.parametrize("name, prec", [
-    ("cbrt2", 64), ("cbrt2", 256), ("cbrt2", 1024), ("sextic", 64), ("sextic", 200),
+    ("cbrt2", 64), ("cbrt2", 256), ("cbrt2", 1024), ("sextic", 64), ("sextic", 200), ("sextic", 1024),
     ("imaginary6", 64), ("imaginary6", 200)])
 def test_embeddings_match_numpy_seeded_path(name, prec):
     p, root_iv = _COMPLEX_FIELDS[name]
@@ -236,14 +225,30 @@ def test_is_algebraic_integer_examples():
     assert not is_algebraic_integer(k.from_rational(Fraction(7, 2)))
 
 
+def _norm(x) -> Fraction:
+    """Product of the conjugates of x from its minimal polynomial m:
+    ((-1)^deg m * m(0))^(D / deg m)."""
+    m = minimal_polynomial(x)
+    deg = len(m) - 1
+    return ((-1) ** deg * m[0]) ** (x.field.degree // deg)
+
+
+def _sympy_norm(x) -> Fraction:
+    """Res_t(f, g) for the field polynomial f and the coordinates g of x."""
+    t = sympy.Symbol("t")
+    f = sum(c * t ** i for i, c in enumerate(x.field.minpoly.coeffs))
+    g = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(x.coords))
+    return Fraction(str(sympy.resultant(f, g, t)))
+
+
 def test_norm_integrality_random():
     # spec invariant: the exact norm of an algebraic integer is an integer
     k = _sqrt2()
     rng = random.Random(4)
     for _ in range(50):
         x = k.element([rng.randint(-30, 30), rng.randint(-30, 30)])
-        n = norm_exact(x)
-        assert n.denominator == 1
+        n = _sympy_norm(x)
+        assert n.denominator == 1 and (x.is_zero() or _norm(x) == n)
         # cross-check: norm of (a + b sqrt2) is a^2 - 2 b^2
         a, b = x.coords
         assert n == a * a - 2 * b * b
@@ -318,9 +323,8 @@ _ORACLE_FIELDS = {
 def test_norm_and_minimal_polynomial_match_sympy(name, coords):
     poly, root = _ORACLE_FIELDS[name]
     x = NumberField(poly, None).element(coords[:poly.degree()])
+    assert x.is_zero() or _norm(x) == _sympy_norm(x)
     t, y = sympy.symbols("t y")
-    f = sum(c * t ** i for i, c in enumerate(poly.coeffs))
     g = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(x.coords))
-    assert norm_exact(x) == Fraction(str(sympy.resultant(f, g, t)))
     expected = sympy.Poly(sympy.minimal_polynomial(g.subs(t, root), y), y).monic().all_coeffs()[::-1]
     assert minimal_polynomial(x) == [Fraction(str(c)) for c in expected]

@@ -1,6 +1,8 @@
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -17,7 +19,6 @@ from cfindep.bigreal.poly import (
     isolate_real_roots,
     is_squarefree,
     refine_root,
-    resultant,
     sturm_count,
 )
 from cfindep.errors import NoSignChange, NotSquarefree
@@ -102,15 +103,45 @@ def test_isolate_real_roots():
     assert isolate_real_roots(IntPoly.of(1, 0, 1)) == []
 
 
-def test_resultant_known_values():
-    f = [Fraction(-2), Fraction(0), Fraction(1)]  # x^2 - 2
-    g = [Fraction(0), Fraction(1)]  # x
-    assert resultant(f, g) == Fraction(-2)  # product of roots
-    # res(x^2-2, x^2-3) = product of (r^2 - 3) over r = +-sqrt2 -> (2-3)^2 = 1
-    h = [Fraction(-3), Fraction(0), Fraction(1)]
-    assert resultant(f, h) == Fraction(1)
-    # common root -> zero
-    assert resultant(f, [Fraction(-2), Fraction(0), Fraction(1)]) == 0
+def _mantissa_bits(iv: DyadicInterval) -> int:
+    return max(iv.lo.man.bit_length(), iv.hi.man.bit_length())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6).map(lambda c: IntPoly(tuple(c) + (1,))),
+       st.sampled_from([8, 64, 300, 1024]))
+@example(IntPoly.of(-2, 0, 0, 0, 0, 0, 1), 1024)
+@example(IntPoly.of(-1, -1, 1), 1024)
+@example(IntPoly.of(0, -4, 0, 1), 300)  # the root 0 is exact
+def test_refine_root_matches_mpmath_with_bounded_mantissas(p, bits):
+    # every real root, refined to width 2^-bits, against mpmath.polyroots at
+    # 4x the precision; the endpoints carry at most about twice those bits
+    assume(is_squarefree(p))
+    isolated = isolate_real_roots(p)
+    assume(isolated)
+    with mpmath.workprec(4 * bits + 64):
+        roots = mpmath.polyroots(p.coeffs[::-1], maxsteps=400, extraprec=4 * bits)
+        eps = mpmath.ldexp(1, -3 * bits)  # far below the width, far above mpmath's error
+        real = sorted(z.real for z in roots if abs(z.imag) < eps)
+        assert len(real) == len(isolated)
+        target = Dyadic(1, -bits)
+        for iv, root in zip(isolated, real):
+            got = refine_root(p, iv, target)
+            assert got.width() <= target and iv.contains_interval(got)
+            lo = mpmath.ldexp(got.lo.man, got.lo.exp)
+            hi = mpmath.ldexp(got.hi.man, got.hi.exp)
+            assert lo - eps <= root <= hi + eps
+            assert _mantissa_bits(got) <= 2 * bits + 64
+
+
+def test_refine_root_sextic_at_1024_bits_is_fast():
+    # the two real roots of x^6 - 2: before the Newton precision followed the
+    # width's leading bit, this took over a minute and 10^6-bit endpoints
+    p = IntPoly.of(-2, 0, 0, 0, 0, 0, 1)
+    t0 = time.perf_counter()
+    roots = [refine_root(p, iv, Dyadic(1, -1024)) for iv in isolate_real_roots(p)]
+    assert time.perf_counter() - t0 < 5
+    assert len(roots) == 2 and all(_mantissa_bits(iv) <= 2 * 1024 + 64 for iv in roots)
 
 
 def test_interval_evaluation_contains_exact():

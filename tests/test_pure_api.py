@@ -8,6 +8,9 @@ oracles, never imported by the package.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -17,6 +20,7 @@ import sys
 import cfindep
 
 PACKAGE = pathlib.Path(cfindep.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
 PRECISION_NAMES = {"prec", "precision"}
 OPTIONAL_PRECISION = {("CFSpec", "quotient"), ("Thm1Config", "quotient")}
 
@@ -132,3 +136,38 @@ def test_runs_import_neither_sympy_nor_numpy(tmp_path):
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[0, 0, 0, 1] 1 []"
+
+
+def _tracer():
+    """``perfbench/tracer.py``, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_layer_metrics_name_traced_functions():
+    # the tracer wraps the functions in each layer module's __all__ and the
+    # methods it lists; a per-layer metric of BENCHMARK.json that names
+    # anything else makes a traced benchmark run fail, so a public function
+    # the benchmark reads may not be deleted or made private
+    tracer = _tracer()
+    traced = set()
+    for modname, layer in tracer.LAYERS.items():
+        mod = importlib.import_module(modname)
+        traced.update(f"{layer}.{name}" for name in mod.__all__
+                      if inspect.isfunction(getattr(mod, name)) and getattr(mod, name).__module__ == modname)
+    for (modname, clsname), methods in tracer.METHODS.items():
+        cls = getattr(importlib.import_module(modname), clsname)
+        for attr, name in methods.items():
+            assert inspect.isfunction(getattr(cls, attr)), f"{clsname}.{attr}"
+            traced.add(f"{tracer.LAYERS[modname]}.{name}")
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    unresolved = []
+    for metric in benchmark["per_layer"]:
+        head, stat = metric["name"].rsplit(".", 1)
+        if head == "trace":  # the harness's own overhead figure
+            continue
+        if head not in (set(tracer.LAYERS.values()) if stat == "self_s" else traced):
+            unresolved.append(metric["name"])
+    assert unresolved == []
