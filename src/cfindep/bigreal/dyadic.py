@@ -181,14 +181,79 @@ def _rational_pair(num: int, den: int, prec: int, up: bool) -> tuple[int, int]:
     # scale so that the integer quotient carries prec+1 bits
     shift = prec + 1 - (num.bit_length() - den.bit_length())
     if shift >= 0:
-        n, d = num << shift, den
+        n = num << shift
     else:
-        n, d = num, den << -shift
-    if up:
-        q = -((-n) // d)
+        # floor(n / (d * 2**k)) == floor(floor(n / 2**k) / d), and likewise
+        # for ceilings, so the power of two is divided out by a shift
+        n = -((-num) >> -shift) if up else num >> -shift
+    q, r = _divmod(n, den)
+    return q + (up and r != 0), -shift
+
+
+# Up to this many bits of divisor or quotient the builtin division is at
+# least as fast as the recursive one; CPython 3.12's own recursive division
+# uses the same base case.
+_DIV_LIMIT = 4000
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for b > 0, recursive (Burnikel-Ziegler) on large operands.
+
+    Python 3.11 divides by schoolbook, in time proportional to the product of
+    the divisor and quotient lengths; the recursive division spends most of
+    its time in Karatsuba multiplications instead.
+    """
+    n = b.bit_length()
+    if n <= _DIV_LIMIT or a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    if a < 0:
+        # ~a == -a - 1 >= 0, and a == b * ~q + (b + ~r)
+        q, r = _divmod(~a, b)
+        return ~q, b + ~r
+    return _divmod_digits(0, a, b, n, -(-a.bit_length() // n))
+
+
+def _divmod_digits(r: int, a: int, b: int, n: int, k: int) -> tuple[int, int]:
+    """divmod(r * 2**(k*n) + a, b) for 0 <= r < b, 0 <= a < 2**(k*n), k >= 1,
+    and b of n bits: long division in base 2**n, each digit by _div2n1n,
+    the digit string split in halves so that every shift stays balanced."""
+    if k == 1:
+        return _div2n1n((r << n) + a, b, n)
+    lo_bits = (k >> 1) * n
+    q_hi, r = _divmod_digits(r, a >> lo_bits, b, n, k - (k >> 1))
+    q_lo, r = _divmod_digits(r, a & ((1 << lo_bits) - 1), b, n, k >> 1)
+    return (q_hi << lo_bits) | q_lo, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b * 2**n."""
+    if a.bit_length() - n <= _DIV_LIMIT:
+        return divmod(a, b)
+    odd = n & 1
+    if odd:  # make n even; the quotient is unchanged, the remainder doubles
+        a, b, n = a << 1, b << 1, n + 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b1, b2 = b >> h, b & mask
+    # two digits of base 2**h, each from three digits of a by two of b
+    q1, r = _div3n2n(a >> n, (a >> h) & mask, b, b1, b2, h)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, h)
+    return (q1 << h) | q2, r >> odd
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, h: int) -> tuple[int, int]:
+    """divmod(a12 * 2**h + a3, b) for b == b1 * 2**h + b2 of 2h bits, b1 of
+    h bits, a3 < 2**h and a12 < b: estimate the digit from b1 alone, then
+    correct it, at most twice, by the term of b2."""
+    if a12 >> h == b1:
+        q, r = (1 << h) - 1, a12 - (b1 << h) + b1
     else:
-        q = n // d
-    return q, -shift
+        q, r = _div2n1n(a12, b1, h)
+    r = ((r << h) | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def _sqrt(x: Dyadic, prec: int, up: bool) -> Dyadic:

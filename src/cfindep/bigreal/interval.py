@@ -22,7 +22,14 @@ from math import gcd
 from operator import index
 
 from ..errors import DivisorContainsZero, NegativeSqrt
-from .dyadic import Dyadic, _rational_pair, rational_to_dyadic, sqrt_down, sqrt_up
+from .dyadic import (
+    Dyadic,
+    _divmod,
+    _rational_pair,
+    rational_to_dyadic,
+    sqrt_down,
+    sqrt_up,
+)
 
 __all__ = [
     "DyadicInterval",
@@ -258,11 +265,24 @@ def _pair_quotient(n: int, e: int, d: int, prec: int, up: bool) -> tuple[int, in
     """Directed rounding of n * 2**e / d, d > 0, as rational_to_dyadic of the
     reduced fraction n/d scaled by 2**e.
 
-    The rounding shift depends on the bit lengths of the reduced terms, so the
-    gcd cannot be skipped (15/9 rounds as 5/3); powers of two in n or d leave
-    the rounded value unchanged.
+    The rounding shift depends on the bit lengths of the reduced terms, so
+    whether n/d is reduced must be known (15/9 rounds as 5/3); powers of two
+    in n or d leave the rounded value unchanged.  For odd d and a shift
+    s >= 0, gcd(n, d) == gcd((n * 2**s) mod d, d): when n is at least as
+    long as d, the remainder of the rounding division answers that test with
+    a gcd of d's length, which gcd(n, d) would reach only after a division of
+    its own.  A shorter n (whose gcd with d is cheaper), an even d or s < 0
+    takes gcd(n, d), and a common factor is divided out before rounding.
     """
-    g = gcd(n, d)
+    nb, db = n.bit_length(), d.bit_length()
+    s = prec + 1 - (nb - db)
+    if d & 1 and nb >= db and s >= 0:
+        q, r = _divmod(n << s, d)
+        g = gcd(r, d)
+        if g == 1:
+            return q + (up and r != 0), e - s
+    else:
+        g = gcd(n, d)
     if g != 1:
         n //= g
         d //= g
@@ -351,7 +371,9 @@ _POINT_CACHE_SIZE = 4096
 # iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
 # same endpoints while building DyadicIntervals only for the result.  A pair
 # need not be canonical: rounding to p bits depends on the value alone, and
-# _pair_quotient reduces its fraction before rounding as _quotient does.
+# _pair_quotient rounds the reduced fraction, as _quotient does, whether it
+# learns that the fraction is reduced from its rounding remainder or reduces
+# it by the gcd first.
 
 
 def _pair_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
-from .bigreal.dyadic import Dyadic, rational_to_dyadic
+from .bigreal.dyadic import rational_to_dyadic
 from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div, singleton
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples

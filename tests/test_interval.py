@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -133,6 +134,58 @@ def test_div_rounds_the_reduced_quotient():
         )
         assert q != unreduced and q.contains_interval(unreduced)
         assert iv_div(singleton(45), singleton(27), prec) == q
+
+
+def _reduced_pair(n, e, d, prec, up):
+    """n * 2**e / d rounded by definition: reduce n/d, take the shift from the
+    bit lengths of the reduced terms, then floor or ceil."""
+    f = Fraction(n, d)
+    if f == 0:
+        return 0, e
+    shift = prec + 1 - (f.numerator.bit_length() - f.denominator.bit_length())
+    v = f * Fraction(2) ** shift
+    return (math.ceil(v) if up else math.floor(v)), e - shift
+
+
+@st.composite
+def _quotient_operands(draw):
+    """(n, d) from 1 to 80,000 bits: d is 1, a power of two, odd, even, or
+    shares an odd factor with n; n of either sign."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bits = st.one_of(st.sampled_from((1, 2, 64, 3999, 4000, 4001, 33_000, 80_000)),
+                     st.integers(1, 80_000))
+
+    def odd(k):
+        return rng.getrandbits(k) | 1 | (1 << (k - 1))
+
+    n, dbits = odd(draw(bits)) << draw(st.sampled_from((0, 0, 1, 40))), draw(bits)
+    kind = draw(st.sampled_from(("one", "power of two", "odd", "even", "shared")))
+    if kind == "one":
+        d = 1
+    elif kind == "power of two":
+        d = 1 << (dbits - 1)
+    elif kind == "odd":
+        d = odd(dbits)
+    elif kind == "even":
+        d = odd(dbits) << draw(st.integers(1, 100))
+    else:
+        g = odd(draw(st.sampled_from((2, 30, 3000, 20_000))))
+        n, d = n * g, odd(dbits) * g
+    return draw(st.sampled_from((-1, 1))) * n, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotient_operands(), st.integers(-500, 500),
+       st.one_of(st.integers(4, 160), st.sampled_from((4000, 4001, 33_000)), st.integers(4, 40_000)),
+       st.booleans())
+@example((0, 9), 3, 64, True)
+@example((15, 9), 0, 4, False)
+@example((45, 27), -2, 4, True)
+def test_pair_quotient_matches_reduced_definition(operands, e, prec, up):
+    # the rounding remainder answers the gcd test for odd d when n is at
+    # least as long as d; every other case reduces first, and all agree
+    n, d = operands
+    assert interval._pair_quotient(n, e, d, prec, up) == _reduced_pair(n, e, d, prec, up)
 
 
 def test_precision_argument_validated():

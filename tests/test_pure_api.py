@@ -99,6 +99,31 @@ def test_no_sympy_or_numpy_import():
     assert found == []
 
 
+def _all_names(tree):
+    """The strings of a module-level ``__all__ = [...]``, if there is one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_unused_imports():
+    found = []
+    for path, tree in _modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _all_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path}:{node.lineno} {name}")
+    assert found == []
+
+
 # A config-built Q(cbrt 2): field_new proves x^3 - 2 irreducible through its
 # certified complex roots, and the embeddings are then computed outright.
 _CBRT2 = {
