@@ -190,34 +190,45 @@ def _convergent_interval(state: ConvergentState, work: int) -> DyadicInterval:
     return iv_div(scalar_enclosure(p, work), scalar_enclosure(q, work), work)
 
 
+def _quotient_states(cf, n: int, work: int) -> list[ConvergentState]:
+    """States of orders 1 .. n+3, each quotient certified >= 1."""
+    st = initial_state(0)
+    states = []
+    for k in range(1, n + 4):
+        a = cf.quotient(k, work)
+        if not scalar_at_least_one(a):
+            raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
+        st = advance(st, a)
+        states.append(st)
+    return states
+
+
 def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     """Rigorous enclosure of the CF limit [0; a1, a2, ...] at order n.
 
     The limit is sandwiched between consecutive convergents two orders deeper
     than requested: their hull sits strictly inside the order-n bracket with
     margin, so outward rounding can violate neither containment nor the width
-    bound 1/(q_n q_{n+1}).
+    bound 1/(q_n q_{n+1}).  The working precision doubles until that bound is
+    met.  The convergent states of an exact spec do not depend on it, so they
+    are built once; an interval-valued spec rebuilds them on every rung.  A
+    rung whose order-(n+2) convergent alone is wider than the bound fails
+    without evaluating the order-(n+3) one, since their hull contains it.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     work = prec + 16
+    exact_states = _quotient_states(cf, n, work) if cf.is_exact() else None
     for _ in range(8):
-        st = initial_state(0)
-        states = []
-        for k in range(1, n + 4):
-            a = cf.quotient(k, work)
-            if not scalar_at_least_one(a):
-                raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
-            st = advance(st, a)
-            states.append(st)
-        c1 = _convergent_interval(states[n + 1], work)  # order n+2
-        c2 = _convergent_interval(states[n + 2], work)  # order n+3
-        value = iv_hull(c1, c2)
+        states = exact_states or _quotient_states(cf, n, work)
         qn = scalar_enclosure(states[n - 1].q_cur, work)
         qn1 = scalar_enclosure(states[n].q_cur, work)
         bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
-        if value.width() <= bound.lo:
-            return CFValueEnclosure(value, n, "nested-convergents")
+        c1 = _convergent_interval(states[n + 1], work)  # order n+2
+        if c1.width() <= bound.lo:
+            value = iv_hull(c1, _convergent_interval(states[n + 2], work))  # order n+3
+            if value.width() <= bound.lo:
+                return CFValueEnclosure(value, n, "nested-convergents")
         work *= 2
     raise PrecisionInsufficient("enclosure width bound not met")  # pragma: no cover
 

@@ -5,10 +5,10 @@ scaled coefficients lambda_{i,j}; no floating-point Gram-Schmidt) with the
 Lovasz parameter fixed at delta = 99/100.  A relation search for m values
 at height H and precision P builds the standard scaled-value lattice, rows
 (c, c . x) for x the midpoints scaled by 2^s, and reduces it in stages whose
-scale s starts at 512 bits (or P, if smaller) and grows by a fixed STEP bits
-up to P, so each reduction sees entries of about s/m + STEP bits.  Any
-candidate from the last stage is verified against the input enclosures at
-doubled precision before it is reported.
+scale s starts at STEP bits (or P, if smaller) and grows by STEP bits up to
+P, so each reduction sees entries of about s/m + STEP bits.  Any candidate
+from the last stage is verified against the input enclosures at doubled
+precision before it is reported.
 
 After each stage below P the search stops early with ``none_below_height``
 when the Gram determinants d_i of the reduced basis satisfy
@@ -20,7 +20,9 @@ candidate c with 0 < max|c_i| <= H passes the final verification only if
 |c . mid| < 2^-(P//2); rounding the scaled midpoints then gives
 |c . x| < m H + slack, so (c, c . x) would be a lattice vector inside the
 bound.  The full search would therefore have reported ``none_below_height``
-too.
+too.  The argument holds at every scale s <= P: the rows carry a unimodular
+coefficient basis, so every integer c stays reachable from the first stage
+on, and the stop can fire as early as the STEP-bit stage.
 
 A ``none_below_height`` outcome is an empirical certificate relative to the
 chosen height and precision; it is never a proof of linear independence.
@@ -48,8 +50,9 @@ __all__ = [
 
 LLL_DELTA = Fraction(99, 100)
 
-# Bits of scale added per stage of a relation search (chosen by timing
-# planted relations of 4 to 9 values at 2048 and 4096 bits).
+# Bits of scale of the first stage of a relation search and added per later
+# stage (chosen by timing planted relations of 4 to 9 values at 2048 and
+# 4096 bits).
 STEP = 128
 
 
@@ -206,7 +209,7 @@ def find_relation(values: list[DyadicInterval], height: int, precision: int) -> 
     """Search for integers c with sum c_i * values_i = 0 and max|c| <= height.
 
     Inputs must be enclosures of width <= 2**-precision.  The lattice is
-    reduced at scales 512, 512 + STEP, ... and finally ``precision`` bits.
+    reduced at scales STEP, 2*STEP, ... and finally ``precision`` bits.
     Candidates from the last reduction are verified in interval arithmetic at
     doubled precision; ``found`` requires the verified residual to contain
     zero with width below 2**(-precision//2).  An earlier stage returns
@@ -224,12 +227,7 @@ def find_relation(values: list[DyadicInterval], height: int, precision: int) -> 
         if v.width() > wmax:
             raise PrecisionTooLow("input enclosure wider than 2^-precision")
 
-    scales = []
-    s = min(precision, 512)
-    while s < precision:
-        scales.append(s)
-        s += STEP
-    scales.append(precision)
+    scales = list(range(min(precision, STEP), precision, STEP)) + [precision]
     # rows are (c, c . x), so the first m columns of a reduced basis carry
     # the coefficient vectors into the next, finer stage
     coeffs = [[1 if i == j else 0 for j in range(m)] for i in range(m)]

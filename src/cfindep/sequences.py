@@ -324,10 +324,14 @@ def _int(desc: dict, key: str) -> int:
 
 
 def _base(desc: dict) -> CFSpec:
-    """The base sequence a_n that a base-scaled kind multiplies."""
+    """The base sequence a_n that a base-scaled kind multiplies; it must be
+    exact, since the derived kinds are declared exact."""
     if "base" not in desc:
         raise ValueError(f"{desc['kind']} sequence needs 'base'")
-    return parse_sequence(desc["base"])
+    base = parse_sequence(desc["base"])
+    if not base.is_exact():
+        raise ValueError(f"{desc['kind']} sequence: base kind {base.kind!r} is not exact")
+    return base
 
 
 # ---------------------------------------------------------------------------

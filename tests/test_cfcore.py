@@ -6,10 +6,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
-from cfindep.bigreal.interval import ComplexInterval, DyadicInterval, from_fraction, iv_add, iv_div, singleton
+from cfindep.bigreal.interval import (
+    ComplexInterval,
+    DyadicInterval,
+    from_fraction,
+    iv_add,
+    iv_div,
+    iv_hull,
+    iv_mul,
+    singleton,
+)
 from cfindep.bigreal.poly import IntPoly, refine_root
+from cfindep.catalog import build_config, catalog
 from cfindep.cfcore import (
+    CFValueEnclosure,
     GaussianRational,
+    _convergent_interval,
     advance,
     complex_cf_eval_exact,
     determinant_value,
@@ -18,9 +30,11 @@ from cfindep.cfcore import (
     gaussian_cf,
     initial_state,
     run_recurrence,
+    scalar_at_least_one,
+    scalar_enclosure,
     scalar_is_zero,
 )
-from cfindep.errors import QuotientBelowOne, TailContainsZero, ZeroTailDivision
+from cfindep.errors import PrecisionInsufficient, QuotientBelowOne, TailContainsZero, ZeroTailDivision
 from cfindep.sequences import spec, sqrt2_field
 
 
@@ -146,6 +160,63 @@ def test_enclose_precision_refinement_nested():
 def test_enclose_rejects_small_quotients():
     with pytest.raises(QuotientBelowOne):
         enclose_value(spec("constant", value=Fraction(1, 2)), 3, 64)
+
+
+def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
+    """Reference: rebuild the recurrence and evaluate both convergents on every rung."""
+    work = prec + 16
+    for _ in range(8):
+        st = initial_state(0)
+        states = []
+        for k in range(1, n + 4):
+            a = cf.quotient(k, work)
+            if not scalar_at_least_one(a):
+                raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
+            st = advance(st, a)
+            states.append(st)
+        c1 = _convergent_interval(states[n + 1], work)
+        c2 = _convergent_interval(states[n + 2], work)
+        value = iv_hull(c1, c2)
+        qn = scalar_enclosure(states[n - 1].q_cur, work)
+        qn1 = scalar_enclosure(states[n].q_cur, work)
+        bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
+        if value.width() <= bound.lo:
+            return CFValueEnclosure(value, n, "nested-convergents")
+        work *= 2
+    raise PrecisionInsufficient("enclosure width bound not met")
+
+
+def _outcome(enclose, *args):
+    try:
+        return enclose(*args)
+    except PrecisionInsufficient:  # t2 at N = 5 below 1024 bits, on both paths
+        return PrecisionInsufficient
+
+
+def test_enclose_value_equals_rung_loop_on_catalog():
+    seqs = [s for name in catalog() for s in build_config(name).sequences]
+    seqs.append(spec("one-plus-over-sqrt", c=Fraction(3)))
+    for s in seqs:
+        for n in range(2, 6):
+            for prec in (64, 256, 1024):
+                args = (s, n, prec)
+                assert _outcome(enclose_value, *args) == _outcome(_rung_loop_enclosure, *args), args
+
+
+def test_enclose_value_builds_exact_recurrence_once():
+    calls = []
+
+    def quotient(n):
+        calls.append(n)
+        return Fraction(2) ** (8 * n)
+
+    s = spec("custom", fn=quotient)
+    n = 2
+    expected = _rung_loop_enclosure(s, n, 4)
+    assert len(calls) >= 2 * (n + 3)  # the reference needs at least two rungs
+    calls.clear()
+    assert enclose_value(s, n, 4) == expected
+    assert len(calls) == n + 3
 
 
 def test_nested_convergents_property():

@@ -250,6 +250,7 @@ def test_missing_base_exit_two(tmp_path, capsys, seq):
 
 
 _CONVERGENTS = {"task": "convergents", "params": {"N": 2}}
+_INTERVAL_BASE = {"a": {"kind": "div-by-j", "j": 2, "base": {"kind": "one-plus-over-sqrt", "c": "3"}}}
 
 
 @pytest.mark.parametrize("args, message", [
@@ -277,6 +278,10 @@ _CONVERGENTS = {"task": "convergents", "params": {"N": 2}}
                                          "poly": [-(2 ** 17)] + [0] * 16 + [1],
                                          "base": {"kind": "constant", "value": 2}}}},
      "degree 17 exceeds 16"),
+    ({"task": "enclose", "sequences": _INTERVAL_BASE, "params": {"N": 3, "precision": 64}},
+     "base kind 'one-plus-over-sqrt' is not exact"),
+    ({"task": "check-theorem1", "sequences": _INTERVAL_BASE, "params": {"N": 2}},
+     "base kind 'one-plus-over-sqrt' is not exact"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
     rc = _run_config(tmp_path, args) if isinstance(args, dict) else main(args)

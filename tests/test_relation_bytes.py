@@ -120,6 +120,7 @@ def _planted(coeffs: list[int], precision: int, seed: int) -> list:
     ([7, -3, 5], 100, 1024),          # found after several stages
     ([101, -4, 9], 100, 1024),        # height H + 1 searched with height H
     ([-11, 2, 3, 8, 1], 10, 2048),    # height H + 1 with six values
+    ([37, -12, 5, 88, -3], 100, 4096),  # six values at 4096 bits
 ])
 def test_early_stop_equals_full_search_on_short_vectors(coeffs, height, precision, monkeypatch):
     values = _planted(coeffs, precision, precision + len(coeffs))
@@ -148,4 +149,25 @@ def test_early_stop_fires_on_ex1_at_4096_bits(monkeypatch):
 
     monkeypatch.setattr(relation, "_rules_out", recording)
     _relation_results("relation ex1 --N 6 --precision 4096".split(), monkeypatch)
-    assert verdicts == [(1, True)]  # stops after the first, 512-bit stage
+    assert verdicts == [(1, True)]  # stops after the first, STEP-bit stage
+
+
+@pytest.mark.parametrize("example,precision", PROBES)
+def test_catalog_probe_stops_after_one_reduction(example, precision, monkeypatch):
+    reductions = []
+    verdicts = []
+    lll_reduce, rules_out = relation.lll_reduce, relation._rules_out
+
+    def counting(basis):
+        reductions.append(max(abs(x).bit_length() for row in basis for x in row))
+        return lll_reduce(basis)
+
+    def recording(*args):
+        verdicts.append(rules_out(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(relation, "lll_reduce", counting)
+    monkeypatch.setattr(relation, "_rules_out", recording)
+    _relation_results(f"relation {example} --N 6 --precision {precision}".split(), monkeypatch)
+    assert len(reductions) == 1 and reductions[0] <= relation.STEP + 8  # the STEP-bit stage
+    assert verdicts[0] is True
