@@ -240,11 +240,13 @@ def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> 
 
     Each step tries interval Newton from the midpoint and falls back to
     bisection on exact signs.  Newton works at twice the bits that the
-    current width's leading bit resolves, plus a guard, so one step at most
-    about squares the width and the endpoints of a result of width near
-    2**-p carry about 2p bits.  The returned interval lies inside
-    ``isolating``, has width <= ``target_width`` and a sign change of p
-    across it (or is the exact root when the root is dyadic).
+    current width's leading bit resolves, plus a guard, but never at more
+    than the target's bits plus 32: one step at most about squares the
+    width, no step rounds finer than the result needs, and the endpoints of
+    a result of width near 2**-p carry about p + 32 bits.  The returned
+    interval lies inside ``isolating``, has width <= ``target_width`` and a
+    sign change of p across it (or is the exact root when the root is
+    dyadic).
     """
     lo, hi = isolating.lo, isolating.hi
     s_lo = p.eval_dyadic(lo).sign()
@@ -268,7 +270,7 @@ def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> 
         steps += 1
         mid = (lo + hi).scaled(-1)
         width = hi - lo
-        work = max(64, 8 - 2 * (width.exp + width.man.bit_length()), target_bits + 32)
+        work = max(64, min(8 - 2 * (width.exp + width.man.bit_length()), target_bits + 32))
         newton_done = False
         dpi = dp.eval_interval(DyadicInterval(lo, hi), work)
         if not dpi.contains_zero():

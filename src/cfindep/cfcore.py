@@ -203,23 +203,72 @@ def _quotient_states(cf, n: int, work: int) -> list[ConvergentState]:
     return states
 
 
+def _floor_log2(x: Dyadic) -> int:
+    return x.exp + x.man.bit_length() - 1
+
+
+def _never_point(p, q) -> bool:
+    """No enclosure of p/q that ``_convergent_interval`` builds is a point:
+    p or q is irrational, or p/q is a rational that is not dyadic."""
+    if any(isinstance(x, FieldElement) and not x.is_rational() for x in (p, q)):
+        return True
+    if isinstance(p, Fraction) and isinstance(q, Fraction):
+        d = (p / q).denominator
+        return d & (d - 1) != 0
+    return False
+
+
+def _least_useful_work(states: list[ConvergentState], n: int) -> int:
+    """A working precision below which every rung of ``enclose_value`` fails;
+    0 when nothing is known."""
+    st = states[n + 1]
+    if not _never_point(st.p_cur, st.q_cur):
+        return 0
+    c1 = _convergent_interval(st, 64)
+    qq = iv_mul(scalar_enclosure(states[n - 1].q_cur, 64), scalar_enclosure(states[n].q_cur, 64), 64)
+    if c1.lo.sign() <= 0 or qq.lo.sign() <= 0:
+        return 0
+    return _floor_log2(c1.lo) + _floor_log2(qq.lo) - 3
+
+
 def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     """Rigorous enclosure of the CF limit [0; a1, a2, ...] at order n.
 
     The limit is sandwiched between consecutive convergents two orders deeper
     than requested: their hull sits strictly inside the order-n bracket with
     margin, so outward rounding can violate neither containment nor the width
-    bound 1/(q_n q_{n+1}).  The working precision doubles until that bound is
-    met.  The convergent states of an exact spec do not depend on it, so they
-    are built once; an interval-valued spec rebuilds them on every rung.  A
-    rung whose order-(n+2) convergent alone is wider than the bound fails
-    without evaluating the order-(n+3) one, since their hull contains it.
+    bound 1/(q_n q_{n+1}).  The working precision doubles, up to 8 rungs from
+    prec + 16 bits, until that bound is met.  The convergent states of an
+    exact spec do not depend on it, so they are built once; an
+    interval-valued spec rebuilds them on every rung.  A rung whose
+    order-(n+2) convergent alone is wider than the bound fails without
+    evaluating the order-(n+3) one, since their hull contains it.
+
+    An exact spec also skips, without computing them, the rungs that must
+    fail by the following lemma, with c = 3.  ``iv_div`` and
+    ``from_fraction`` at ``work`` bits round each endpoint x to a mantissa of
+    at most work + 2 bits, so x is a multiple of a power of two
+    2**k >= |x| * 2**-(work + 2).  Let 2**e <= p/q for the order-(n+2)
+    convergent and 2**L <= q_n q_{n+1}, both read from 64-bit enclosures.
+    The rung's interval [lo, hi] contains p/q, so hi >= 2**e.  If it is not
+    a point, either lo >= hi/2, and then lo and hi are distinct multiples of
+    2**(e - work - 3), or hi - lo > hi/2; either way it is at least
+    2**(e - work - c) wide.  The bound's lower end is at most
+    1/(q_n q_{n+1}) <= 2**-L, so the rung fails whenever e - work - c > -L.
+    The interval is certainly not a point when p or q is an irrational field
+    element or p/q is a non-dyadic rational; otherwise no rung is skipped.
+    A skipped rung fails like a computed one, so every outcome,
+    ``PrecisionInsufficient`` included, is the same as without the skip.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     work = prec + 16
     exact_states = _quotient_states(cf, n, work) if cf.is_exact() else None
+    least = _least_useful_work(exact_states, n) if exact_states else 0
     for _ in range(8):
+        if work < least:
+            work *= 2
+            continue
         states = exact_states or _quotient_states(cf, n, work)
         qn = scalar_enclosure(states[n - 1].q_cur, work)
         qn1 = scalar_enclosure(states[n].q_cur, work)
@@ -230,7 +279,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
             if value.width() <= bound.lo:
                 return CFValueEnclosure(value, n, "nested-convergents")
         work *= 2
-    raise PrecisionInsufficient("enclosure width bound not met")  # pragma: no cover
+    raise PrecisionInsufficient("enclosure width bound not met")
 
 
 # -- complex evaluation ----------------------------------------------------------

@@ -185,6 +185,9 @@ class CFSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnknownFamily(f"unknown sequence kind {self.kind!r}")
+        base = self._p("base")
+        if isinstance(base, CFSpec) and self.is_exact() and not base.is_exact():
+            raise ValueError(f"{self.kind} sequence: base kind {base.kind!r} is not exact")
 
     def _p(self, name, default=None):
         for k, v in self.params:
@@ -324,14 +327,11 @@ def _int(desc: dict, key: str) -> int:
 
 
 def _base(desc: dict) -> CFSpec:
-    """The base sequence a_n that a base-scaled kind multiplies; it must be
-    exact, since the derived kinds are declared exact."""
+    """The base sequence a_n that a base-scaled kind multiplies (``CFSpec``
+    refuses one that is not exact)."""
     if "base" not in desc:
         raise ValueError(f"{desc['kind']} sequence needs 'base'")
-    base = parse_sequence(desc["base"])
-    if not base.is_exact():
-        raise ValueError(f"{desc['kind']} sequence: base kind {base.kind!r} is not exact")
-    return base
+    return parse_sequence(desc["base"])
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from cfindep.cfcore import (
     scalar_is_zero,
 )
 from cfindep.errors import PrecisionInsufficient, QuotientBelowOne, TailContainsZero, ZeroTailDivision
+from cfindep.numfield import FieldElement
 from cfindep.sequences import spec, sqrt2_field
 
 
@@ -193,6 +194,10 @@ def _outcome(enclose, *args):
         return PrecisionInsufficient
 
 
+# the enclose operations of the benchmark's probe workload: (example, N, precision)
+PROBE_ENCLOSE = (("ex1", 6, 1024), ("hanluc", 6, 2048), ("golden-powers", 5, 1024))
+
+
 def test_enclose_value_equals_rung_loop_on_catalog():
     seqs = [s for name in catalog() for s in build_config(name).sequences]
     seqs.append(spec("one-plus-over-sqrt", c=Fraction(3)))
@@ -201,6 +206,30 @@ def test_enclose_value_equals_rung_loop_on_catalog():
             for prec in (64, 256, 1024):
                 args = (s, n, prec)
                 assert _outcome(enclose_value, *args) == _outcome(_rung_loop_enclosure, *args), args
+    for name, n, prec in PROBE_ENCLOSE:
+        args = (build_config(name).sequences[0], n, prec)
+        assert enclose_value(*args) == _rung_loop_enclosure(*args), name
+
+
+def test_enclose_value_evaluates_only_the_succeeding_rung(monkeypatch):
+    # ex1 at N = 6 and 1024 bits succeeds on its sixth rung; the five below it
+    # fail by the rounding-grid lemma and are skipped, so besides the 64-bit
+    # enclosures that read the lemma's bounds every enclosure is at one precision
+    s = build_config("ex1").sequences[0]
+    requested = []
+    enclosure = FieldElement.enclosure
+
+    def recording(self, prec):
+        requested.append(prec)
+        return enclosure(self, prec)
+
+    monkeypatch.setattr(FieldElement, "enclosure", recording)
+    expected = _rung_loop_enclosure(s, 6, 1024)
+    rungs = sorted(set(requested))
+    assert rungs == [1040 << k for k in range(6)]
+    requested.clear()
+    assert enclose_value(s, 6, 1024) == expected
+    assert sorted(set(requested)) == [64, rungs[-1]]
 
 
 def test_enclose_value_builds_exact_recurrence_once():

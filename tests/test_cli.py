@@ -287,3 +287,9 @@ def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
     rc = _run_config(tmp_path, args) if isinstance(args, dict) else main(args)
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_enclose_precision_exhausted_exit_three(capsys):
+    # eight doublings from 80 bits never reach the width 1/(q_5 q_6) of t2
+    assert main(["enclose", "--example", "t2", "--N", "5", "--precision", "64"]) == 3
+    assert "precision exhausted" in capsys.readouterr().err

@@ -123,6 +123,38 @@ def test_div_matches_fraction_formula(a, b, prec):
         assert iv_div(a, b, prec) == _fraction_div(a, b, prec)
 
 
+def _assert_on_rounding_grid(r: DyadicInterval, prec: int) -> None:
+    """Each endpoint has at most prec + 2 mantissa bits, so a result that is
+    not a point and reaches out to |x| >= 2^e is at least 2^(e - prec - 3)
+    wide (the lemma ``enclose_value`` skips rungs by)."""
+    assert r.lo.man.bit_length() <= prec + 2 and r.hi.man.bit_length() <= prec + 2
+    if r.is_point():
+        return
+    for x in (r.hi, -r.lo):
+        if x.sign() > 0:
+            e = x.exp + x.man.bit_length() - 1  # 2^e <= x
+            assert r.width() >= Dyadic(1, e - prec - 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals(), _intervals(), _PRECISIONS)
+@example(singleton(1), singleton(3), 4)
+@example(DyadicInterval(Dyadic(1), Dyadic(3, -1)), singleton(1), 4)
+def test_div_rounds_to_a_grid(a, b, prec):
+    if not b.contains_zero():
+        _assert_on_rounding_grid(iv_div(a, b, prec), prec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2 ** 5000), 2 ** 5000), st.integers(1, 2 ** 5000), _PRECISIONS)
+@example(1, 3, 4)
+@example(2 ** 40 - 1, 2 ** 41, 4)
+def test_from_fraction_rounds_to_a_grid(num, den, prec):
+    r = from_fraction(Fraction(num, den), prec)
+    _assert_on_rounding_grid(r, prec)
+    assert r.is_point() == (Fraction(num, den) == r.lo.as_fraction())
+
+
 def test_div_rounds_the_reduced_quotient():
     # 15/9 and 5/3 round with different shifts: the endpoints carry prec+2
     # bits for the former and prec+1 for the latter, and iv_div uses 5/3

@@ -107,18 +107,15 @@ def _mantissa_bits(iv: DyadicInterval) -> int:
     return max(iv.lo.man.bit_length(), iv.hi.man.bit_length())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6).map(lambda c: IntPoly(tuple(c) + (1,))),
-       st.sampled_from([8, 64, 300, 1024]))
-@example(IntPoly.of(-2, 0, 0, 0, 0, 0, 1), 1024)
-@example(IntPoly.of(-1, -1, 1), 1024)
-@example(IntPoly.of(0, -4, 0, 1), 300)  # the root 0 is exact
-def test_refine_root_matches_mpmath_with_bounded_mantissas(p, bits):
-    # every real root, refined to width 2^-bits, against mpmath.polyroots at
-    # 4x the precision; the endpoints carry at most about twice those bits
-    assume(is_squarefree(p))
+def _squarefree_low_degree():
+    coeffs = st.tuples(st.lists(st.integers(-20, 20), min_size=2, max_size=4), st.integers(1, 4))
+    return coeffs.map(lambda c: IntPoly(tuple(c[0]) + (c[1],))).filter(is_squarefree)
+
+
+def _assert_refined_against_mpmath(p: IntPoly, bits: int) -> None:
+    """Every real root refined to width 2^-bits contains mpmath's root at 4x
+    the precision, and its endpoints carry at most bits + 64 mantissa bits."""
     isolated = isolate_real_roots(p)
-    assume(isolated)
     with mpmath.workprec(4 * bits + 64):
         roots = mpmath.polyroots(p.coeffs[::-1], maxsteps=400, extraprec=4 * bits)
         eps = mpmath.ldexp(1, -3 * bits)  # far below the width, far above mpmath's error
@@ -131,7 +128,43 @@ def test_refine_root_matches_mpmath_with_bounded_mantissas(p, bits):
             lo = mpmath.ldexp(got.lo.man, got.lo.exp)
             hi = mpmath.ldexp(got.hi.man, got.hi.exp)
             assert lo - eps <= root <= hi + eps
-            assert _mantissa_bits(got) <= 2 * bits + 64
+            assert _mantissa_bits(got) <= bits + 64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6).map(lambda c: IntPoly(tuple(c) + (1,))),
+       st.sampled_from([8, 64, 300, 1024]))
+@example(IntPoly.of(-2, 0, 0, 0, 0, 0, 1), 1024)
+@example(IntPoly.of(-1, -1, 1), 1024)
+@example(IntPoly.of(0, -4, 0, 1), 300)  # the root 0 is exact
+def test_refine_root_matches_mpmath_with_bounded_mantissas(p, bits):
+    # monic, degree up to 6
+    assume(is_squarefree(p) and isolate_real_roots(p))
+    _assert_refined_against_mpmath(p, bits)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_squarefree_low_degree(), st.sampled_from([8, 64, 512, 4096]))
+@example(IntPoly.of(14, -8, 1), 4096)
+@example(IntPoly.of(-2, 0, 0, 3), 4096)
+def test_refine_root_endpoints_follow_the_target(p, bits):
+    # degree 2-4, leading coefficient 1-4: the Newton precision is capped at
+    # the target's bits plus a guard, so no endpoint is much longer than that
+    assume(isolate_real_roots(p))
+    _assert_refined_against_mpmath(p, bits)
+
+
+def test_refine_root_ex1_field_at_33297_bits():
+    # the width an ex1 enclose at N = 6 and 1024 bits asks of its field; the
+    # roots of x^2 - 8x + 14 are 4 -+ sqrt 2
+    p, bits = IntPoly.of(14, -8, 1), 33297
+    target = Dyadic(1, -bits)
+    with mpmath.workprec(4 * bits):
+        for iv, root in zip(isolate_real_roots(p), (4 - mpmath.sqrt(2), 4 + mpmath.sqrt(2))):
+            got = refine_root(p, iv, target)
+            assert got.width() <= target and iv.contains_interval(got)
+            assert mpmath.ldexp(got.lo.man, got.lo.exp) <= root <= mpmath.ldexp(got.hi.man, got.hi.exp)
+            assert _mantissa_bits(got) <= bits + 64
 
 
 def test_refine_root_sextic_at_1024_bits_is_fast():

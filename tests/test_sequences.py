@@ -14,6 +14,7 @@ from cfindep.sequences import (
     gen_doubly_exponential,
     harmonic,
     nth_prime,
+    parse_sequence,
     phi_field,
     polynomial_root_family,
     prime_pi,
@@ -234,3 +235,28 @@ def test_rational_base_decomposes(kind):
     for n in range(1, 5):
         assert coords(s.quotient(n)) == coords(unit.quotient(n) * Fraction(5, 2)), n
         assert check_decomposition(cfg, n, 1) == "pass", n
+
+
+# the JSON descriptor of each BASE_SCALED spec, less its base
+BASE_SCALED_JSON = {
+    "div-by-j": {"j": 2},
+    "harmonic": {"j": 2},
+    "prime-pi-power": {"j": 2},
+    "divisor-sqrt2": {"variant": "1+d"},
+    "phi-powers": {"offset": 1},
+    "root-scaled": {"poly": [14, -8, 1], "root_index": 2},
+    "sqrt-j-scaled": {"K": 3, "j": 2},
+    "hanluc": {"j": 2},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_SCALED))
+def test_interval_base_rejected_in_code_and_json(kind):
+    message = "base kind 'one-plus-over-sqrt' is not exact"
+    with pytest.raises(ValueError, match=message):
+        BASE_SCALED[kind](spec("one-plus-over-sqrt", c=Fraction(3)))
+    desc = {"kind": kind, **BASE_SCALED_JSON[kind], "base": {"kind": "one-plus-over-sqrt", "c": "3"}}
+    with pytest.raises(ValueError, match=message):
+        parse_sequence(desc)
+    desc["base"] = {"kind": "constant", "value": "5/2"}
+    assert parse_sequence(desc).kind == kind  # the same descriptor with an exact base
