@@ -206,7 +206,6 @@ def from_fraction(value: Fraction, prec: int) -> DyadicInterval:
     return DyadicInterval(lo, hi)
 
 
-ZERO_IV = DyadicInterval(Dyadic(0), Dyadic(0))
 ONE_IV = DyadicInterval(Dyadic(1), Dyadic(1))
 
 
@@ -363,13 +362,13 @@ def iv_hull(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 # Bound on the entries of each point cache below.  The cached functions are
-# pure in (Dyadic or ints, precision) and return immutable intervals.
+# pure in (Dyadic or ints, precision, end) and return immutable Dyadics.
 _POINT_CACHE_SIZE = 4096
 
 # The log and exp series run on raw (mantissa, exponent) int pairs m * 2**e.
 # They round exactly as the interval operations they stand for (iv_add,
 # iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
-# same endpoints while building DyadicIntervals only for the result.  A pair
+# same endpoints while building a Dyadic only for the result.  A pair
 # need not be canonical: rounding to p bits depends on the value alone, and
 # _pair_quotient rounds the reduced fraction, as _quotient does, whether it
 # learns that the fraction is reduced from its rounding remainder or reduces
@@ -399,55 +398,152 @@ def _pair_up(m: int, e: int, prec: int) -> tuple[int, int]:
     return -((-m) >> excess), e + excess
 
 
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _ln_mantissa(m_num: int, m_shift: int, prec: int) -> DyadicInterval:
-    """ln(m) for m = m_num / 2**m_shift in [1, 2], via 2*atanh((m-1)/(m+1)).
+# One-sided series.  Each endpoint of a log or exp bound is the partial sum
+# of one chain of directed roundings: the round-up chain rounds every step
+# up, the round-down chain every step down, and neither reads the other's
+# values.  Both chains stop at the same index n: the first n at which the
+# round-up chain's stopping pair x+_n (the term for exp, the odd power for
+# ln) falls below 2**threshold.  The round-up chain sees that itself; the
+# round-down chain sees only x-_n <= x+_n and certifies the stop with
+# _certainly_below.
 
-    Each pair below is one endpoint of an interval of the series: t and its
-    square t2, the partial sum and the power t**(2k+1).  All of them are
-    positive, so every product and quotient takes lo with lo and hi with hi.
+
+def _gap_exp(hm: int, he: int, lm: int, le: int) -> int:
+    """An integer a with hi/lo - 1 < 2**a for pairs 0 < lo <= hi."""
+    e0 = min(he, le)
+    d = (hm << (he - e0)) - (lm << (le - e0))
+    # hi - lo < 2**(len(d) + e0) and lo >= 2**(len(lm) - 1 + le)
+    return d.bit_length() + e0 - lm.bit_length() + 1 - le
+
+
+def _certainly_below(m: int, e: int, threshold: int, slack: int) -> bool:
+    """m * 2**e * (1 + 2**slack) < 2**threshold, for m * 2**e < 2**threshold;
+    False (undecided) when slack > 0.
+
+    Lemma (the certified stop).  Let every chain quantity be positive,
+    eps = 2**(1 - work), and G >= 4 - work an integer with u+/u- - 1 < 2**G
+    for exp, and t+/t- - 1 < 2**G and s+/s- - 1 < 2**G (s = t**2) for ln.
+    Rounding a positive value to work bits (_pair_down, _pair_up, and
+    _pair_quotient, whose quotient keeps at least work + 1 bits) moves it by
+    a factor in (1 - eps, 1 + eps), and (1 + eps)/(1 - eps) <= 1 + 4*eps =
+    1 + 2**(3 - work).  Then
+        exp:  t+_j/t-_j <= (u+/u-)**j * ((1 + eps)/(1 - eps))**(2(j - 1))
+              (a product and a quotient per step),
+        ln:   p+_k/p-_k <= (t+/t-) * ((s+/s-) * (1 + eps)/(1 - eps))**k,
+    so by log(1 + y) <= y the logarithm Y of either ratio is at most
+    2*n*2**G < 2**(len(n) + G + 1), with n = j for exp, n = k + 1 for ln and
+    len the bit length.  With slack = len(n) + G + 2 <= 0, Y <= 1, so
+    e**Y <= 1 + 2*Y < 1 + 2**slack: when this returns True, x+_n is below
+    2**threshold and the chain stops at n.  When it returns False the step
+    is undecided; the round-down chain then runs the round-up chain for its
+    stop index and continues to it.  Either way every endpoint equals the
+    one the interval-object series (both chains at once) gives.
     """
+    if slack > 0:
+        return False
+    g = -slack
+    return m * ((1 << g) + 1) < 1 << (threshold - e + g)
+
+
+def _atanh_series(
+    p: int, pe: int, s: int, se: int, twin, work: int, threshold: int, up: bool
+) -> tuple[int, int, int]:
+    """One directed end of the partial sum of atanh(t) = t + t**3/3 + ...
+
+    p = t and s = t**2 are this end's pairs; twin is the round-up end's
+    (p, pe, s, se), which the round-down end reads for its certified stop.
+    Returns the sum pair (the round-up end adds twice the last power for the
+    tail) and the stop index k.
+    """
+    rnd = _pair_up if up else _pair_down
+    if not up:
+        gap = max(_gap_exp(twin[0], twin[1], p, pe), _gap_exp(twin[2], twin[3], s, se), 4 - work)
+    am = ae = 0
+    k = stop = 0
+    while True:
+        am, ae = rnd(*_pair_add(am, ae, *_pair_quotient(p, pe, 2 * k + 1, work, up)), work)
+        p, pe = rnd(p * s, pe + se, work)
+        k += 1
+        if not stop and p.bit_length() + pe <= threshold:  # power < 2**threshold
+            if up:
+                am, ae = _pair_up(*_pair_add(am, ae, p, pe + 1), work)
+                return am, ae, k
+            if _certainly_below(p, pe, threshold, (k + 1).bit_length() + gap + 2):
+                stop = k
+            else:
+                stop = _atanh_series(*twin, None, work, threshold, True)[2]
+        if k == stop:
+            return am, ae, k
+
+
+def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> tuple[int, int, int]:
+    """One directed end of the partial sum of exp(u) = 1 + u + u**2/2! + ...
+
+    u = r ln 2 is this end's pair in (0, ln 2); twin is the round-up end's
+    (u, ue), which the round-down end reads for its certified stop.  Returns
+    the sum pair (the round-up end adds twice the last term for the tail:
+    the ratio of consecutive terms is below ln2/j <= 0.35 there, so the tail
+    is below twice the term) and the stop index j.
+    """
+    rnd = _pair_up if up else _pair_down
+    if not up:
+        gap = max(_gap_exp(*twin, u, ue), 4 - work)
+    am, ae = 1, 0
+    tm, te = u, ue  # term
+    j = 1
+    stop = 0
+    while True:
+        am, ae = rnd(*_pair_add(am, ae, tm, te), work)
+        j += 1
+        tm, te = _pair_quotient(*rnd(tm * u, te + ue, work), j, work, up)
+        if not stop and tm.bit_length() + te <= threshold:  # term < 2**threshold
+            if up:
+                am, ae = _pair_up(*_pair_add(am, ae, tm, te + 1), work)
+                return am, ae, j
+            if _certainly_below(tm, te, threshold, j.bit_length() + gap + 2):
+                stop = j
+            else:
+                stop = _exp_series(*twin, None, work, threshold, True)[2]
+        if j == stop:
+            return am, ae, j
+
+
+@lru_cache(maxsize=_POINT_CACHE_SIZE)
+def _ln_mantissa_end(m_num: int, m_shift: int, prec: int, up: bool) -> Dyadic:
+    """One end of ln(m) for m = m_num / 2**m_shift in [1, 2], as
+    2*atanh((m-1)/(m+1)) on the chain of that end."""
     work = prec + 16
     num = m_num - (1 << m_shift)
     den = m_num + (1 << m_shift)
     if num == 0:
-        return ZERO_IV
+        return Dyadic(0)
     if num < 0:
         raise ValueError("mantissa below 1")
-    pl, ple = _rational_pair(num, den, work, False)  # power, starting at t
-    ph, phe = _rational_pair(num, den, work, True)
-    sl, sle = _pair_down(pl * pl, 2 * ple, work)  # t2 = t**2, as iv_square
-    sh, she = _pair_up(ph * ph, 2 * phe, work)
-    threshold = -(prec + 8)
-    al = ale = ah = ahe = 0  # partial sum
-    k = 0
-    while True:
-        ql, qle = _pair_quotient(pl, ple, 2 * k + 1, work, False)  # term
-        qh, qhe = _pair_quotient(ph, phe, 2 * k + 1, work, True)
-        al, ale = _pair_down(*_pair_add(al, ale, ql, qle), work)
-        ah, ahe = _pair_up(*_pair_add(ah, ahe, qh, qhe), work)
-        pl, ple = _pair_down(pl * sl, ple + sle, work)
-        ph, phe = _pair_up(ph * sh, phe + she, work)
-        k += 1
-        if ph.bit_length() + phe <= threshold:  # power.hi < 2**threshold
-            ah, ahe = _pair_up(*_pair_add(ah, ahe, ph, phe + 1), work)
-            break
-    # times 2; doubling keeps the bit count, so no rounding
-    return DyadicInterval(Dyadic(al, ale + 1), Dyadic(ah, ahe + 1))
+    ph, phe = _rational_pair(num, den, work, True)  # t
+    sh, she = _pair_up(ph * ph, 2 * phe, work)  # t**2, as iv_square
+    if up:
+        p, s, twin = (ph, phe), (sh, she), None
+    else:
+        pl, ple = _rational_pair(num, den, work, False)
+        p, s, twin = (pl, ple), _pair_down(pl * pl, 2 * ple, work), (ph, phe, sh, she)
+    am, ae, _ = _atanh_series(*p, *s, twin, work, -(prec + 8), up)
+    return Dyadic(am, ae + 1)  # times 2; doubling keeps the bit count
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _log2_point(x: Dyadic, prec: int) -> DyadicInterval:
+def _log2_end(x: Dyadic, prec: int, up: bool) -> Dyadic:
+    """One end of log2(x): the exponent plus ln(mantissa)/ln 2, each end
+    rounded as iv_div and iv_add round it."""
     if x.sign() <= 0:
         raise ValueError("log2 requires a positive argument")
     if x.man == 1:
-        return singleton(x.exp)  # exact power of two
+        return Dyadic(x.exp)  # exact power of two
     bits = x.man.bit_length()
-    e = x.exp + bits - 1
     work = prec + 16
-    ln_m = _ln_mantissa(x.man, bits - 1, work)
-    frac = iv_div(ln_m, _ln_mantissa(2, 0, work), work)
-    return iv_add(singleton(e), frac, prec)
+    ln_m = _ln_mantissa_end(x.man, bits - 1, work, up)  # >= 0
+    frac = _quotient(ln_m, _ln_mantissa_end(2, 0, work, not up), work, up)
+    total = Dyadic(x.exp + bits - 1) + frac
+    return total.round_up(prec) if up else total.round_down(prec)
 
 
 def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
@@ -455,43 +551,32 @@ def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
     _check_prec(prec)
     if a.lo.sign() <= 0:
         raise ValueError("log2 requires a strictly positive interval")
-    return DyadicInterval(_log2_point(a.lo, prec).lo, _log2_point(a.hi, prec).hi)
+    return DyadicInterval(_log2_end(a.lo, prec, False), _log2_end(a.hi, prec, True))
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _exp2_point(x: Dyadic, prec: int) -> DyadicInterval:
-    """2**x as 2**k * exp(r ln 2) with k = floor(x), summed on pairs as in
-    _ln_mantissa: u = r ln 2, the partial sum and the term u**j / j!."""
+def _exp2_end(x: Dyadic, prec: int, up: bool) -> Dyadic:
+    """One end of 2**x as 2**k * exp(r ln 2) with k = floor(x)."""
     k = x.floor()
     if x.is_integer():
-        return singleton(Dyadic(1, k))
+        return Dyadic(1, k)
     r = x - Dyadic(k)  # in (0, 1), exact
     work = prec + 16
-    ln2 = _ln_mantissa(2, 0, work)
-    ul, ule = _pair_down(r.man * ln2.lo.man, r.exp + ln2.lo.exp, work)  # in (0, ln 2)
-    uh, uhe = _pair_up(r.man * ln2.hi.man, r.exp + ln2.hi.exp, work)
-    threshold = -(prec + 8)
-    al, ale, ah, ahe = 1, 0, 1, 0  # partial sum
-    tl, tle, th, the = ul, ule, uh, uhe  # term
-    j = 1
-    while True:
-        al, ale = _pair_down(*_pair_add(al, ale, tl, tle), work)
-        ah, ahe = _pair_up(*_pair_add(ah, ahe, th, the), work)
-        j += 1
-        tl, tle = _pair_quotient(*_pair_down(tl * ul, tle + ule, work), j, work, False)
-        th, the = _pair_quotient(*_pair_up(th * uh, the + uhe, work), j, work, True)
-        if th.bit_length() + the <= threshold:  # term.hi < 2**threshold
-            # ratio of consecutive terms < ln2/j <= 0.35 here, tail < 2*term
-            ah, ahe = _pair_up(*_pair_add(ah, ahe, th, the + 1), work)
-            break
-    lo, hi = _pair_down(al, ale + k, prec), _pair_up(ah, ahe + k, prec)
-    return DyadicInterval(Dyadic(*lo), Dyadic(*hi))
+    ln2 = _ln_mantissa_end(2, 0, work, True)
+    uh = _pair_up(r.man * ln2.man, r.exp + ln2.exp, work)  # in (0, ln 2)
+    if up:
+        u, twin = uh, None
+    else:
+        ln2 = _ln_mantissa_end(2, 0, work, False)
+        u, twin = _pair_down(r.man * ln2.man, r.exp + ln2.exp, work), uh
+    am, ae, _ = _exp_series(*u, twin, work, -(prec + 8), up)
+    return Dyadic(*(_pair_up if up else _pair_down)(am, ae + k, prec))
 
 
 def iv_exp2(a: DyadicInterval, prec: int) -> DyadicInterval:
     """Enclosure of 2**x over the interval."""
     _check_prec(prec)
-    return DyadicInterval(_exp2_point(a.lo, prec).lo, _exp2_point(a.hi, prec).hi)
+    return DyadicInterval(_exp2_end(a.lo, prec, False), _exp2_end(a.hi, prec, True))
 
 
 def _introot(n: int, k: int) -> int:
@@ -523,19 +608,24 @@ def _exact_pow(v: Dyadic, gamma: Fraction) -> Dyadic | None:
     return out
 
 
-def _pow_point(v: Dyadic, gamma: Fraction, prec: int) -> DyadicInterval:
+def _pow_end(v: Dyadic, gamma: Fraction, prec: int, up: bool) -> Dyadic:
+    """One end of v**gamma, as the matching end of iv_exp2 over
+    iv_mul(log2(v), gamma): gamma > 0, so each end of the product reads the
+    same end of log2(v)."""
     if v.sign() < 0:
         raise ValueError("rational power requires a nonnegative base")
     if v.man == 0:
-        return ZERO_IV
+        return v
     exact = _exact_pow(v, gamma)
     if exact is not None:
-        return singleton(exact)
+        return exact
     if gamma.denominator == 2:
         sq = iv_pow_int(DyadicInterval(v, v), gamma.numerator, prec + 8)
-        return iv_sqrt(sq, prec)
-    lg = iv_mul(_log2_point(v, prec + 8), from_fraction(gamma, prec + 8), prec + 8)
-    return iv_exp2(lg, prec)
+        return sqrt_up(sq.hi, prec) if up else sqrt_down(sq.lo, prec)
+    lg = _log2_end(v, prec + 8, up)
+    g = from_fraction(gamma, prec + 8)
+    lg = lg * (g.hi if (lg.man >= 0) == up else g.lo)  # the end _products pairs it with
+    return _exp2_end(lg.round_up(prec + 8) if up else lg.round_down(prec + 8), prec, up)
 
 
 def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int) -> DyadicInterval:
@@ -544,7 +634,7 @@ def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int) -> DyadicInterval
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise ValueError("exponent must be positive")
-    return DyadicInterval(_pow_point(a.lo, gamma, prec).lo, _pow_point(a.hi, gamma, prec).hi)
+    return DyadicInterval(_pow_end(a.lo, gamma, prec, False), _pow_end(a.hi, gamma, prec, True))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from functools import cache
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import iv
 
 from cfindep.bigreal import interval
@@ -410,9 +410,9 @@ def test_sqrt_interval_high_precision():
         _mp_enclosure_check(v, mpmath.sqrt(mpmath.mpf(f.numerator) / f.denominator))
 
 
-# Reference series: _ln_mantissa and _exp2_point with every step an interval
-# operation.  The kernels on (mantissa, exponent) int pairs must return equal
-# intervals.
+# Reference series: _ln_mantissa_end and _exp2_end with every step an
+# interval operation, both ends at once.  Each one-sided kernel on
+# (mantissa, exponent) int pairs must return the matching endpoint.
 @cache
 def _object_ln_mantissa(m_num, m_shift, prec):
     work = prec + 16
@@ -490,7 +490,9 @@ _SERIES_PRECISIONS = st.one_of(
 @example((1, 0), 64)
 @example((3, 1), 53)
 def test_ln_mantissa_matches_object_series(m, prec):
-    assert interval._ln_mantissa.__wrapped__(*m, prec) == _object_ln_mantissa(*m, prec)
+    ref = _object_ln_mantissa(*m, prec)
+    assert interval._ln_mantissa_end.__wrapped__(*m, prec, False) == ref.lo
+    assert interval._ln_mantissa_end.__wrapped__(*m, prec, True) == ref.hi
 
 
 @settings(max_examples=40, deadline=None)
@@ -500,12 +502,117 @@ def test_ln_mantissa_matches_object_series(m, prec):
 @example(Dyadic(-7, -2), 128)
 @example(Dyadic(5), 64)
 def test_exp2_point_matches_object_series(x, prec):
-    assert interval._exp2_point.__wrapped__(x, prec) == _object_exp2_point(x, prec)
+    ref = _object_exp2_point(x, prec)
+    assert interval._exp2_end.__wrapped__(x, prec, False) == ref.lo
+    assert interval._exp2_end.__wrapped__(x, prec, True) == ref.hi
+
+
+def _object_log2_point(x, prec):
+    if x.man == 1:
+        return singleton(x.exp)
+    bits = x.man.bit_length()
+    work = prec + 16
+    ln_m = _object_ln_mantissa(x.man, bits - 1, work)
+    frac = iv_div(ln_m, _object_ln_mantissa(2, 0, work), work)
+    return iv_add(singleton(x.exp + bits - 1), frac, prec)
+
+
+@st.composite
+def _positive_dyadics(draw):
+    # below and above 1, and just below 1, where log2's enclosure can
+    # straddle 0
+    bits = draw(st.sampled_from((1, 3, 30, 100)))
+    man = draw(st.integers(0, (1 << bits) - 1)) | 1
+    return Dyadic(man, draw(st.integers(-bits - 24, 24)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_positive_dyadics(), st.integers(4, 300),
+       st.sampled_from((Fraction(1, 3), Fraction(5, 7), Fraction(7, 5), Fraction(3, 10))))
+@example(Dyadic((1 << 100) - 1, -100), 64, Fraction(1, 3))
+@example(Dyadic(3), 4, Fraction(5, 7))
+def test_log2_and_pow_match_object_series(x, prec, gamma):
+    """Each end of log2 and of the log-path rational power reads the matching
+    ends of the object series, as the interval composition does."""
+    assert iv_log2(singleton(x), prec) == _object_log2_point(x, prec)
+    assume(interval._exact_pow(x, gamma) is None)
+    lg = iv_mul(_object_log2_point(x, prec + 8), from_fraction(gamma, prec + 8), prec + 8)
+    ref = DyadicInterval(_object_exp2_point(lg.lo, prec).lo, _object_exp2_point(lg.hi, prec).hi)
+    assert iv_pow_frac(singleton(x), gamma, prec) == ref
+
+
+_POINT_CACHES = (interval._ln_mantissa_end, interval._log2_end, interval._exp2_end)
+
+
+def _count_chains(monkeypatch):
+    """Record (series, up) for every call of the two one-sided chains."""
+    calls = []
+    for name in ("_exp_series", "_atanh_series"):
+        real = getattr(interval, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append((name, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(interval, name, counted)
+    return calls
+
+
+# Found by searching low precisions, where eps = 2**(1 - work) is large: the
+# round-down term falls below the threshold inside the band the certified
+# test cannot rule out, so the round-down chain asks the round-up chain for
+# its stop index.  For ln(51951 / 2**15) at 7 bits that index is a later one:
+# stopping where the round-down power first falls below the threshold gives
+# a different endpoint.
+@pytest.mark.parametrize(
+    "kernel, args, series, ref, naive_differs",
+    [
+        (interval._exp2_end, (Dyadic(23333, -15), 4), "_exp_series",
+         lambda: _object_exp2_point(Dyadic(23333, -15), 4), False),
+        (interval._ln_mantissa_end, (30747, 14, 4), "_atanh_series",
+         lambda: _object_ln_mantissa(30747, 14, 4), False),
+        (interval._ln_mantissa_end, (51951, 15, 7), "_atanh_series",
+         lambda: _object_ln_mantissa(51951, 15, 7), True),
+    ],
+)
+def test_undecided_stop_takes_the_round_up_index(
+    monkeypatch, kernel, args, series, ref, naive_differs
+):
+    interval._ln_mantissa_end(2, 0, 20, False)  # ln 2 for the exp kernel, warm
+    interval._ln_mantissa_end(2, 0, 20, True)
+    calls = _count_chains(monkeypatch)
+    assert kernel.__wrapped__(*args, False) == ref().lo
+    assert calls == [(series, False), (series, True)]
+    monkeypatch.setattr(interval, "_certainly_below", lambda *a: True)
+    assert (kernel.__wrapped__(*args, False) != ref().lo) == naive_differs
+
+
+def test_each_endpoint_runs_one_chain(monkeypatch):
+    calls = _count_chains(monkeypatch)
+    for c in _POINT_CACHES:
+        c.cache_clear()
+    a = DyadicInterval(Dyadic(1, -2), Dyadic(3, -2))
+    assert iv_exp2(a, 64) == DyadicInterval(
+        _object_exp2_point(a.lo, 64).lo, _object_exp2_point(a.hi, 64).hi
+    )
+    # one chain per endpoint of 2**x, and each end of ln 2 once
+    assert sorted(calls) == [("_atanh_series", False), ("_atanh_series", True),
+                             ("_exp_series", False), ("_exp_series", True)]
+    calls.clear()
+    for c in _POINT_CACHES:
+        c.cache_clear()
+    iv_log2(DyadicInterval(Dyadic(3), Dyadic(5)), 64)
+    # ln(3/2) down and ln 2 up for the lower end, ln(5/4) up and ln 2 down
+    # for the upper end
+    assert sorted(calls) == [("_atanh_series", False)] * 2 + [("_atanh_series", True)] * 2
+    calls.clear()
+    iv_log2(DyadicInterval(Dyadic(3), Dyadic(5)), 64)
+    assert calls == []  # every end is cached
 
 
 def test_point_caches_are_bounded():
-    for f in (interval._ln_mantissa, interval._log2_point, interval._exp2_point):
-        assert f.cache_info().maxsize is not None
+    for f in _POINT_CACHES:
+        assert f.cache_info().maxsize == 4096
     assert not hasattr(interval, "_LN2_CACHE")
 
 
