@@ -352,7 +352,9 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     prec = _int_param(cfg, "precision", 256)
     height = _int_param(cfg, "height", 100)
     n_trunc = _int_param(cfg, "N", 6)
-    use = cfg.params.get("use", "truncation")  # or "limit"
+    use = cfg.params.get("use", "truncation")
+    if use not in ("truncation", "limit"):
+        raise ValueError(f"relation use must be 'truncation' or 'limit', got {use!r}")
     ex = cfg.params.get("example")
     if ex:
         tcfg = build_config(ex)
@@ -363,6 +365,9 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
         seqs = _resolve_sequences(cfg)
         names = cfg.params.get("values") or sorted(seqs)
         seq_list = [seqs[nm] for nm in names]
+    expand = cfg.params.get("expand_field", fld is not None)
+    if not isinstance(expand, bool):
+        raise ValueError(f"relation expand_field must be true or false, got {expand!r}")
     values = []
     for s in seq_list:
         if use == "limit":
@@ -373,7 +378,6 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
                 values.append(iv_div(st.p_cur, st.q_cur, prec + 48))
             else:
                 values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
-    expand = bool(cfg.params.get("expand_field", fld is not None))
     if expand and fld is not None:
         res = find_relation_over_field(values, fld, height, prec)
     else:

@@ -8,13 +8,16 @@ mean *prefix-consistent* and are labeled as such in reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     DyadicInterval,
     from_fraction,
+    iv_abs,
     iv_div,
     iv_exp2,
     iv_log2,
@@ -32,6 +35,7 @@ from .sequences import CFSpec, spec
 
 __all__ = [
     "Thm1Config",
+    "QuotientTable",
     "ConditionReport",
     "HypothesisReport",
     "MarginSeries",
@@ -95,9 +99,6 @@ class Thm1Config:
     def d(self) -> int:
         return compute_d(self.degree, self.M)
 
-    def quotient(self, n: int, j: int, prec: int | None = None):
-        return self.sequences[j - 1].quotient(n, prec)
-
 
 @dataclass
 class MarginSeries:
@@ -128,43 +129,6 @@ class HypothesisReport:
     gamma: Fraction
     mode_used: str | None
     name: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# scalar utilities that accept Fraction or FieldElement
-# ---------------------------------------------------------------------------
-
-def _house(x, prec: int) -> DyadicInterval:
-    if isinstance(x, FieldElement):
-        return house(x, prec)
-    f = abs(Fraction(x))
-    return from_fraction(f, prec)
-
-
-def _is_alg_int(x) -> bool:
-    if isinstance(x, FieldElement):
-        return is_algebraic_integer(x)
-    return Fraction(x).denominator == 1
-
-
-def _embedding_re_parts(x, prec: int) -> list[DyadicInterval]:
-    """Real parts of all conjugate embeddings of x (own field)."""
-    if isinstance(x, FieldElement):
-        e = embeddings(x.field, prec)
-        return [sigma_eval(e, x, i)[0] for i in range(e.degree)]
-    return [from_fraction(Fraction(x), prec)]
-
-
-def _scalars_equal(a, b) -> bool:
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-        if a.field is not b.field:
-            return a.is_rational() and b.is_rational() and a.as_fraction() == b.as_fraction()
-        return a.coords == b.coords
-    if isinstance(a, FieldElement):
-        return a.is_rational() and a.as_fraction() == Fraction(b)
-    if isinstance(b, FieldElement):
-        return b.is_rational() and b.as_fraction() == Fraction(a)
-    return Fraction(a) == Fraction(b)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +164,132 @@ def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicI
     return iv_max(*_growth_branches(a_iv, n, gamma, d, prec))
 
 
+# ---------------------------------------------------------------------------
+# the quotient table: one per check_all call
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Scalar:
+    """How the table reads one scalar type; each callable takes the value x
+    first, and a precision for a rounded answer.  A rational rounds by
+    ``from_fraction`` and a field element by ``numfield``'s own rule (a
+    rational one at prec + 8), so neither is ever converted to the other."""
+
+    inverse_house: Callable
+    re_parts: Callable
+    house: Callable | None = None  # the rest are asked of exact scalars only
+    is_integral: Callable | None = None
+    key: Callable | None = None  # equal for equal values, across fields too
+    field: Callable | None = None
+
+
+def _field_re_parts(x: FieldElement, prec: int) -> list[DyadicInterval]:
+    e = embeddings(x.field, prec)
+    return [sigma_eval(e, x, i)[0] for i in range(e.degree)]
+
+
+_RATIONAL = _Scalar(
+    house=lambda x, prec: from_fraction(abs(x), prec),
+    inverse_house=lambda x, prec: from_fraction(abs(1 / x), prec),
+    re_parts=lambda x, prec: [from_fraction(x, prec)],
+    is_integral=lambda x: x.denominator == 1,
+    key=lambda x: x,
+    field=lambda x: None,
+)
+_ALGEBRAIC = _Scalar(  # names looked up per call: perfbench/tracer.py rebinds them
+    house=lambda x, prec: house(x, prec),
+    inverse_house=lambda x, prec: house(x.inverse(), prec),
+    re_parts=_field_re_parts,
+    is_integral=lambda x: is_algebraic_integer(x),
+    key=lambda x: x.as_fraction() if x.is_rational() else (x.field, x.coords),
+    field=lambda x: x.field,
+)
+_INTERVAL = _Scalar(
+    inverse_house=lambda x, prec: iv_abs(iv_div(singleton(1), x, prec)),
+    re_parts=lambda x, prec: [x],
+)
+
+
+def _exact(x) -> tuple:
+    """(x, how to read it) for an exact scalar: a field element or a rational."""
+    return (x, _ALGEBRAIC) if isinstance(x, FieldElement) else (Fraction(x), _RATIONAL)
+
+
+def _once(method):
+    """A table method computed once per argument tuple, kept in the table."""
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return memoized
+
+
+class QuotientTable:
+    """What the conditions of one ``check_all`` call read off the a_{n,j}.
+
+    Every answer is computed once: an exact quotient per (n, j), an
+    interval-valued one and everything rounded per (n, j, work), and a growth
+    bound per distinct argument.  The table lives for one call and is shared
+    with no other, so it needs no lock.
+    """
+
+    def __init__(self, cfg: Thm1Config):
+        self.cfg, self.M, self.gamma, self.d = cfg, cfg.M, cfg.gamma, cfg.d
+        self._memo: dict = {}
+
+    def quotient(self, n: int, j: int, work: int | None) -> tuple:
+        """(a_{n,j}, how to read it); an exact quotient does not depend on ``work``."""
+        return self._quotient(n, j, None if self.cfg.sequences[j - 1].is_exact() else work)
+
+    @_once
+    def _quotient(self, n: int, j: int, work: int | None) -> tuple:
+        x = self.cfg.sequences[j - 1].quotient(n, work)
+        return _exact(x) if work is None else (x, _INTERVAL)
+
+    @_once
+    def decomposition(self, n: int, j: int):
+        return self.cfg.sequences[j - 1].decomposition(n)
+
+    @_once
+    def enclosure(self, n: int, j: int, work: int) -> DyadicInterval:
+        return scalar_enclosure(self.quotient(n, j, work)[0], work)
+
+    def bound(self, n: int, j: int, work: int) -> DyadicInterval:
+        """The growth bound of a positive a_{n,j}; equal quotients share one."""
+        return self._bound(n, self.enclosure(n, j, work), work)
+
+    @_once
+    def _bound(self, n: int, a_iv: DyadicInterval, work: int) -> DyadicInterval:
+        return growth_bound(a_iv, n, self.gamma, self.d, work)
+
+    @_once
+    def branches(self, n: int, j: int, work: int) -> tuple[DyadicInterval, DyadicInterval]:
+        """The two branches of the growth bound of a positive a_{n,j}."""
+        return _growth_branches(self.enclosure(n, j, work), n, self.gamma, self.d, work)
+
+    @_once
+    def inverse_house(self, n: int, j: int, work: int) -> DyadicInterval:
+        """house(1/a_{n,j}) of a positive a_{n,j}."""
+        x, scalar = self.quotient(n, j, work)
+        return scalar.inverse_house(x, work)
+
+    @_once
+    def re_parts(self, n: int, j: int, work: int) -> list[DyadicInterval]:
+        """Real parts of every conjugate embedding of a_{n,j} (own field)."""
+        x, scalar = self.quotient(n, j, work)
+        return scalar.re_parts(x, work)
+
+    @_once
+    def exact_ratio(self, n: int, j: int):
+        """a_{n,j}/a_{n,j+1} - 1 when both lie in one exact domain, else None."""
+        if not all(s.is_exact() for s in self.cfg.sequences[j - 1:j + 1]):
+            return None
+        (a, sa), (b, sb) = self.quotient(n, j, None), self.quotient(n, j + 1, None)
+        return a / b - 1 if sa.field(a) is sb.field(b) else None
+
+
 def _escalating(attempt, prec: int):
     """Run attempt(work) -> (verdict | None, margin) until the verdict is decided.
 
@@ -216,22 +306,20 @@ def _escalating(attempt, prec: int):
 
 
 # ---------------------------------------------------------------------------
-# individual condition evaluators
+# individual condition evaluators, each reading a QuotientTable
 # ---------------------------------------------------------------------------
 
-def check_decomposition(cfg: Thm1Config, n: int, j: int) -> str:
+def check_decomposition(table: QuotientTable, n: int, j: int) -> str:
     """Exact check of a_{n,j} = (S b + c)/d with integral pieces and a >= 1."""
-    seq = cfg.sequences[j - 1]
-    dec = seq.decomposition(n)
+    dec = table.decomposition(n, j)
     if dec is None:
         return INDET
     if not isinstance(dec.S, int):
         return FAIL
-    if not (_is_alg_int(dec.b) and _is_alg_int(dec.c) and _is_alg_int(dec.d)):
+    if not all(scalar.is_integral(x) for x, scalar in map(_exact, (dec.b, dec.c, dec.d))):
         return FAIL
-    recomposed = (dec.S * dec.b + dec.c) / dec.d
-    a = cfg.quotient(n, j)
-    if not _scalars_equal(recomposed, a):
+    (a, sa), (r, sr) = table.quotient(n, j, None), _exact((dec.S * dec.b + dec.c) / dec.d)
+    if sa.key(a) != sr.key(r):
         return FAIL
     s = scalar_sign(a - 1)
     if s is None or s < 0:
@@ -239,75 +327,80 @@ def check_decomposition(cfg: Thm1Config, n: int, j: int) -> str:
     return PASS
 
 
-def _check_house_half(cfg: Thm1Config, n: int, j: int, precision: int):
+def _at_most(table: QuotientTable, n: int, k: int, precision: int, sides, strict: bool = False):
+    """lhs <= rhs (lhs < rhs when ``strict``) for (lhs, rhs) = sides(work); margin rhs - lhs.
+
+    A nonpositive a_{n,k} fails with no margin: the decomposition check owns
+    that witness.
+    """
+    def attempt(work):
+        if table.enclosure(n, k, work).lo.sign() <= 0:
+            return FAIL, None
+        lhs, rhs = sides(work)
+        if strict:
+            holds, fails = lhs.certainly_lt(rhs), lhs.certainly_ge(rhs)
+        else:
+            holds, fails = lhs.certainly_le(rhs), lhs.certainly_gt(rhs)
+        return (PASS if holds else FAIL if fails else None), iv_sub(rhs, lhs, work)
+
+    return _escalating(attempt, precision)
+
+
+def _check_house_half(table: QuotientTable, n: int, j: int, precision: int):
     """house(1/a_{n,j}) >= 1/2; margin house(1/a) - 1/2."""
     half = from_fraction(Fraction(1, 2), 32)
-
-    def attempt(work):
-        a = cfg.quotient(n, j, work)
-        if scalar_enclosure(a, work).lo.sign() <= 0:
-            return FAIL, None  # quotient not positive; decomposition check owns the witness
-        h = _house(a.inverse() if isinstance(a, FieldElement) else 1 / Fraction(a), work)
-        verdict = PASS if h.certainly_ge(half) else FAIL if h.certainly_lt(half) else None
-        return verdict, iv_sub(h, half, work)
-
-    return _escalating(attempt, precision)
+    return _at_most(table, n, j, precision, lambda work: (half, table.inverse_house(n, j, work)))
 
 
-def _check_house_bound(cfg: Thm1Config, n: int, j: int, precision: int):
+def _check_house_bound(table: QuotientTable, n: int, j: int, precision: int):
     """house(b), house(c), house(d) <= growth bound of a_{n,j}; margin bound - worst house."""
-    dec = cfg.sequences[j - 1].decomposition(n)
+    dec = table.decomposition(n, j)
     if dec is None:
         return INDET, None
+    pieces = [_exact(x) for x in (dec.b, dec.c, dec.d)]
 
-    def attempt(work):
-        a = cfg.quotient(n, j, work)
-        if scalar_enclosure(a, work).lo.sign() <= 0:
-            return FAIL, None  # quotient not positive; decomposition check owns the witness
-        bound = growth_bound(a, n, cfg.gamma, cfg.d, work)
-        worst = iv_max(iv_max(_house(dec.b, work), _house(dec.c, work)), _house(dec.d, work))
-        verdict = PASS if worst.certainly_le(bound) else FAIL if worst.certainly_gt(bound) else None
-        return verdict, iv_sub(bound, worst, work)
+    def sides(work):
+        hb, hc, hd = (scalar.house(x, work) for x, scalar in pieces)
+        return iv_max(iv_max(hb, hc), hd), table.bound(n, j, work)
 
-    return _escalating(attempt, precision)
+    return _at_most(table, n, j, precision, sides)
 
 
-def derive_sign_table(cfg: Thm1Config, precision: int) -> dict:
+def derive_sign_table(table: QuotientTable, precision: int) -> dict:
     """Sign table e_{j,sigma} read off from the first index n=1."""
-    table: dict[tuple[int, int], int] = {}
-    for j in range(1, cfg.M + 1):
+    signs: dict[tuple[int, int], int] = {}
+    for j in range(1, table.M + 1):
         def attempt(work):
-            res = _embedding_re_parts(cfg.quotient(1, j, work), work)
+            res = table.re_parts(1, j, work)
             if all(re.lo.sign() > 0 or re.hi.sign() < 0 for re in res):
                 return [0 if re.lo.sign() > 0 else 1 for re in res], None
             return None, None
 
-        signs, _ = _escalating(attempt, precision)
-        if signs == INDET:
+        e, _ = _escalating(attempt, precision)
+        if e == INDET:
             raise IndeterminateAtPrecision(f"embedding sign of a_(1,{j}) undecided")
-        table.update(((j, i), e) for i, e in enumerate(signs))
-    return table
+        signs.update(((j, i), s) for i, s in enumerate(e))
+    return signs
 
 
-def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int,
+def check_condition10(table: QuotientTable, n: int, j: int, precision: int,
                       e_table: dict | None = None):
     """(-1)^e * Re(sigma(a_{n,j})) >= 1/bound(a_{n,1}), every embedding sigma.
 
     Returns (verdict, margin); the margin is the worst signed real part minus
     the right-hand side over all embeddings, or None without a full table.
     """
-    table = e_table or derive_sign_table(cfg, precision)
+    signs = e_table or derive_sign_table(table, precision)
 
     def attempt(work):
-        a, a1 = cfg.quotient(n, j, work), cfg.quotient(n, 1, work)
-        if scalar_enclosure(a1, work).lo.sign() <= 0:
+        if table.enclosure(n, 1, work).lo.sign() <= 0:
             return FAIL, None
-        rhs = iv_div(singleton(1), growth_bound(a1, n, cfg.gamma, cfg.d, work), work)
-        res = _embedding_re_parts(a, work)
-        signs = [table.get((j, i)) for i in range(len(res))]
-        if None in signs:
+        rhs = iv_div(singleton(1), table.bound(n, 1, work), work)
+        res = table.re_parts(n, j, work)
+        e = [signs.get((j, i)) for i in range(len(res))]
+        if None in e:
             return FAIL, None
-        signed = [re if e == 0 else DyadicInterval(-re.hi, -re.lo) for re, e in zip(res, signs)]
+        signed = [re if s == 0 else DyadicInterval(-re.hi, -re.lo) for re, s in zip(res, e)]
         margin = min((iv_sub(s, rhs, work) for s in signed), key=lambda m: m.lo)
         if any(s.certainly_lt(rhs) for s in signed):
             return FAIL, margin
@@ -318,26 +411,21 @@ def check_condition10(cfg: Thm1Config, n: int, j: int, precision: int,
     return _escalating(attempt, precision)
 
 
-def check_interleaving(cfg: Thm1Config, n: int, precision: int):
+def check_interleaving(table: QuotientTable, n: int, precision: int):
     """Strict a_{n,1} < max(a_{n,M} * 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma))).
 
     Returns (verdict, margin) with margin rhs - lhs, or None when a_{n,M} is
     not positive.
     """
-    def attempt(work):
-        lhs = scalar_enclosure(cfg.quotient(n, 1, work), work)
-        aM_iv = scalar_enclosure(cfg.quotient(n, cfg.M, work), work)
-        if aM_iv.lo.sign() <= 0:
-            return FAIL, None
-        first, second = _growth_branches(aM_iv, n, cfg.gamma, cfg.d, work)
-        rhs = iv_max(iv_mul(aM_iv, first, work), second)
-        verdict = PASS if lhs.certainly_lt(rhs) else FAIL if lhs.certainly_ge(rhs) else None
-        return verdict, iv_sub(rhs, lhs, work)
+    def sides(work):
+        aM_iv = table.enclosure(n, table.M, work)
+        first, second = table.branches(n, table.M, work)
+        return table.enclosure(n, 1, work), iv_max(iv_mul(aM_iv, first, work), second)
 
-    return _escalating(attempt, precision)
+    return _at_most(table, n, table.M, precision, sides, strict=True)
 
 
-def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSeries:
+def ratio_margin(table: QuotientTable, j: int, N: int, precision: int) -> MarginSeries:
     """Series sqrt(n) * (a_{n,j}/a_{n,j+1} - 1), with trailing-window verdict.
 
     The verdict is prefix-consistent only: pass needs a certainly positive
@@ -346,19 +434,17 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSerie
     ceil(N/4) indices, to suppress small-n transients.  An index where
     either quotient is not certainly positive has margin 0.
     """
-    if not 1 <= j <= cfg.M - 1:
+    if not 1 <= j <= table.M - 1:
         raise ValueError("ratio condition needs 1 <= j <= M-1")
-    sj, sj1 = cfg.sequences[j - 1], cfg.sequences[j]
     values: list[DyadicInterval] = []
     for n in range(1, N + 1):
-        a, b = sj.quotient(n, precision), sj1.quotient(n, precision)
-        a_iv, b_iv = scalar_enclosure(a, precision), scalar_enclosure(b, precision)
+        a_iv, b_iv = table.enclosure(n, j, precision), table.enclosure(n, j + 1, precision)
         if a_iv.lo.sign() <= 0 or b_iv.lo.sign() <= 0:
             values.append(singleton(0))
             continue
-        exact_pair = _exact_ratio(a, b)
-        if exact_pair is not None:
-            diff_enc = scalar_enclosure(exact_pair, precision)
+        ratio = table.exact_ratio(n, j)
+        if ratio is not None:
+            diff_enc = scalar_enclosure(ratio, precision)
         else:
             diff_enc = iv_sub(iv_div(a_iv, b_iv, precision), singleton(1), precision)
         values.append(iv_mul(iv_sqrt(singleton(n), precision), diff_enc, precision))
@@ -374,15 +460,6 @@ def ratio_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSerie
     return MarginSeries(values, verdict, window_min=wmin, monotonicity=mono)
 
 
-def _exact_ratio(a, b):
-    """a/b - 1 when exactly computable in a shared domain, else None."""
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement) and a.field is b.field:
-        return a / b - 1
-    if isinstance(a, (FieldElement, DyadicInterval)) or isinstance(b, (FieldElement, DyadicInterval)):
-        return None
-    return Fraction(a) / Fraction(b) - 1
-
-
 def _window_monotonicity(window: list[DyadicInterval]) -> str:
     if len(window) < 2:
         return "flat"
@@ -393,7 +470,7 @@ def _window_monotonicity(window: list[DyadicInterval]) -> str:
     return "mixed"
 
 
-def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSeries:
+def growth_margin(table: QuotientTable, j: int, N: int, precision: int) -> MarginSeries:
     """Series a_{n,j}^(1/d^n) in the log domain, with record tracking.
 
     pass: at least two strictly increasing records with the final one
@@ -401,13 +478,12 @@ def growth_margin(cfg: Thm1Config, j: int, N: int, precision: int) -> MarginSeri
     stays below 2.  Anything else is indeterminate.
     An index whose quotient is not certainly positive has value 0.
     """
-    seq = cfg.sequences[j - 1]
-    d = cfg.d
+    d = table.d
     values: list[DyadicInterval] = []
     records: list[int] = []
     best_hi: Dyadic | None = None
     for n in range(1, N + 1):
-        a_iv = scalar_enclosure(seq.quotient(n, precision), precision)
+        a_iv = table.enclosure(n, j, precision)
         if a_iv.lo.sign() <= 0:
             g = singleton(0)
         else:
@@ -454,29 +530,33 @@ def _fold(name: str, N: int, rows, notes: dict | None = None) -> ConditionReport
     return ConditionReport(name, verdict, N, margins, witness, notes=notes or {})
 
 
-def _pairs(cfg: Thm1Config, N: int, evaluate):
+def _pairs(table: QuotientTable, N: int, evaluate):
     """Rows of ((n, j), verdict, margin) over j = 1..M for each n = 1..N."""
-    return ([((n, j), *evaluate(n, j)) for j in range(1, cfg.M + 1)] for n in range(1, N + 1))
+    return ([((n, j), *evaluate(n, j)) for j in range(1, table.M + 1)] for n in range(1, N + 1))
 
 
 def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
-    """Run every condition for n <= N and aggregate into one report."""
+    """Run every condition for n <= N and aggregate into one report.
+
+    Every condition reads the quotients through one ``QuotientTable`` that
+    lives only for this call.
+    """
+    table = QuotientTable(cfg)
 
     def decomposition(n, j):
-        verdict = check_decomposition(cfg, n, j)
-        return verdict, iv_sub(scalar_enclosure(cfg.quotient(n, j, precision), precision),
-                               singleton(1), precision)
+        verdict = check_decomposition(table, n, j)
+        return verdict, iv_sub(table.enclosure(n, j, precision), singleton(1), precision)
 
-    conditions = [_fold("decomposition", N, _pairs(cfg, N, decomposition))]
+    conditions = [_fold("decomposition", N, _pairs(table, N, decomposition))]
     # house(1/a) >= 1/2, possibly replaced by the sign variant
-    mode_used, c5_report = _check_condition5(cfg, N, precision)
+    mode_used, c5_report = _check_condition5(table, N, precision)
     conditions.append(c5_report)
     conditions.append(_fold("house-growth-bound", N, _pairs(
-        cfg, N, lambda n, j: _check_house_bound(cfg, n, j, precision))))
+        table, N, lambda n, j: _check_house_bound(table, n, j, precision))))
     conditions.append(_fold("interleaving", N, (
-        [((n,), *check_interleaving(cfg, n, precision))] for n in range(1, N + 1))))
+        [((n,), *check_interleaving(table, n, precision))] for n in range(1, N + 1))))
 
-    ratios = {j: ratio_margin(cfg, j, N, precision) for j in range(1, cfg.M)}
+    ratios = {j: ratio_margin(table, j, N, precision) for j in range(1, cfg.M)}
     conditions.append(_fold(
         "ratio-liminf", N,
         ([((j,), ms.verdict, ms.values[n - 1]) for j, ms in ratios.items()] for n in range(1, N + 1)),
@@ -485,7 +565,7 @@ def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
 
     # growth limsup passes when at least one j passes; its series is the last
     # passing j's, else the first j's
-    growth = {j: growth_margin(cfg, j, N, precision) for j in range(1, cfg.M + 1)}
+    growth = {j: growth_margin(table, j, N, precision) for j in range(1, cfg.M + 1)}
     per_j = {j: ms.verdict for j, ms in growth.items()}
     passing = [ms for ms in growth.values() if ms.verdict == PASS]
     g_verdict = PASS if passing else FAIL if all(v == FAIL for v in per_j.values()) else INDET
@@ -498,27 +578,28 @@ def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
 
     verdicts = {c.verdict for c in conditions}
     overall = FAIL if FAIL in verdicts else PASS if verdicts == {PASS} else INDET
-    return HypothesisReport(overall, conditions, cfg.d, cfg.gamma, mode_used, cfg.name)
+    return HypothesisReport(overall, conditions, table.d, cfg.gamma, mode_used, cfg.name)
 
 
-def _check_condition5(cfg: Thm1Config, N: int, precision: int):
+def _check_condition5(table: QuotientTable, N: int, precision: int):
     """Try house-half, fall back to the sign condition in auto mode."""
-    modes = [cfg.condition5_mode] if cfg.condition5_mode != "auto" else ["house-half", "real-part-sign"]
+    mode = table.cfg.condition5_mode
+    modes = [mode] if mode != "auto" else ["house-half", "real-part-sign"]
     for mode in modes:
         if mode == "house-half":
             report = _fold("house-inverse-half", N, _pairs(
-                cfg, N, lambda n, j: _check_house_half(cfg, n, j, precision)))
+                table, N, lambda n, j: _check_house_half(table, n, j, precision)))
         else:
             try:
-                table = derive_sign_table(cfg, precision)
+                signs = derive_sign_table(table, precision)
             except IndeterminateAtPrecision:
                 report = ConditionReport("real-part-sign", INDET, N, [], (1,),
                                          notes={"reason": "sign table underivable"})
             else:
                 report = _fold(
                     "real-part-sign", N,
-                    _pairs(cfg, N, lambda n, j: check_condition10(cfg, n, j, precision, e_table=table)),
-                    notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(table.items())}},
+                    _pairs(table, N, lambda n, j: check_condition10(table, n, j, precision, e_table=signs)),
+                    notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(signs.items())}},
                 )
         if report.verdict == PASS:
             break

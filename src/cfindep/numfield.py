@@ -304,7 +304,15 @@ class FieldElement:
         raise PrecisionInsufficient("sign determination did not converge")  # pragma: no cover
 
     def __repr__(self) -> str:
-        return f"FieldElement({[str(c) for c in self.coords]})"
+        return f"FieldElement({[_coord_str(c) for c in self.coords]})"
+
+
+def _coord_str(c: Fraction) -> str:
+    """str(c), or the bit lengths of its parts where str would pass the int-to-str digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        return f"{'-' if c < 0 else ''}<{c.numerator.bit_length()}-bit>/<{c.denominator.bit_length()}-bit>"
 
 
 # -- small exact polynomial helpers over Q (dense, constant first) ------------

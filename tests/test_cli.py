@@ -293,3 +293,38 @@ def test_enclose_precision_exhausted_exit_three(capsys):
     # eight doublings from 80 bits never reach the width 1/(q_5 q_6) of t2
     assert main(["enclose", "--example", "t2", "--N", "5", "--precision", "64"]) == 3
     assert "precision exhausted" in capsys.readouterr().err
+
+
+_RELATION = {"task": "relation", "params": {"example": "ex1", "N": 3, "precision": 128}}
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"use": "limits"}, "use must be 'truncation' or 'limit'"),
+    ({"use": 1}, "use must be 'truncation' or 'limit'"),
+    ({"expand_field": "false"}, "expand_field must be true or false"),
+    ({"expand_field": 0}, "expand_field must be true or false"),
+])
+def test_bad_relation_params_exit_two(tmp_path, capsys, params, message):
+    cfg = {**_RELATION, "params": {**_RELATION["params"], **params}}
+    assert _run_config(tmp_path, cfg) == 2
+    assert message in capsys.readouterr().err
+
+
+# a_{n,2} = 1 + 1/sqrt(n) is interval-valued: no decomposition, its own real part
+_INTERVAL_THEOREM1 = {
+    "task": "check-theorem1",
+    "sequences": {"a": {"kind": "doubly-exponential", "d": 3},
+                  "b": {"kind": "one-plus-over-sqrt", "c": "1"}},
+    "params": {"N": 4, "precision": 96},
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "real-part-sign", "house-half"])
+def test_interval_sequence_theorem1_reports(tmp_path, mode):
+    cfg = {**_INTERVAL_THEOREM1, "params": {**_INTERVAL_THEOREM1["params"], "mode": mode}}
+    assert _run_config(tmp_path, cfg) == 1
+    report = json.loads((tmp_path / "rep.json").read_text())
+    verdicts = {c["name"]: c["verdict"] for c in report["result"]["conditions"]}
+    assert verdicts["decomposition"] == verdicts["house-growth-bound"] == "indeterminate"
+    assert verdicts["interleaving"] == "fail"  # a_{1,1} = 8 > max(2 * 2, 2^2)
+    jsonschema.validate(report, _schema())

@@ -15,6 +15,7 @@ from cfindep.criteria import check_all
 from cfindep.lemmas import run_lemma2_suite
 from cfindep.sequences import nth_prime, prime_pi, spec
 from cfindep.cfcore import enclose_value
+from test_golden_reports import report_digest
 
 
 def test_parallel_checks_are_deterministic():
@@ -25,6 +26,7 @@ def test_parallel_checks_are_deterministic():
         return (
             rep.overall,
             tuple(c.verdict for c in rep.conditions),
+            report_digest(rep),
             suite.worst,
             enc.value.lo.as_fraction(),
             enc.value.hi.as_fraction(),
@@ -34,6 +36,8 @@ def test_parallel_checks_are_deterministic():
         results = list(pool.map(job, [7] * 8))
     assert all(r == results[0] for r in results)
     assert results[0][0] == "pass"
+    # every margin endpoint, not only the verdicts, equals a serial run's
+    assert results[0][2] == report_digest(check_all(build_config("ex1"), 4, 128))
 
 
 def test_parallel_sieve_growth():

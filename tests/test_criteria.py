@@ -1,11 +1,15 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from cfindep import criteria
 from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import build_config
 from cfindep.criteria import (
+    QuotientTable,
     Thm1Config,
     c2_config,
     check_all,
@@ -17,7 +21,7 @@ from cfindep.criteria import (
     growth_margin,
     ratio_margin,
 )
-from cfindep.sequences import Decomposition, polynomial_root_family, spec, sqrt2_field
+from cfindep.sequences import CFSpec, Decomposition, parse_sequence, polynomial_root_family, spec, sqrt2_field
 
 
 def test_compute_d():
@@ -51,15 +55,15 @@ def test_check_decomposition_examples():
     cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     for n in (1, 2, 3):
         for j in (1, 2):
-            assert check_decomposition(cfg, n, j) == "pass"
+            assert check_decomposition(QuotientTable(cfg), n, j) == "pass"
     # a = 5/2 with S=5, b=1, c=0, d=2
     s = spec("constant", value=Fraction(5, 2))
     cfg2 = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
-    assert check_decomposition(cfg2, 1, 1) == "pass"
+    assert check_decomposition(QuotientTable(cfg2), 1, 1) == "pass"
     # a = 1/2 fails the a >= 1 requirement
     s3 = spec("constant", value=Fraction(1, 2))
     cfg3 = Thm1Config(M=1, sequences=[s3], gamma=Fraction(1, 2))
-    assert check_decomposition(cfg3, 1, 1) == "fail"
+    assert check_decomposition(QuotientTable(cfg3), 1, 1) == "fail"
 
 
 def _house_reports(cfg: Thm1Config, N: int, precision: int) -> dict:
@@ -86,7 +90,7 @@ def test_house_bound_example():
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
     cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     for n in range(1, 5):
-        assert _check_house_bound(cfg, n, 1, 128)[0] == "pass"
+        assert _check_house_bound(QuotientTable(cfg), n, 1, 128)[0] == "pass"
     half = _house_reports(cfg, 1, 128)["house-inverse-half"]
     assert half.verdict == "fail" and half.failing_index == (1, 1)
 
@@ -95,7 +99,7 @@ def test_condition10_examples():
     # rational a >= 1 passes with identity-only embedding, e = 0
     s = spec("constant", value=Fraction(3))
     cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
-    assert check_condition10(cfg, 1, 1, 96)[0] == "pass"
+    assert check_condition10(QuotientTable(cfg), 1, 1, 96)[0] == "pass"
     # sign alternating with n violates the fixed-sign table
     f = sqrt2_field()
 
@@ -104,43 +108,43 @@ def test_condition10_examples():
 
     s2 = spec("custom", field=f, fn=alt)
     cfg2 = Thm1Config(M=1, sequences=[s2], gamma=Fraction(1, 2), field=f)
-    assert check_condition10(cfg2, 2, 1, 96)[0] == "fail"  # table derived at n=1 breaks at n=2
+    assert check_condition10(QuotientTable(cfg2), 2, 1, 96)[0] == "fail"  # table derived at n=1 breaks at n=2
 
 
 def test_interleaving_examples():
     # M = 1: always passes for a > 1
     s = spec("constant", value=Fraction(7))
     cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg, 2, 96)[0] == "pass"
+    assert check_interleaving(QuotientTable(cfg), 2, 96)[0] == "pass"
     # a_{n,1} = 2 * a_{n,M} with huge a_{n,M}: first branch dominates
     big = spec("pow2-geometric", d=3)
     twice = spec("custom", fn=lambda n: 2 * big.quotient(n))
     cfg2 = Thm1Config(M=2, sequences=[twice, big], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg2, 2, 96)[0] == "pass"
+    assert check_interleaving(QuotientTable(cfg2), 2, 96)[0] == "pass"
     # a_{n,1} = a_{n,M}^3 with a_{n,M} = 2^n: fails for large n (gamma = 1/2)
     base = spec("custom", fn=lambda n: Fraction(2) ** n)
     cube = spec("custom", fn=lambda n: Fraction(2) ** (3 * n))
     cfg3 = Thm1Config(M=2, sequences=[cube, base], gamma=Fraction(1, 2))
-    assert check_interleaving(cfg3, 60, 96)[0] == "fail"
+    assert check_interleaving(QuotientTable(cfg3), 60, 96)[0] == "fail"
 
 
 def test_ratio_margin_examples():
     base = spec("doubly-exponential", d=3)
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
     cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
-    ms = ratio_margin(cfg, 1, 8, 96)
+    ms = ratio_margin(QuotientTable(cfg), 1, 8, 96)
     assert ms.verdict == "pass"
     # ratio (4+sqrt2)/(4-sqrt2) - 1 ~ 1.094; margin grows like sqrt(n)
     assert float(ms.values[3].midpoint()) == pytest.approx(2 * 1.09383632, rel=1e-4)
     # equal sequences: margin identically zero -> fail
     s = spec("constant", value=Fraction(5))
     cfg2 = Thm1Config(M=2, sequences=[s, s], gamma=Fraction(1, 2))
-    assert ratio_margin(cfg2, 1, 8, 96).verdict == "fail"
+    assert ratio_margin(QuotientTable(cfg2), 1, 8, 96).verdict == "fail"
     # ratio 1 + 1/n: margin 1/sqrt(n) decays -> indeterminate
     a = spec("custom", fn=lambda n: Fraction(n + 1, n) * 5)
     b = spec("constant", value=Fraction(5))
     cfg3 = Thm1Config(M=2, sequences=[a, b], gamma=Fraction(1, 2))
-    assert ratio_margin(cfg3, 1, 12, 96).verdict == "indeterminate"
+    assert ratio_margin(QuotientTable(cfg3), 1, 12, 96).verdict == "indeterminate"
 
 
 def test_growth_margin_examples():
@@ -150,19 +154,19 @@ def test_growth_margin_examples():
     assert cfg.d == 2  # D=2, M=1 -> max(2, 1) = 2
     cfg3 = Thm1Config(M=2, sequences=[base, base], gamma=Fraction(1, 2), D=2)
     assert cfg3.d == 3
-    ms = growth_margin(cfg3, 1, 6, 96)
+    ms = growth_margin(QuotientTable(cfg3), 1, 6, 96)
     assert ms.verdict == "pass"
     assert ms.records and len(ms.records) >= 2
     # a_n = 2^(3^n), d = 3: g identically 2 -> indeterminate
     geo = spec("pow2-geometric", d=3)
     cfg4 = Thm1Config(M=2, sequences=[geo, geo], gamma=Fraction(1, 2), D=2)
-    ms2 = growth_margin(cfg4, 1, 6, 96)
+    ms2 = growth_margin(QuotientTable(cfg4), 1, 6, 96)
     assert ms2.verdict == "indeterminate"
     assert all(v.contains(Fraction(2)) for v in ms2.values)
     # a_n = n, d = 2: g -> 1, certainly decreasing -> fail
     lin = spec("polynomial", coeffs=(Fraction(0), Fraction(1)))
     cfg5 = Thm1Config(M=2, sequences=[lin, lin], gamma=Fraction(1, 2), D=1)
-    ms3 = growth_margin(cfg5, 1, 16, 96)
+    ms3 = growth_margin(QuotientTable(cfg5), 1, 16, 96)
     assert ms3.verdict == "fail"
 
 
@@ -226,8 +230,8 @@ def test_monotone_precision():
 def test_fail_reverification_at_doubled_precision():
     # hanluc interleaving failure is not a precision artifact
     cfg = build_config("hanluc")
-    assert check_interleaving(cfg, 1, 128)[0] == "fail"
-    assert check_interleaving(cfg, 1, 256)[0] == "fail"
+    assert check_interleaving(QuotientTable(cfg), 1, 128)[0] == "fail"
+    assert check_interleaving(QuotientTable(cfg), 1, 256)[0] == "fail"
 
 
 def test_specialization_consistency():
@@ -252,3 +256,44 @@ def test_gamma_validation():
         Thm1Config(M=1, sequences=[spec("constant", value=Fraction(2))], gamma=Fraction(1))
     with pytest.raises(ValueError):
         Thm1Config(M=2, sequences=[spec("constant", value=Fraction(2))], gamma=Fraction(1, 2))
+
+
+def _table_calls(monkeypatch, cfg, N, precision):
+    """Counters of the CFSpec.quotient calls made from criteria, keyed by
+    (sequence, n) for an exact sequence and (sequence, n, prec) for an
+    interval-valued one, and of every growth_bound call by its arguments."""
+    quotients, bounds = Counter(), Counter()
+    quotient, growth_bound = CFSpec.quotient, criteria.growth_bound
+
+    def counted_quotient(self, n, prec=None):
+        if sys._getframe(1).f_globals["__name__"] == "cfindep.criteria":
+            quotients[(self, n) if self.is_exact() else (self, n, prec)] += 1
+        return quotient(self, n, prec)
+
+    def counted_bound(a_value, n, gamma, d, prec):
+        bounds[(a_value, n, gamma, d, prec)] += 1
+        return growth_bound(a_value, n, gamma, d, prec)
+
+    monkeypatch.setattr(CFSpec, "quotient", counted_quotient)
+    monkeypatch.setattr(criteria, "growth_bound", counted_bound)
+    check_all(cfg, N, precision)
+    return quotients, bounds
+
+
+@pytest.mark.parametrize("name", ["ex1", "c5", "interval"])
+def test_check_all_derives_each_quotient_once(monkeypatch, name):
+    # one check_all reads every a_{n,j} and its growth bound through one table;
+    # c5's three quotients coincide at n = 1, where pi(1) = 0
+    if name == "interval":
+        seqs = [parse_sequence({"kind": "doubly-exponential", "d": 3}),
+                parse_sequence({"kind": "one-plus-over-sqrt", "c": "1"})]
+        cfg, N, precision = Thm1Config(M=2, sequences=seqs, gamma=Fraction(1, 2)), 4, 96
+    else:
+        cfg, N, precision = build_config(name), 6, 128
+    quotients, bounds = _table_calls(monkeypatch, cfg, N, precision)
+    assert quotients and bounds
+    assert max(quotients.values()) == 1 and max(bounds.values()) == 1
+    # every sequence and index is read, the interval one at the requested precision
+    assert {(k[0], k[1]) for k in quotients} == {(s, n) for s in cfg.sequences for n in range(1, N + 1)}
+    if name == "interval":
+        assert (cfg.sequences[1], 1, precision) in quotients

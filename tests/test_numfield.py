@@ -76,6 +76,17 @@ def test_element_arithmetic_examples():
         k.zero().inverse()
 
 
+def test_repr_renders_coordinates_past_the_digit_limit():
+    # ex2's a_{7,1} at its default N has a 15311-bit coordinate, past the
+    # 4300-digit limit of int-to-str conversion
+    from cfindep.catalog import build_config
+
+    big = build_config("ex2").sequences[0].quotient(7)
+    assert repr(big) == "FieldElement(['0', '<15311-bit>/<1-bit>'])"
+    assert repr(-big / 7) == "FieldElement(['0', '-<15311-bit>/<3-bit>'])"
+    assert repr(_sqrt2().element([Fraction(-3, 4), 1])) == "FieldElement(['-3/4', '1'])"
+
+
 def test_field_mismatch_rejected():
     a = _sqrt2().generator()
     b = _phi().generator()

@@ -2,7 +2,7 @@
 
 The library reads no environment variable, rebinds no module global, and
 never picks a working precision on the caller's behalf.  The only precision
-parameters with a default are the two ``quotient`` methods, where exact kinds
+parameter with a default is that of ``CFSpec.quotient``, where exact kinds
 need none.  It runs on the standard library alone: sympy and numpy are test
 oracles, never imported by the package.
 """
@@ -22,7 +22,7 @@ import cfindep
 PACKAGE = pathlib.Path(cfindep.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PRECISION_NAMES = {"prec", "precision"}
-OPTIONAL_PRECISION = {("CFSpec", "quotient"), ("Thm1Config", "quotient")}
+OPTIONAL_PRECISION = {("CFSpec", "quotient")}
 
 
 def _modules():

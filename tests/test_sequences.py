@@ -6,7 +6,7 @@ from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval
 from cfindep.bigreal.poly import IntPoly
 from cfindep.cfcore import scalar_at_least_one
-from cfindep.criteria import Thm1Config, check_decomposition
+from cfindep.criteria import QuotientTable, Thm1Config, check_decomposition
 from cfindep.errors import BitBudgetExceeded, RootsNotRealDistinctGreaterOne, UnknownFamily
 from cfindep.numfield import FieldElement, field_new, is_algebraic_integer
 from cfindep.sequences import (
@@ -206,7 +206,7 @@ def test_catalog_quotients_at_least_one():
         cfg = build_config(name)
         for j in range(1, cfg.M + 1):
             for n in range(1, 5):
-                assert scalar_at_least_one(cfg.quotient(n, j)), (name, n, j)
+                assert scalar_at_least_one(cfg.sequences[j - 1].quotient(n)), (name, n, j)
 
 
 BASE_SCALED = {
@@ -234,7 +234,7 @@ def test_rational_base_decomposes(kind):
 
     for n in range(1, 5):
         assert coords(s.quotient(n)) == coords(unit.quotient(n) * Fraction(5, 2)), n
-        assert check_decomposition(cfg, n, 1) == "pass", n
+        assert check_decomposition(QuotientTable(cfg), n, 1) == "pass", n
 
 
 # the JSON descriptor of each BASE_SCALED spec, less its base
