@@ -110,35 +110,20 @@ class Dyadic:
 
     # -- comparisons (exact) ----------------------------------------------
 
-    def _cmp(self, other: "Dyadic") -> int:
-        # decide by sign, then by the position of the leading bit, and align
-        # mantissas only when both tie: their exponents then differ by less
-        # than the mantissa lengths, so the shift stays small
-        a, b = self.man, other.man
-        if not a or not b or (a < 0) != (b < 0):
-            return (a > b) - (a < b)
-        la, lb = self.exp + a.bit_length(), other.exp + b.bit_length()
-        if la != lb:
-            return 1 if (la > lb) == (a > 0) else -1
-        e = min(self.exp, other.exp)
-        a <<= self.exp - e
-        b <<= other.exp - e
-        return (a > b) - (a < b)
-
     def __lt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) < 0
+        return _pair_cmp(self.man, self.exp, other.man, other.exp) < 0
 
     def __le__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) <= 0
+        return _pair_cmp(self.man, self.exp, other.man, other.exp) <= 0
 
     def __gt__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) > 0
+        return _pair_cmp(self.man, self.exp, other.man, other.exp) > 0
 
     def __ge__(self, other: "Dyadic") -> bool:
-        return self._cmp(other) >= 0
+        return _pair_cmp(self.man, self.exp, other.man, other.exp) >= 0
 
-    # __eq__/__hash__ from the frozen dataclass agree with _cmp because the
-    # representation is canonical.
+    # __eq__/__hash__ from the frozen dataclass agree with _pair_cmp because
+    # the representation is canonical.
 
     # -- directed rounding --------------------------------------------------
 
@@ -157,6 +142,23 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
+
+
+def _pair_cmp(a: int, ae: int, b: int, be: int) -> int:
+    """Sign of a * 2**ae - b * 2**be.
+
+    Decided by sign, then by the position of the leading bit; the mantissas
+    are aligned only when both tie, when the exponents differ by less than
+    the mantissa lengths, so the shift stays small.
+    """
+    if not a or not b or (a < 0) != (b < 0):
+        return (a > b) - (a < b)
+    la, lb = ae + a.bit_length(), be + b.bit_length()
+    if la != lb:
+        return 1 if (la > lb) == (a > 0) else -1
+    e = min(ae, be)
+    d = (a << (ae - e)) - (b << (be - e))
+    return (d > 0) - (d < 0)
 
 
 ZERO = Dyadic(0, 0)

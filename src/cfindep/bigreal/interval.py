@@ -25,6 +25,7 @@ from ..errors import DivisorContainsZero, NegativeSqrt
 from .dyadic import (
     Dyadic,
     _divmod,
+    _pair_cmp,
     _rational_pair,
     rational_to_dyadic,
     sqrt_down,
@@ -152,7 +153,7 @@ class DyadicInterval:
 def _cmp_exact(d: Dyadic, x) -> int:
     """Sign of d - x for a Dyadic, int or Fraction x.
 
-    Decided like ``Dyadic._cmp``: by sign, then by leading-bit position, and
+    Decided like ``_pair_cmp``: by sign, then by leading-bit position, and
     by cross-multiplication only when those tie, when the shift is bounded by
     the operand sizes; ``as_fraction`` would expand an exponent like 2**70.
     """
@@ -161,7 +162,7 @@ def _cmp_exact(d: Dyadic, x) -> int:
     if isinstance(x, int):
         x = Dyadic(x)
     if isinstance(x, Dyadic):
-        return d._cmp(x)
+        return _pair_cmp(d.man, d.exp, x.man, x.exp)
     if not isinstance(x, Fraction):
         raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
     a, n, q = d.man, x.numerator, x.denominator
@@ -266,16 +267,18 @@ def _pair_quotient(n: int, e: int, d: int, prec: int, up: bool) -> tuple[int, in
 
     The rounding shift depends on the bit lengths of the reduced terms, so
     whether n/d is reduced must be known (15/9 rounds as 5/3); powers of two
-    in n or d leave the rounded value unchanged.  For odd d and a shift
-    s >= 0, gcd(n, d) == gcd((n * 2**s) mod d, d): when n is at least as
-    long as d, the remainder of the rounding division answers that test with
-    a gcd of d's length, which gcd(n, d) would reach only after a division of
-    its own.  A shorter n (whose gcd with d is cheaper), an even d or s < 0
-    takes gcd(n, d), and a common factor is divided out before rounding.
+    in n or d leave the rounded value unchanged, so d's are shifted out.  For
+    odd d and a shift s >= 0, gcd(n, d) == gcd((n * 2**s) mod d, d): when n
+    is at least as long as d, the remainder of the rounding division answers
+    that test with a gcd of d's length, which gcd(n, d) would reach only
+    after a division of its own.  A shorter n (whose gcd with d is cheaper)
+    or s < 0 takes gcd(n, d), and a common factor is divided out first.
     """
+    t = (d & -d).bit_length() - 1
+    d, e = d >> t, e - t
     nb, db = n.bit_length(), d.bit_length()
     s = prec + 1 - (nb - db)
-    if d & 1 and nb >= db and s >= 0:
+    if nb >= db and s >= 0:
         q, r = _divmod(n << s, d)
         g = gcd(r, d)
         if g == 1:
@@ -370,16 +373,7 @@ _POINT_CACHE_SIZE = 4096
 # iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
 # same endpoints while building a Dyadic only for the result.  A pair
 # need not be canonical: rounding to p bits depends on the value alone, and
-# _pair_quotient rounds the reduced fraction, as _quotient does, whether it
-# learns that the fraction is reduced from its rounding remainder or reduces
-# it by the gcd first.
-
-
-def _pair_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    """Exact sum of two pairs."""
-    if e1 <= e2:
-        return m1 + (m2 << (e2 - e1)), e1
-    return (m1 << (e1 - e2)) + m2, e2
+# a quotient rounds the reduced fraction, as _quotient does.
 
 
 def _pair_down(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -453,21 +447,38 @@ def _atanh_series(
     p = t and s = t**2 are this end's pairs; twin is the round-up end's
     (p, pe, s, se), which the round-down end reads for its certified stop.
     Returns the sum pair (the round-up end adds twice the last power for the
-    tail) and the stop index k.
+    tail) and the stop index k.  Each step rounds the term p/(2k+1) as
+    _pair_quotient does, and the sum and the next power as this end's
+    _pair_up or _pair_down does, all on local ints.
     """
-    rnd = _pair_up if up else _pair_down
     if not up:
         gap = max(_gap_exp(twin[0], twin[1], p, pe), _gap_exp(twin[2], twin[3], s, se), 4 - work)
     am = ae = 0
     k = stop = 0
     while True:
-        am, ae = rnd(*_pair_add(am, ae, *_pair_quotient(p, pe, 2 * k + 1, work, up)), work)
-        p, pe = rnd(p * s, pe + se, work)
+        # the reduced p/(2k+1) to work + 1 bits; a shift down happens only
+        # at k = 0 for p = 2**(work + 2), where it is exact
+        d = 2 * k + 1
+        n, g = p, gcd(p, d)
+        if g != 1:
+            n, d = n // g, d // g
+        sh = work + 1 - n.bit_length() + d.bit_length()
+        q, r = divmod(n << sh, d) if sh >= 0 else (n >> -sh, 0)
+        q, qe = q + (up and r != 0), pe - sh
+        if ae <= qe:
+            am += q << (qe - ae)
+        else:
+            am, ae = (am << (ae - qe)) + q, qe
+        if (x := am.bit_length() - work) > 0:
+            am, ae = (-(-am >> x) if up else am >> x), ae + x
+        p, pe = p * s, pe + se
+        if (x := p.bit_length() - work) > 0:
+            p, pe = (-(-p >> x) if up else p >> x), pe + x
         k += 1
         if not stop and p.bit_length() + pe <= threshold:  # power < 2**threshold
             if up:
-                am, ae = _pair_up(*_pair_add(am, ae, p, pe + 1), work)
-                return am, ae, k
+                e = min(ae, pe + 1)
+                return (*_pair_up((am << (ae - e)) + (p << (pe + 1 - e)), e, work), k)
             if _certainly_below(p, pe, threshold, (k + 1).bit_length() + gap + 2):
                 stop = k
             else:
@@ -483,9 +494,9 @@ def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> t
     (u, ue), which the round-down end reads for its certified stop.  Returns
     the sum pair (the round-up end adds twice the last term for the tail:
     the ratio of consecutive terms is below ln2/j <= 0.35 there, so the tail
-    is below twice the term) and the stop index j.
+    is below twice the term) and the stop index j.  Each step rounds as
+    _atanh_series does, the term's quotient by j included.
     """
-    rnd = _pair_up if up else _pair_down
     if not up:
         gap = max(_gap_exp(*twin, u, ue), 4 - work)
     am, ae = 1, 0
@@ -493,13 +504,27 @@ def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> t
     j = 1
     stop = 0
     while True:
-        am, ae = rnd(*_pair_add(am, ae, tm, te), work)
+        if ae <= te:
+            am += tm << (te - ae)
+        else:
+            am, ae = (am << (ae - te)) + tm, te
+        if (x := am.bit_length() - work) > 0:
+            am, ae = (-(-am >> x) if up else am >> x), ae + x
         j += 1
-        tm, te = _pair_quotient(*rnd(tm * u, te + ue, work), j, work, up)
+        tm, te = tm * u, te + ue
+        if (x := tm.bit_length() - work) > 0:
+            tm, te = (-(-tm >> x) if up else tm >> x), te + x
+        # the reduced tm/j to work + 1 bits; tm has at most work bits here
+        n, d, g = tm, j, gcd(tm, j)
+        if g != 1:
+            n, d = n // g, d // g
+        sh = work + 1 - n.bit_length() + d.bit_length()
+        q, r = divmod(n << sh, d)
+        tm, te = q + (up and r != 0), te - sh
         if not stop and tm.bit_length() + te <= threshold:  # term < 2**threshold
             if up:
-                am, ae = _pair_up(*_pair_add(am, ae, tm, te + 1), work)
-                return am, ae, j
+                e = min(ae, te + 1)
+                return (*_pair_up((am << (ae - e)) + (tm << (te + 1 - e)), e, work), j)
             if _certainly_below(tm, te, threshold, j.bit_length() + gap + 2):
                 stop = j
             else:

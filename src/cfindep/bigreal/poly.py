@@ -13,18 +13,19 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
+from functools import cmp_to_key, lru_cache
+from itertools import combinations, count
 
 from ..errors import NoSignChange, NonConvergent, NotSquarefree, PrecisionInsufficient
-from .dyadic import Dyadic, rational_to_dyadic
+from .dyadic import Dyadic, _pair_cmp, rational_to_dyadic
 from .interval import (
     ComplexInterval,
     DyadicInterval,
+    _pair_down,
+    _pair_quotient,
+    _pair_up,
     iv_add,
-    iv_div,
     iv_mul,
-    iv_sub,
     from_fraction,
     singleton,
 )
@@ -86,16 +87,7 @@ class IntPoly:
 
     def eval_dyadic(self, x: Dyadic) -> Dyadic:
         """Exact evaluation at a dyadic point."""
-        acc = Dyadic(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + Dyadic(c)
-        return acc
-
-    def eval_interval(self, x: DyadicInterval, prec: int) -> DyadicInterval:
-        acc = singleton(0)
-        for c in reversed(self.coeffs):
-            acc = iv_add(iv_mul(acc, x, prec), singleton(c), prec)
-        return acc
+        return Dyadic(*_pair_eval(self.coeffs, x.man, x.exp))
 
     def cauchy_root_bound(self) -> int:
         """Integer B with every real root in (-B, B)."""
@@ -150,16 +142,20 @@ def is_squarefree(p: IntPoly) -> bool:
     return True
 
 
-def _sign_at(coeffs: tuple[int, ...], x: Dyadic) -> int:
-    """Sign of an integer polynomial at a dyadic point, by integer Horner.
-
-    With x = n / 2**k the loop computes 2**(k*deg) * p(x) exactly.
-    """
-    n, k = (x.man << x.exp, 0) if x.exp >= 0 else (x.man, -x.exp)
+def _pair_eval(coeffs: tuple[int, ...], m: int, e: int) -> tuple[int, int]:
+    """An integer polynomial at m * 2**e, exactly, as a pair, by integer
+    Horner: with x = n / 2**k the loop computes 2**(k*deg) * p(x)."""
+    n, k = (m << e, 0) if e >= 0 else (m, -e)
     acc = shift = 0
     for c in reversed(coeffs):
         acc = acc * n + (c << shift)
         shift += k
+    return acc, k - shift
+
+
+def _sign_at(coeffs: tuple[int, ...], x: Dyadic) -> int:
+    """Sign of an integer polynomial at a dyadic point."""
+    acc = _pair_eval(coeffs, x.man, x.exp)[0]
     return (acc > 0) - (acc < 0)
 
 
@@ -235,6 +231,10 @@ def sturm_count(p: IntPoly, interval: DyadicInterval) -> int:
     return SturmChain(p).count(interval)
 
 
+# Bound on the refinement memo; refine_root is pure in its hashable arguments.
+_REFINE_CACHE_SIZE = 1024
+
+
 def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> DyadicInterval:
     """Shrink an isolating interval around a simple real root.
 
@@ -246,11 +246,52 @@ def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> 
     a result of width near 2**-p carry about p + 32 bits.  The returned
     interval lies inside ``isolating``, has width <= ``target_width`` and a
     sign change of p across it (or is the exact root when the root is
-    dyadic).
+    dyadic).  A bounded memo keyed on the three arguments answers a repeated
+    refinement.
     """
+    return _refine_root(p, isolating, target_width)
+
+
+def _pair_sub(a: int, ae: int, b: int, be: int) -> tuple[int, int]:
+    """Exact difference of two pairs."""
+    e = min(ae, be)
+    return (a << (ae - e)) - (b << (be - e)), e
+
+
+def _pair_eval_interval(coeffs, m1: int, e1: int, m2: int, e2: int, work: int):
+    """An integer polynomial over x = [m1 * 2**e1, m2 * 2**e2] by Horner, each
+    product (the least and the greatest of the four endpoint products) and
+    each sum rounded outward to work bits as iv_mul and iv_add round them."""
+    a1 = f1 = a2 = f2 = 0  # the accumulator [a1 * 2**f1, a2 * 2**f2]
+    for c in reversed(coeffs):
+        if m1 >= 0:  # x >= 0
+            l, le = (a1 * m1, f1 + e1) if a1 >= 0 else (a1 * m2, f1 + e2)
+            h, he = (a2 * m2, f2 + e2) if a2 >= 0 else (a2 * m1, f2 + e1)
+        elif m2 <= 0:  # x <= 0
+            l, le = (a2 * m1, f2 + e1) if a2 >= 0 else (a2 * m2, f2 + e2)
+            h, he = (a1 * m2, f1 + e2) if a1 >= 0 else (a1 * m1, f1 + e1)
+        else:  # x straddles 0
+            l, le = (a2 * m1, f2 + e1) if a1 >= 0 else (a1 * m2, f1 + e2)
+            h, he = (a2 * m2, f2 + e2) if a1 >= 0 else (a1 * m1, f1 + e1)
+            if a1 < 0 < a2:  # and so does the accumulator
+                if _pair_cmp(a2 * m1, f2 + e1, l, le) < 0:
+                    l, le = a2 * m1, f2 + e1
+                if _pair_cmp(a2 * m2, f2 + e2, h, he) > 0:
+                    h, he = a2 * m2, f2 + e2
+        a1, f1 = _pair_down(*_pair_sub(*_pair_down(l, le, work), -c, 0), work)  # + c
+        a2, f2 = _pair_up(*_pair_sub(*_pair_up(h, he, work), -c, 0), work)
+    return a1, f1, a2, f2
+
+
+@lru_cache(maxsize=_REFINE_CACHE_SIZE)
+def _refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> DyadicInterval:
+    """``refine_root`` without the memo, on (mantissa, exponent) int pairs as
+    the log and exp series run: each step rounds as the interval operations
+    it stands for (Horner over [lo, hi], iv_div, iv_sub) at its work bits, so
+    the endpoints are those of the loop on intervals."""
     lo, hi = isolating.lo, isolating.hi
-    s_lo = p.eval_dyadic(lo).sign()
-    s_hi = p.eval_dyadic(hi).sign()
+    coeffs = p.coeffs
+    s_lo, s_hi = _sign_at(coeffs, lo), _sign_at(coeffs, hi)
     if s_lo == 0:
         return DyadicInterval(lo, lo)
     if s_hi == 0:
@@ -260,44 +301,50 @@ def refine_root(p: IntPoly, isolating: DyadicInterval, target_width: Dyadic) -> 
     if target_width.sign() <= 0:
         raise ValueError("target width must be positive")
 
-    target_bits = max(8, -target_width.exp + target_width.man.bit_length())
+    tm, te = target_width.man, target_width.exp
+    target_bits = max(8, -te + tm.bit_length())
     cap = 64 + 10 * target_bits
-    dp = p.derivative()
-    steps = 0
-    while (hi - lo) > target_width:
+    dcoeffs = p.derivative().coeffs
+    lm, le, hm, he, lo_pos = lo.man, lo.exp, hi.man, hi.exp, s_lo > 0
+    for steps in count():
+        wm, we = _pair_sub(hm, he, lm, le)  # the width
+        if _pair_cmp(wm, we, tm, te) <= 0:
+            return DyadicInterval(Dyadic(lm, le), Dyadic(hm, he))
         if steps > cap:
             raise NonConvergent(f"root refinement exceeded {cap} iterations")
-        steps += 1
-        mid = (lo + hi).scaled(-1)
-        width = hi - lo
-        work = max(64, min(8 - 2 * (width.exp + width.man.bit_length()), target_bits + 32))
-        newton_done = False
-        dpi = dp.eval_interval(DyadicInterval(lo, hi), work)
-        if not dpi.contains_zero():
-            pm = p.eval_dyadic(mid)
-            step = iv_div(DyadicInterval(pm, pm), dpi, work)
-            cand = iv_sub(DyadicInterval(mid, mid), step, work)
-            new_lo = max(lo, cand.lo)
-            new_hi = min(hi, cand.hi)
-            if new_lo <= new_hi and (new_hi - new_lo) < (hi - lo):
-                t_lo = p.eval_dyadic(new_lo).sign()
-                t_hi = p.eval_dyadic(new_hi).sign()
-                if t_lo == 0:
-                    return DyadicInterval(new_lo, new_lo)
-                if t_hi == 0:
-                    return DyadicInterval(new_hi, new_hi)
-                if t_lo != t_hi:
-                    lo, hi, s_lo, s_hi = new_lo, new_hi, t_lo, t_hi
-                    newton_done = True
-        if not newton_done:
-            sm = p.eval_dyadic(mid).sign()
-            if sm == 0:
-                return DyadicInterval(mid, mid)
-            if sm == s_lo:
-                lo, s_lo = mid, sm
-            else:
-                hi, s_hi = mid, sm
-    return DyadicInterval(lo, hi)
+        mm, me = (hm << (he - we)) + (lm << (le - we)), we - 1  # the midpoint
+        work = max(64, min(8 - 2 * (we + wm.bit_length()), target_bits + 32))
+        pm, pe = _pair_eval(coeffs, mm, me)
+        d1, g1, d2, g2 = _pair_eval_interval(dcoeffs, lm, le, hm, he, work)
+        if d1 > 0 or d2 < 0:  # p' has no zero on [lo, hi]: try a Newton step
+            # the step p(mid) / p'([lo, hi]) as iv_div rounds it, divisor made
+            # positive: the lower end is over p''s right end when p(mid) >= 0
+            (bl, ble), (bh, bhe) = ((d2, g2), (d1, g1)) if pm >= 0 else ((d1, g1), (d2, g2))
+            sg = 1 if d1 > 0 else -1
+            ql, qle = _pair_quotient(sg * pm, pe - ble, sg * bl, work, False)
+            qh, qhe = _pair_quotient(sg * pm, pe - bhe, sg * bh, work, True)
+            # mid - step, rounded outward and cut to [lo, hi]
+            cl, cle = _pair_down(*_pair_sub(mm, me, qh, qhe), work)
+            ch, che = _pair_up(*_pair_sub(mm, me, ql, qle), work)
+            if _pair_cmp(cl, cle, lm, le) < 0:
+                cl, cle = lm, le
+            if _pair_cmp(ch, che, hm, he) > 0:
+                ch, che = hm, he
+            if _pair_cmp(cl, cle, ch, che) <= 0 and _pair_cmp(*_pair_sub(ch, che, cl, cle), wm, we) < 0:
+                vl, vh = _pair_eval(coeffs, cl, cle)[0], _pair_eval(coeffs, ch, che)[0]
+                if not vl:
+                    return DyadicInterval(Dyadic(cl, cle), Dyadic(cl, cle))
+                if not vh:
+                    return DyadicInterval(Dyadic(ch, che), Dyadic(ch, che))
+                if (vl > 0) != (vh > 0):
+                    lm, le, hm, he, lo_pos = cl, cle, ch, che, vl > 0
+                    continue
+        if not pm:  # bisection
+            return DyadicInterval(Dyadic(mm, me), Dyadic(mm, me))
+        if (pm > 0) == lo_pos:
+            lm, le = mm, me
+        else:
+            hm, he = mm, me
 
 
 def _split_point(p: IntPoly, a: Dyadic, b: Dyadic) -> Dyadic:
@@ -319,29 +366,6 @@ def isolate_real_roots(p: IntPoly) -> list[DyadicInterval]:
     if p.degree() <= 0:
         return []
     return SturmChain(p).isolate()
-
-
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def qpoly_eval_interval(coeffs: list[Fraction], x: DyadicInterval, prec: int) -> DyadicInterval:

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import cfindep
 from cfindep import sequences
-from cfindep.bigreal import interval
+from cfindep.bigreal import interval, poly
+from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.poly import IntPoly, isolate_real_roots
 from cfindep.catalog import build_config
 from cfindep.criteria import check_all
 from cfindep.lemmas import run_lemma2_suite
@@ -100,6 +102,30 @@ def test_shared_point_caches_under_thread_switching():
     finally:
         sys.setswitchinterval(old)
     assert all(r == expected for r in results)
+
+
+def test_refinement_memo_under_thread_switching():
+    # the refinement memo is filled by whichever thread gets there first;
+    # every thread must still see the memo-free endpoints exactly
+    cases = [(p, iv, Dyadic(1, -bits))
+             for p in (IntPoly.of(14, -8, 1), IntPoly.of(-1, -1, 1), IntPoly.of(-2, 0, 0, 0, 0, 0, 1))
+             for iv in isolate_real_roots(p) for bits in (64, 512, 2048)]
+    expected = [poly._refine_root.__wrapped__(*case) for case in cases]
+
+    def job(k):
+        return [poly.refine_root(*case) for case in cases[k:] + cases[:k]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            poly._refine_root.cache_clear()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(job, range(4), timeout=120))
+            for k, got in enumerate(results):
+                assert got == expected[k:] + expected[:k]
+    finally:
+        sys.setswitchinterval(old)
 
 
 # Runs in a fresh interpreter, so the first calls of sqrt2_field() and

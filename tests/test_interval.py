@@ -507,6 +507,31 @@ def test_exp2_point_matches_object_series(x, prec):
     assert interval._exp2_end.__wrapped__(x, prec, True) == ref.hi
 
 
+@settings(max_examples=40, deadline=None)
+@given(_fractional_dyadics(), _SERIES_PRECISIONS)
+@example(Dyadic(1, -1), 4)
+@example(Dyadic(-7, -2), 128)
+def test_exp_series_sums_match_object_series(x, prec):
+    # each chain's sum at the work precision, before _exp2_end rounds it to
+    # prec bits and so hides a wrong last bit
+    r = x - Dyadic(x.floor())
+    work = prec + 16
+    u = iv_mul(DyadicInterval(r, r), _object_ln_mantissa(2, 0, work), work)
+    total, term, j = singleton(1), u, 1
+    while True:
+        total = iv_add(total, term, work)
+        j += 1
+        term = iv_div(iv_mul(term, u, work), singleton(j), work)
+        if term.hi < Dyadic(1, -(prec + 8)):
+            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
+            break
+    hi, lo = (u.hi.man, u.hi.exp), (u.lo.man, u.lo.exp)
+    up = interval._exp_series(*hi, None, work, -(prec + 8), True)
+    down = interval._exp_series(*lo, hi, work, -(prec + 8), False)
+    assert (Dyadic(*down[:2]), Dyadic(*up[:2])) == (total.lo, total.hi)
+    assert down[2] == up[2] == j
+
+
 def _object_log2_point(x, prec):
     if x.man == 1:
         return singleton(x.exp)

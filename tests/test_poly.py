@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -8,8 +9,17 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+from cfindep.bigreal import poly
 from cfindep.bigreal.dyadic import Dyadic
-from cfindep.bigreal.interval import DyadicInterval
+from cfindep.bigreal.interval import (
+    DyadicInterval,
+    from_fraction,
+    iv_add,
+    iv_div,
+    iv_mul,
+    iv_sub,
+    singleton,
+)
 from cfindep.bigreal.poly import (
     IntPoly,
     SturmChain,
@@ -21,7 +31,7 @@ from cfindep.bigreal.poly import (
     refine_root,
     sturm_count,
 )
-from cfindep.errors import NoSignChange, NotSquarefree
+from cfindep.errors import NoSignChange, NonConvergent, NotSquarefree
 
 
 def _quadratic_roots_oracle(b: int, c: int):
@@ -177,13 +187,158 @@ def test_refine_root_sextic_at_1024_bits_is_fast():
     assert len(roots) == 2 and all(_mantissa_bits(iv) <= 2 * 1024 + 64 for iv in roots)
 
 
-def test_interval_evaluation_contains_exact():
-    p = IntPoly.of(14, -8, 1)
-    x = Fraction(5, 2)
-    from cfindep.bigreal.interval import from_fraction
+def _object_horner(coeffs, x, work):
+    acc = singleton(0)
+    for c in reversed(coeffs):
+        acc = iv_add(iv_mul(acc, x, work), singleton(c), work)
+    return acc
 
-    v = p.eval_interval(from_fraction(x, 96), 96)
-    assert v.contains(p.eval_fraction(x))
+
+_signed_dyadics = st.builds(Dyadic, st.integers(-(2 ** 40), 2 ** 40), st.integers(-40, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=7), _signed_dyadics, _signed_dyadics,
+       st.integers(4, 300))
+@example([1, -1, 1], Dyadic(-3, -2), Dyadic(5, -2), 4)  # x and the accumulator straddle 0
+def test_pair_horner_matches_interval_horner(coeffs, a, b, work):
+    lo, hi = min(a, b), max(a, b)
+    a1, f1, a2, f2 = poly._pair_eval_interval(tuple(coeffs), lo.man, lo.exp, hi.man, hi.exp, work)
+    ref = _object_horner(coeffs, DyadicInterval(lo, hi), work)
+    assert DyadicInterval(Dyadic(a1, f1), Dyadic(a2, f2)) == ref
+
+
+# Reference refinement: refine_root's loop with every step a Dyadic or an
+# interval operation.  The kernel on (mantissa, exponent) int pairs must
+# return the same endpoints, bit for bit.
+def _object_refine_root(p, isolating, target_width):
+    lo, hi = isolating.lo, isolating.hi
+    s_lo = p.eval_dyadic(lo).sign()
+    s_hi = p.eval_dyadic(hi).sign()
+    if s_lo == 0:
+        return DyadicInterval(lo, lo)
+    if s_hi == 0:
+        return DyadicInterval(hi, hi)
+    if s_lo == s_hi:
+        raise NoSignChange(f"no sign change of {p!r} across {isolating!r}")
+    if target_width.sign() <= 0:
+        raise ValueError("target width must be positive")
+    target_bits = max(8, -target_width.exp + target_width.man.bit_length())
+    cap = 64 + 10 * target_bits
+    dp = p.derivative().coeffs
+    steps = 0
+    while (hi - lo) > target_width:
+        if steps > cap:
+            raise NonConvergent(f"root refinement exceeded {cap} iterations")
+        steps += 1
+        mid = (lo + hi).scaled(-1)
+        width = hi - lo
+        work = max(64, min(8 - 2 * (width.exp + width.man.bit_length()), target_bits + 32))
+        newton_done = False
+        dpi = _object_horner(dp, DyadicInterval(lo, hi), work)
+        if not dpi.contains_zero():
+            pm = p.eval_dyadic(mid)
+            step = iv_div(DyadicInterval(pm, pm), dpi, work)
+            cand = iv_sub(DyadicInterval(mid, mid), step, work)
+            new_lo = max(lo, cand.lo)
+            new_hi = min(hi, cand.hi)
+            if new_lo <= new_hi and (new_hi - new_lo) < (hi - lo):
+                t_lo = p.eval_dyadic(new_lo).sign()
+                t_hi = p.eval_dyadic(new_hi).sign()
+                if t_lo == 0:
+                    return DyadicInterval(new_lo, new_lo)
+                if t_hi == 0:
+                    return DyadicInterval(new_hi, new_hi)
+                if t_lo != t_hi:
+                    lo, hi, s_lo, s_hi = new_lo, new_hi, t_lo, t_hi
+                    newton_done = True
+        if not newton_done:
+            sm = p.eval_dyadic(mid).sign()
+            if sm == 0:
+                return DyadicInterval(mid, mid)
+            if sm == s_lo:
+                lo, s_lo = mid, sm
+            else:
+                hi, s_hi = mid, sm
+    return DyadicInterval(lo, hi)
+
+
+def _same_endpoints(p, isolating, target):
+    got = poly._refine_root.__wrapped__(p, isolating, target)  # the kernel, memo-free
+    ref = _object_refine_root(p, isolating, target)
+    assert (got.lo.man, got.lo.exp, got.hi.man, got.hi.exp) == \
+        (ref.lo.man, ref.lo.exp, ref.hi.man, ref.hi.exp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(-30, 30), min_size=d, max_size=d)),
+       st.sampled_from((1, 1, 2, 3, -1)), st.integers(8, 4096), st.integers(1, 7))
+@example([14, -8], 1, 4096, 1)
+@example([0, -4, 0], 1, 300, 1)  # the root 0 is exact
+@example([-2, 0, 0, 0, 0, 0], 1, 1024, 1)
+@example([-1, 3, 3, -4, -1], 1, 2112, 3)
+def test_integer_refine_root_matches_object_loop(low, lead, bits, odd):
+    p = IntPoly(tuple(low) + (lead,))
+    assume(is_squarefree(p))
+    for iv in isolate_real_roots(p):
+        _same_endpoints(p, iv, Dyadic(odd, -bits))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=7),
+       st.tuples(st.integers(-200, 200), st.integers(0, 6)),
+       st.tuples(st.integers(-200, 200), st.integers(0, 6)),
+       st.integers(8, 700))
+def test_integer_refine_root_matches_object_loop_on_any_bracket(coeffs, a, b, bits):
+    # brackets that hold several roots, straddle 0 or hold no sign change
+    # at all: the same endpoint or the same exception
+    p = IntPoly(tuple(coeffs))
+    lo, hi = Dyadic(a[0], -a[1]), Dyadic(b[0], -b[1])
+    assume(p.degree() >= 1 and lo < hi)
+    target = Dyadic(1, -bits)
+    try:
+        ref = _object_refine_root(p, DyadicInterval(lo, hi), target)
+    except (NoSignChange, NonConvergent) as e:
+        with pytest.raises(type(e)):
+            poly._refine_root.__wrapped__(p, DyadicInterval(lo, hi), target)
+        return
+    assert poly._refine_root.__wrapped__(p, DyadicInterval(lo, hi), target) == ref
+
+
+def test_integer_refine_root_matches_object_loop_for_the_ex1_field():
+    # the 33297-bit width an ex1 enclose at N = 6 and 1024 bits asks of its field
+    p = IntPoly.of(14, -8, 1)
+    for iv in isolate_real_roots(p):
+        _same_endpoints(p, iv, Dyadic(1, -33297))
+
+
+def test_refine_root_memo_contract():
+    # a plain function, so the benchmark's tracer wraps it; the memo behind
+    # it is bounded, and a hit returns what a cold refinement returns
+    assert inspect.isfunction(refine_root) and "refine_root" in poly.__all__
+    memo = poly._refine_root
+    assert memo.cache_info().maxsize == 1024
+    p = IntPoly.of(-3, 0, 1)
+    iv = isolate_real_roots(p)[1]
+    memo.cache_clear()
+    cold = refine_root(p, iv, Dyadic(1, -500))
+    assert refine_root(p, iv, Dyadic(1, -500)) == cold == memo.__wrapped__(p, iv, Dyadic(1, -500))
+    assert memo.cache_info().hits == 1
+    for k in range(1100):
+        refine_root(p, iv, Dyadic(2 * k + 1, -40))
+    assert memo.cache_info().currsize == 1024
+
+
+def test_interval_evaluation_contains_exact():
+    # the Horner kernel behind refine_root's Newton steps, on int pairs
+    p = IntPoly.of(14, -8, 1)
+    for lo, hi in ((Fraction(5, 2), Fraction(5, 2)), (Fraction(-3, 4), Fraction(7, 8)),
+                   (Fraction(-9, 2), Fraction(-1, 3))):
+        x = DyadicInterval(from_fraction(lo, 96).lo, from_fraction(hi, 96).hi)
+        a1, f1, a2, f2 = poly._pair_eval_interval(p.coeffs, x.lo.man, x.lo.exp, x.hi.man, x.hi.exp, 96)
+        v = DyadicInterval(Dyadic(a1, f1), Dyadic(a2, f2))
+        assert v.contains(p.eval_fraction(lo)) and v.contains(p.eval_fraction(hi))
+        assert v.contains(p.eval_fraction((lo + hi) / 2))
 
 
 def test_refine_root_against_numpy_roots():

@@ -196,3 +196,36 @@ def test_benchmark_layer_metrics_name_traced_functions():
         if head not in (set(tracer.LAYERS.values()) if stat == "self_s" else traced):
             unresolved.append(metric["name"])
     assert unresolved == []
+
+
+# Installs the benchmark's tracer in a fresh interpreter, as an operation of
+# the benchmark does, and prints the names it wrapped.  -B keeps the import
+# from writing bytecode next to perfbench/tracer.py.
+_INSTALL_TRACER = """
+import importlib.util, json, sys
+import cfindep.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+tracer = mod.Tracer(None)
+tracer.install()
+print(json.dumps(tracer.names))
+"""
+
+
+def test_installed_tracer_wraps_every_benchmarked_function():
+    # a function the tracer cannot wrap (a decorated callable for which
+    # inspect.isfunction is false) has no calls or total_s, and a traced
+    # benchmark run fails on the metric that names it
+    src = os.path.dirname(os.path.dirname(cfindep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-B", "-c", _INSTALL_TRACER,
+                          str(REPO / "perfbench" / "tracer.py")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    wrapped = set(json.loads(out.stdout.strip().splitlines()[-1]))
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    named = {m["name"].rsplit(".", 1)[0] for m in benchmark["per_layer"]
+             if m["name"].rsplit(".", 1)[1] in ("calls", "total_s", "repeat_share")}
+    assert "bigreal.refine_root" in named
+    assert sorted(named - wrapped) == []

@@ -61,10 +61,27 @@ def test_lll_invariants_random():
         _lll_conditions_exact(red)
 
 
-def _int_det(m):
-    from cfindep.bigreal.poly import _bareiss_det
-
-    return _bareiss_det(m)
+def _int_det(mat: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def test_find_relation_trivial_identity():
