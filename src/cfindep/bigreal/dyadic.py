@@ -9,8 +9,9 @@ through the helpers here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ..errors import refuse_assignment
 
 __all__ = [
     "Dyadic",
@@ -26,21 +27,31 @@ def _split_twos(man: int) -> tuple[int, int]:
     return man >> s, s
 
 
-@dataclass(frozen=True, slots=True)
 class Dyadic:
     """Canonical dyadic rational: ``man`` odd or zero, zero has ``exp == 0``."""
 
-    man: int = 0
-    exp: int = 0
+    __slots__ = ("man", "exp")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.man == 0:
-            if self.exp != 0:
-                object.__setattr__(self, "exp", 0)
-        elif self.man % 2 == 0:
-            m, s = _split_twos(self.man)
-            object.__setattr__(self, "man", m)
-            object.__setattr__(self, "exp", self.exp + s)
+    def __init__(self, man: int = 0, exp: int = 0):
+        if not man:
+            exp = 0
+        elif not man & 1:
+            man, s = _split_twos(man)
+            exp += s
+        _set_man(self, man)
+        _set_exp(self, exp)
+
+    def __eq__(self, other):
+        if other.__class__ is Dyadic:
+            return self.man == other.man and self.exp == other.exp
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.man, self.exp))
+
+    def __reduce__(self):
+        return Dyadic, (self.man, self.exp)
 
     # -- constructors / conversions ------------------------------------
 
@@ -122,8 +133,8 @@ class Dyadic:
     def __ge__(self, other: "Dyadic") -> bool:
         return _pair_cmp(self.man, self.exp, other.man, other.exp) >= 0
 
-    # __eq__/__hash__ from the frozen dataclass agree with _pair_cmp because
-    # the representation is canonical.
+    # __eq__/__hash__ on the fields agree with _pair_cmp because the
+    # representation is canonical.
 
     # -- directed rounding --------------------------------------------------
 
@@ -142,6 +153,9 @@ class Dyadic:
 
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
+
+
+_set_man, _set_exp = Dyadic.man.__set__, Dyadic.exp.__set__
 
 
 def _pair_cmp(a: int, ae: int, b: int, be: int) -> int:

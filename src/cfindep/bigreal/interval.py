@@ -15,13 +15,12 @@ enclosures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd
 from operator import index
 
-from ..errors import DivisorContainsZero, NegativeSqrt
+from ..errors import DivisorContainsZero, NegativeSqrt, refuse_assignment
 from .dyadic import (
     Dyadic,
     _divmod,
@@ -61,16 +60,28 @@ def _check_prec(prec: int) -> None:
         raise ValueError(f"precision {prec} is below {MIN_PRECISION} bits")
 
 
-@dataclass(frozen=True, slots=True)
 class DyadicInterval:
     """Closed interval [lo, hi] with dyadic endpoints, lo <= hi."""
 
-    lo: Dyadic
-    hi: Dyadic
+    __slots__ = ("lo", "hi")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Dyadic, hi: Dyadic):
+        if lo is not hi and _pair_cmp(lo.man, lo.exp, hi.man, hi.exp) > 0:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __eq__(self, other):
+        if other.__class__ is DyadicInterval:
+            return self.lo == other.lo and self.hi == other.hi
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __reduce__(self):
+        return DyadicInterval, (self.lo, self.hi)
 
     # -- queries ---------------------------------------------------------
 
@@ -148,6 +159,9 @@ class DyadicInterval:
 
     def __neg__(self):
         return iv_neg(self)
+
+
+_set_lo, _set_hi = DyadicInterval.lo.__set__, DyadicInterval.hi.__set__
 
 
 def _cmp_exact(d: Dyadic, x) -> int:
@@ -666,12 +680,18 @@ def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int) -> DyadicInterval
 # complex boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
 class ComplexInterval:
     """Axis-aligned box re + i*im with interval components."""
 
-    re: DyadicInterval
-    im: DyadicInterval
+    __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, re: DyadicInterval, im: DyadicInterval):
+        _set_re(self, re)
+        _set_im(self, im)
+
+    def __reduce__(self):
+        return ComplexInterval, (self.re, self.im)
 
     @classmethod
     def from_rationals(cls, re: Fraction, im: Fraction, prec: int) -> "ComplexInterval":
@@ -687,3 +707,6 @@ class ComplexInterval:
 
     def abs_interval(self, prec: int) -> DyadicInterval:
         return iv_sqrt(self.abs_squared(prec), prec)
+
+
+_set_re, _set_im = ComplexInterval.re.__set__, ComplexInterval.im.__set__

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, count
 
-from ..errors import NoSignChange, NonConvergent, NotSquarefree, PrecisionInsufficient
+from ..errors import (
+    NoSignChange, NonConvergent, NotSquarefree, PrecisionInsufficient, refuse_assignment,
+)
 from .dyadic import Dyadic, _pair_cmp, rational_to_dyadic
 from .interval import (
     ComplexInterval,
@@ -44,17 +45,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class IntPoly:
     """Polynomial with integer coefficients, constant term first."""
 
-    coeffs: tuple[int, ...]
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        c = tuple(int(x) for x in coeffs)
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self.__dict__["coeffs"] = c
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is IntPoly else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, *coeffs: int) -> "IntPoly":

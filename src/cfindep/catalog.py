@@ -8,12 +8,12 @@ the other way round are reordered and say so in their description.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .bigreal.poly import IntPoly
 from .criteria import Thm1Config, c2_config
+from .errors import refuse_assignment
 from .sequences import (
     phi_field,
     polynomial_root_family,
@@ -26,12 +26,12 @@ from .sequences import (
 __all__ = ["CatalogEntry", "catalog", "build_config", "list_named_examples"]
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    name: str
-    description: str
-    defaults: dict
-    build: Callable[..., Thm1Config]
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, name: str, description: str, defaults: dict,
+                 build: Callable[..., Thm1Config]):
+        self.__dict__.update(name=name, description=description, defaults=defaults, build=build)
 
 
 def _ex1(gamma=Fraction(1, 2)) -> Thm1Config:

@@ -10,7 +10,6 @@ dyadic intervals obtained from consecutive convergents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
@@ -28,6 +27,7 @@ from .errors import (
     QuotientBelowOne,
     TailContainsZero,
     ZeroTailDivision,
+    refuse_assignment,
 )
 from .numfield import FieldElement
 
@@ -115,15 +115,13 @@ def scalar_at_least_one(x) -> bool:
 
 # -- convergent recurrence -----------------------------------------------------
 
-@dataclass(frozen=True)
 class ConvergentState:
     """(p_{n-1}, q_{n-1}, p_n, q_n) plus the index n."""
 
-    n: int
-    p_prev: object
-    q_prev: object
-    p_cur: object
-    q_cur: object
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, n: int, p_prev, q_prev, p_cur, q_cur):
+        self.__dict__.update(n=n, p_prev=p_prev, q_prev=q_prev, p_cur=p_cur, q_cur=q_cur)
 
 
 def initial_state(a0=0) -> ConvergentState:
@@ -176,11 +174,17 @@ def eval_finite(quotients) -> object:
 
 # -- value enclosures ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class CFValueEnclosure:
-    value: DyadicInterval
-    order: int
-    tail_bound_kind: str
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, value: DyadicInterval, order: int, tail_bound_kind: str):
+        self.__dict__.update(value=value, order=order, tail_bound_kind=tail_bound_kind)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is CFValueEnclosure else NotImplemented
+
+    def __hash__(self):
+        return hash((self.value, self.order, self.tail_bound_kind))
 
 
 def _convergent_interval(state: ConvergentState, work: int) -> DyadicInterval:
@@ -284,12 +288,19 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
 
 # -- complex evaluation ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class GaussianRational:
     """Exact complex rational re + i*im."""
 
-    re: Fraction
-    im: Fraction
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.__dict__.update(re=re, im=im)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is GaussianRational else NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     @classmethod
     def of(cls, re, im=0) -> "GaussianRational":

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
@@ -66,15 +65,18 @@ TASKS = (
 )
 
 
-@dataclass
 class RunConfig:
     """Declarative description of one CLI task."""
 
-    task: str
-    field: dict | None = None
-    sequences: dict = dc_field(default_factory=dict)
-    params: dict = dc_field(default_factory=dict)
-    output: dict = dc_field(default_factory=dict)
+    def __init__(self, task: str, field: dict | None = None, sequences: dict | None = None,
+                 params: dict | None = None, output: dict | None = None):
+        self.task, self.field = task, field
+        self.sequences = {} if sequences is None else sequences
+        self.params = {} if params is None else params
+        self.output = {} if output is None else output
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is RunConfig else NotImplemented
 
     def to_dict(self) -> dict:
         return {

@@ -9,7 +9,6 @@ mean *prefix-consistent* and are labeled as such in reports.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
@@ -29,7 +28,7 @@ from .bigreal.interval import (
     singleton,
 )
 from .cfcore import scalar_enclosure, scalar_sign
-from .errors import IndeterminateAtPrecision
+from .errors import IndeterminateAtPrecision, refuse_assignment
 from .numfield import FieldElement, NumberField, embeddings, house, is_algebraic_integer, sigma_eval
 from .sequences import CFSpec, spec
 
@@ -62,7 +61,6 @@ def compute_d(D: int, M: int) -> int:
     return max(2, D * M - 1)
 
 
-@dataclass
 class Thm1Config:
     """A concrete instance of the criterion's hypotheses.
 
@@ -71,23 +69,20 @@ class Thm1Config:
     degree D; None means Q (D=1).  Per-sequence elements may live in their own
     fields (e.g. root families of a reducible polynomial); houses, integrality
     and embedding signs are evaluated against each element's own conjugates.
+    ``condition5_mode`` is house-half, real-part-sign or auto.
     """
 
-    M: int
-    sequences: list[CFSpec]
-    gamma: Fraction = Fraction(1, 2)
-    field: NumberField | None = None
-    D: int | None = None
-    condition5_mode: str = "auto"  # house-half | real-part-sign | auto
-    name: str | None = None
-
-    def __post_init__(self):
-        if not 0 < self.gamma < 1:
+    def __init__(self, M: int, sequences: list[CFSpec], gamma: Fraction = Fraction(1, 2),
+                 field: NumberField | None = None, D: int | None = None,
+                 condition5_mode: str = "auto", name: str | None = None):
+        if not 0 < gamma < 1:
             raise ValueError("gamma must lie strictly inside (0, 1)")
-        if len(self.sequences) != self.M:
+        if len(sequences) != M:
             raise ValueError("sequence count must equal M")
-        if self.condition5_mode not in ("house-half", "real-part-sign", "auto"):
-            raise ValueError(f"unknown condition5 mode {self.condition5_mode!r}")
+        if condition5_mode not in ("house-half", "real-part-sign", "auto"):
+            raise ValueError(f"unknown condition5 mode {condition5_mode!r}")
+        self.M, self.sequences, self.gamma, self.field, self.D = M, sequences, gamma, field, D
+        self.condition5_mode, self.name = condition5_mode, name
 
     @property
     def degree(self) -> int:
@@ -100,35 +95,36 @@ class Thm1Config:
         return compute_d(self.degree, self.M)
 
 
-@dataclass
 class MarginSeries:
     """Per-index margins plus the windowed diagnostics behind a verdict."""
 
-    values: list[DyadicInterval]
-    verdict: str
-    window_min: DyadicInterval | None = None
-    monotonicity: str | None = None
-    records: list[int] | None = None
+    def __init__(self, values: list[DyadicInterval], verdict: str,
+                 window_min: DyadicInterval | None = None, monotonicity: str | None = None,
+                 records: list[int] | None = None):
+        self.values, self.verdict, self.window_min = values, verdict, window_min
+        self.monotonicity, self.records = monotonicity, records
 
 
-@dataclass
 class ConditionReport:
-    name: str
-    verdict: str
-    verified_up_to: int
-    margin_series: list[DyadicInterval]
-    failing_index: tuple | None = None
-    notes: dict = dc_field(default_factory=dict)
+    def __init__(self, name: str, verdict: str, verified_up_to: int,
+                 margin_series: list[DyadicInterval], failing_index: tuple | None = None,
+                 notes: dict | None = None):
+        self.name, self.verdict, self.verified_up_to = name, verdict, verified_up_to
+        self.margin_series, self.failing_index = margin_series, failing_index
+        self.notes = {} if notes is None else notes
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is ConditionReport else NotImplemented
 
 
-@dataclass
 class HypothesisReport:
-    overall: str
-    conditions: list[ConditionReport]
-    d: int
-    gamma: Fraction
-    mode_used: str | None
-    name: str | None = None
+    def __init__(self, overall: str, conditions: list[ConditionReport], d: int, gamma: Fraction,
+                 mode_used: str | None, name: str | None = None):
+        self.overall, self.conditions, self.d, self.gamma = overall, conditions, d, gamma
+        self.mode_used, self.name = mode_used, name
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is HypothesisReport else NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +164,21 @@ def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicI
 # the quotient table: one per check_all call
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Scalar:
     """How the table reads one scalar type; each callable takes the value x
     first, and a precision for a rounded answer.  A rational rounds by
     ``from_fraction`` and a field element by ``numfield``'s own rule (a
-    rational one at prec + 8), so neither is ever converted to the other."""
+    rational one at prec + 8), so neither is ever converted to the other.
+    Only exact scalars are asked for ``house``, ``is_integral``, ``key``
+    (equal for equal values, across fields too) and ``field``."""
 
-    inverse_house: Callable
-    re_parts: Callable
-    house: Callable | None = None  # the rest are asked of exact scalars only
-    is_integral: Callable | None = None
-    key: Callable | None = None  # equal for equal values, across fields too
-    field: Callable | None = None
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, inverse_house: Callable, re_parts: Callable, house: Callable | None = None,
+                 is_integral: Callable | None = None, key: Callable | None = None,
+                 field: Callable | None = None):
+        self.__dict__.update(inverse_house=inverse_house, re_parts=re_parts, house=house,
+                             is_integral=is_integral, key=key, field=field)
 
 
 def _field_re_parts(x: FieldElement, prec: int) -> list[DyadicInterval]:

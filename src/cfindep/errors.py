@@ -9,6 +9,11 @@ class CFIndepError(Exception):
     """Base class for all library errors."""
 
 
+def refuse_assignment(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types."""
+    raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+
 # -- interval / dyadic kernel ------------------------------------------------
 
 class DivisorContainsZero(CFIndepError):

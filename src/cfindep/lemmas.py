@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
@@ -53,12 +52,11 @@ _SUITE_MAX_LEN = 8  # longest random tuple in the lemma 2 and 3 suites
 # ratio of denominators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RatioTrace:
-    indices: list[int]
-    ratios: list[DyadicInterval]
-    liminf_margin: list[DyadicInterval]
-    ratios_exact: list[Fraction] | None
+    def __init__(self, indices: list[int], ratios: list[DyadicInterval],
+                 liminf_margin: list[DyadicInterval], ratios_exact: list[Fraction] | None):
+        self.indices, self.ratios = indices, ratios
+        self.liminf_margin, self.ratios_exact = liminf_margin, ratios_exact
 
 
 def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
@@ -98,12 +96,9 @@ def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
     return RatioTrace(list(range(1, N + 1)), ratios, margins, exact_ratios)
 
 
-@dataclass
 class RemarkResult:
-    max_ratio: DyadicInterval
-    bound: DyadicInterval
-    monotone: bool
-    N: int
+    def __init__(self, max_ratio: DyadicInterval, bound: DyadicInterval, monotone: bool, N: int):
+        self.max_ratio, self.bound, self.monotone, self.N = max_ratio, bound, monotone, N
 
     @property
     def ratios_exact(self) -> list[Fraction]:
@@ -165,13 +160,10 @@ def remark_counterexample(N: int) -> RemarkResult:
 # randomized suites
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SuiteResult:
-    trials: int
-    passed: int
-    seed: int
-    worst: Fraction
-    failures: list[int]
+    def __init__(self, trials: int, passed: int, seed: int, worst: Fraction, failures: list[int]):
+        self.trials, self.passed, self.seed, self.worst = trials, passed, seed, worst
+        self.failures = failures
 
     @property
     def all_passed(self) -> bool:

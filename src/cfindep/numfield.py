@@ -12,7 +12,6 @@ a function of the field and the precision alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bigreal.dyadic import Dyadic
@@ -47,6 +46,7 @@ from .errors import (
     PrecisionInsufficient,
     Reducible,
     RootNotIsolated,
+    refuse_assignment,
 )
 
 __all__ = [
@@ -149,12 +149,21 @@ def field_new(minpoly: IntPoly, root_hint: DyadicInterval) -> NumberField:
     return NumberField(minpoly, root_hint)
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """Element of a number field as exact power-basis coordinates."""
 
-    coords: tuple[Fraction, ...]
-    field: NumberField
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, coords: tuple[Fraction, ...], field: NumberField):
+        self.__dict__.update(coords=coords, field=field)
+
+    def __eq__(self, other):
+        if other.__class__ is FieldElement:
+            return self.coords == other.coords and self.field == other.field
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords, self.field))
 
     # -- structure ----------------------------------------------------------
 
@@ -338,7 +347,6 @@ def _mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 # embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class EmbeddingSet:
     """All D conjugate enclosures of the field generator.
 
@@ -348,10 +356,13 @@ class EmbeddingSet:
     first, then each pair as (upper, lower) conjugates.
     """
 
-    field: NumberField
-    real_roots: tuple[DyadicInterval, ...]
-    complex_pairs: tuple[tuple[DyadicInterval, DyadicInterval], ...]
-    precision: int
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, field: NumberField, real_roots: tuple[DyadicInterval, ...],
+                 complex_pairs: tuple[tuple[DyadicInterval, DyadicInterval], ...],
+                 precision: int):
+        self.__dict__.update(field=field, real_roots=real_roots, complex_pairs=complex_pairs,
+                             precision=precision)
 
     @property
     def degree(self) -> int:
@@ -470,7 +481,11 @@ def _solve_exact(cols, target, dim) -> list[Fraction] | None:
 
 
 def is_algebraic_integer(x: FieldElement) -> bool:
-    """True iff the exact minimal polynomial of x is monic with integer coefficients."""
+    """True iff the exact minimal polynomial of x is monic with integer coefficients.
+
+    A rational q has minimal polynomial x - q, so only its denominator counts."""
+    if x.is_rational():
+        return x.coords[0].denominator == 1
     return all(c.denominator == 1 for c in minimal_polynomial(x))
 
 

@@ -30,7 +30,6 @@ chosen height and precision; it is never a proof of linear independence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -141,16 +140,18 @@ def lll_reduce(basis: list[list[int]], with_transform: bool = False):
 # relation search
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelationResult:
-    status: str  # "found" | "none_below_height"
-    coefficients: list[int] | None
-    height_bound: int
-    precision: int
-    residual: DyadicInterval | None
-    statement: str
-    lattice_dim: tuple[int, int]
-    k_coefficients: list | None = None
+    """``status`` is "found" or "none_below_height"."""
+
+    def __init__(self, status: str, coefficients: list[int] | None, height_bound: int,
+                 precision: int, residual: DyadicInterval | None, statement: str,
+                 lattice_dim: tuple[int, int], k_coefficients: list | None = None):
+        self.status, self.coefficients, self.height_bound = status, coefficients, height_bound
+        self.precision, self.residual, self.statement = precision, residual, statement
+        self.lattice_dim, self.k_coefficients = lattice_dim, k_coefficients
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is RelationResult else NotImplemented
 
     @property
     def found(self) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import DyadicInterval, from_fraction
@@ -26,6 +27,7 @@ __all__ = [
 _SIG_DEFAULT = 24
 
 
+@lru_cache(maxsize=256)
 def _pow10(k: int) -> int:
     return 10 ** k
 

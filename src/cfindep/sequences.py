@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -25,6 +24,7 @@ from .errors import (
     NotSquarefree,
     RootsNotRealDistinctGreaterOne,
     UnknownFamily,
+    refuse_assignment,
 )
 from .numfield import FieldElement, NumberField, field_new, multiquadratic_field
 
@@ -160,17 +160,15 @@ def phi_field() -> NumberField:
 # CFSpec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Decomposition:
     """Quotient presented as (S*b + c)/d with S integral, b/c/d algebraic integers."""
 
-    S: int
-    b: object
-    c: object
-    d: object
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, S: int, b, c, d):
+        self.__dict__.update(S=S, b=b, c=c, d=d)
 
 
-@dataclass(frozen=True)
 class CFSpec:
     """Deterministic generator of exact partial quotients, index n >= 1.
 
@@ -178,16 +176,21 @@ class CFSpec:
     [0; a_1, a_2, ...].
     """
 
-    kind: str
-    params: tuple = ()
-    field: NumberField | None = None
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UnknownFamily(f"unknown sequence kind {self.kind!r}")
+    def __init__(self, kind: str, params: tuple = (), field: NumberField | None = None):
+        if kind not in KINDS:
+            raise UnknownFamily(f"unknown sequence kind {kind!r}")
+        self.__dict__.update(kind=kind, params=params, field=field)
         base = self._p("base")
         if isinstance(base, CFSpec) and self.is_exact() and not base.is_exact():
-            raise ValueError(f"{self.kind} sequence: base kind {base.kind!r} is not exact")
+            raise ValueError(f"{kind} sequence: base kind {base.kind!r} is not exact")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is CFSpec else NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.params, self.field))
 
     def _p(self, name, default=None):
         for k, v in self.params:
@@ -338,7 +341,6 @@ def _base(desc: dict) -> CFSpec:
 # the kinds: quotient, decomposition and JSON parser of each
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class _Kind:
     """One sequence kind.
 
@@ -348,10 +350,12 @@ class _Kind:
     spec from JSON; a kind without it is built only from code.
     """
 
-    quotient: Callable
-    decomposition: Callable = lambda s, n: None
-    parse: Callable | None = None
-    exact: bool = True
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, quotient: Callable, decomposition: Callable = lambda s, n: None,
+                 parse: Callable | None = None, exact: bool = True):
+        self.__dict__.update(quotient=quotient, decomposition=decomposition, parse=parse,
+                             exact=exact)
 
 
 def _rational_decomposition(s: CFSpec, n: int) -> Decomposition | None:

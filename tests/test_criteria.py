@@ -1,6 +1,5 @@
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,7 +67,9 @@ def test_check_decomposition_examples():
 
 def _house_reports(cfg: Thm1Config, N: int, precision: int) -> dict:
     """The two house conditions of check_all, with house-half forced."""
-    rep = check_all(replace(cfg, condition5_mode="house-half"), N, precision)
+    forced = Thm1Config(M=cfg.M, sequences=cfg.sequences, gamma=cfg.gamma, field=cfg.field,
+                        D=cfg.D, condition5_mode="house-half", name=cfg.name)
+    rep = check_all(forced, N, precision)
     return {c.name: c for c in rep.conditions if c.name.startswith("house")}
 
 

@@ -163,6 +163,18 @@ def test_runs_import_neither_sympy_nor_numpy(tmp_path):
     assert out.stdout.strip() == "[0, 0, 0, 1] 1 []"
 
 
+def test_cli_import_runs_no_dataclass_code_generator():
+    # every CLI run is a cold process; dataclasses (which pulls in inspect)
+    # and its exec-based class generation would cost each one start-up time
+    src = os.path.dirname(os.path.dirname(cfindep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cfindep.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def _tracer():
     """``perfbench/tracer.py``, loaded read-only."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
