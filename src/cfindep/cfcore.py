@@ -2,7 +2,9 @@
 
 Scalars are a closed union: int/Fraction, FieldElement, or DyadicInterval
 (the last for sequences that are real but not algebraic over a fixed field,
-e.g. 1 + 2/sqrt(n)).  Recurrences, backward evaluation and the determinant
+e.g. 1 + 2/sqrt(n)).  ``scalar`` is the one place that reads a scalar's
+type: it returns the record that says how to enclose, sign, house and
+embed it, and refuses every other type.  Recurrences and the determinant
 identity are exact whenever the scalars are; value enclosures are rigorous
 dyadic intervals obtained from consecutive convergents.
 """
@@ -11,25 +13,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     DyadicInterval,
     from_fraction,
+    iv_abs,
     iv_div,
     iv_hull,
     iv_mul,
     singleton,
 )
-from .errors import (
-    FieldMismatch,
-    PrecisionInsufficient,
-    QuotientBelowOne,
-    TailContainsZero,
-    ZeroTailDivision,
-    refuse_assignment,
-)
-from .numfield import FieldElement
+from .errors import PrecisionInsufficient, QuotientBelowOne, TailContainsZero, refuse_assignment
+from .numfield import FieldElement, embeddings, house, is_algebraic_integer, sigma_eval
 
 __all__ = [
     "ConvergentState",
@@ -38,7 +35,6 @@ __all__ = [
     "initial_state",
     "advance",
     "run_recurrence",
-    "eval_finite",
     "enclose_value",
     "complex_cf_eval_exact",
     "gaussian_cf",
@@ -49,68 +45,106 @@ __all__ = [
 ]
 
 
-# -- scalar helpers -----------------------------------------------------------
+# -- scalar table ---------------------------------------------------------------
 
-def _normalize(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+class _Scalar:
+    """How one scalar type is read; each callable takes the value x first,
+    and a precision for a rounded answer.  A rational rounds by
+    ``from_fraction`` and a field element by ``numfield``'s own rule (a
+    rational one at prec + 8), so neither is ever converted to the other.
+    ``sign`` is exact for exact scalars and None for an interval that
+    straddles zero.  Only exact scalars are asked for ``house``,
+    ``is_integral``, ``key`` (equal for equal values, across fields too) and
+    ``field``."""
+
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, enclosure: Callable, sign: Callable, inverse_house: Callable,
+                 re_parts: Callable, house: Callable | None = None,
+                 is_integral: Callable | None = None, key: Callable | None = None,
+                 field: Callable | None = None):
+        self.__dict__.update(enclosure=enclosure, sign=sign, inverse_house=inverse_house,
+                             re_parts=re_parts, house=house, is_integral=is_integral, key=key,
+                             field=field)
 
 
-def scalar_is_zero(x) -> bool:
+def _field_re_parts(x: FieldElement, prec: int) -> list[DyadicInterval]:
+    e = embeddings(x.field, prec)
+    return [sigma_eval(e, x, i)[0] for i in range(e.degree)]
+
+
+def _interval_sign(x: DyadicInterval):
+    if x.lo.sign() > 0:
+        return 1
+    if x.hi.sign() < 0:
+        return -1
+    return 0 if x.is_point() else None
+
+
+# names are looked up per call: perfbench/tracer.py rebinds them
+_RATIONAL = _Scalar(
+    enclosure=lambda x, prec: from_fraction(x, prec),
+    sign=lambda x: (x > 0) - (x < 0),
+    house=lambda x, prec: from_fraction(abs(x), prec),
+    inverse_house=lambda x, prec: from_fraction(abs(1 / x), prec),
+    re_parts=lambda x, prec: [from_fraction(x, prec)],
+    is_integral=lambda x: x.denominator == 1,
+    key=lambda x: x,
+    field=lambda x: None,
+)
+_ALGEBRAIC = _Scalar(
+    enclosure=lambda x, prec: x.enclosure(prec),
+    sign=lambda x: x.sign_at_identity(),
+    house=lambda x, prec: house(x, prec),
+    inverse_house=lambda x, prec: house(x.inverse(), prec),
+    re_parts=_field_re_parts,
+    is_integral=lambda x: is_algebraic_integer(x),
+    key=lambda x: x.as_fraction() if x.is_rational() else (x.field, x.coords),
+    field=lambda x: x.field,
+)
+_INTERVAL = _Scalar(
+    enclosure=lambda x, prec: x,
+    sign=_interval_sign,
+    inverse_house=lambda x, prec: iv_abs(iv_div(singleton(1), x, prec)),
+    re_parts=lambda x, prec: [x],
+)
+
+
+def scalar(x) -> tuple:
+    """(x, how to read it); an int becomes a Fraction.  Any type but int,
+    Fraction, FieldElement and DyadicInterval (a float, say) raises
+    TypeError, so no float ever enters a computation."""
     if isinstance(x, Fraction):
-        return x == 0
+        return x, _RATIONAL
     if isinstance(x, FieldElement):
-        return x.is_zero()
+        return x, _ALGEBRAIC
     if isinstance(x, DyadicInterval):
-        return x.is_point() and x.lo.is_zero()
-    return x == 0
+        return x, _INTERVAL
+    if isinstance(x, int):
+        return Fraction(x), _RATIONAL
+    raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
 def scalar_sign(x):
     """Exact sign for exact scalars; None when an interval straddles zero."""
-    x = _normalize(x)
-    if isinstance(x, Fraction):
-        return (x > 0) - (x < 0)
-    if isinstance(x, FieldElement):
-        return x.sign_at_identity()
-    if isinstance(x, DyadicInterval):
-        if x.lo.sign() > 0:
-            return 1
-        if x.hi.sign() < 0:
-            return -1
-        if x.is_point():
-            return 0
-        return None
-    raise TypeError(f"unsupported scalar {type(x).__name__}")
+    x, s = scalar(x)
+    return s.sign(x)
+
+
+def scalar_is_zero(x) -> bool:
+    return scalar_sign(x) == 0
 
 
 def scalar_enclosure(x, prec: int) -> DyadicInterval:
     """Identity-embedding enclosure of a scalar."""
-    x = _normalize(x)
-    if isinstance(x, Fraction):
-        return from_fraction(x, prec)
-    if isinstance(x, FieldElement):
-        return x.enclosure(prec)
-    if isinstance(x, DyadicInterval):
-        return x
-    raise TypeError(f"unsupported scalar {type(x).__name__}")
-
-
-def _check_compatible(a, b):
-    fa = a.field if isinstance(a, FieldElement) else None
-    fb = b.field if isinstance(b, FieldElement) else None
-    if fa is not None and fb is not None and fa is not fb:
-        raise FieldMismatch("partial quotient from a different field")
+    x, s = scalar(x)
+    return s.enclosure(x, prec)
 
 
 def scalar_at_least_one(x) -> bool:
     """Certainly >= 1 under the identity embedding (exact for exact scalars)."""
-    x = _normalize(x)
-    if isinstance(x, DyadicInterval):
-        return x.lo >= Dyadic(1)
-    s = scalar_sign(x - 1)
-    return s is not None and s >= 0
+    x, s = scalar(x)
+    return x.lo >= Dyadic(1) if s is _INTERVAL else s.sign(x - 1) >= 0
 
 
 # -- convergent recurrence -----------------------------------------------------
@@ -125,16 +159,19 @@ class ConvergentState:
 
 
 def initial_state(a0=0) -> ConvergentState:
-    a0 = _normalize(a0)
+    a0, _ = scalar(a0)
     one = Fraction(1)
     zero = Fraction(0)
     return ConvergentState(0, one, zero, a0, one)
 
 
 def advance(state: ConvergentState, a_next) -> ConvergentState:
-    """One step of p_{n+1} = a_{n+1} p_n + p_{n-1} (and likewise for q)."""
-    a = _normalize(a_next)
-    _check_compatible(a, state.p_cur)
+    """One step of p_{n+1} = a_{n+1} p_n + p_{n-1} (and likewise for q).
+
+    A quotient from another field than the state's raises FieldMismatch in
+    the field arithmetic itself.
+    """
+    a, _ = scalar(a_next)
     p = a * state.p_cur + state.p_prev
     q = a * state.q_cur + state.q_prev
     return ConvergentState(state.n + 1, state.p_cur, state.q_cur, p, q)
@@ -153,23 +190,6 @@ def run_recurrence(quotients, a0=0) -> list[ConvergentState]:
         st = advance(st, a)
         out.append(st)
     return out
-
-
-def eval_finite(quotients) -> object:
-    """Exact backward evaluation a0 + 1/(a1 + 1/(...)).
-
-    Equals p_n/q_n from the recurrence.  Raises ZeroTailDivision when an
-    intermediate tail is exactly zero.
-    """
-    qs = [_normalize(a) for a in quotients]
-    if not qs:
-        raise ValueError("empty quotient list")
-    acc = qs[-1]
-    for a in reversed(qs[:-1]):
-        if scalar_is_zero(acc):
-            raise ZeroTailDivision("tail evaluates to zero")
-        acc = a + 1 / acc
-    return acc
 
 
 # -- value enclosures ----------------------------------------------------------

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     DyadicInterval,
     from_fraction,
-    iv_abs,
     iv_div,
     iv_exp2,
     iv_log2,
@@ -27,9 +25,9 @@ from .bigreal.interval import (
     iv_sub,
     singleton,
 )
-from .cfcore import scalar_enclosure, scalar_sign
-from .errors import IndeterminateAtPrecision, refuse_assignment
-from .numfield import FieldElement, NumberField, embeddings, house, is_algebraic_integer, sigma_eval
+from .cfcore import scalar, scalar_at_least_one, scalar_enclosure
+from .errors import IndeterminateAtPrecision
+from .numfield import NumberField
 from .sequences import CFSpec, spec
 
 __all__ = [
@@ -164,55 +162,6 @@ def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicI
 # the quotient table: one per check_all call
 # ---------------------------------------------------------------------------
 
-class _Scalar:
-    """How the table reads one scalar type; each callable takes the value x
-    first, and a precision for a rounded answer.  A rational rounds by
-    ``from_fraction`` and a field element by ``numfield``'s own rule (a
-    rational one at prec + 8), so neither is ever converted to the other.
-    Only exact scalars are asked for ``house``, ``is_integral``, ``key``
-    (equal for equal values, across fields too) and ``field``."""
-
-    __setattr__ = __delattr__ = refuse_assignment
-
-    def __init__(self, inverse_house: Callable, re_parts: Callable, house: Callable | None = None,
-                 is_integral: Callable | None = None, key: Callable | None = None,
-                 field: Callable | None = None):
-        self.__dict__.update(inverse_house=inverse_house, re_parts=re_parts, house=house,
-                             is_integral=is_integral, key=key, field=field)
-
-
-def _field_re_parts(x: FieldElement, prec: int) -> list[DyadicInterval]:
-    e = embeddings(x.field, prec)
-    return [sigma_eval(e, x, i)[0] for i in range(e.degree)]
-
-
-_RATIONAL = _Scalar(
-    house=lambda x, prec: from_fraction(abs(x), prec),
-    inverse_house=lambda x, prec: from_fraction(abs(1 / x), prec),
-    re_parts=lambda x, prec: [from_fraction(x, prec)],
-    is_integral=lambda x: x.denominator == 1,
-    key=lambda x: x,
-    field=lambda x: None,
-)
-_ALGEBRAIC = _Scalar(  # names looked up per call: perfbench/tracer.py rebinds them
-    house=lambda x, prec: house(x, prec),
-    inverse_house=lambda x, prec: house(x.inverse(), prec),
-    re_parts=_field_re_parts,
-    is_integral=lambda x: is_algebraic_integer(x),
-    key=lambda x: x.as_fraction() if x.is_rational() else (x.field, x.coords),
-    field=lambda x: x.field,
-)
-_INTERVAL = _Scalar(
-    inverse_house=lambda x, prec: iv_abs(iv_div(singleton(1), x, prec)),
-    re_parts=lambda x, prec: [x],
-)
-
-
-def _exact(x) -> tuple:
-    """(x, how to read it) for an exact scalar: a field element or a rational."""
-    return (x, _ALGEBRAIC) if isinstance(x, FieldElement) else (Fraction(x), _RATIONAL)
-
-
 def _once(method):
     """A table method computed once per argument tuple, kept in the table."""
     @functools.wraps(method)
@@ -243,8 +192,7 @@ class QuotientTable:
 
     @_once
     def _quotient(self, n: int, j: int, work: int | None) -> tuple:
-        x = self.cfg.sequences[j - 1].quotient(n, work)
-        return _exact(x) if work is None else (x, _INTERVAL)
+        return scalar(self.cfg.sequences[j - 1].quotient(n, work))
 
     @_once
     def decomposition(self, n: int, j: int):
@@ -252,7 +200,8 @@ class QuotientTable:
 
     @_once
     def enclosure(self, n: int, j: int, work: int) -> DyadicInterval:
-        return scalar_enclosure(self.quotient(n, j, work)[0], work)
+        x, how = self.quotient(n, j, work)
+        return how.enclosure(x, work)
 
     def bound(self, n: int, j: int, work: int) -> DyadicInterval:
         """The growth bound of a positive a_{n,j}; equal quotients share one."""
@@ -270,14 +219,14 @@ class QuotientTable:
     @_once
     def inverse_house(self, n: int, j: int, work: int) -> DyadicInterval:
         """house(1/a_{n,j}) of a positive a_{n,j}."""
-        x, scalar = self.quotient(n, j, work)
-        return scalar.inverse_house(x, work)
+        x, how = self.quotient(n, j, work)
+        return how.inverse_house(x, work)
 
     @_once
     def re_parts(self, n: int, j: int, work: int) -> list[DyadicInterval]:
         """Real parts of every conjugate embedding of a_{n,j} (own field)."""
-        x, scalar = self.quotient(n, j, work)
-        return scalar.re_parts(x, work)
+        x, how = self.quotient(n, j, work)
+        return how.re_parts(x, work)
 
     @_once
     def exact_ratio(self, n: int, j: int):
@@ -314,15 +263,10 @@ def check_decomposition(table: QuotientTable, n: int, j: int) -> str:
         return INDET
     if not isinstance(dec.S, int):
         return FAIL
-    if not all(scalar.is_integral(x) for x, scalar in map(_exact, (dec.b, dec.c, dec.d))):
+    if not all(how.is_integral(x) for x, how in map(scalar, (dec.b, dec.c, dec.d))):
         return FAIL
-    (a, sa), (r, sr) = table.quotient(n, j, None), _exact((dec.S * dec.b + dec.c) / dec.d)
-    if sa.key(a) != sr.key(r):
-        return FAIL
-    s = scalar_sign(a - 1)
-    if s is None or s < 0:
-        return FAIL
-    return PASS
+    (a, sa), (r, sr) = table.quotient(n, j, None), scalar((dec.S * dec.b + dec.c) / dec.d)
+    return PASS if sa.key(a) == sr.key(r) and scalar_at_least_one(a) else FAIL
 
 
 def _at_most(table: QuotientTable, n: int, k: int, precision: int, sides, strict: bool = False):
@@ -355,10 +299,10 @@ def _check_house_bound(table: QuotientTable, n: int, j: int, precision: int):
     dec = table.decomposition(n, j)
     if dec is None:
         return INDET, None
-    pieces = [_exact(x) for x in (dec.b, dec.c, dec.d)]
+    pieces = [scalar(x) for x in (dec.b, dec.c, dec.d)]
 
     def sides(work):
-        hb, hc, hd = (scalar.house(x, work) for x, scalar in pieces)
+        hb, hc, hd = (how.house(x, work) for x, how in pieces)
         return iv_max(iv_max(hb, hc), hd), table.bound(n, j, work)
 
     return _at_most(table, n, j, precision, sides)

@@ -25,9 +25,12 @@ from .bigreal.interval import (
     singleton,
 )
 from .cfcore import (
+    _RATIONAL,
     advance,
     gaussian_cf,
     initial_state,
+    scalar,
+    scalar_at_least_one,
     scalar_enclosure,
 )
 from .errors import QuotientBelowOne
@@ -62,30 +65,28 @@ class RatioTrace:
 def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
     """Ratios q_{n,a}/q_{n,b} plus the hypothesis margin sqrt(n)(a_n/b_n - 1).
 
-    Exact when both quotient sequences are exact rationals; interval-valued
-    otherwise.  Quotients below one violate the hypothesis and raise.
+    Exact when every quotient of both sequences is rational; interval-valued
+    otherwise, field-valued sequences included.  Quotients below one violate
+    the hypothesis and raise.
     """
-    exact = a.is_exact() and b.is_exact()
+    quotients = [(scalar(a.quotient(n, prec)), scalar(b.quotient(n, prec))) for n in range(1, N + 1)]
+    exact = all(sa is sb is _RATIONAL for (_, sa), (_, sb) in quotients)
     ratios: list[DyadicInterval] = []
     margins: list[DyadicInterval] = []
     exact_ratios: list[Fraction] | None = [] if exact else None
     st_a, st_b = initial_state(0), initial_state(0)
-    for n in range(1, N + 1):
-        an = a.quotient(n, prec)
-        bn = b.quotient(n, prec)
+    for n, ((an, _), (bn, _)) in enumerate(quotients, start=1):
         for name, q in (("a", an), ("b", bn)):
-            enc = scalar_enclosure(q, prec)
-            if enc.lo < Dyadic(1):
-                if not (enc.is_point() and enc.lo == Dyadic(1)):
-                    raise QuotientBelowOne(f"{name}_{n} is not certainly >= 1")
+            if not scalar_at_least_one(q):
+                raise QuotientBelowOne(f"{name}_{n} is not certainly >= 1")
         st_a = advance(st_a, an)
         st_b = advance(st_b, bn)
         sq = iv_sqrt(singleton(n), prec)
         if exact:
-            r = Fraction(st_a.q_cur) / Fraction(st_b.q_cur)
+            r = st_a.q_cur / st_b.q_cur
             exact_ratios.append(r)
             ratios.append(from_fraction(r, prec))
-            rel = from_fraction(Fraction(an) / Fraction(bn) - 1, prec)
+            rel = from_fraction(an / bn - 1, prec)
         else:
             qa = scalar_enclosure(st_a.q_cur, prec)
             qb = scalar_enclosure(st_b.q_cur, prec)

@@ -84,20 +84,19 @@ def _init_gram(b: list[list[int]]):
     return d, lam
 
 
-def lll_reduce(basis: list[list[int]], with_transform: bool = False):
+def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
     """Exact-integer LLL reduction of the given row basis.
 
-    Returns the reduced rows, plus the unimodular transform U (rows_out = U *
-    rows_in) when requested.  Raises RankDeficient for dependent rows.
+    Returns the reduced rows, a unimodular image of the input rows.  Raises
+    RankDeficient for dependent rows.
     """
     b = [list(map(int, row)) for row in basis]
     n = len(b)
     if n == 0:
-        return ([], []) if with_transform else []
+        return []
     width = len(b[0])
     if any(len(row) != width for row in b):
         raise ValueError("ragged basis")
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d, lam = _init_gram(b)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
@@ -105,7 +104,6 @@ def lll_reduce(basis: list[list[int]], with_transform: bool = False):
         if 2 * abs(lam[k][l]) > d[l + 1]:
             q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
             lam[k][l] -= q * d[l + 1]
             for i in range(l):
                 lam[k][i] -= q * lam[l][i]
@@ -117,7 +115,6 @@ def lll_reduce(basis: list[list[int]], with_transform: bool = False):
         if den * (d[k + 1] * d[k - 1] + lk * lk) < num * d[k] * d[k]:
             # Lovasz condition fails: swap rows k-1 and k
             b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
@@ -131,8 +128,6 @@ def lll_reduce(basis: list[list[int]], with_transform: bool = False):
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    if with_transform:
-        return b, u
     return b
 
 

@@ -19,7 +19,6 @@ from cfindep.cfcore import (
     advance,
     determinant_value,
     enclose_value,
-    eval_finite,
     initial_state,
     run_recurrence,
     scalar_sign,
@@ -35,6 +34,7 @@ from cfindep.lemmas import (
 from cfindep.numfield import field_new, house, is_algebraic_integer, minimal_polynomial
 from cfindep.relation import find_relation, find_relation_over_field
 from cfindep.sequences import spec, sqrt2_field
+from test_cfcore import eval_finite
 
 
 @contextmanager

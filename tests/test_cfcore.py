@@ -26,17 +26,38 @@ from cfindep.cfcore import (
     complex_cf_eval_exact,
     determinant_value,
     enclose_value,
-    eval_finite,
     gaussian_cf,
     initial_state,
     run_recurrence,
+    scalar,
     scalar_at_least_one,
     scalar_enclosure,
     scalar_is_zero,
 )
-from cfindep.errors import PrecisionInsufficient, QuotientBelowOne, TailContainsZero, ZeroTailDivision
+from cfindep.errors import (
+    FieldMismatch,
+    PrecisionInsufficient,
+    QuotientBelowOne,
+    TailContainsZero,
+    ZeroTailDivision,
+)
 from cfindep.numfield import FieldElement
-from cfindep.sequences import spec, sqrt2_field
+from cfindep.sequences import phi_field, spec, sqrt2_field
+
+
+def eval_finite(quotients):
+    """Exact backward evaluation a0 + 1/(a1 + 1/(...)), the reference the
+    recurrence is checked against.  Raises ZeroTailDivision when an
+    intermediate tail is exactly zero."""
+    qs = [scalar(a)[0] for a in quotients]
+    if not qs:
+        raise ValueError("empty quotient list")
+    acc = qs[-1]
+    for a in reversed(qs[:-1]):
+        if scalar_is_zero(acc):
+            raise ZeroTailDivision("tail evaluates to zero")
+        acc = a + 1 / acc
+    return acc
 
 
 def test_advance_fibonacci_and_pell():
@@ -57,6 +78,12 @@ def test_determinant_identity_random_corpus():
         for k, a in enumerate(qs, start=1):
             st = advance(st, a)
             assert determinant_value(st) == (-1) ** k
+
+
+def test_advance_refuses_a_quotient_from_another_field():
+    st = advance(initial_state(0), sqrt2_field().generator())
+    with pytest.raises(FieldMismatch):
+        advance(st, phi_field().generator())
 
 
 def test_determinant_identity_field_corpus():

@@ -106,6 +106,20 @@ def test_byte_identical_reports(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_lemma1_on_field_valued_sequences(tmp_path):
+    # hanluc quotients are exact elements of Q(sqrt 2), not rationals: the
+    # trace takes the interval path and reports no exact ratios
+    cfg = {"task": "lemma1",
+           "sequences": {"big": {"kind": "hanluc", "j": 2, "base": {"kind": "doubly-exponential", "d": 3}},
+                         "small": {"kind": "hanluc", "j": 1}},
+           "params": {"a": "big", "b": "small", "N": 4, "precision": 128}}
+    assert _run_config(tmp_path, cfg) == 0
+    report = json.loads((tmp_path / "rep.json").read_text())
+    assert report["exit_code"] == 0 and report["result"]["indices"] == [1, 2, 3, 4]
+    assert report["result"]["ratios_exact"] is None
+    jsonschema.validate(report, _schema())
+
+
 def test_list_examples_content(tmp_path):
     out = tmp_path / "cat.json"
     rc = main(["list-examples", "--out", str(out)])

@@ -7,6 +7,7 @@ import pytest
 from cfindep import criteria
 from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import build_config
+from cfindep.cfcore import run_recurrence
 from cfindep.criteria import (
     QuotientTable,
     Thm1Config,
@@ -298,3 +299,14 @@ def test_check_all_derives_each_quotient_once(monkeypatch, name):
     assert {(k[0], k[1]) for k in quotients} == {(s, n) for s in cfg.sequences for n in range(1, N + 1)}
     if name == "interval":
         assert (cfg.sequences[1], 1, precision) in quotients
+
+
+def test_float_quotients_are_refused():
+    # a float never decides a verdict: check_all and the recurrence refuse it
+    # instead of reading it as a Fraction
+    big = spec("custom", fn=lambda n: 2.0 ** (n * 3 ** n) * 1.5)
+    small = spec("custom", fn=lambda n: 2.0 ** (n * 3 ** n))
+    with pytest.raises(TypeError, match="float"):
+        check_all(Thm1Config(M=2, sequences=[big, small]), 3, 64)
+    with pytest.raises(TypeError, match="float"):
+        run_recurrence([1.5, 2.5])

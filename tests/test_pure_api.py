@@ -124,6 +124,24 @@ def test_no_unused_imports():
     assert found == []
 
 
+SCALAR_TYPES = {"FieldElement", "Fraction", "DyadicInterval"}
+
+
+def test_scalar_types_are_read_only_in_cfcore():
+    # cfcore.scalar decides how each quotient type is read; the conditions
+    # and the lemmas ask it instead of testing types themselves
+    found = []
+    for path, tree in _modules():
+        if path.name not in ("criteria.py", "lemmas.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                found += [f"{path}:{node.lineno} {name}" for name in sorted(names & SCALAR_TYPES)]
+    assert found == []
+
+
 # A config-built Q(cbrt 2): field_new proves x^3 - 2 irreducible through its
 # certified complex roots, and the embeddings are then computed outright.
 _CBRT2 = {

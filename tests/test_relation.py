@@ -49,15 +49,12 @@ def test_lll_invariants_random():
         n = rng.randint(2, 5)
         rows = [[rng.randint(-50, 50) for _ in range(n + 1)] for _ in range(n)]
         try:
-            red, u = lll_reduce(rows, with_transform=True)
+            red = lll_reduce(rows)
         except RankDeficient:
             continue
-        # unimodular transform maps input to output
-        for i in range(n):
-            got = [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(n + 1)]
-            assert got == red[i]
-        det = _int_det([r[:] for r in u])
-        assert det in (1, -1)
+        # a unimodular transform maps input to output
+        u = _transform(rows, red)
+        assert _mat_mul(u, rows) == red and _int_det(u) in (1, -1)
         _lll_conditions_exact(red)
 
 
@@ -227,12 +224,11 @@ def test_lll_stress_bigger_entries():
         n = rng.randint(2, 6)
         rows = [[rng.getrandbits(64) - 2 ** 63 for _ in range(n + 1)] for _ in range(n)]
         try:
-            red, u = lll_reduce(rows, with_transform=True)
+            red = lll_reduce(rows)
         except RankDeficient:
             continue
-        for i in range(n):
-            got = [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(n + 1)]
-            assert got == red[i]
+        u = _transform(rows, red)
+        assert _mat_mul(u, rows) == red and _int_det(u) in (1, -1)
         _lll_conditions_exact(red)
 
 
@@ -267,6 +263,17 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def _transform(rows, red):
+    """The U with U * rows = red, solved exactly as red B^T (B B^T)^-1 for the
+    full-rank rows B; asserts that U is an integer matrix."""
+    n, width = len(rows), len(rows[0])
+    b = DomainMatrix(rows, (n, width), ZZ).convert_to(QQ)
+    r = DomainMatrix(red, (n, width), ZZ).convert_to(QQ)
+    u = (r * b.transpose() * (b * b.transpose()).inv()).to_Matrix().tolist()
+    assert all(x.q == 1 for row in u for x in row)
+    return [[int(x) for x in row] for row in u]
+
+
 @st.composite
 def _bases(draw):
     n = draw(st.integers(2, 6))
@@ -280,9 +287,10 @@ def _bases(draw):
 @given(_bases())
 def test_lll_matches_sympy_lattice(rows):
     try:
-        red, u = lll_reduce(rows, with_transform=True)
+        red = lll_reduce(rows)
     except RankDeficient:
         assume(False)
+    u = _transform(rows, red)
     n, width = len(rows), len(rows[0])
     theirs, t = DomainMatrix(rows, (n, width), ZZ).lll_transform(delta=QQ(99, 100))
     theirs, t = theirs.to_Matrix().tolist(), t.to_Matrix().tolist()

@@ -16,9 +16,9 @@ from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import ComplexInterval, DyadicInterval
 from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import catalog
-from cfindep.cfcore import CFValueEnclosure, GaussianRational, initial_state
+from cfindep.cfcore import _RATIONAL, CFValueEnclosure, GaussianRational, initial_state
 from cfindep.cli import RunConfig
-from cfindep.criteria import _RATIONAL, ConditionReport
+from cfindep.criteria import ConditionReport
 from cfindep.numfield import embeddings, is_algebraic_integer, minimal_polynomial
 from cfindep.sequences import KINDS, Decomposition, phi_field, spec, sqrt2_field
 
