@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd
 from operator import index
 
 from ..errors import DivisorContainsZero, NegativeSqrt, refuse_assignment
 from .dyadic import (
     Dyadic,
-    _divmod,
     _pair_cmp,
     _rational_pair,
     rational_to_dyadic,
@@ -276,34 +274,19 @@ def _products(a: DyadicInterval, b: DyadicInterval) -> tuple[Dyadic, Dyadic]:
 
 
 def _pair_quotient(n: int, e: int, d: int, prec: int, up: bool) -> tuple[int, int]:
-    """Directed rounding of n * 2**e / d, d > 0, as rational_to_dyadic of the
-    reduced fraction n/d scaled by 2**e.
+    """Directed rounding of n * 2**e / d, d > 0: d's powers of two are
+    shifted out into e, and n/d for the odd rest of d rounds as
+    rational_to_dyadic rounds it.
 
-    The rounding shift depends on the bit lengths of the reduced terms, so
-    whether n/d is reduced must be known (15/9 rounds as 5/3); powers of two
-    in n or d leave the rounded value unchanged, so d's are shifted out.  For
-    odd d and a shift s >= 0, gcd(n, d) == gcd((n * 2**s) mod d, d): when n
-    is at least as long as d, the remainder of the rounding division answers
-    that test with a gcd of d's length, which gcd(n, d) would reach only
-    after a division of its own.  A shorter n (whose gcd with d is cheaper)
-    or s < 0 takes gcd(n, d), and a common factor is divided out first.
+    The rounding shift comes from the bit lengths of n and of that odd d as
+    given; the fraction is never reduced, so 15/9 keeps its own shift and
+    rounds to prec + 2 bits where 5/3 rounds to prec + 1.  Either way the
+    quotient is the floor or the ceiling of the exact value scaled to
+    between 2**prec and 2**(prec + 2).
     """
     t = (d & -d).bit_length() - 1
-    d, e = d >> t, e - t
-    nb, db = n.bit_length(), d.bit_length()
-    s = prec + 1 - (nb - db)
-    if nb >= db and s >= 0:
-        q, r = _divmod(n << s, d)
-        g = gcd(r, d)
-        if g == 1:
-            return q + (up and r != 0), e - s
-    else:
-        g = gcd(n, d)
-    if g != 1:
-        n //= g
-        d //= g
-    q, qe = _rational_pair(n, d, prec, up)
-    return q, qe + e
+    q, qe = _rational_pair(n, d >> t, prec, up)
+    return q, qe + e - t
 
 
 def _quotient(x: Dyadic, y: Dyadic, prec: int, up: bool) -> Dyadic:
@@ -386,8 +369,11 @@ _POINT_CACHE_SIZE = 4096
 # They round exactly as the interval operations they stand for (iv_add,
 # iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
 # same endpoints while building a Dyadic only for the result.  A pair
-# need not be canonical: rounding to p bits depends on the value alone, and
-# a quotient rounds the reduced fraction, as _quotient does.
+# need not be canonical: rounding to p bits depends on the value alone.  A
+# quotient by an integer takes its shift from the bit lengths of the
+# numerator and the divisor and is never reduced, as in _pair_quotient; a
+# power of two kept in the divisor adds as much to the shift as it takes
+# from the quotient's exponent, so the pair is the one _pair_quotient gives.
 
 
 def _pair_down(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -462,22 +448,20 @@ def _atanh_series(
     (p, pe, s, se), which the round-down end reads for its certified stop.
     Returns the sum pair (the round-up end adds twice the last power for the
     tail) and the stop index k.  Each step rounds the term p/(2k+1) as
-    _pair_quotient does, and the sum and the next power as this end's
-    _pair_up or _pair_down does, all on local ints.
+    _pair_quotient does, with its shift from the bit lengths of p and 2k+1
+    and no gcd, and the sum and the next power as this end's _pair_up or
+    _pair_down does, all on local ints.
     """
     if not up:
         gap = max(_gap_exp(twin[0], twin[1], p, pe), _gap_exp(twin[2], twin[3], s, se), 4 - work)
     am = ae = 0
     k = stop = 0
     while True:
-        # the reduced p/(2k+1) to work + 1 bits; a shift down happens only
-        # at k = 0 for p = 2**(work + 2), where it is exact
+        # p/(2k+1) to work + 1 bits; a shift down happens only at k = 0 for
+        # p = 2**(work + 2), where it is exact
         d = 2 * k + 1
-        n, g = p, gcd(p, d)
-        if g != 1:
-            n, d = n // g, d // g
-        sh = work + 1 - n.bit_length() + d.bit_length()
-        q, r = divmod(n << sh, d) if sh >= 0 else (n >> -sh, 0)
+        sh = work + 1 - p.bit_length() + d.bit_length()
+        q, r = divmod(p << sh, d) if sh >= 0 else (p >> -sh, 0)
         q, qe = q + (up and r != 0), pe - sh
         if ae <= qe:
             am += q << (qe - ae)
@@ -509,7 +493,8 @@ def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> t
     the sum pair (the round-up end adds twice the last term for the tail:
     the ratio of consecutive terms is below ln2/j <= 0.35 there, so the tail
     is below twice the term) and the stop index j.  Each step rounds as
-    _atanh_series does, the term's quotient by j included.
+    _atanh_series does; the term's quotient by j, too, takes its shift from
+    the bit lengths of the term and of j, with no gcd.
     """
     if not up:
         gap = max(_gap_exp(*twin, u, ue), 4 - work)
@@ -528,12 +513,9 @@ def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> t
         tm, te = tm * u, te + ue
         if (x := tm.bit_length() - work) > 0:
             tm, te = (-(-tm >> x) if up else tm >> x), te + x
-        # the reduced tm/j to work + 1 bits; tm has at most work bits here
-        n, d, g = tm, j, gcd(tm, j)
-        if g != 1:
-            n, d = n // g, d // g
-        sh = work + 1 - n.bit_length() + d.bit_length()
-        q, r = divmod(n << sh, d)
+        # tm/j to work + 1 bits; tm has at most work bits here
+        sh = work + 1 - tm.bit_length() + j.bit_length()
+        q, r = divmod(tm << sh, j)
         tm, te = q + (up and r != 0), te - sh
         if not stop and tm.bit_length() + te <= threshold:  # term < 2**threshold
             if up:

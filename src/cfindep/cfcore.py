@@ -242,17 +242,22 @@ def _never_point(p, q) -> bool:
     return False
 
 
-def _least_useful_work(states: list[ConvergentState], n: int) -> int:
+def _least_useful_work(states: list[ConvergentState], n: int, qq: DyadicInterval) -> int:
     """A working precision below which every rung of ``enclose_value`` fails;
-    0 when nothing is known."""
+    0 when nothing is known.  qq encloses q_n q_{n+1} at 64 bits."""
     st = states[n + 1]
     if not _never_point(st.p_cur, st.q_cur):
         return 0
     c1 = _convergent_interval(st, 64)
-    qq = iv_mul(scalar_enclosure(states[n - 1].q_cur, 64), scalar_enclosure(states[n].q_cur, 64), 64)
     if c1.lo.sign() <= 0 or qq.lo.sign() <= 0:
         return 0
     return _floor_log2(c1.lo) + _floor_log2(qq.lo) - 3
+
+
+def _q_product(states: list[ConvergentState], n: int, prec: int) -> DyadicInterval:
+    """q_n q_{n+1} enclosed at prec bits."""
+    return iv_mul(scalar_enclosure(states[n - 1].q_cur, prec),
+                  scalar_enclosure(states[n].q_cur, prec), prec)
 
 
 def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
@@ -283,25 +288,48 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     element or p/q is a non-dyadic rational; otherwise no rung is skipped.
     A skipped rung fails like a computed one, so every outcome,
     ``PrecisionInsufficient`` included, is the same as without the skip.
+
+    An exact spec also tries each rung first against a coarse bound: half
+    the lower end B64 of 1/(q_n q_{n+1}) from the same 64-bit enclosures.
+    It never exceeds the lower end B of the bound at ``work``.  With
+    Q = q_n q_{n+1}, B64 <= 1/Q, since those enclosures contain q_n and
+    q_{n+1}.  At ``work`` = w >= 4 bits, each q >= 1 is enclosed with an
+    upper end of at most q (1 + 2**(1 - w)): ``from_fraction`` rounds up
+    to w bits, and a field element's enclosure contains q and is at most
+    2**-w times its upper end wide.  ``iv_mul`` rounds the product of the upper ends up by
+    at most that factor again, and ``iv_div`` rounds 1 over it down by a
+    factor above 1 - 2**-w, so B >= (1 - 2**-w) / (Q (1 + 2**(1 - w))**3)
+    >= 0.65 / Q > B64 / 2.  A rung whose hull meets the coarse bound meets
+    B, and returns what it would return against B, having enclosed only p
+    and q of orders n+2 and n+3 at ``work``; only a rung the coarse bound
+    leaves undecided computes B.  So every outcome, ``PrecisionInsufficient``
+    included, is again the same.  An interval-valued spec has no 64-bit
+    pass; its coarse bound is 0, which only a point meets.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     work = prec + 16
     exact_states = _quotient_states(cf, n, work) if cf.is_exact() else None
-    least = _least_useful_work(exact_states, n) if exact_states else 0
+    least, coarse = 0, Dyadic(0)
+    if exact_states:
+        qq = _q_product(exact_states, n, 64)
+        least = _least_useful_work(exact_states, n, qq)
+        coarse = iv_div(singleton(1), qq, 64).lo.scaled(-1)
     for _ in range(8):
         if work < least:
             work *= 2
             continue
         states = exact_states or _quotient_states(cf, n, work)
-        qn = scalar_enclosure(states[n - 1].q_cur, work)
-        qn1 = scalar_enclosure(states[n].q_cur, work)
-        bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
         c1 = _convergent_interval(states[n + 1], work)  # order n+2
-        if c1.width() <= bound.lo:
-            value = iv_hull(c1, _convergent_interval(states[n + 2], work))  # order n+3
-            if value.width() <= bound.lo:
-                return CFValueEnclosure(value, n, "nested-convergents")
+        value = None
+        for bound in (coarse, None):
+            if bound is None:  # undecided by the coarse bound
+                bound = iv_div(singleton(1), _q_product(states, n, work), work).lo
+            if c1.width() <= bound:
+                if value is None:
+                    value = iv_hull(c1, _convergent_interval(states[n + 2], work))  # order n+3
+                if value.width() <= bound:
+                    return CFValueEnclosure(value, n, "nested-convergents")
         work *= 2
     raise PrecisionInsufficient("enclosure width bound not met")
 

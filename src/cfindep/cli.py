@@ -174,9 +174,11 @@ _PARAM_MINIMUM = {"N": 1, "precision": MIN_PRECISION, "trials": 1}
 
 
 def _int_param(cfg: RunConfig, key: str, default: int | None) -> int | None:
-    """Integer task parameter from the config or a flag, at least its minimum if it has one."""
-    value = cfg.params.get(key, default)
-    return None if value is None else parse_int(value, key, _PARAM_MINIMUM.get(key))
+    """Integer task parameter from the config or a flag, at least its minimum
+    if it has one; the default when absent.  A present null is refused."""
+    if key not in cfg.params:
+        return default
+    return parse_int(cfg.params[key], key, _PARAM_MINIMUM.get(key))
 
 
 def _task_check_theorem1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:

@@ -72,10 +72,6 @@ class QuotientBelowOne(CFIndepError):
     """A partial quotient whose identity-embedding value is below one."""
 
 
-class ZeroTailDivision(CFIndepError):
-    """Finite CF evaluation hit an exactly-zero tail."""
-
-
 class TailContainsZero(CFIndepError):
     """Complex CF evaluation hit an exactly zero tail."""
 
@@ -92,6 +88,12 @@ class UnknownFamily(CFIndepError):
 
 class RootsNotRealDistinctGreaterOne(CFIndepError):
     """Polynomial roots must be real, pairwise distinct, and greater than 1."""
+
+
+# -- reports -----------------------------------------------------------------
+
+class DecimalTooLong(CFIndepError):
+    """An exact integer has more decimal digits than Python converts to a string."""
 
 
 # -- relation search ---------------------------------------------------------

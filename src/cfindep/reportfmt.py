@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import DyadicInterval, from_fraction
+from .errors import DecimalTooLong
 from .numfield import FieldElement
 
 __all__ = [
@@ -118,8 +119,15 @@ def interval_payload(iv: DyadicInterval, sig: int = _SIG_DEFAULT) -> dict:
 
 
 def fraction_str(fr) -> str:
+    """The exact string "num/den"; DecimalTooLong, which gives the bit sizes,
+    when a term has more digits than int-to-str conversion allows."""
     fr = Fraction(fr)
-    return f"{fr.numerator}/{fr.denominator}"
+    try:
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError:
+        raise DecimalTooLong(
+            f"a {fr.numerator.bit_length()}-bit / {fr.denominator.bit_length()}-bit rational "
+            "has more digits than Python's int-to-str conversion allows") from None
 
 
 def scalar_payload(x, sig: int = _SIG_DEFAULT) -> dict:

@@ -39,10 +39,13 @@ from cfindep.errors import (
     PrecisionInsufficient,
     QuotientBelowOne,
     TailContainsZero,
-    ZeroTailDivision,
 )
 from cfindep.numfield import FieldElement
 from cfindep.sequences import phi_field, spec, sqrt2_field
+
+
+class ZeroTailDivision(Exception):
+    """eval_finite hit an exactly zero tail."""
 
 
 def eval_finite(quotients):

@@ -303,6 +303,23 @@ def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"task": "check-named-example", "params": {"name": "ex3", "precision": None}}, "precision"),
+    ({"task": "relation", "params": {"example": "ex1", "N": 3, "height": None}}, "height"),
+])
+def test_null_int_param_exit_two(tmp_path, capsys, cfg, key):
+    # a present null is a bad value, not an absent key
+    assert _run_config(tmp_path, cfg) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be an integer, got None\n"
+
+
+def test_convergents_past_the_digit_limit_exit_two(capsys):
+    # at the default N=10, ex1 reaches a coordinate with a 15310-bit numerator
+    assert main(["convergents", "--example", "ex1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a 15310-bit / 1-bit rational ") and "int-to-str" in err
+
+
 def test_enclose_precision_exhausted_exit_three(capsys):
     # eight doublings from 80 bits never reach the width 1/(q_5 q_6) of t2
     assert main(["enclose", "--example", "t2", "--N", "5", "--precision", "64"]) == 3

@@ -64,24 +64,38 @@ def _fraction_mul(a, b, prec):
     return DyadicInterval(min(products).round_down(prec), max(products).round_up(prec))
 
 
+def _rule_pair(n, e, d, prec, up):
+    """n * 2**e / d rounded by definition: move d's powers of two into e,
+    take the shift from the bit lengths of n and of the odd rest of d as
+    given (the fraction is never reduced), then floor or ceil the exact
+    Fraction."""
+    while d % 2 == 0:
+        d, e = d // 2, e - 1
+    if n == 0:
+        return 0, e
+    shift = prec + 1 - (abs(n).bit_length() - d.bit_length())
+    v = Fraction(n, d) * Fraction(2) ** shift
+    return (math.ceil(v) if up else math.floor(v)), e - shift
+
+
+def _rule_quotient(x, y, prec, up):
+    n, d = (x.man, y.man) if y.man > 0 else (-x.man, -y.man)
+    return Dyadic(*_rule_pair(n, x.exp - y.exp, d, prec, up))
+
+
 def _fraction_div(a, b, prec):
-    quots = [
-        a.lo.as_fraction() / b.lo.as_fraction(),
-        a.lo.as_fraction() / b.hi.as_fraction(),
-        a.hi.as_fraction() / b.lo.as_fraction(),
-        a.hi.as_fraction() / b.hi.as_fraction(),
-    ]
-    lo, hi = min(quots), max(quots)
-    return DyadicInterval(
-        rational_to_dyadic(lo.numerator, lo.denominator, prec, up=False),
-        rational_to_dyadic(hi.numerator, hi.denominator, prec, up=True),
-    )
+    # the endpoint pairs whose exact quotients are least and greatest; a tie
+    # is between equal dyadics or zero numerators, which round alike
+    pairs = [(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    lo = min(pairs, key=lambda xy: xy[0].as_fraction() / xy[1].as_fraction())
+    hi = max(pairs, key=lambda xy: xy[0].as_fraction() / xy[1].as_fraction())
+    return DyadicInterval(_rule_quotient(*lo, prec, False), _rule_quotient(*hi, prec, True))
 
 
 @st.composite
 def _dyadics(draw):
     # zeros, short and long mantissas, and odd factors shared across draws so
-    # that quotients often reduce
+    # that quotients often have a common factor
     if draw(st.integers(0, 9)) == 0:
         return Dyadic(0)
     bits = draw(st.sampled_from((1, 2, 4, 8, 30, 64, 200, 1000)))
@@ -120,7 +134,10 @@ def test_div_matches_fraction_formula(a, b, prec):
         with pytest.raises(DivisorContainsZero):
             iv_div(a, b, prec)
     else:
-        assert iv_div(a, b, prec) == _fraction_div(a, b, prec)
+        q = iv_div(a, b, prec)
+        assert q == _fraction_div(a, b, prec)
+        assert all(q.contains(x.as_fraction() / y.as_fraction())
+                   for x in (a.lo, a.hi) for y in (b.lo, b.hi))
 
 
 def _assert_on_rounding_grid(r: DyadicInterval, prec: int) -> None:
@@ -155,28 +172,20 @@ def test_from_fraction_rounds_to_a_grid(num, den, prec):
     assert r.is_point() == (Fraction(num, den) == r.lo.as_fraction())
 
 
-def test_div_rounds_the_reduced_quotient():
+def test_div_keeps_the_unreduced_shift():
     # 15/9 and 5/3 round with different shifts: the endpoints carry prec+2
-    # bits for the former and prec+1 for the latter, and iv_div uses 5/3
+    # bits for the former and prec+1 for the latter, and iv_div keeps 15/9's
     for prec in (4, 53, 128, 4096):
         q = iv_div(singleton(15), singleton(9), prec)
-        assert q == from_fraction(Fraction(5, 3), prec)
         unreduced = DyadicInterval(
             rational_to_dyadic(15, 9, prec, up=False), rational_to_dyadic(15, 9, prec, up=True)
         )
-        assert q != unreduced and q.contains_interval(unreduced)
-        assert iv_div(singleton(45), singleton(27), prec) == q
-
-
-def _reduced_pair(n, e, d, prec, up):
-    """n * 2**e / d rounded by definition: reduce n/d, take the shift from the
-    bit lengths of the reduced terms, then floor or ceil."""
-    f = Fraction(n, d)
-    if f == 0:
-        return 0, e
-    shift = prec + 1 - (f.numerator.bit_length() - f.denominator.bit_length())
-    v = f * Fraction(2) ** shift
-    return (math.ceil(v) if up else math.floor(v)), e - shift
+        reduced = from_fraction(Fraction(5, 3), prec)
+        assert q == unreduced and q != reduced and reduced.contains_interval(q)
+        assert q.contains(Fraction(5, 3))
+        assert iv_div(singleton(45), singleton(27), prec) == DyadicInterval(
+            rational_to_dyadic(45, 27, prec, up=False), rational_to_dyadic(45, 27, prec, up=True)
+        )
 
 
 @st.composite
@@ -213,11 +222,23 @@ def _quotient_operands(draw):
 @example((0, 9), 3, 64, True)
 @example((15, 9), 0, 4, False)
 @example((45, 27), -2, 4, True)
-def test_pair_quotient_matches_reduced_definition(operands, e, prec, up):
-    # the rounding remainder answers the gcd test for odd d when n is at
-    # least as long as d; every other case reduces first, and all agree
+@example((2**20 - 1, 2**9 + 1), 0, 4, True)  # rounds up to 2**(prec + 2)
+def test_pair_quotient_matches_definition(operands, e, prec, up):
+    # no gcd: a shared odd factor keeps its bits in the shift, and the
+    # quotient is the floor or ceiling of the exact value scaled to between
+    # 2**prec and 2**(prec + 2), so it carries prec+1 or prec+2 bits (a
+    # rounding away from zero may reach 2**(prec + 2) itself)
     n, d = operands
-    assert interval._pair_quotient(n, e, d, prec, up) == _reduced_pair(n, e, d, prec, up)
+    q, qe = interval._pair_quotient(n, e, d, prec, up)
+    assert (q, qe) == _rule_pair(n, e, d, prec, up)
+    if n == 0:
+        assert q == 0
+        return
+    exact = Fraction(n, d) * Fraction(2) ** e
+    value = Fraction(q) * Fraction(2) ** qe
+    assert value >= exact if up else value <= exact
+    assert abs(value - exact) < Fraction(2) ** qe
+    assert 1 << prec <= abs(q) <= 1 << (prec + 2)
 
 
 def test_precision_argument_validated():

@@ -10,57 +10,35 @@ keep the lattice short, are then run with the early stop of
 """
 
 import contextlib
-import hashlib
-import importlib.util
 import io
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from cfindep import cli, relation
 from cfindep.bigreal.interval import from_fraction
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from perfbench_data import reference, stdout_digest, workloads
 
 PROBES = (("ex1", 2048), ("ex1", 4096), ("hanluc", 2048), ("c3", 2048),
           ("t2", 2048), ("golden-powers", 1024))
 
 
-def _reference() -> dict:
-    return json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _stdout_digest(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-
-
 @pytest.mark.parametrize("example,precision", PROBES)
 def test_relation_probe_report_bytes(example, precision):
     op_id = f"relation {example} --N 6 --precision {precision}"
-    assert _stdout_digest(op_id.split()) == _reference()[op_id]
+    assert stdout_digest(op_id.split()) == reference()[op_id]
 
 
 def test_planted_relation_report_bytes(tmp_path):
-    workloads = _workloads()
-    reference = _reference()
-    for variant in range(workloads.VARIANTS):
-        op = workloads.planted_op(variant)
+    wl = workloads()
+    digests = reference()
+    for variant in range(wl.VARIANTS):
+        op = wl.planted_op(variant)
         path = tmp_path / f"planted{variant}.json"
         path.write_text(json.dumps(op["config"]), encoding="utf-8")
-        assert _stdout_digest(op["argv"] + ["--config", str(path)]) == reference[op["id"]], op["id"]
+        assert stdout_digest(op["argv"] + ["--config", str(path)]) == digests[op["id"]], op["id"]
 
 
 def _relation_results(argv: list[str], monkeypatch) -> list:
@@ -96,9 +74,9 @@ def test_early_stop_equals_full_search_on_probes(example, precision, monkeypatch
 
 
 def test_early_stop_equals_full_search_on_planted_configs(tmp_path, monkeypatch):
-    workloads = _workloads()
-    for variant in range(workloads.VARIANTS):
-        op = workloads.planted_op(variant)
+    wl = workloads()
+    for variant in range(wl.VARIANTS):
+        op = wl.planted_op(variant)
         path = tmp_path / f"planted{variant}.json"
         path.write_text(json.dumps(op["config"]), encoding="utf-8")
         argv = op["argv"] + ["--config", str(path)]
