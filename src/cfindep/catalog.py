@@ -41,8 +41,8 @@ def _ex1(gamma=Fraction(1, 2)) -> Thm1Config:
                       field=fam[1].field, condition5_mode="auto", name="ex1")
 
 
-def _c3(gamma=Fraction(1, 2), poly: IntPoly | None = None) -> Thm1Config:
-    p = poly or IntPoly.of(14, -8, 1)
+def _c3(gamma=Fraction(1, 2)) -> Thm1Config:
+    p = IntPoly.of(14, -8, 1)
     base = spec("doubly-exponential", d=max(2, p.degree() ** 2 - 1))
     fam = polynomial_root_family(p, base)
     fam = list(reversed(fam))  # descending roots
@@ -182,17 +182,15 @@ def catalog() -> dict[str, CatalogEntry]:
     return dict(_CATALOG)
 
 
-def build_config(name: str, gamma: Fraction | None = None, **kwargs) -> Thm1Config:
+def build_config(name: str, gamma: Fraction | None = None, K: int | None = None) -> Thm1Config:
+    """The entry's Thm1Config, at its own gamma and K unless they are given."""
     entry = _CATALOG.get(name)
     if entry is None:
         raise KeyError(f"unknown named example {name!r}")
-    args = {}
-    if gamma is not None:
-        args["gamma"] = gamma
-    for k in ("K", "poly"):
-        if k in kwargs and kwargs[k] is not None:
-            args[k] = kwargs[k]
-    return entry.build(**args)
+    if K is not None and "K" not in entry.defaults:
+        raise ValueError(f"{name} takes no K")
+    args = {} if gamma is None else {"gamma": gamma}
+    return entry.build(**args) if K is None else entry.build(K=K, **args)
 
 
 def list_named_examples() -> list[dict]:

@@ -51,20 +51,6 @@ from .sequences import CFSpec, parse_int, parse_rational, parse_sequence, spec a
 
 __all__ = ["main", "RunConfig", "run"]
 
-TASKS = (
-    "convergents",
-    "enclose",
-    "check-theorem1",
-    "check-named-example",
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "remark",
-    "relation",
-    "list-examples",
-)
-
-
 class RunConfig:
     """Declarative description of one CLI task."""
 
@@ -91,16 +77,17 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict) or "task" not in d:
             raise ValueError("config must be an object with a 'task' key")
-        task = d["task"]
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
-        return cls(
-            task=task,
-            field=d.get("field"),
-            sequences=d.get("sequences", {}) or {},
-            params=d.get("params", {}) or {},
-            output=d.get("output", {}) or {},
-        )
+        if not isinstance(d["task"], str) or d["task"] not in TASKS:
+            raise ValueError(f"unknown task {d['task']!r}")
+        for key in ("field", "sequences", "params", "output"):
+            if key in d and not isinstance(d[key], dict) and (key, d[key]) != ("field", None):
+                raise ValueError(f"config {key} must be an object, got {d[key]!r}")
+        output = d.get("output", {})
+        if output.get("format", "json") not in ("json", "text"):
+            raise ValueError(f"output.format must be 'json' or 'text', got {output['format']!r}")
+        if not isinstance(output.get("path", ""), str):
+            raise ValueError(f"output.path must be a string, got {output['path']!r}")
+        return cls(d["task"], d.get("field"), d.get("sequences"), d.get("params"), output)
 
 
 def _field_from_dict(d: dict) -> NumberField:
@@ -108,7 +95,7 @@ def _field_from_dict(d: dict) -> NumberField:
     root = d.get("root")
     if not coeffs or not isinstance(coeffs, list):
         raise ValueError("field.minpoly must be a nonempty coefficient list")
-    if not root or len(root) != 2:
+    if not isinstance(root, list) or len(root) != 2:
         raise ValueError("field.root must be [lo, hi] exact rationals")
     lo = parse_rational(root[0])
     hi = parse_rational(root[1])
@@ -170,37 +157,79 @@ def _resolve_sequences(cfg: RunConfig) -> dict[str, CFSpec]:
     return {name: parse_sequence(d) for name, d in cfg.sequences.items()}
 
 
-_PARAM_MINIMUM = {"N": 1, "precision": MIN_PRECISION, "trials": 1}
+def _integer(minimum: int | None = None) -> tuple:
+    return (lambda value, key, cfg: parse_int(value, key, minimum),
+            "an integer" if minimum is None else f"an integer >= {minimum}")
 
 
-def _int_param(cfg: RunConfig, key: str, default: int | None) -> int | None:
-    """Integer task parameter from the config or a flag, at least its minimum
-    if it has one; the default when absent.  A present null is refused."""
-    if key not in cfg.params:
-        return default
-    return parse_int(cfg.params[key], key, _PARAM_MINIMUM.get(key))
+def _checked(ok, text: str) -> tuple:
+    """A parser that passes on each value ``ok(value, cfg)`` accepts, and its description."""
+    def parse(value, key, cfg):
+        if not ok(value, cfg):
+            raise ValueError(f"{key} must be {text}, got {value!r}")
+        return value
+    return parse, text
 
 
-def _task_check_theorem1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
+def _is_sequence(value, cfg: RunConfig) -> bool:
+    return isinstance(value, str) and value in cfg.sequences
+
+
+_CATALOG_NAME = _checked(lambda v, cfg: isinstance(v, str) and v in catalog(), "a catalog name")
+_SEQUENCE_NAME = _checked(_is_sequence, "a configured sequence name")
+_SEQUENCE_NAMES = _checked(
+    lambda v, cfg: isinstance(v, list) and v != [] and all(_is_sequence(s, cfg) for s in v),
+    "a nonempty list of configured sequence names")
+
+# Every task parameter: its parser (value, key, cfg) -> parsed value, a
+# description, and the argparse type of its flag (None: config only).
+_PARAMS = {
+    "N": (*_integer(1), int),
+    "precision": (*_integer(MIN_PRECISION), int),
+    "height": (*_integer(1), int),
+    "gamma": (lambda value, key, cfg: parse_rational(value), "a rational", str),
+    "seed": (*_integer(), int),
+    "trials": (*_integer(1), int),
+    "example": (*_CATALOG_NAME, str),
+    "sequence": (*_SEQUENCE_NAME, str),
+    "j": (*_integer(1), int),
+    "name": (*_CATALOG_NAME, None),
+    "K": (*_integer(1), None),
+    "order": (*_SEQUENCE_NAMES, None),
+    "values": (*_SEQUENCE_NAMES, None),
+    "a": (*_SEQUENCE_NAME, None),
+    "b": (*_SEQUENCE_NAME, None),
+    "mode": (*_checked(lambda v, cfg: v in ("auto", "real-part-sign", "house-half"),
+                       "'auto', 'real-part-sign' or 'house-half'"), None),
+    "use": (*_checked(lambda v, cfg: v in ("truncation", "limit"), "'truncation' or 'limit'"),
+            None),
+    "expand_field": (*_checked(lambda v, cfg: isinstance(v, bool), "true or false"), None),
+}
+
+
+def _parse_params(cfg: RunConfig, defaults: dict) -> dict:
+    """The parameters a task takes: each present one parsed, each missing one
+    its default (None: the runner works it out; ...: required)."""
+    parsed = {}
+    for key, value in defaults.items():
+        if key in cfg.params:
+            value = _PARAMS[key][0](cfg.params[key], key, cfg)
+        elif value is ...:
+            raise ValueError(f"{cfg.task} needs params.{key}")
+        parsed[key] = value
+    return parsed
+
+
+def _task_check_theorem1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     fld = _field_from_dict(cfg.field) if cfg.field else None
     seqs = _resolve_sequences(cfg)
-    order = cfg.params.get("order") or sorted(seqs)
-    try:
-        ordered = [seqs[name] for name in order]
-    except KeyError as e:
-        raise ValueError(f"order references unknown sequence {e}")
+    ordered = [seqs[name] for name in p["order"] or sorted(seqs)]
     if fld is None:
         # infer the ambient field (hence the degree D) from the sequences
         fld = next((s.field for s in ordered if s.field is not None), None)
-    gamma = parse_rational(cfg.params.get("gamma", "1/2"))
-    tcfg = Thm1Config(
-        M=len(ordered), sequences=ordered, gamma=gamma, field=fld,
-        condition5_mode=cfg.params.get("mode", "auto"),
-        name=cfg.params.get("name"),
-    )
-    N = _int_param(cfg, "N", 6)
-    prec = _int_param(cfg, "precision", 128)
-    rep = check_all(tcfg, N, prec)
+    tcfg = Thm1Config(M=len(ordered), sequences=ordered, gamma=p["gamma"], field=fld,
+                      condition5_mode=p["mode"])
+    rep = check_all(tcfg, p["N"], p["precision"])
     status, code = _hypothesis_exit(rep)
     result = _serialize_hypothesis_report(rep)
     lines = [f"overall: {rep.overall} (mode {rep.mode_used}, d={rep.d})"]
@@ -208,19 +237,11 @@ def _task_check_theorem1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     return status, code, result, lines
 
 
-def _task_check_named_example(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    name = cfg.params.get("name")
-    if not name:
-        raise ValueError("check-named-example needs params.name")
-    entry = catalog().get(name)
-    if entry is None:
-        raise ValueError(f"unknown named example {name!r}")
-    gamma = cfg.params.get("gamma")
-    tcfg = build_config(name, gamma=parse_rational(gamma) if gamma else None,
-                        K=_int_param(cfg, "K", None))
-    N = _int_param(cfg, "N", entry.defaults.get("N", 6))
-    prec = _int_param(cfg, "precision", entry.defaults.get("precision", 128))
-    rep = check_all(tcfg, N, prec)
+def _task_check_named_example(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
+    name, defaults = p["name"], catalog()[p["name"]].defaults
+    tcfg = build_config(name, gamma=p["gamma"], K=p["K"])
+    N = p["N"] or defaults["N"]
+    rep = check_all(tcfg, N, p["precision"] or defaults["precision"])
     status, code = _hypothesis_exit(rep)
     result = _serialize_hypothesis_report(rep)
     result["example"] = name
@@ -229,30 +250,27 @@ def _task_check_named_example(cfg: RunConfig) -> tuple[str, int, dict, list[str]
     return status, code, result, lines
 
 
-def _single_sequence(cfg: RunConfig) -> CFSpec:
-    ex = cfg.params.get("example")
-    if ex:
-        tcfg = build_config(ex)
-        j = _int_param(cfg, "j", 1)
-        if not 1 <= j <= tcfg.M:
+def _single_sequence(cfg: RunConfig, p: dict) -> CFSpec:
+    if p["example"] is not None:
+        tcfg = build_config(p["example"])
+        if p["j"] > tcfg.M:
             raise ValueError("j out of range")
-        return tcfg.sequences[j - 1]
+        return tcfg.sequences[p["j"] - 1]
     seqs = _resolve_sequences(cfg)
-    name = cfg.params.get("sequence")
+    name = p["sequence"]
     if name is None and len(seqs) == 1:
         name = next(iter(seqs))
-    if name not in seqs:
+    if name is None:
         raise ValueError("params.sequence must name a configured sequence")
     return seqs[name]
 
 
-def _task_convergents(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    seq = _single_sequence(cfg)
-    N = _int_param(cfg, "N", 10)
+def _task_convergents(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
+    seq = _single_sequence(cfg, p)
     st = initial_state(0)
     rows = []
     lines = []
-    for n in range(1, N + 1):
+    for n in range(1, p["N"] + 1):
         a = seq.quotient(n, 128)
         st = advance(st, a)
         det = determinant_value(st)
@@ -276,11 +294,9 @@ def _scalar_bits(x) -> int:
     return 0
 
 
-def _task_enclose(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    seq = _single_sequence(cfg)
-    N = _int_param(cfg, "N", 10)
-    prec = _int_param(cfg, "precision", 128)
-    enc = enclose_value(seq, N, prec)
+def _task_enclose(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
+    prec = p["precision"]
+    enc = enclose_value(_single_sequence(cfg, p), p["N"], prec)
     result = {
         "order": enc.order,
         "tail_bound_kind": enc.tail_bound_kind,
@@ -289,18 +305,17 @@ def _task_enclose(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     return "ok", 0, result, [f"value = {result['value']['value']} +/- {result['value']['plus_minus']}"]
 
 
-def _task_lemma1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
+def _task_lemma1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     seqs = _resolve_sequences(cfg)
-    a_name = cfg.params.get("a")
-    b_name = cfg.params.get("b")
-    if a_name and b_name:
-        a, b = seqs[a_name], seqs[b_name]
-    else:
+    if (p["a"] is None) != (p["b"] is None):
+        raise ValueError("lemma1 needs both params.a and params.b, or neither")
+    if p["a"] is None:
         a = make_spec("constant", value=Fraction(2))
         b = make_spec("constant", value=Fraction(1))
-    N = _int_param(cfg, "N", 20)
-    prec = _int_param(cfg, "precision", 128)
-    tr = lemma1_trace(a, b, N, prec)
+    else:
+        a, b = seqs[p["a"]], seqs[p["b"]]
+    N = p["N"]
+    tr = lemma1_trace(a, b, N, p["precision"])
     result = {
         "indices": tr.indices,
         "ratios": [interval_payload(r) for r in tr.ratios],
@@ -311,18 +326,8 @@ def _task_lemma1(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     return "ok", 0, result, [f"ratio at N={N}: {interval_payload(last)['value']}"]
 
 
-def _task_lemma2(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    return _lemma_suite(cfg, run_lemma2_suite)
-
-
-def _task_lemma3(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    return _lemma_suite(cfg, run_lemma3_suite)
-
-
-def _lemma_suite(cfg: RunConfig, suite_fn) -> tuple[str, int, dict, list[str]]:
-    trials = _int_param(cfg, "trials", 1000)
-    seed = _int_param(cfg, "seed", 0)
-    res = suite_fn(trials=trials, seed=seed)
+def _lemma_suite(p: dict, suite_fn) -> tuple[str, int, dict, list[str]]:
+    res = suite_fn(trials=p["trials"], seed=p["seed"])
     status = "pass" if res.all_passed else "fail"
     result = {
         "trials": res.trials,
@@ -334,8 +339,8 @@ def _lemma_suite(cfg: RunConfig, suite_fn) -> tuple[str, int, dict, list[str]]:
     return status, 0 if res.all_passed else 1, result, [f"{res.passed}/{res.trials} trials passed (seed {res.seed})"]
 
 
-def _task_remark(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    N = _int_param(cfg, "N", 2000)
+def _task_remark(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
+    N = p["N"]
     rr = remark_counterexample(N)
     below = rr.max_ratio.hi < rr.bound.lo
     result = {
@@ -352,29 +357,20 @@ def _task_remark(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     ]
 
 
-def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
-    prec = _int_param(cfg, "precision", 256)
-    height = _int_param(cfg, "height", 100)
-    n_trunc = _int_param(cfg, "N", 6)
-    use = cfg.params.get("use", "truncation")
-    if use not in ("truncation", "limit"):
-        raise ValueError(f"relation use must be 'truncation' or 'limit', got {use!r}")
-    ex = cfg.params.get("example")
-    if ex:
-        tcfg = build_config(ex)
+def _task_relation(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
+    prec, n_trunc = p["precision"], p["N"]
+    if p["example"] is not None:
+        tcfg = build_config(p["example"])
         seq_list = tcfg.sequences
         fld = tcfg.field
     else:
         fld = _field_from_dict(cfg.field) if cfg.field else None
         seqs = _resolve_sequences(cfg)
-        names = cfg.params.get("values") or sorted(seqs)
-        seq_list = [seqs[nm] for nm in names]
-    expand = cfg.params.get("expand_field", fld is not None)
-    if not isinstance(expand, bool):
-        raise ValueError(f"relation expand_field must be true or false, got {expand!r}")
+        seq_list = [seqs[nm] for nm in p["values"] or sorted(seqs)]
+    expand = fld is not None if p["expand_field"] is None else p["expand_field"]
     values = []
     for s in seq_list:
-        if use == "limit":
+        if p["use"] == "limit":
             values.append(enclose_value(s, n_trunc, prec + 48).value)
         else:
             st = run_recurrence([s.quotient(k, prec + 48) for k in range(1, n_trunc + 1)])[-1]
@@ -383,9 +379,9 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
             else:
                 values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
     if expand and fld is not None:
-        res = find_relation_over_field(values, fld, height, prec)
+        res = find_relation_over_field(values, fld, p["height"], prec)
     else:
-        res = find_relation(values + [singleton(1)], height, prec)
+        res = find_relation(values + [singleton(1)], p["height"], prec)
     result = {
         "status": res.status,
         "height": res.height_bound,
@@ -403,31 +399,39 @@ def _task_relation(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
     return res.status, 0, result, [f"{res.status}; {res.statement}"]
 
 
-def _task_list_examples(cfg: RunConfig) -> tuple[str, int, dict, list[str]]:
+def _task_list_examples(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     items = list_named_examples()
     lines = [f"{it['name']}: D={it['D']} M={it['M']} d={it['d']} - {it['description']}"
              for it in items]
     return "ok", 0, {"examples": items}, lines
 
 
-_RUNNERS = {
-    "check-theorem1": _task_check_theorem1,
-    "check-named-example": _task_check_named_example,
-    "convergents": _task_convergents,
-    "enclose": _task_enclose,
-    "lemma1": _task_lemma1,
-    "lemma2": _task_lemma2,
-    "lemma3": _task_lemma3,
-    "remark": _task_remark,
-    "relation": _task_relation,
-    "list-examples": _task_list_examples,
+# Every task: its runner (cfg, parsed parameters) -> (status, exit code,
+# result, text lines), and the parameters it takes with their defaults.
+TASKS = {
+    "convergents": (_task_convergents, {"example": None, "j": 1, "sequence": None, "N": 10}),
+    "enclose": (_task_enclose, {"example": None, "j": 1, "sequence": None, "N": 10,
+                                "precision": 128}),
+    "check-theorem1": (_task_check_theorem1, {"order": None, "gamma": Fraction(1, 2),
+                                              "mode": "auto", "N": 6, "precision": 128}),
+    "check-named-example": (_task_check_named_example, {"name": ..., "gamma": None, "K": None,
+                                                        "N": None, "precision": None}),
+    "lemma1": (_task_lemma1, {"a": None, "b": None, "N": 20, "precision": 128}),
+    "lemma2": (lambda cfg, p: _lemma_suite(p, run_lemma2_suite), {"trials": 1000, "seed": 0}),
+    "lemma3": (lambda cfg, p: _lemma_suite(p, run_lemma3_suite), {"trials": 1000, "seed": 0}),
+    "remark": (_task_remark, {"N": 2000}),
+    "relation": (_task_relation, {"example": None, "values": None, "use": "truncation",
+                                  "expand_field": None, "N": 6, "precision": 256,
+                                  "height": 100}),
+    "list-examples": (_task_list_examples, {}),
 }
 
 
 def run(cfg: RunConfig, timings: bool = False) -> tuple[int, dict, list[str]]:
     """Execute a task; returns (exit_code, report_dict, text_lines)."""
     t0 = time.monotonic()
-    status, code, result, lines = _RUNNERS[cfg.task](cfg)
+    runner, defaults = TASKS[cfg.task]
+    status, code, result, lines = runner(cfg, _parse_params(cfg, defaults))
     report = {
         "tool": {"name": "cfindep", "version": __version__},
         "task": cfg.task,
@@ -449,15 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("task", choices=TASKS)
     ap.add_argument("name", nargs="?", help="named example (check-named-example/relation)")
     ap.add_argument("--config", help="path to a JSON run config")
-    ap.add_argument("--N", type=int)
-    ap.add_argument("--precision", type=int)
-    ap.add_argument("--height", type=int)
-    ap.add_argument("--gamma", help="exact rational like 1/2")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--trials", type=int)
-    ap.add_argument("--example")
-    ap.add_argument("--sequence")
-    ap.add_argument("--j", type=int)
+    for key, (_, text, flag) in _PARAMS.items():
+        if flag:
+            ap.add_argument(f"--{key}", type=flag, help=text)
     ap.add_argument("--out", help="write the report to this path")
     ap.add_argument("--format", choices=("json", "text"))
     ap.add_argument("--timings", action="store_true",
@@ -475,13 +473,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"config task {cfg.task!r} does not match {args.task!r}")
         else:
             cfg = RunConfig(task=args.task)
-        for key, val in (
-            ("N", args.N), ("precision", args.precision), ("height", args.height),
-            ("gamma", args.gamma), ("seed", args.seed), ("trials", args.trials),
-            ("example", args.example), ("sequence", args.sequence), ("j", args.j),
-        ):
-            if val is not None:
-                cfg.params[key] = val
+        for key, (_, _, flag) in _PARAMS.items():
+            if flag and getattr(args, key) is not None:
+                cfg.params[key] = getattr(args, key)
         if args.name:
             cfg.params.setdefault("name", args.name)
             if args.task == "relation":
