@@ -507,8 +507,12 @@ def main(argv: list[str] | None = None) -> int:
         payload = dumps_report(report)
     path = cfg.output.get("path")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

@@ -1,10 +1,11 @@
 """Partial-quotient generators and their integral decompositions.
 
 A CFSpec is a declarative, deterministic description of a sequence of exact
-partial quotients a_1, a_2, ...  Each supported kind also knows how to expose
-its quotients in the shape (S*b + c)/d with S an integer and b, c, d algebraic
-integers, which is what the hypothesis checker consumes, and how to read
-itself from a JSON descriptor.  ``KINDS`` holds these three per kind.
+partial quotients a_1, a_2, ...  Each kind gives a_n as a pair (E, u),
+a_n = 2**E * u with u small, and exposes a_n in the shape (S*b + c)/d with S
+an integer and b, c, d algebraic integers, which is what the hypothesis
+checker consumes, and reads itself from a JSON descriptor.  ``KINDS`` holds
+these three per kind.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "prime_pi",
     "divisor_count",
     "harmonic",
-    "gen_doubly_exponential",
     "polynomial_root_family",
     "sqrt2_field",
     "phi_field",
@@ -56,7 +56,8 @@ MAX_ROOT_FAMILY_DEGREE = 16
 
 
 def _pow2(e: int) -> Fraction:
-    """2**e, refused when it needs more bits than the per-quotient guard."""
+    """2**e, refused when it needs more bits than the per-quotient guard;
+    only ``CFSpec.quotient`` and ``_decomposition`` build it."""
     if e + 1 > MAX_QUOTIENT_BITS:
         raise BitBudgetExceeded(f"quotient needs {e + 1} bits, guard is {MAX_QUOTIENT_BITS}")
     return Fraction(1 << e)
@@ -198,12 +199,17 @@ class CFSpec:
                 return v
         return default
 
-    def quotient(self, n: int, prec: int | None = None):
-        """a_n.  An interval-valued kind needs the working precision ``prec``;
-        exact kinds ignore it."""
+    def pair(self, n: int, prec: int | None) -> tuple:
+        """(E, u) with a_n = 2**E * u.  An interval-valued kind needs the
+        working precision ``prec``; exact kinds ignore it."""
         if n < 1:
             raise ValueError("quotient index starts at 1")
-        return KINDS[self.kind].quotient(self, n, prec)
+        return KINDS[self.kind].pair(self, n, prec)
+
+    def quotient(self, n: int, prec: int | None = None):
+        """a_n = 2**E * u, refused past the per-quotient bit guard."""
+        E, u = self.pair(n, prec)
+        return _pow2(E) * u if E else u
 
     def decomposition(self, n: int) -> Decomposition | None:
         return KINDS[self.kind].decomposition(self, n)
@@ -219,13 +225,6 @@ def spec(kind: str, field: NumberField | None = None, **params) -> CFSpec:
 # ---------------------------------------------------------------------------
 # named generators
 # ---------------------------------------------------------------------------
-
-def gen_doubly_exponential(d: int, n: int, c: int = 1) -> Fraction:
-    """a_n = 2**(c * n * d**n); the canonical unbounded-growth witness."""
-    if d < 2 or n < 1 or c < 1:
-        raise ValueError("need d >= 2, n >= 1, c >= 1")
-    return _pow2(c * n * d ** n)
-
 
 def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
     """CFSpecs for alpha_j * a_n over all real roots alpha_j of p, ascending.
@@ -325,8 +324,8 @@ def _list(desc: dict, key: str) -> list:
     return values
 
 
-def _int(desc: dict, key: str) -> int:
-    return parse_int(desc[key], key)
+def _int(desc: dict, key: str, minimum: int | None = None) -> int:
+    return parse_int(desc[key], key, minimum)
 
 
 def _base(desc: dict) -> CFSpec:
@@ -338,81 +337,82 @@ def _base(desc: dict) -> CFSpec:
 
 
 # ---------------------------------------------------------------------------
-# the kinds: quotient, decomposition and JSON parser of each
+# the kinds: pair, decomposition and JSON parser of each
 # ---------------------------------------------------------------------------
 
 class _Kind:
     """One sequence kind.
 
-    ``quotient(spec, n, prec)`` gives a_n and ``decomposition(spec, n)`` its
-    (S*b + c)/d form.  They are separate computations, so the decomposition
-    check compares two derivations of a_n.  ``parse(descriptor)`` builds the
-    spec from JSON; a kind without it is built only from code.
+    ``pair(spec, n, prec)`` gives a_n = 2**E * u as (E, u) and
+    ``decomposition(spec, n)`` its (S*b + c)/d form.  They are separate
+    computations, so the decomposition check compares two derivations of a_n.
+    ``parse(descriptor)`` builds the spec from JSON; others are built in code.
     """
 
     __setattr__ = __delattr__ = refuse_assignment
 
-    def __init__(self, quotient: Callable, decomposition: Callable = lambda s, n: None,
+    def __init__(self, pair: Callable, decomposition: Callable = lambda s, n: None,
                  parse: Callable | None = None, exact: bool = True):
-        self.__dict__.update(quotient=quotient, decomposition=decomposition, parse=parse,
-                             exact=exact)
+        self.__dict__.update(pair=pair, decomposition=decomposition, parse=parse, exact=exact)
 
 
-def _rational_decomposition(s: CFSpec, n: int) -> Decomposition | None:
-    """A rational quotient num/den as (num*1 + 0)/den."""
-    a = s.quotient(n)
-    if isinstance(a, FieldElement):
+def _scaled(factor: Callable) -> Callable:
+    """The pair of a kind whose a_n is its base's times ``factor(s, n)``: the
+    base's (E, u) is read once and only u is multiplied."""
+    def pair(s: CFSpec, n: int, prec) -> tuple:
+        E, u = s._p("base").pair(n, prec)
+        return E, u * factor(s, n)
+    return pair
+
+
+def _decomposition(s: CFSpec, n: int, b=1, d=1, mult: int = 1) -> Decomposition | None:
+    """(S*b + 0)/d for a quotient 2**E * u * mult * b/d, (E, u) the pair of the
+    base of ``s`` or, for a kind without one, of ``s``.  S takes the numerator
+    of 2**E * u and d also its denominator; a field-valued u has no such form."""
+    E, u = s._p("base", s).pair(n, None)
+    if isinstance(u, FieldElement):
         return None
-    a = Fraction(a)
-    return Decomposition(a.numerator, Fraction(1), Fraction(0), Fraction(a.denominator))
-
-
-def _base_scaled(s: CFSpec, n: int, b, d=1, mult: int = 1) -> Decomposition:
-    """(S*b + 0)/d for a quotient a_n * mult * b/d with a_n the base quotient.
-
-    S takes the numerator of a_n and its denominator is folded into d, so a
-    non-integral base still gives an integral S.
-    """
-    a = Fraction(s._p("base").quotient(n))
+    a = _pow2(E) * Fraction(u)
     S, d = a.numerator * mult, d * a.denominator
     if isinstance(b, FieldElement):
         return Decomposition(S, b, b.field.zero(), b.field.from_rational(d))
     return Decomposition(S, Fraction(b), Fraction(0), Fraction(d))
 
 
-def _polynomial(s: CFSpec, n: int, prec) -> Fraction:
+def _polynomial(s: CFSpec, n: int, prec) -> tuple:
     acc = Fraction(0)
     for c in reversed(s._p("coeffs")):
         acc = acc * n + Fraction(c)
-    return acc
+    return 0, acc
 
 
-def _hanluc(s: CFSpec, n: int, prec) -> FieldElement:
+def _hanluc(s: CFSpec, n: int, prec) -> tuple:
     """Prime-ratio quotients over Q(sqrt 2): (1 + p_n/n) sqrt2 for j=1 and
-    a_n (p_n/n) sqrt2 for j=2, p_n the n-th prime and a_n the base."""
-    j = s._p("j")
-    if j not in (1, 2):
-        raise ValueError("hanluc j must be 1 or 2")
+    b_n (p_n/n) sqrt2 for j=2, p_n the n-th prime and b_n the base."""
     ratio = Fraction(nth_prime(n), n)
-    scale = 1 + ratio if j == 1 else s._p("base").quotient(n, prec) * ratio
-    return scale * sqrt2_field().generator()
+    if s._p("j") == 1:
+        return 0, (1 + ratio) * sqrt2_field().generator()
+    E, u = s._p("base").pair(n, prec)
+    return E, u * ratio * sqrt2_field().generator()
 
 
 def _hanluc_decomposition(s: CFSpec, n: int) -> Decomposition:
     f = sqrt2_field()
     if s._p("j") == 1:
         return Decomposition(n + nth_prime(n), f.generator(), f.zero(), f.from_rational(n))
-    return _base_scaled(s, n, f.generator(), n, nth_prime(n))
+    return _decomposition(s, n, f.generator(), n, nth_prime(n))
 
 
 def _parse_hanluc(desc: dict) -> CFSpec:
     j = _int(desc, "j")
+    if j not in (1, 2):
+        raise ValueError(f"hanluc j must be 1 or 2, got {j}")
     return spec("hanluc", field=sqrt2_field(), j=j, base=_base(desc) if j == 2 else None)
 
 
 def _harmonic_decomposition(s: CFSpec, n: int) -> Decomposition:
     h = harmonic(n)
-    return _base_scaled(s, n, s._p("j") * h.denominator + h.numerator, h.denominator)
+    return _decomposition(s, n, s._p("j") * h.denominator + h.numerator, h.denominator)
 
 
 def _divisor_mult(s: CFSpec, n: int) -> int:
@@ -446,71 +446,71 @@ def _parse_sqrt_j_scaled(desc: dict) -> CFSpec:
     return sqrt_j_family(K, _base(desc))[K - j]
 
 
-def _one_plus_over_sqrt(s: CFSpec, n: int, prec) -> DyadicInterval:
+def _one_plus_over_sqrt(s: CFSpec, n: int, prec) -> tuple:
     if prec is None:
         raise ValueError("one-plus-over-sqrt quotients need a precision")
     c = from_fraction(Fraction(s._p("c")), prec)
-    return iv_add(singleton(1), iv_div(c, iv_sqrt(singleton(n), prec), prec), prec)
+    return 0, iv_add(singleton(1), iv_div(c, iv_sqrt(singleton(n), prec), prec), prec)
 
 
 KINDS: dict[str, _Kind] = {
     "constant": _Kind(
-        lambda s, n, prec: s._p("value"),
-        _rational_decomposition,
+        lambda s, n, prec: (0, s._p("value")),
+        _decomposition,
         lambda desc: spec("constant", value=parse_rational(desc["value"])),
     ),
     "polynomial": _Kind(
         _polynomial,
-        _rational_decomposition,
+        _decomposition,
         lambda desc: spec("polynomial",
                           coeffs=tuple(parse_rational(c) for c in _list(desc, "coeffs"))),
     ),
     "doubly-exponential": _Kind(
-        lambda s, n, prec: gen_doubly_exponential(s._p("d"), n, s._p("c", 1)),
-        _rational_decomposition,
-        lambda desc: spec("doubly-exponential", d=_int(desc, "d"),
-                          c=parse_int(desc.get("c", 1), "c")),
+        lambda s, n, prec: (s._p("c", 1) * n * s._p("d") ** n, Fraction(1)),
+        _decomposition,
+        lambda desc: spec("doubly-exponential", d=_int(desc, "d", 2),
+                          c=parse_int(desc.get("c", 1), "c", 1)),
     ),
     "pow2-geometric": _Kind(
-        lambda s, n, prec: _pow2(s._p("d") ** n),
-        _rational_decomposition,
-        lambda desc: spec("pow2-geometric", d=_int(desc, "d")),
+        lambda s, n, prec: (s._p("d") ** n, Fraction(1)),
+        _decomposition,
+        lambda desc: spec("pow2-geometric", d=_int(desc, "d", 0)),
     ),
     "hanluc": _Kind(_hanluc, _hanluc_decomposition, _parse_hanluc),
     "div-by-j": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n, prec) / s._p("j"),
-        lambda s, n: _base_scaled(s, n, 1, s._p("j")),
-        lambda desc: spec("div-by-j", base=_base(desc), j=_int(desc, "j")),
+        _scaled(lambda s, n: Fraction(1, s._p("j"))),
+        lambda s, n: _decomposition(s, n, 1, s._p("j")),
+        lambda desc: spec("div-by-j", base=_base(desc), j=_int(desc, "j", 1)),
     ),
     "root-scaled": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n, prec) * s.field.generator(),
-        lambda s, n: _base_scaled(s, n, s.field.generator()),
+        _scaled(lambda s, n: s.field.generator()),
+        lambda s, n: _decomposition(s, n, s.field.generator()),
         _parse_root_scaled,
     ),
     "harmonic": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n, prec) * (s._p("j") + harmonic(n)),
+        _scaled(lambda s, n: s._p("j") + harmonic(n)),
         _harmonic_decomposition,
         lambda desc: spec("harmonic", base=_base(desc), j=_int(desc, "j")),
     ),
     "prime-pi-power": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n, prec) * (1 + Fraction(prime_pi(n), n)) ** s._p("j"),
-        lambda s, n: _base_scaled(s, n, 1, n ** s._p("j"), (n + prime_pi(n)) ** s._p("j")),
+        _scaled(lambda s, n: (1 + Fraction(prime_pi(n), n)) ** s._p("j")),
+        lambda s, n: _decomposition(s, n, 1, n ** s._p("j"), (n + prime_pi(n)) ** s._p("j")),
         lambda desc: spec("prime-pi-power", base=_base(desc), j=_int(desc, "j")),
     ),
     "divisor-sqrt2": _Kind(
-        lambda s, n, prec: s._p("base").quotient(n, prec) * _divisor_mult(s, n) * s.field.generator(),
-        lambda s, n: _base_scaled(s, n, s.field.generator(), mult=_divisor_mult(s, n)),
+        _scaled(lambda s, n: _divisor_mult(s, n) * s.field.generator()),
+        lambda s, n: _decomposition(s, n, s.field.generator(), mult=_divisor_mult(s, n)),
         _parse_divisor_sqrt2,
     ),
     "phi-powers": _Kind(
-        lambda s, n, prec: s.field.generator() ** _phi_exponent(s, n) * s._p("base").quotient(n, prec),
-        lambda s, n: _base_scaled(s, n, s.field.generator() ** _phi_exponent(s, n)),
+        _scaled(lambda s, n: s.field.generator() ** _phi_exponent(s, n)),
+        lambda s, n: _decomposition(s, n, s.field.generator() ** _phi_exponent(s, n)),
         lambda desc: spec("phi-powers", field=phi_field(), base=_base(desc),
                           offset=_int(desc, "offset")),
     ),
     "sqrt-j-scaled": _Kind(
-        lambda s, n, prec: s._p("sqrt_elem") * s._p("base").quotient(n, prec),
-        lambda s, n: _base_scaled(s, n, s._p("sqrt_elem")),
+        _scaled(lambda s, n: s._p("sqrt_elem")),
+        lambda s, n: _decomposition(s, n, s._p("sqrt_elem")),
         _parse_sqrt_j_scaled,
     ),
     "one-plus-over-sqrt": _Kind(
@@ -519,7 +519,7 @@ KINDS: dict[str, _Kind] = {
         exact=False,
     ),
     "custom": _Kind(
-        lambda s, n, prec: s._p("fn")(n),
+        lambda s, n, prec: (0, s._p("fn")(n)),
         lambda s, n: s._p("decomp_fn")(n) if s._p("decomp_fn") else None,
     ),
 }

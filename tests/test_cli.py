@@ -91,6 +91,15 @@ def test_malformed_config_exit_two(tmp_path):
     assert rc2 == 2
 
 
+def test_out_into_missing_directory_exit_two(tmp_path, capsys):
+    # the report is written after the run; a path it cannot open is an error, not a fail verdict
+    path = tmp_path / "missing" / "r.json"
+    assert main(["remark", "--N", "3", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert str(path) in captured.err and captured.err.count("\n") == 1
+
+
 def test_unknown_named_example_exit_two():
     assert main(["check-named-example", "nope"]) == 2
 

@@ -49,6 +49,11 @@ MALFORMED = [
     {"task": "relation", "sequences": _SEQUENCES, "params": {"values": 3}},
     {"task": "lemma1", "sequences": _SEQUENCES, "params": {"a": ["x"]}},
     {"task": "convergents", "sequences": _SEQUENCES, "params": {"sequence": ["a"]}},
+    # descriptors whose quotients have no meaning
+    {"task": "check-theorem1",
+     "sequences": {"a": {"kind": "div-by-j", "j": 0, "base": _SEQUENCES["b"]}}},
+    {"task": "check-theorem1", "sequences": {"a": {"kind": "hanluc", "j": 3}}},
+    {"task": "check-theorem1", "sequences": {"a": {"kind": "pow2-geometric", "d": -1}}},
 ]
 
 
@@ -97,6 +102,9 @@ def test_malformed_config_exits_two_without_traceback(config):
      "use must be 'truncation' or 'limit', got None"),
     ({"task": "check-theorem1", "sequences": _SEQUENCES, "params": {"mode": ""}},
      "mode must be 'auto', 'real-part-sign' or 'house-half', got ''"),
+    (MALFORMED[-3], "j must be at least 1, got 0"),
+    (MALFORMED[-2], "hanluc j must be 1 or 2, got 3"),
+    (MALFORMED[-1], "d must be at least 0, got -1"),
 ])
 def test_malformed_value_message(config, message):
     # a present value is parsed even when it is falsy; only a missing key is absent

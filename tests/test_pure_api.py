@@ -201,6 +201,17 @@ def _tracer():
     return mod
 
 
+def test_tracer_methods_exist():
+    # Tracer.install wraps each of these methods by name, so a rename or a
+    # removal would fail every traced benchmark run
+    missing = []
+    for (modname, clsname), methods in _tracer().METHODS.items():
+        cls = getattr(importlib.import_module(modname), clsname, None)
+        missing += [f"{modname}.{clsname}.{attr}" for attr in methods
+                    if not inspect.isfunction(getattr(cls, attr, None))]
+    assert missing == []
+
+
 def test_benchmark_layer_metrics_name_traced_functions():
     # the tracer wraps the functions in each layer module's __all__ and the
     # methods it lists; a per-layer metric of BENCHMARK.json that names
@@ -212,11 +223,8 @@ def test_benchmark_layer_metrics_name_traced_functions():
         mod = importlib.import_module(modname)
         traced.update(f"{layer}.{name}" for name in mod.__all__
                       if inspect.isfunction(getattr(mod, name)) and getattr(mod, name).__module__ == modname)
-    for (modname, clsname), methods in tracer.METHODS.items():
-        cls = getattr(importlib.import_module(modname), clsname)
-        for attr, name in methods.items():
-            assert inspect.isfunction(getattr(cls, attr)), f"{clsname}.{attr}"
-            traced.add(f"{tracer.LAYERS[modname]}.{name}")
+    for (modname, _), methods in tracer.METHODS.items():
+        traced.update(f"{tracer.LAYERS[modname]}.{name}" for name in methods.values())
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     unresolved = []
     for metric in benchmark["per_layer"]:

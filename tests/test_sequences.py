@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfindep import sequences
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval
 from cfindep.bigreal.poly import IntPoly
@@ -11,7 +12,6 @@ from cfindep.errors import BitBudgetExceeded, RootsNotRealDistinctGreaterOne, Un
 from cfindep.numfield import FieldElement, field_new, is_algebraic_integer
 from cfindep.sequences import (
     divisor_count,
-    gen_doubly_exponential,
     harmonic,
     nth_prime,
     parse_sequence,
@@ -57,20 +57,40 @@ def test_harmonic_exact():
     assert harmonic(10) == sum(Fraction(1, k) for k in range(1, 11))
 
 
+def _doubly_exponential(d, n, c=1):
+    return spec("doubly-exponential", d=d, c=c).quotient(n)
+
+
 def test_doubly_exponential_values():
-    assert gen_doubly_exponential(3, 1) == 8
-    assert gen_doubly_exponential(3, 2) == 2 ** 18
-    assert gen_doubly_exponential(2, 3) == 2 ** 24
-    assert gen_doubly_exponential(2, 1, c=3) == 2 ** 6
+    assert _doubly_exponential(3, 1) == 8
+    assert _doubly_exponential(3, 2) == 2 ** 18
+    assert _doubly_exponential(2, 3) == 2 ** 24
+    assert _doubly_exponential(2, 1, c=3) == 2 ** 6
+    assert spec("doubly-exponential", d=3).pair(2, None) == (18, 1)
 
 
 def test_bit_guard():
     # the guard is a fixed 10**6 bits per quotient
-    assert gen_doubly_exponential(2, 15) == 2 ** (15 * 2 ** 15)  # 491,521 bits
+    assert _doubly_exponential(2, 15) == 2 ** (15 * 2 ** 15)  # 491,521 bits
     with pytest.raises(BitBudgetExceeded):
-        gen_doubly_exponential(2, 16)  # 1,048,577 bits
+        _doubly_exponential(2, 16)  # 1,048,577 bits
     with pytest.raises(BitBudgetExceeded):
-        gen_doubly_exponential(3, 14)
+        _doubly_exponential(3, 14)
+
+
+def test_derived_kind_past_the_guard(monkeypatch):
+    # a_16 = 2**(16 * 2**16) / 3: its pair is read without building 2**E, and
+    # quotient and decomposition, which build it, refuse it with one message
+    s = spec("div-by-j", base=spec("doubly-exponential", d=2), j=3)
+    with monkeypatch.context() as m:
+        m.setattr(sequences, "_pow2", None)
+        assert s.pair(16, None) == (16 * 2 ** 16, Fraction(1, 3))
+    with pytest.raises(BitBudgetExceeded) as quotient:
+        s.quotient(16)
+    with pytest.raises(BitBudgetExceeded) as decomposition:
+        s.decomposition(16)
+    assert str(quotient.value) == str(decomposition.value) \
+        == "quotient needs 1048577 bits, guard is 1000000"
 
 
 def test_constant_fields_pass_field_new():
@@ -103,11 +123,11 @@ def test_corollary_families():
     base3 = spec("doubly-exponential", d=3)
     dv = spec("divisor-sqrt2", field=f, base=base3, variant="d")
     q6 = dv.quotient(6)
-    assert q6.coords == (Fraction(0), gen_doubly_exponential(3, 6) * 4)
+    assert q6.coords == (Fraction(0), _doubly_exponential(3, 6) * 4)
     ph = spec("phi-powers", field=phi_field(), base=base3, offset=1)
     q3 = ph.quotient(3)
     phi = phi_field().generator()
-    assert ((phi ** 5) * gen_doubly_exponential(3, 3) - q3).is_zero()
+    assert ((phi ** 5) * _doubly_exponential(3, 3) - q3).is_zero()
 
 
 def test_polynomial_root_family_ex1():
