@@ -10,7 +10,6 @@ verdict; 2 usage or config error; 3 precision exhaustion.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -182,7 +181,8 @@ _SEQUENCE_NAMES = _checked(
     "a nonempty list of configured sequence names")
 
 # Every task parameter: its parser (value, key, cfg) -> parsed value, a
-# description, and the argparse type of its flag (None: config only).
+# description, and the type its --flag's value is converted with (None:
+# config only).
 _PARAMS = {
     "N": (*_integer(1), int),
     "precision": (*_integer(MIN_PRECISION), int),
@@ -444,52 +444,103 @@ def run(cfg: RunConfig, timings: bool = False) -> tuple[int, dict, list[str]]:
     return code, report, lines
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cfindep",
-        description="exact continued fractions: hypothesis checking, lemma "
-                    "verification, and integer-relation probes",
-    )
-    ap.add_argument("task", choices=TASKS)
-    ap.add_argument("name", nargs="?", help="named example (check-named-example/relation)")
-    ap.add_argument("--config", help="path to a JSON run config")
-    for key, (_, text, flag) in _PARAMS.items():
-        if flag:
-            ap.add_argument(f"--{key}", type=flag, help=text)
-    ap.add_argument("--out", help="write the report to this path")
-    ap.add_argument("--format", choices=("json", "text"))
-    ap.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (breaks byte determinism)")
-    return ap
+# The flags outside the parameter table, each with its value's type (None:
+# takes no value), the value's name and its help line.
+_OPTIONS = {
+    "config": (str, "PATH", "path to a JSON run config"),
+    "out": (str, "PATH", "write the report to this path"),
+    "format": (str, "json|text", "report format (default json)"),
+    "timings": (None, "", "include wall-clock timings (breaks byte determinism)"),
+}
+_FLAGS = {**{key: (flag, "VALUE", text) for key, (_, text, flag) in _PARAMS.items() if flag},
+          **_OPTIONS}
+_USAGE = "usage: cfindep TASK [NAME] [--KEY VALUE | --KEY=VALUE ...]  (cfindep --help lists them)"
+
+
+def _help() -> str:
+    rows = [(f"--{key} {metavar}".rstrip(), text) for key, (_, metavar, text) in _FLAGS.items()]
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(flag) for flag, _ in rows)
+    return "\n".join([
+        _USAGE, "",
+        "exact continued fractions: hypothesis checking, lemma verification, "
+        "and integer-relation probes", "",
+        "TASK is one of " + ", ".join(TASKS) + ".",
+        "NAME is a named example (check-named-example, relation).", "",
+        "Each flag is spelled out in full, as --KEY VALUE or --KEY=VALUE:",
+        *(f"  {flag:<{width}}  {text}" for flag, text in rows),
+    ]) + "\n"
+
+
+def _read_argv(argv: list[str]) -> tuple[str, str | None, dict]:
+    """(task, NAME or None, flag values) of a command line; a malformed one
+    raises ValueError."""
+    words, flags = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        key = flag[2:]
+        if not flag.startswith("--") or key not in _FLAGS or (eq and _FLAGS[key][0] is None):
+            raise ValueError(f"unrecognized argument {token!r}")
+        kind = _FLAGS[key][0]
+        if kind is None:
+            flags[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{flag} expects a value")
+        try:
+            flags[key] = kind(value)
+        except ValueError:  # only int refuses a string
+            raise ValueError(f"{flag} expects an integer, got {value!r}") from None
+    if not words:
+        raise ValueError("a TASK is required")
+    if words[0] not in TASKS:
+        raise ValueError(f"unknown task {words[0]!r}; TASK is one of {', '.join(TASKS)}")
+    if len(words) > 2:
+        raise ValueError(f"unexpected argument {words[2]!r}")
+    if flags.get("format", "json") not in ("json", "text"):
+        raise ValueError(f"--format must be json or text, got {flags['format']!r}")
+    return words[0], words[1] if len(words) == 2 else None, flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help())
+        return 0
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
+        task, name, flags = _read_argv(argv)
+    except ValueError as e:
+        print(_USAGE, f"error: {e}", sep="\n", file=sys.stderr)
+        return 2
+    try:
+        if flags.get("config"):
+            with open(flags["config"], "r", encoding="utf-8") as fh:
                 cfg = RunConfig.from_dict(json.load(fh))
-            if cfg.task != args.task:
-                raise ValueError(f"config task {cfg.task!r} does not match {args.task!r}")
+            if cfg.task != task:
+                raise ValueError(f"config task {cfg.task!r} does not match {task!r}")
         else:
-            cfg = RunConfig(task=args.task)
-        for key, (_, _, flag) in _PARAMS.items():
-            if flag and getattr(args, key) is not None:
-                cfg.params[key] = getattr(args, key)
-        if args.name:
-            cfg.params.setdefault("name", args.name)
-            if args.task == "relation":
-                cfg.params.setdefault("example", args.name)
-        if args.out:
-            cfg.output["path"] = args.out
-        if args.format:
-            cfg.output["format"] = args.format
+            cfg = RunConfig(task=task)
+        cfg.params.update((key, flags[key]) for key in _PARAMS if key in flags)
+        if name:
+            cfg.params.setdefault("name", name)
+            if task == "relation":
+                cfg.params.setdefault("example", name)
+        if flags.get("out"):
+            cfg.output["path"] = flags["out"]
+        if flags.get("format"):
+            cfg.output["format"] = flags["format"]
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
     try:
-        code, report, lines = run(cfg, timings=args.timings)
+        code, report, lines = run(cfg, timings=flags.get("timings", False))
     except (PrecisionInsufficient, IndeterminateAtPrecision, PrecisionTooLow) as e:
         print(f"precision exhausted: {e}", file=sys.stderr)
         return 3

@@ -477,6 +477,14 @@ def _pairs(table: QuotientTable, N: int, evaluate):
     return ([((n, j), *evaluate(n, j)) for j in range(1, table.M + 1)] for n in range(1, N + 1))
 
 
+def _while_passing(rows):
+    """The rows up to and including the first with a verdict other than pass."""
+    for row in rows:
+        yield row
+        if any(verdict != PASS for _, verdict, _ in row):
+            return
+
+
 def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
     """Run every condition for n <= N and aggregate into one report.
 
@@ -524,13 +532,16 @@ def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
 
 
 def _check_condition5(table: QuotientTable, N: int, precision: int):
-    """Try house-half, fall back to the sign condition in auto mode."""
-    mode = table.cfg.condition5_mode
-    modes = [mode] if mode != "auto" else ["house-half", "real-part-sign"]
-    for mode in modes:
+    """Try house-half, fall back to the sign condition in auto mode.
+
+    Auto mode keeps the house-half report only when every index passes, so
+    it stops house-half at the first row that does not.
+    """
+    auto = table.cfg.condition5_mode == "auto"
+    for mode in ["house-half", "real-part-sign"] if auto else [table.cfg.condition5_mode]:
         if mode == "house-half":
-            report = _fold("house-inverse-half", N, _pairs(
-                table, N, lambda n, j: _check_house_half(table, n, j, precision)))
+            rows = _pairs(table, N, lambda n, j: _check_house_half(table, n, j, precision))
+            report = _fold("house-inverse-half", N, _while_passing(rows) if auto else rows)
         else:
             try:
                 signs = derive_sign_table(table, precision)

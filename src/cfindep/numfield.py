@@ -28,9 +28,6 @@ from .bigreal.interval import (
 from .bigreal.poly import (
     IntPoly,
     SturmChain,
-    _qdeg,
-    _qdivmod,
-    _qtrim,
     complex_root_boxes,
     factor_with_roots,
     isolate_real_roots,
@@ -239,33 +236,19 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero field element")
-        if self.is_rational():
-            return self.field.from_rational(1 / self.coords[0])
-        # extended Euclid in Q[t] against the minimal polynomial
-        f = [Fraction(c) for c in self.field.minpoly.coeffs]
-        r0, r1 = f, _qtrim(list(self.coords))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _qdeg(r1) > 0:
-            q, r = _qdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _sub_q(s0, _mul_q(q, s1))
-        if _qdeg(r1) != 0:
-            raise DivisionByZero("element is not invertible (degenerate field?)")
-        return self.field.element([c / r1[0] for c in s1])
+        return _divide(self.field.one(), self)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _divide(self, o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _divide(o, self)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -324,23 +307,69 @@ def _coord_str(c: Fraction) -> str:
         return f"{'-' if c < 0 else ''}<{c.numerator.bit_length()}-bit>/<{c.denominator.bit_length()}-bit>"
 
 
-# -- small exact polynomial helpers over Q (dense, constant first) ------------
+# -- division -----------------------------------------------------------------
 
-def _sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _qtrim([x - y for x, y in zip(a, b)])
+def _divide(x: FieldElement, y: FieldElement) -> FieldElement:
+    """x / y, each coordinate reduced once.
+
+    A rational y divides coordinate-wise.  Otherwise x = X/ex and y = Y/ey
+    with integer vectors X, Y, and x/y = (ey/ex) * adj(M_Y) X / det(M_Y) for
+    M_Y the integer matrix of multiplication by Y (the minimal polynomial is
+    monic and integral), so only the last step leaves the integers.
+    """
+    if y.is_rational():
+        r = y.coords[0]
+        if r == 0:
+            raise DivisionByZero("division by the zero field element")
+        return FieldElement(tuple(c / r for c in x.coords), x.field)
+    ex, X = _integral(x.coords)
+    ey, Y = _integral(y.coords)
+    det, W = _adjugate_solve(x.field.minpoly.coeffs, Y, X)
+    if det == 0:
+        raise DivisionByZero("element is not invertible (degenerate field?)")
+    den = det * ex
+    return FieldElement(tuple(Fraction(w * ey, den) for w in W), x.field)
 
 
-def _mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _qtrim(out)
+def _integral(coords: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(e, X) with coords = X/e, e the least common denominator."""
+    e = math.lcm(*(c.denominator for c in coords))
+    return e, [c.numerator * (e // c.denominator) for c in coords]
+
+
+def _adjugate_solve(f: tuple[int, ...], Y: list[int], X: list[int]) -> tuple[int, list[int]]:
+    """(det, adj(M_Y) X) up to one common sign, M_Y the multiplication-by-Y
+    matrix modulo the monic f.
+
+    Degree 2 multiplies by the conjugate of Y; higher degrees run
+    fraction-free Gauss-Jordan elimination on [M_Y | X], whose every
+    division is exact and which ends with det(M_Y) on the diagonal.
+    """
+    if len(Y) == 2:
+        (c0, c1, _), (a, b), (p, q) = f, Y, X
+        r = a - b * c1  # Y's conjugate is r - b*theta
+        return a * r + c0 * b * b, [p * r + c0 * q * b, q * a - p * b]
+    D = len(Y)
+    cols = [Y]
+    for _ in range(D - 1):  # Y theta^j, reduced by theta^D = -(f_0 + ... + f_{D-1} theta^(D-1))
+        v = cols[-1]
+        top = v[-1]
+        cols.append([-top * f[0]] + [v[i - 1] - top * f[i] for i in range(1, D)])
+    rows = [[col[i] for col in cols] + [X[i]] for i in range(D)]
+    prev = 1
+    for k in range(D):
+        piv = next((i for i in range(k, D) if rows[i][k]), None)
+        if piv is None:
+            return 0, []
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(D):
+            if i != k:
+                g = rows[i][k]
+                rows[i] = [(p * u - g * v) // prev for u, v in zip(rows[i], pivot_row)]
+        prev = p
+    return prev, [row[D] for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,14 @@ def _decomposition(s: CFSpec, n: int, b=1, d=1, mult: int = 1) -> Decomposition 
     return Decomposition(S, Fraction(b), Fraction(0), Fraction(d))
 
 
+def _prime_pi_decomposition(s: CFSpec, n: int) -> Decomposition | None:
+    """b_n ((n + pi(n))/n)^j, the ratio turned over for j < 0 so S and d stay integers."""
+    j, up, down = s._p("j"), n + prime_pi(n), n
+    if j < 0:
+        up, down = down, up
+    return _decomposition(s, n, 1, down ** abs(j), up ** abs(j))
+
+
 def _polynomial(s: CFSpec, n: int, prec) -> tuple:
     acc = Fraction(0)
     for c in reversed(s._p("coeffs")):
@@ -494,7 +502,7 @@ KINDS: dict[str, _Kind] = {
     ),
     "prime-pi-power": _Kind(
         _scaled(lambda s, n: (1 + Fraction(prime_pi(n), n)) ** s._p("j")),
-        lambda s, n: _decomposition(s, n, 1, n ** s._p("j"), (n + prime_pi(n)) ** s._p("j")),
+        _prime_pi_decomposition,
         lambda desc: spec("prime-pi-power", base=_base(desc), j=_int(desc, "j")),
     ),
     "divisor-sqrt2": _Kind(

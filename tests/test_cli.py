@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from cfindep import cli
 from cfindep.cli import RunConfig, main
 
 SCHEMA_PATH = "src/cfindep/schemas/report.schema.json"
@@ -368,3 +370,41 @@ def test_interval_sequence_theorem1_reports(tmp_path, mode):
     assert verdicts["decomposition"] == verdicts["house-growth-bound"] == "indeterminate"
     assert verdicts["interleaving"] == "fail"  # a_{1,1} = 8 > max(2 * 2, 2^2)
     jsonschema.validate(report, _schema())
+
+
+def test_flag_equals_value(capsys):
+    assert main(["remark", "--N=3"]) == 0
+    joined = capsys.readouterr()
+    assert main(["remark", "--N", "3"]) == 0
+    assert capsys.readouterr() == joined
+
+
+@pytest.mark.parametrize("argv", [
+    ["remark", "--bogus", "3"],
+    ["remark", "--prec", "64"],  # no abbreviations
+    ["remark", "--N"],
+    ["remark", "--N", "x"],
+    ["remark", "--format", "xml"],
+    ["no-such-task"],
+    [],
+])
+def test_malformed_command_line_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ") and error.startswith("error: ")
+
+
+def test_help_lists_every_flag(capsys):
+    assert main(["--help"]) == 0
+    listed = set(re.findall(r"^  --(\w+)", capsys.readouterr().out, re.M))
+    flagged = {key for key, (_, _, flag) in cli._PARAMS.items() if flag}
+    assert listed == flagged | {"config", "out", "format", "timings"}
+    assert main(["remark", "-h"]) == 0
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cfindep", "remark", "--N", "3", "--format", "text"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("task: remark\nstatus: pass\n")

@@ -82,6 +82,30 @@ def test_house_half_verdicts():
     assert _house_reports(_sqrt2_scaled_config(5), 1, 96)["house-inverse-half"].verdict == "fail"
 
 
+def test_auto_mode_stops_house_half_at_the_first_failing_index(monkeypatch):
+    # ex1 fails house(1/a) >= 1/2 at n = 1 and auto mode reports real-part-sign,
+    # so no later index's house(1/a) is computed; forced house-half computes all
+    computed = Counter()
+    inverse_house = QuotientTable.inverse_house
+
+    def counted(self, n, j, work):
+        computed[self.cfg.condition5_mode, n] += 1
+        return inverse_house(self, n, j, work)
+
+    monkeypatch.setattr(QuotientTable, "inverse_house", counted)
+    assert check_all(build_config("ex1"), 3, 128).mode_used == "real-part-sign"
+    assert {n for _, n in computed} == {1}
+    _house_reports(build_config("ex1"), 3, 128)
+    assert {n for mode, n in computed if mode == "house-half"} == {1, 2, 3}
+
+
+def test_auto_mode_keeps_a_passing_house_half_report():
+    rep = check_all(_sqrt2_scaled_config(1), 4, 96)
+    half = rep.conditions[1]
+    assert (rep.mode_used, half.name, half.verdict) == ("house-half", "house-inverse-half", "pass")
+    assert len(half.margin_series) == 4
+
+
 def test_house_bound_example():
     # b = 4 + sqrt2 scaled by doubly-exponential base: the growth bound holds
     # for all n >= 1 at d=3, gamma=1/2 (house(1/a) < 1/2 still fails, which is

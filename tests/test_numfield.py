@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, iv_mul
@@ -339,3 +339,66 @@ def test_norm_and_minimal_polynomial_match_sympy(name, coords):
     g = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(x.coords))
     expected = sympy.Poly(sympy.minimal_polynomial(g.subs(t, root), y), y).monic().all_coeffs()[::-1]
     assert minimal_polynomial(x) == [Fraction(str(c)) for c in expected]
+
+
+# x / y against sympy's algebraic field: random monic irreducible quadratics
+# and cubics, and the compositum Q(sqrt 2, sqrt 3) of t2 at K = 3
+_T = sympy.symbols("t")
+
+
+def _sympy_field(poly: IntPoly):
+    return sympy.QQ.algebraic_field(sympy.CRootOf(sympy.Poly(poly.coeffs[::-1], _T), 0))
+
+
+def _to_sympy(K, x):
+    return K([sympy.QQ(c.numerator, c.denominator) for c in reversed(x.coords)])
+
+
+def _from_sympy(a, degree: int) -> tuple:
+    coords = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(a.to_list())]
+    return tuple(coords + [Fraction(0)] * (degree - len(coords)))
+
+
+@st.composite
+def _division_cases(draw):
+    shape = draw(st.sampled_from(["quadratic", "cubic", "t2"]))
+    if shape == "t2":
+        from cfindep.catalog import build_config
+
+        poly = build_config("t2", K=3).field.minpoly
+    else:
+        low = draw(st.lists(st.integers(-20, 20), min_size=2 if shape == "quadratic" else 3,
+                            max_size=2 if shape == "quadratic" else 3))
+        poly = IntPoly.of(*low, 1)
+        assume(sympy.Poly(poly.coeffs[::-1], _T).is_irreducible)
+    D = poly.degree()
+
+    def coords():  # numerators of up to 10^4 bits over denominators of up to 64
+        bits = draw(st.sampled_from([4, 64, 10_000]))
+        return draw(st.lists(st.builds(Fraction, st.integers(-2 ** bits, 2 ** bits),
+                                       st.integers(1, 2 ** min(bits, 64))), min_size=D, max_size=D))
+
+    x, y = coords(), coords()
+    divisor = draw(st.sampled_from(["dense", "zero coordinate", "rational"]))
+    if divisor == "rational":
+        y[1:] = [Fraction(0)] * (D - 1)
+    elif divisor == "zero coordinate":
+        y[draw(st.integers(0, D - 1))] = Fraction(0)
+    assume(any(y))
+    field = NumberField(poly, None)
+    return field, field.element(x), field.element(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_division_cases())
+def test_division_matches_sympy(case):
+    field, x, y = case
+    K = _sympy_field(field.minpoly)
+    X, Y = _to_sympy(K, x), _to_sympy(K, y)
+    assert (x / y).coords == _from_sympy(X / Y, field.degree)
+    assert y.inverse().coords == _from_sympy(K.one / Y, field.degree)
+    assert (x / y) * y == x
+    assert Fraction(3, 7) / y == y.inverse() * Fraction(3, 7)
+    for zero in (0, Fraction(0), field.zero()):
+        with pytest.raises(DivisionByZero):
+            x / zero

@@ -193,6 +193,27 @@ def test_cli_import_runs_no_dataclass_code_generator():
     assert out.stdout.strip() == "[]"
 
 
+# argparse's gettext lookups import locale: about 3 ms of every cold run
+_NO_ARGPARSE = """
+import contextlib, io, sys
+import cfindep.cli
+loaded = lambda: sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+imported = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cfindep.cli.main(["check-named-example", "c2"])
+print(imported, code, loaded())
+"""
+
+
+def test_cli_loads_no_argument_parser():
+    src = os.path.dirname(os.path.dirname(cfindep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _NO_ARGPARSE], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[] 0 []"
+
+
 def _tracer():
     """``perfbench/tracer.py``, loaded read-only."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")

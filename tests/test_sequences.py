@@ -280,3 +280,13 @@ def test_interval_base_rejected_in_code_and_json(kind):
         parse_sequence(desc)
     desc["base"] = {"kind": "constant", "value": "5/2"}
     assert parse_sequence(desc).kind == kind  # the same descriptor with an exact base
+
+
+@pytest.mark.parametrize("j", [-1, -2])
+def test_prime_pi_power_negative_j_decomposes(j):
+    # a_n = b_n (n/(n + pi(n)))^|j|: S = b_n n^|j| and d = (n + pi(n))^|j| stay integers
+    s = spec("prime-pi-power", base=spec("doubly-exponential", d=2), j=j)
+    cfg = Thm1Config(M=1, sequences=[s])
+    for n in range(1, 5):
+        assert type(s.decomposition(n).S) is int
+        assert check_decomposition(QuotientTable(cfg), n, 1) == "pass", n
