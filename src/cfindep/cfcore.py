@@ -1,10 +1,8 @@
 """Continued-fraction engine over exact scalars.
 
-Scalars are a closed union: int/Fraction, FieldElement, or DyadicInterval
-(the last for sequences that are real but not algebraic over a fixed field,
-e.g. 1 + 2/sqrt(n)).  ``scalar`` is the one place that reads a scalar's
-type: it returns the record that says how to enclose, sign, house and
-embed it, and refuses every other type.  Recurrences and the determinant
+Scalars are a closed union: int/Fraction or FieldElement.  ``scalar`` is
+the one place that reads a scalar's type: it returns the record that says
+how to enclose, sign, house and embed it, and refuses every other type.  Recurrences and the determinant
 identity are exact whenever the scalars are; value enclosures are rigorous
 dyadic intervals obtained from consecutive convergents.
 """
@@ -19,7 +17,6 @@ from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
     DyadicInterval,
     from_fraction,
-    iv_abs,
     iv_div,
     iv_hull,
     iv_mul,
@@ -52,17 +49,14 @@ class _Scalar:
     and a precision for a rounded answer.  A rational rounds by
     ``from_fraction`` and a field element by ``numfield``'s own rule (a
     rational one at prec + 8), so neither is ever converted to the other.
-    ``sign`` is exact for exact scalars and None for an interval that
-    straddles zero.  Only exact scalars are asked for ``house``,
-    ``is_integral``, ``key`` (equal for equal values, across fields too) and
-    ``field``."""
+    ``sign`` is exact, and ``key`` is equal for equal values, across fields
+    too."""
 
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, enclosure: Callable, sign: Callable, inverse_house: Callable,
-                 re_parts: Callable, house: Callable | None = None,
-                 is_integral: Callable | None = None, key: Callable | None = None,
-                 field: Callable | None = None):
+                 re_parts: Callable, house: Callable, is_integral: Callable, key: Callable,
+                 field: Callable):
         self.__dict__.update(enclosure=enclosure, sign=sign, inverse_house=inverse_house,
                              re_parts=re_parts, house=house, is_integral=is_integral, key=key,
                              field=field)
@@ -71,14 +65,6 @@ class _Scalar:
 def _field_re_parts(x: FieldElement, prec: int) -> list[DyadicInterval]:
     e = embeddings(x.field, prec)
     return [sigma_eval(e, x, i)[0] for i in range(e.degree)]
-
-
-def _interval_sign(x: DyadicInterval):
-    if x.lo.sign() > 0:
-        return 1
-    if x.hi.sign() < 0:
-        return -1
-    return 0 if x.is_point() else None
 
 
 # names are looked up per call: perfbench/tracer.py rebinds them
@@ -102,31 +88,23 @@ _ALGEBRAIC = _Scalar(
     key=lambda x: x.as_fraction() if x.is_rational() else (x.field, x.coords),
     field=lambda x: x.field,
 )
-_INTERVAL = _Scalar(
-    enclosure=lambda x, prec: x,
-    sign=_interval_sign,
-    inverse_house=lambda x, prec: iv_abs(iv_div(singleton(1), x, prec)),
-    re_parts=lambda x, prec: [x],
-)
 
 
 def scalar(x) -> tuple:
     """(x, how to read it); an int becomes a Fraction.  Any type but int,
-    Fraction, FieldElement and DyadicInterval (a float, say) raises
+    Fraction and FieldElement (a float or an interval, say) raises
     TypeError, so no float ever enters a computation."""
     if isinstance(x, Fraction):
         return x, _RATIONAL
     if isinstance(x, FieldElement):
         return x, _ALGEBRAIC
-    if isinstance(x, DyadicInterval):
-        return x, _INTERVAL
     if isinstance(x, int):
         return Fraction(x), _RATIONAL
     raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
 def scalar_sign(x):
-    """Exact sign for exact scalars; None when an interval straddles zero."""
+    """Exact sign."""
     x, s = scalar(x)
     return s.sign(x)
 
@@ -142,9 +120,9 @@ def scalar_enclosure(x, prec: int) -> DyadicInterval:
 
 
 def scalar_at_least_one(x) -> bool:
-    """Certainly >= 1 under the identity embedding (exact for exact scalars)."""
+    """Exactly >= 1 under the identity embedding."""
     x, s = scalar(x)
-    return x.lo >= Dyadic(1) if s is _INTERVAL else s.sign(x - 1) >= 0
+    return s.sign(x - 1) >= 0
 
 
 # -- convergent recurrence -----------------------------------------------------
@@ -178,7 +156,7 @@ def advance(state: ConvergentState, a_next) -> ConvergentState:
 
 
 def determinant_value(state: ConvergentState):
-    """q_n p_{n-1} - p_n q_{n-1}; equals (-1)^n for exact CF states."""
+    """q_n p_{n-1} - p_n q_{n-1}, which equals (-1)^n."""
     return state.q_cur * state.p_prev - state.p_cur * state.q_prev
 
 
@@ -214,12 +192,12 @@ def _convergent_interval(state: ConvergentState, work: int) -> DyadicInterval:
     return iv_div(scalar_enclosure(p, work), scalar_enclosure(q, work), work)
 
 
-def _quotient_states(cf, n: int, work: int) -> list[ConvergentState]:
+def _quotient_states(cf, n: int) -> list[ConvergentState]:
     """States of orders 1 .. n+3, each quotient certified >= 1."""
     st = initial_state(0)
     states = []
     for k in range(1, n + 4):
-        a = cf.quotient(k, work)
+        a = cf.quotient(k)
         if not scalar_at_least_one(a):
             raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
         st = advance(st, a)
@@ -267,14 +245,13 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     than requested: their hull sits strictly inside the order-n bracket with
     margin, so outward rounding can violate neither containment nor the width
     bound 1/(q_n q_{n+1}).  The working precision doubles, up to 8 rungs from
-    prec + 16 bits, until that bound is met.  The convergent states of an
-    exact spec do not depend on it, so they are built once; an
-    interval-valued spec rebuilds them on every rung.  A rung whose
-    order-(n+2) convergent alone is wider than the bound fails without
-    evaluating the order-(n+3) one, since their hull contains it.
+    prec + 16 bits, until that bound is met.  The convergent states do not
+    depend on it, so they are built once.  A rung whose order-(n+2)
+    convergent alone is wider than the bound fails without evaluating the
+    order-(n+3) one, since their hull contains it.
 
-    An exact spec also skips, without computing them, the rungs that must
-    fail by the following lemma, with c = 3.  ``iv_div`` and
+    The loop skips, without computing them, the rungs that must fail by the
+    following lemma, with c = 3.  ``iv_div`` and
     ``from_fraction`` at ``work`` bits round each endpoint x to a mantissa of
     at most work + 2 bits, so x is a multiple of a power of two
     2**k >= |x| * 2**-(work + 2).  Let 2**e <= p/q for the order-(n+2)
@@ -289,8 +266,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     A skipped rung fails like a computed one, so every outcome,
     ``PrecisionInsufficient`` included, is the same as without the skip.
 
-    An exact spec also tries each rung first against a coarse bound: half
-    the lower end B64 of 1/(q_n q_{n+1}) from the same 64-bit enclosures.
+    Each rung is tried first against a coarse bound: half the lower end B64 of 1/(q_n q_{n+1}) from the same 64-bit enclosures.
     It never exceeds the lower end B of the bound at ``work``.  With
     Q = q_n q_{n+1}, B64 <= 1/Q, since those enclosures contain q_n and
     q_{n+1}.  At ``work`` = w >= 4 bits, each q >= 1 is enclosed with an
@@ -303,23 +279,19 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     B, and returns what it would return against B, having enclosed only p
     and q of orders n+2 and n+3 at ``work``; only a rung the coarse bound
     leaves undecided computes B.  So every outcome, ``PrecisionInsufficient``
-    included, is again the same.  An interval-valued spec has no 64-bit
-    pass; its coarse bound is 0, which only a point meets.
+    included, is again the same.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     work = prec + 16
-    exact_states = _quotient_states(cf, n, work) if cf.is_exact() else None
-    least, coarse = 0, Dyadic(0)
-    if exact_states:
-        qq = _q_product(exact_states, n, 64)
-        least = _least_useful_work(exact_states, n, qq)
-        coarse = iv_div(singleton(1), qq, 64).lo.scaled(-1)
+    states = _quotient_states(cf, n)
+    qq = _q_product(states, n, 64)
+    least = _least_useful_work(states, n, qq)
+    coarse = iv_div(singleton(1), qq, 64).lo.scaled(-1)
     for _ in range(8):
         if work < least:
             work *= 2
             continue
-        states = exact_states or _quotient_states(cf, n, work)
         c1 = _convergent_interval(states[n + 1], work)  # order n+2
         value = None
         for bound in (coarse, None):

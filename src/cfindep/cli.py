@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bigreal.dyadic import rational_to_dyadic
-from .bigreal.interval import MIN_PRECISION, DyadicInterval, iv_div, singleton
+from .bigreal.interval import MIN_PRECISION, DyadicInterval, singleton
 from .bigreal.poly import IntPoly
 from .catalog import build_config, catalog, list_named_examples
 from .cfcore import (
@@ -271,7 +271,7 @@ def _task_convergents(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str
     rows = []
     lines = []
     for n in range(1, p["N"] + 1):
-        a = seq.quotient(n, 128)
+        a = seq.quotient(n)
         st = advance(st, a)
         det = determinant_value(st)
         det_str = "+1" if scalar_is_zero(det - 1) else ("-1" if scalar_is_zero(det + 1) else "?")
@@ -289,9 +289,7 @@ def _task_convergents(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str
 def _scalar_bits(x) -> int:
     if isinstance(x, FieldElement):
         return max(abs(c.numerator).bit_length() for c in x.coords)
-    if isinstance(x, Fraction):
-        return abs(x.numerator).bit_length()
-    return 0
+    return abs(x.numerator).bit_length()
 
 
 def _task_enclose(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
@@ -373,11 +371,8 @@ def _task_relation(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
         if p["use"] == "limit":
             values.append(enclose_value(s, n_trunc, prec + 48).value)
         else:
-            st = run_recurrence([s.quotient(k, prec + 48) for k in range(1, n_trunc + 1)])[-1]
-            if isinstance(st.q_cur, DyadicInterval):
-                values.append(iv_div(st.p_cur, st.q_cur, prec + 48))
-            else:
-                values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
+            st = run_recurrence([s.quotient(k) for k in range(1, n_trunc + 1)])[-1]
+            values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
     if expand and fld is not None:
         res = find_relation_over_field(values, fld, p["height"], prec)
     else:

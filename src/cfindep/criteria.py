@@ -150,9 +150,8 @@ def _growth_branches(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int,
     return first, second
 
 
-def growth_bound(a_value, n: int, gamma: Fraction, d: int, prec: int) -> DyadicInterval:
-    """max(2^((log2 a)^gamma), 2^(d^(n^gamma))) as an interval enclosure."""
-    a_iv = scalar_enclosure(a_value, prec)
+def growth_bound(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int, prec: int) -> DyadicInterval:
+    """max(2^((log2 a)^gamma), 2^(d^(n^gamma))) enclosed, from an enclosure of a."""
     if a_iv.lo.sign() <= 0:
         raise ValueError("growth bound needs a positive quotient enclosure")
     return iv_max(*_growth_branches(a_iv, n, gamma, d, prec))
@@ -176,23 +175,19 @@ def _once(method):
 class QuotientTable:
     """What the conditions of one ``check_all`` call read off the a_{n,j}.
 
-    Every answer is computed once: an exact quotient per (n, j), an
-    interval-valued one and everything rounded per (n, j, work), and a growth
-    bound per distinct argument.  The table lives for one call and is shared
-    with no other, so it needs no lock.
+    Every answer is computed once: a quotient per (n, j), everything rounded
+    per (n, j, work), and a growth bound per distinct argument.  The table
+    lives for one call and is shared with no other, so it needs no lock.
     """
 
     def __init__(self, cfg: Thm1Config):
         self.cfg, self.M, self.gamma, self.d = cfg, cfg.M, cfg.gamma, cfg.d
         self._memo: dict = {}
 
-    def quotient(self, n: int, j: int, work: int | None) -> tuple:
-        """(a_{n,j}, how to read it); an exact quotient does not depend on ``work``."""
-        return self._quotient(n, j, None if self.cfg.sequences[j - 1].is_exact() else work)
-
     @_once
-    def _quotient(self, n: int, j: int, work: int | None) -> tuple:
-        return scalar(self.cfg.sequences[j - 1].quotient(n, work))
+    def quotient(self, n: int, j: int) -> tuple:
+        """(a_{n,j}, how to read it)."""
+        return scalar(self.cfg.sequences[j - 1].quotient(n))
 
     @_once
     def decomposition(self, n: int, j: int):
@@ -200,7 +195,7 @@ class QuotientTable:
 
     @_once
     def enclosure(self, n: int, j: int, work: int) -> DyadicInterval:
-        x, how = self.quotient(n, j, work)
+        x, how = self.quotient(n, j)
         return how.enclosure(x, work)
 
     def bound(self, n: int, j: int, work: int) -> DyadicInterval:
@@ -219,21 +214,19 @@ class QuotientTable:
     @_once
     def inverse_house(self, n: int, j: int, work: int) -> DyadicInterval:
         """house(1/a_{n,j}) of a positive a_{n,j}."""
-        x, how = self.quotient(n, j, work)
+        x, how = self.quotient(n, j)
         return how.inverse_house(x, work)
 
     @_once
     def re_parts(self, n: int, j: int, work: int) -> list[DyadicInterval]:
         """Real parts of every conjugate embedding of a_{n,j} (own field)."""
-        x, how = self.quotient(n, j, work)
+        x, how = self.quotient(n, j)
         return how.re_parts(x, work)
 
     @_once
     def exact_ratio(self, n: int, j: int):
-        """a_{n,j}/a_{n,j+1} - 1 when both lie in one exact domain, else None."""
-        if not all(s.is_exact() for s in self.cfg.sequences[j - 1:j + 1]):
-            return None
-        (a, sa), (b, sb) = self.quotient(n, j, None), self.quotient(n, j + 1, None)
+        """a_{n,j}/a_{n,j+1} - 1 when both lie in one domain, else None."""
+        (a, sa), (b, sb) = self.quotient(n, j), self.quotient(n, j + 1)
         return a / b - 1 if sa.field(a) is sb.field(b) else None
 
 
@@ -265,7 +258,7 @@ def check_decomposition(table: QuotientTable, n: int, j: int) -> str:
         return FAIL
     if not all(how.is_integral(x) for x, how in map(scalar, (dec.b, dec.c, dec.d))):
         return FAIL
-    (a, sa), (r, sr) = table.quotient(n, j, None), scalar((dec.S * dec.b + dec.c) / dec.d)
+    (a, sa), (r, sr) = table.quotient(n, j), scalar((dec.S * dec.b + dec.c) / dec.d)
     return PASS if sa.key(a) == sr.key(r) and scalar_at_least_one(a) else FAIL
 
 
@@ -371,10 +364,11 @@ def ratio_margin(table: QuotientTable, j: int, N: int, precision: int) -> Margin
     """Series sqrt(n) * (a_{n,j}/a_{n,j+1} - 1), with trailing-window verdict.
 
     The verdict is prefix-consistent only: pass needs a certainly positive
-    trailing-window minimum that is not strictly decaying; a nonpositive
-    window minimum is a fail witness.  The trailing window is the last
-    ceil(N/4) indices, to suppress small-n transients.  An index where
-    either quotient is not certainly positive has margin 0.
+    trailing-window minimum, and a trailing window that is not strictly
+    decreasing; a nonpositive window minimum is a fail witness.  The
+    trailing window is the last ceil(N/4) indices, to suppress small-n
+    transients.  An index where either quotient is not certainly positive
+    has margin 0.
     """
     if not 1 <= j <= table.M - 1:
         raise ValueError("ratio condition needs 1 <= j <= M-1")
@@ -415,9 +409,11 @@ def _window_monotonicity(window: list[DyadicInterval]) -> str:
 def growth_margin(table: QuotientTable, j: int, N: int, precision: int) -> MarginSeries:
     """Series a_{n,j}^(1/d^n) in the log domain, with record tracking.
 
-    pass: at least two strictly increasing records with the final one
-    certainly above 2.  fail: a certainly decreasing trailing window that
-    stays below 2.  Anything else is indeterminate.
+    The verdict is prefix-consistent only: pass needs at least two strictly
+    increasing records with the final one certainly above 2, and a trailing
+    window that is not strictly decreasing; a strictly decreasing trailing
+    window that stays certainly below 2 is a fail witness.  Anything else
+    is indeterminate.  The trailing window is as in ``ratio_margin``.
     An index whose quotient is not certainly positive has value 0.
     """
     d = table.d
@@ -439,7 +435,7 @@ def growth_margin(table: QuotientTable, j: int, N: int, precision: int) -> Margi
     window = values[-max(1, -(-N // 4)):]
     mono = _window_monotonicity(window)
     wmax = max(window, key=lambda v: v.hi)
-    if len(records) >= 2 and last_record_val.certainly_gt(thr):
+    if len(records) >= 2 and last_record_val.certainly_gt(thr) and mono != "decreasing":
         verdict = PASS
     elif mono == "decreasing" and wmax.certainly_lt(thr):
         verdict = FAIL

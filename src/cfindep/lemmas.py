@@ -65,11 +65,11 @@ class RatioTrace:
 def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
     """Ratios q_{n,a}/q_{n,b} plus the hypothesis margin sqrt(n)(a_n/b_n - 1).
 
-    Exact when every quotient of both sequences is rational; interval-valued
-    otherwise, field-valued sequences included.  Quotients below one violate
+    Exact when every quotient of both sequences is rational; enclosed at
+    ``prec`` bits when either sequence is field-valued.  Quotients below one violate
     the hypothesis and raise.
     """
-    quotients = [(scalar(a.quotient(n, prec)), scalar(b.quotient(n, prec))) for n in range(1, N + 1)]
+    quotients = [(scalar(a.quotient(n)), scalar(b.quotient(n))) for n in range(1, N + 1)]
     exact = all(sa is sb is _RATIONAL for (_, sa), (_, sb) in quotients)
     ratios: list[DyadicInterval] = []
     margins: list[DyadicInterval] = []

@@ -124,7 +124,8 @@ class NumberField:
         return cached
 
     def __repr__(self) -> str:
-        return f"NumberField({self.minpoly!r}, root~{float(self._root_iv.midpoint()):.6g})"
+        hint = "" if self._root_iv is None else f", root~{float(self._root_iv.midpoint()):.6g}"
+        return f"NumberField({self.minpoly!r}{hint})"
 
 
 def field_new(minpoly: IntPoly, root_hint: DyadicInterval) -> NumberField:
@@ -315,7 +316,10 @@ def _divide(x: FieldElement, y: FieldElement) -> FieldElement:
     A rational y divides coordinate-wise.  Otherwise x = X/ex and y = Y/ey
     with integer vectors X, Y, and x/y = (ey/ex) * adj(M_Y) X / det(M_Y) for
     M_Y the integer matrix of multiplication by Y (the minimal polynomial is
-    monic and integral), so only the last step leaves the integers.
+    monic and integral), so only the last step leaves the integers.  Above
+    degree 2, X and Y are first divided by their integer contents, which
+    join ex and ey: a common factor such as a quotient's 2**E would
+    otherwise enter every pivot of the elimination.
     """
     if y.is_rational():
         r = y.coords[0]
@@ -324,6 +328,9 @@ def _divide(x: FieldElement, y: FieldElement) -> FieldElement:
         return FieldElement(tuple(c / r for c in x.coords), x.field)
     ex, X = _integral(x.coords)
     ey, Y = _integral(y.coords)
+    if len(Y) > 2:
+        cx, cy = math.gcd(*X) or 1, math.gcd(*Y)  # X = 0 has no content
+        X, Y, ex, ey = [v // cx for v in X], [v // cy for v in Y], ex * cy, ey * cx
     det, W = _adjugate_solve(x.field.minpoly.coeffs, Y, X)
     if det == 0:
         raise DivisionByZero("element is not invertible (degenerate field?)")

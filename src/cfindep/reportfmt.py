@@ -137,8 +137,6 @@ def scalar_payload(x, sig: int = _SIG_DEFAULT) -> dict:
             "coords": [fraction_str(c) for c in x.coords],
             "decimal": interval_payload(x.enclosure(96), sig),
         }
-    if isinstance(x, DyadicInterval):
-        return {"decimal": interval_payload(x, sig)}
     fr = Fraction(x)
     bits = max(96, fr.numerator.bit_length() - fr.denominator.bit_length() + 64)
     return {"exact": fraction_str(fr), "decimal": interval_payload(from_fraction(fr, bits), sig)}

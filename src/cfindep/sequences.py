@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .bigreal.dyadic import Dyadic
-from .bigreal.interval import DyadicInterval, from_fraction, iv_add, iv_div, iv_sqrt, singleton
+from .bigreal.interval import DyadicInterval
 from .bigreal.poly import IntPoly, SturmChain, factor_with_roots, refine_root
 from .errors import (
     BitBudgetExceeded,
@@ -183,9 +183,6 @@ class CFSpec:
         if kind not in KINDS:
             raise UnknownFamily(f"unknown sequence kind {kind!r}")
         self.__dict__.update(kind=kind, params=params, field=field)
-        base = self._p("base")
-        if isinstance(base, CFSpec) and self.is_exact() and not base.is_exact():
-            raise ValueError(f"{kind} sequence: base kind {base.kind!r} is not exact")
 
     def __eq__(self, other):
         return vars(self) == vars(other) if other.__class__ is CFSpec else NotImplemented
@@ -199,23 +196,19 @@ class CFSpec:
                 return v
         return default
 
-    def pair(self, n: int, prec: int | None) -> tuple:
-        """(E, u) with a_n = 2**E * u.  An interval-valued kind needs the
-        working precision ``prec``; exact kinds ignore it."""
+    def pair(self, n: int) -> tuple:
+        """(E, u) with a_n = 2**E * u."""
         if n < 1:
             raise ValueError("quotient index starts at 1")
-        return KINDS[self.kind].pair(self, n, prec)
+        return KINDS[self.kind].pair(self, n)
 
-    def quotient(self, n: int, prec: int | None = None):
+    def quotient(self, n: int):
         """a_n = 2**E * u, refused past the per-quotient bit guard."""
-        E, u = self.pair(n, prec)
+        E, u = self.pair(n)
         return _pow2(E) * u if E else u
 
     def decomposition(self, n: int) -> Decomposition | None:
         return KINDS[self.kind].decomposition(self, n)
-
-    def is_exact(self) -> bool:
-        return KINDS[self.kind].exact
 
 
 def spec(kind: str, field: NumberField | None = None, **params) -> CFSpec:
@@ -329,8 +322,7 @@ def _int(desc: dict, key: str, minimum: int | None = None) -> int:
 
 
 def _base(desc: dict) -> CFSpec:
-    """The base sequence a_n that a base-scaled kind multiplies (``CFSpec``
-    refuses one that is not exact)."""
+    """The base sequence a_n that a base-scaled kind multiplies."""
     if "base" not in desc:
         raise ValueError(f"{desc['kind']} sequence needs 'base'")
     return parse_sequence(desc["base"])
@@ -343,7 +335,7 @@ def _base(desc: dict) -> CFSpec:
 class _Kind:
     """One sequence kind.
 
-    ``pair(spec, n, prec)`` gives a_n = 2**E * u as (E, u) and
+    ``pair(spec, n)`` gives a_n = 2**E * u as (E, u) and
     ``decomposition(spec, n)`` its (S*b + c)/d form.  They are separate
     computations, so the decomposition check compares two derivations of a_n.
     ``parse(descriptor)`` builds the spec from JSON; others are built in code.
@@ -352,15 +344,15 @@ class _Kind:
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init__(self, pair: Callable, decomposition: Callable = lambda s, n: None,
-                 parse: Callable | None = None, exact: bool = True):
-        self.__dict__.update(pair=pair, decomposition=decomposition, parse=parse, exact=exact)
+                 parse: Callable | None = None):
+        self.__dict__.update(pair=pair, decomposition=decomposition, parse=parse)
 
 
 def _scaled(factor: Callable) -> Callable:
     """The pair of a kind whose a_n is its base's times ``factor(s, n)``: the
     base's (E, u) is read once and only u is multiplied."""
-    def pair(s: CFSpec, n: int, prec) -> tuple:
-        E, u = s._p("base").pair(n, prec)
+    def pair(s: CFSpec, n: int) -> tuple:
+        E, u = s._p("base").pair(n)
         return E, u * factor(s, n)
     return pair
 
@@ -369,7 +361,7 @@ def _decomposition(s: CFSpec, n: int, b=1, d=1, mult: int = 1) -> Decomposition 
     """(S*b + 0)/d for a quotient 2**E * u * mult * b/d, (E, u) the pair of the
     base of ``s`` or, for a kind without one, of ``s``.  S takes the numerator
     of 2**E * u and d also its denominator; a field-valued u has no such form."""
-    E, u = s._p("base", s).pair(n, None)
+    E, u = s._p("base", s).pair(n)
     if isinstance(u, FieldElement):
         return None
     a = _pow2(E) * Fraction(u)
@@ -387,20 +379,20 @@ def _prime_pi_decomposition(s: CFSpec, n: int) -> Decomposition | None:
     return _decomposition(s, n, 1, down ** abs(j), up ** abs(j))
 
 
-def _polynomial(s: CFSpec, n: int, prec) -> tuple:
+def _polynomial(s: CFSpec, n: int) -> tuple:
     acc = Fraction(0)
     for c in reversed(s._p("coeffs")):
         acc = acc * n + Fraction(c)
     return 0, acc
 
 
-def _hanluc(s: CFSpec, n: int, prec) -> tuple:
+def _hanluc(s: CFSpec, n: int) -> tuple:
     """Prime-ratio quotients over Q(sqrt 2): (1 + p_n/n) sqrt2 for j=1 and
     b_n (p_n/n) sqrt2 for j=2, p_n the n-th prime and b_n the base."""
     ratio = Fraction(nth_prime(n), n)
     if s._p("j") == 1:
         return 0, (1 + ratio) * sqrt2_field().generator()
-    E, u = s._p("base").pair(n, prec)
+    E, u = s._p("base").pair(n)
     return E, u * ratio * sqrt2_field().generator()
 
 
@@ -454,16 +446,9 @@ def _parse_sqrt_j_scaled(desc: dict) -> CFSpec:
     return sqrt_j_family(K, _base(desc))[K - j]
 
 
-def _one_plus_over_sqrt(s: CFSpec, n: int, prec) -> tuple:
-    if prec is None:
-        raise ValueError("one-plus-over-sqrt quotients need a precision")
-    c = from_fraction(Fraction(s._p("c")), prec)
-    return 0, iv_add(singleton(1), iv_div(c, iv_sqrt(singleton(n), prec), prec), prec)
-
-
 KINDS: dict[str, _Kind] = {
     "constant": _Kind(
-        lambda s, n, prec: (0, s._p("value")),
+        lambda s, n: (0, s._p("value")),
         _decomposition,
         lambda desc: spec("constant", value=parse_rational(desc["value"])),
     ),
@@ -474,13 +459,13 @@ KINDS: dict[str, _Kind] = {
                           coeffs=tuple(parse_rational(c) for c in _list(desc, "coeffs"))),
     ),
     "doubly-exponential": _Kind(
-        lambda s, n, prec: (s._p("c", 1) * n * s._p("d") ** n, Fraction(1)),
+        lambda s, n: (s._p("c", 1) * n * s._p("d") ** n, Fraction(1)),
         _decomposition,
         lambda desc: spec("doubly-exponential", d=_int(desc, "d", 2),
                           c=parse_int(desc.get("c", 1), "c", 1)),
     ),
     "pow2-geometric": _Kind(
-        lambda s, n, prec: (s._p("d") ** n, Fraction(1)),
+        lambda s, n: (s._p("d") ** n, Fraction(1)),
         _decomposition,
         lambda desc: spec("pow2-geometric", d=_int(desc, "d", 0)),
     ),
@@ -521,13 +506,8 @@ KINDS: dict[str, _Kind] = {
         lambda s, n: _decomposition(s, n, s._p("sqrt_elem")),
         _parse_sqrt_j_scaled,
     ),
-    "one-plus-over-sqrt": _Kind(
-        _one_plus_over_sqrt,
-        parse=lambda desc: spec("one-plus-over-sqrt", c=parse_rational(desc["c"])),
-        exact=False,
-    ),
     "custom": _Kind(
-        lambda s, n, prec: (0, s._p("fn")(n)),
+        lambda s, n: (0, s._p("fn")(n)),
         lambda s, n: s._p("decomp_fn")(n) if s._p("decomp_fn") else None,
     ),
 }

@@ -200,7 +200,7 @@ def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
         st = initial_state(0)
         states = []
         for k in range(1, n + 4):
-            a = cf.quotient(k, work)
+            a = cf.quotient(k)
             if not scalar_at_least_one(a):
                 raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
             st = advance(st, a)
@@ -229,9 +229,7 @@ PROBE_ENCLOSE = (("ex1", 6, 1024), ("hanluc", 6, 2048), ("golden-powers", 5, 102
 
 
 def test_enclose_value_equals_rung_loop_on_catalog():
-    seqs = [s for name in catalog() for s in build_config(name).sequences]
-    seqs.append(spec("one-plus-over-sqrt", c=Fraction(3)))
-    for s in seqs:
+    for s in [s for name in catalog() for s in build_config(name).sequences]:
         for n in range(2, 6):
             for prec in (64, 256, 1024):
                 args = (s, n, prec)
@@ -377,4 +375,4 @@ def test_error_term_diagnostic():
 def test_scalar_is_zero_variants():
     assert scalar_is_zero(Fraction(0))
     assert scalar_is_zero(sqrt2_field().zero())
-    assert not scalar_is_zero(singleton(1))
+    assert not scalar_is_zero(sqrt2_field().generator())

@@ -217,20 +217,6 @@ def test_relation_task_planted(tmp_path):
     assert rep["result"]["coefficients"] == [1, -1, 0]
 
 
-def test_relation_interval_kind_truncation(tmp_path):
-    # the interval-valued truncation is enclosed at the requested precision
-    cfg = {
-        "task": "relation",
-        "sequences": {"a": {"kind": "one-plus-over-sqrt", "c": "1"},
-                      "b": {"kind": "constant", "value": "3"}},
-        "params": {"N": 6, "precision": 256, "height": 100, "expand_field": False},
-    }
-    assert _run_config(tmp_path, cfg) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["result"]["status"] == "none_below_height"
-    assert rep["result"]["precision"] == 256
-
-
 def test_cli_subprocess_entrypoint():
     proc = _run_cli(["list-examples", "--format", "text"])
     assert proc.returncode == 0
@@ -304,9 +290,9 @@ _INTERVAL_BASE = {"a": {"kind": "div-by-j", "j": 2, "base": {"kind": "one-plus-o
                                          "base": {"kind": "constant", "value": 2}}}},
      "degree 17 exceeds 16"),
     ({"task": "enclose", "sequences": _INTERVAL_BASE, "params": {"N": 3, "precision": 64}},
-     "base kind 'one-plus-over-sqrt' is not exact"),
+     "unknown sequence kind 'one-plus-over-sqrt'"),
     ({"task": "check-theorem1", "sequences": _INTERVAL_BASE, "params": {"N": 2}},
-     "base kind 'one-plus-over-sqrt' is not exact"),
+     "unknown sequence kind 'one-plus-over-sqrt'"),
 ])
 def test_bad_config_values_exit_two(tmp_path, capsys, args, message):
     rc = _run_config(tmp_path, args) if isinstance(args, dict) else main(args)
@@ -350,26 +336,6 @@ def test_bad_relation_params_exit_two(tmp_path, capsys, params, message):
     cfg = {**_RELATION, "params": {**_RELATION["params"], **params}}
     assert _run_config(tmp_path, cfg) == 2
     assert message in capsys.readouterr().err
-
-
-# a_{n,2} = 1 + 1/sqrt(n) is interval-valued: no decomposition, its own real part
-_INTERVAL_THEOREM1 = {
-    "task": "check-theorem1",
-    "sequences": {"a": {"kind": "doubly-exponential", "d": 3},
-                  "b": {"kind": "one-plus-over-sqrt", "c": "1"}},
-    "params": {"N": 4, "precision": 96},
-}
-
-
-@pytest.mark.parametrize("mode", ["auto", "real-part-sign", "house-half"])
-def test_interval_sequence_theorem1_reports(tmp_path, mode):
-    cfg = {**_INTERVAL_THEOREM1, "params": {**_INTERVAL_THEOREM1["params"], "mode": mode}}
-    assert _run_config(tmp_path, cfg) == 1
-    report = json.loads((tmp_path / "rep.json").read_text())
-    verdicts = {c["name"]: c["verdict"] for c in report["result"]["conditions"]}
-    assert verdicts["decomposition"] == verdicts["house-growth-bound"] == "indeterminate"
-    assert verdicts["interleaving"] == "fail"  # a_{1,1} = 8 > max(2 * 2, 2^2)
-    jsonschema.validate(report, _schema())
 
 
 def test_flag_equals_value(capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cfindep import criteria
+from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.interval import DyadicInterval, singleton
 from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import build_config
-from cfindep.cfcore import run_recurrence
+from cfindep.cfcore import run_recurrence, scalar
 from cfindep.criteria import (
     QuotientTable,
     Thm1Config,
@@ -21,7 +23,7 @@ from cfindep.criteria import (
     growth_margin,
     ratio_margin,
 )
-from cfindep.sequences import CFSpec, Decomposition, parse_sequence, polynomial_root_family, spec, sqrt2_field
+from cfindep.sequences import CFSpec, Decomposition, polynomial_root_family, spec, sqrt2_field
 
 
 def test_compute_d():
@@ -198,7 +200,7 @@ def test_growth_margin_examples():
 
 def test_growth_bound_exact_boundary():
     # at n=1 the second branch is exactly 2^d
-    b = growth_bound(Fraction(4), 1, Fraction(1, 2), 2, 96)
+    b = growth_bound(singleton(4), 1, Fraction(1, 2), 2, 96)
     assert b.contains(Fraction(4))
     assert b.lo.as_fraction() >= 4  # max(2^(sqrt(2)), 4) = 4 exactly
 
@@ -286,19 +288,18 @@ def test_gamma_validation():
 
 def _table_calls(monkeypatch, cfg, N, precision):
     """Counters of the CFSpec.quotient calls made from criteria, keyed by
-    (sequence, n) for an exact sequence and (sequence, n, prec) for an
-    interval-valued one, and of every growth_bound call by its arguments."""
+    (sequence, n), and of every growth_bound call by its arguments."""
     quotients, bounds = Counter(), Counter()
     quotient, growth_bound = CFSpec.quotient, criteria.growth_bound
 
-    def counted_quotient(self, n, prec=None):
+    def counted_quotient(self, n):
         if sys._getframe(1).f_globals["__name__"] == "cfindep.criteria":
-            quotients[(self, n) if self.is_exact() else (self, n, prec)] += 1
-        return quotient(self, n, prec)
+            quotients[(self, n)] += 1
+        return quotient(self, n)
 
-    def counted_bound(a_value, n, gamma, d, prec):
-        bounds[(a_value, n, gamma, d, prec)] += 1
-        return growth_bound(a_value, n, gamma, d, prec)
+    def counted_bound(a_iv, n, gamma, d, prec):
+        bounds[(a_iv, n, gamma, d, prec)] += 1
+        return growth_bound(a_iv, n, gamma, d, prec)
 
     monkeypatch.setattr(CFSpec, "quotient", counted_quotient)
     monkeypatch.setattr(criteria, "growth_bound", counted_bound)
@@ -306,23 +307,16 @@ def _table_calls(monkeypatch, cfg, N, precision):
     return quotients, bounds
 
 
-@pytest.mark.parametrize("name", ["ex1", "c5", "interval"])
+@pytest.mark.parametrize("name", ["ex1", "c5"])
 def test_check_all_derives_each_quotient_once(monkeypatch, name):
     # one check_all reads every a_{n,j} and its growth bound through one table;
     # c5's three quotients coincide at n = 1, where pi(1) = 0
-    if name == "interval":
-        seqs = [parse_sequence({"kind": "doubly-exponential", "d": 3}),
-                parse_sequence({"kind": "one-plus-over-sqrt", "c": "1"})]
-        cfg, N, precision = Thm1Config(M=2, sequences=seqs, gamma=Fraction(1, 2)), 4, 96
-    else:
-        cfg, N, precision = build_config(name), 6, 128
+    cfg, N, precision = build_config(name), 6, 128
     quotients, bounds = _table_calls(monkeypatch, cfg, N, precision)
     assert quotients and bounds
     assert max(quotients.values()) == 1 and max(bounds.values()) == 1
-    # every sequence and index is read, the interval one at the requested precision
-    assert {(k[0], k[1]) for k in quotients} == {(s, n) for s in cfg.sequences for n in range(1, N + 1)}
-    if name == "interval":
-        assert (cfg.sequences[1], 1, precision) in quotients
+    # every sequence and index is read
+    assert set(quotients) == {(s, n) for s in cfg.sequences for n in range(1, N + 1)}
 
 
 def test_float_quotients_are_refused():
@@ -334,3 +328,37 @@ def test_float_quotients_are_refused():
         check_all(Thm1Config(M=2, sequences=[big, small]), 3, 64)
     with pytest.raises(TypeError, match="float"):
         run_recurrence([1.5, 2.5])
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_t2_verdict_in_its_quartic_field(K):
+    # at K = 3 and 4 every t2 sequence lies in one totally real field of
+    # degree 4, so the ratio condition divides quartic field elements
+    rep = check_all(build_config("t2", K=K), 4, 256)
+    assert rep.overall == "pass"
+
+
+# a_n/j over a_n = 2**(n k**n) with d = 2D - 1 > k: a_n**(1/d**n) =
+# 2**(n (k/d)**n) j**(-1/d**n) tends to 1, so the limsup hypothesis is false,
+# though the series first rises above 2
+@pytest.mark.parametrize("k, D, N, verdict", [
+    (4, 3, 8, "indeterminate"),
+    (5, 4, 7, "fail"),
+    (7, 5, 6, "indeterminate"),
+    (3, 3, 5, "fail"),
+])
+def test_growth_limsup_does_not_pass_a_falling_window(k, D, N, verdict):
+    base = spec("doubly-exponential", d=k)
+    cfg = Thm1Config(M=2, sequences=[spec("div-by-j", base=base, j=j) for j in (1, 2)], D=D)
+    rep = check_all(cfg, N, 128)
+    growth = next(c for c in rep.conditions if c.name == "growth-limsup")
+    assert growth.verdict == rep.overall == verdict
+
+
+def test_interval_quotients_are_refused():
+    # every quotient is exact: an enclosure is not a scalar
+    iv = DyadicInterval(Dyadic(2), Dyadic(3))
+    with pytest.raises(TypeError, match="DyadicInterval"):
+        scalar(iv)
+    with pytest.raises(TypeError, match="DyadicInterval"):
+        check_all(Thm1Config(M=1, sequences=[spec("custom", fn=lambda n: iv)]), 2, 64)

@@ -5,6 +5,7 @@ decompositions for n = 1..4 must equal those of the spec built in code.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ from cfindep.sequences import (
     sqrt_j_family,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 BASE_JSON = {"kind": "doubly-exponential", "d": 2}
 
 
@@ -55,8 +57,6 @@ CASES = [
      lambda: polynomial_root_family(IntPoly.of(14, -8, 1), _base())[1]),
     ({"kind": "sqrt-j-scaled", "K": 3, "j": 2, "base": BASE_JSON},
      lambda: sqrt_j_family(3, _base())[1]),
-    ({"kind": "one-plus-over-sqrt", "c": "2"},
-     lambda: spec("one-plus-over-sqrt", c=Fraction(2))),
 ]
 
 
@@ -74,11 +74,19 @@ def test_every_parseable_kind_is_covered():
     assert {d["kind"] for d, _ in CASES} == {name for name, k in KINDS.items() if k.parse}
 
 
+def test_readme_kind_table_matches_the_code():
+    text = README.read_text(encoding="utf-8")
+    header = "| kind | fields | base | a_n |\n|---|---|---|---|\n"
+    table = text[text.index(header) + len(header):].split("\n\n", 1)[0].splitlines()
+    kinds = [row.split("|")[1].strip().strip("`") for row in table]
+    assert sorted(kinds) == sorted(name for name, k in KINDS.items() if k.parse)
+
+
 @pytest.mark.parametrize("desc, build", CASES,
                          ids=[f"{d['kind']}-{d.get('j', '')}" for d, _ in CASES])
 def test_descriptor_matches_hand_built_spec(desc, build):
     parsed, expected = parse_sequence(desc), build()
     assert parsed.kind == expected.kind == desc["kind"]
     for n in range(1, 5):
-        assert _key(parsed.quotient(n, 96)) == _key(expected.quotient(n, 96)), n
+        assert _key(parsed.quotient(n)) == _key(expected.quotient(n)), n
         assert _key(parsed.decomposition(n)) == _key(expected.decomposition(n)), n

@@ -5,7 +5,7 @@ For every catalog entry the canonical report bytes of
 exact ``HypothesisReport`` (every margin endpoint as mantissa and exponent),
 which the decimal report text rounds away.  A few hand-built configs cover
 paths the catalog never takes: precision escalation, a condition-10 failure,
-an explicit house-half pass and an interval-valued quotient.
+an explicit house-half pass and a quotient below one.
 
 Regenerate (only when reports are meant to change):
     PYTHONPATH=src python tests/test_golden_reports.py --write
@@ -24,7 +24,7 @@ import pytest
 from cfindep import cli
 from cfindep.catalog import catalog
 from cfindep.criteria import Thm1Config, check_all
-from cfindep.sequences import Decomposition, parse_sequence, spec, sqrt2_field
+from cfindep.sequences import Decomposition, spec, sqrt2_field
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -73,20 +73,11 @@ def _below_one_config() -> Thm1Config:
                       gamma=Fraction(1, 2))
 
 
-def _interval_quotient_config() -> Thm1Config:
-    # a_{n,2} = 1 + 1/sqrt(n) is interval-valued: its enclosure is itself,
-    # its only real part is itself, and it has no decomposition
-    return Thm1Config(M=2, sequences=[parse_sequence({"kind": "doubly-exponential", "d": 3}),
-                                      parse_sequence({"kind": "one-plus-over-sqrt", "c": "1"})],
-                      gamma=Fraction(1, 2))
-
-
 HAND_BUILT = {
     "escalation-house-half": (_escalation_config, 2, 128),
     "condition10-fail": (_condition10_fail_config, 3, 96),
     "house-half-pass": (_house_half_pass_config, 3, 96),
     "below-one": (_below_one_config, 3, 96),
-    "interval-quotient": (_interval_quotient_config, 4, 96),
 }
 
 

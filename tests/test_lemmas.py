@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfindep.bigreal.interval import DyadicInterval, from_fraction
+from cfindep.bigreal.interval import DyadicInterval, from_fraction, iv_mul
 from cfindep.bigreal.dyadic import rational_to_dyadic
 from cfindep import lemmas
 from cfindep.cfcore import GaussianRational, complex_cf_eval_exact, gaussian_cf
@@ -14,7 +14,7 @@ from cfindep.lemmas import (
     run_lemma2_suite,
     run_lemma3_suite,
 )
-from cfindep.sequences import spec
+from cfindep.sequences import spec, sqrt2_field
 
 
 def test_lemma1_pell_vs_fibonacci():
@@ -36,13 +36,15 @@ def test_lemma1_identical_sequences():
 
 
 def test_lemma1_slow_margin():
-    a = spec("one-plus-over-sqrt", c=Fraction(2))
-    b = spec("constant", value=Fraction(1))
+    # a_n = (1 + 1/n) sqrt2 over b_n = sqrt2: field-valued, so enclosed
+    f = sqrt2_field()
+    a = spec("custom", field=f, fn=lambda n: f.generator() * Fraction(n + 1, n))
+    b = spec("custom", field=f, fn=lambda n: f.generator())
     tr = lemma1_trace(a, b, 12, prec=128)
-    # margin sqrt(n) * (a_n - 1) = 2 for every n
-    for m in tr.liminf_margin:
-        assert m.contains(Fraction(2))
-    assert tr.ratios_exact is None  # interval path
+    # margin sqrt(n) * (a_n/b_n - 1) = 1/sqrt(n), whose square is 1/n
+    for n, m in enumerate(tr.liminf_margin, start=1):
+        assert iv_mul(m, m, 128).contains(Fraction(1, n))
+    assert tr.ratios_exact is None  # enclosure path
     # ratios grow, slowly
     assert tr.ratios[-1].lo.as_fraction() > tr.ratios[0].hi.as_fraction() * Fraction(3, 2)
 

@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, iv_mul
 from cfindep.bigreal.poly import IntPoly, _certified_pairs, complex_root_boxes, isolate_real_roots
+from cfindep import numfield
+from cfindep.catalog import build_config
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
 from cfindep.numfield import (
     NumberField,
@@ -33,6 +35,30 @@ def _phi():
 
 def _sqrt5():
     return field_new(IntPoly.of(-5, 0, 1), DyadicInterval(Dyadic(2), Dyadic(3)))
+
+
+def test_repr_without_a_root_hint():
+    assert repr(NumberField(IntPoly.of(-2, 0, 1), None)) == f"NumberField({IntPoly.of(-2, 0, 1)!r})"
+
+
+def test_division_above_degree_two_strips_integer_contents(monkeypatch):
+    # 2**E * x over 2**E * y reaches the elimination as x over y does, so a
+    # quotient's 2**E never enters its pivots
+    field = build_config("t2", K=3).field
+    assert field.degree == 4
+    x, y = field.element([Fraction(3, 4), -1, 6, Fraction(5, 2)]), field.element([2, 0, -3, 1])
+    scaled = [field.element([c * 2 ** 4096 for c in v.coords]) for v in (x, y)]
+    seen = []
+    solve = numfield._adjugate_solve
+
+    def recording(f, Y, X):
+        seen.append((f, Y, X))
+        return solve(f, Y, X)
+
+    monkeypatch.setattr(numfield, "_adjugate_solve", recording)
+    assert numfield._divide(*scaled) == numfield._divide(x, y)
+    assert seen[0] == seen[1]
+    assert numfield._divide(field.zero(), y) == field.zero()  # a zero dividend has no content
 
 
 def test_field_new_examples():

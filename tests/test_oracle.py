@@ -22,6 +22,6 @@ def test_catalog_quotients_match_closed_forms(name):
     for j, (seq, form) in enumerate(zip(sequences, forms), start=1):
         for n in range(1, N + 1):
             E, r, alpha = form(n)
-            assert seq.pair(n, prec)[0] == E, (j, n)
-            enclosure = scalar_enclosure(seq.quotient(n, prec), prec)
+            assert seq.pair(n)[0] == E, (j, n)
+            enclosure = scalar_enclosure(seq.quotient(n), prec)
             assert enclosure.contains(oracle.value(E, r, alpha, 4 * prec)), (j, n)

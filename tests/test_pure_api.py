@@ -22,7 +22,6 @@ import cfindep
 PACKAGE = pathlib.Path(cfindep.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PRECISION_NAMES = {"prec", "precision"}
-OPTIONAL_PRECISION = {("CFSpec", "quotient")}
 
 
 def _modules():
@@ -77,8 +76,6 @@ def test_precision_has_no_default():
     for path, tree in _modules():
         for cls, fn in _functions(tree):
             name = getattr(fn, "name", "<lambda>")
-            if (cls, name) in OPTIONAL_PRECISION:
-                continue
             for arg in PRECISION_NAMES.intersection(_defaulted(fn.args)):
                 found.append(f"{path}:{fn.lineno} {cls + '.' if cls else ''}{name}({arg}=...)")
     assert found == []

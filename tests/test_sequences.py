@@ -66,7 +66,7 @@ def test_doubly_exponential_values():
     assert _doubly_exponential(3, 2) == 2 ** 18
     assert _doubly_exponential(2, 3) == 2 ** 24
     assert _doubly_exponential(2, 1, c=3) == 2 ** 6
-    assert spec("doubly-exponential", d=3).pair(2, None) == (18, 1)
+    assert spec("doubly-exponential", d=3).pair(2) == (18, 1)
 
 
 def test_bit_guard():
@@ -84,7 +84,7 @@ def test_derived_kind_past_the_guard(monkeypatch):
     s = spec("div-by-j", base=spec("doubly-exponential", d=2), j=3)
     with monkeypatch.context() as m:
         m.setattr(sequences, "_pow2", None)
-        assert s.pair(16, None) == (16 * 2 ** 16, Fraction(1, 3))
+        assert s.pair(16) == (16 * 2 ** 16, Fraction(1, 3))
     with pytest.raises(BitBudgetExceeded) as quotient:
         s.quotient(16)
     with pytest.raises(BitBudgetExceeded) as decomposition:
@@ -205,13 +205,11 @@ def test_determinism():
 
 
 def test_interval_kind():
-    s = spec("one-plus-over-sqrt", c=Fraction(2))
-    q4 = s.quotient(4, 96)
-    assert q4.contains(Fraction(2))  # 1 + 2/2
-    assert s.decomposition(4) is None
-    assert not s.is_exact()
-    with pytest.raises(ValueError):
-        s.quotient(4)  # an interval kind has no default precision
+    # every quotient is exact: no kind yields an interval, and none takes a precision
+    with pytest.raises(UnknownFamily, match="unknown sequence kind 'one-plus-over-sqrt'"):
+        spec("one-plus-over-sqrt", c=Fraction(2))
+    with pytest.raises(TypeError):
+        spec("constant", value=Fraction(3)).quotient(4, 96)
 
 
 def test_unknown_kind_rejected():
@@ -272,11 +270,12 @@ BASE_SCALED_JSON = {
 
 @pytest.mark.parametrize("kind", sorted(BASE_SCALED))
 def test_interval_base_rejected_in_code_and_json(kind):
-    message = "base kind 'one-plus-over-sqrt' is not exact"
-    with pytest.raises(ValueError, match=message):
+    # the interval-valued kind is gone, as a base too
+    message = "unknown sequence kind 'one-plus-over-sqrt'"
+    with pytest.raises(UnknownFamily, match=message):
         BASE_SCALED[kind](spec("one-plus-over-sqrt", c=Fraction(3)))
     desc = {"kind": kind, **BASE_SCALED_JSON[kind], "base": {"kind": "one-plus-over-sqrt", "c": "3"}}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(UnknownFamily, match=message):
         parse_sequence(desc)
     desc["base"] = {"kind": "constant", "value": "5/2"}
     assert parse_sequence(desc).kind == kind  # the same descriptor with an exact base
