@@ -104,7 +104,7 @@ class RemarkResult:
     @property
     def ratios_exact(self) -> list[Fraction]:
         """q_{n,a}/q_{n,b} for n = 1..N, recomputed on each read."""
-        return [Fraction(qa, qb) for qa, qb, _ in _remark_steps(self.N)]
+        return [Fraction(qa, qb) for qa, qb in _remark_steps(self.N)]
 
 
 # Enclosure of prod_{n>=1} (1 + 1/n^2)^2: the partial product to 10^6 terms
@@ -118,39 +118,36 @@ _PRODUCT_BOUND = DyadicInterval(
 
 
 def _remark_steps(N: int):
-    """(q_{n,a}, q_{n,b}, D_n) for n = 1..N, with a_n = n^2 + 1 and b_n = n^2.
-
-    D_n = q_{n,a} q_{n-1,b} - q_{n-1,a} q_{n,b} = X_n - Y_n is positive
-    exactly when the ratio increases at n.  P = q_{n,a} q_{n,b}, X and Y are
-    carried through their own recurrences, so that every step multiplies
-    big integers by small ones only, and the sign of every D_n is checked.
-    Since a_n - b_n = 1, D_n = P_{n-1} - D_{n-1}; from D_1 = 1 < P_1 = 2 and
-    P_n > P_{n-1}, induction gives 0 < D_n < P_n for every n, so the check
-    can only fail on an arithmetic fault, and it raises if it does.
-    """
+    """(q_{n,a}, q_{n,b}) for n = 1..N, with a_n = n^2 + 1 and b_n = n^2."""
     qa_prev, qa, qb_prev, qb = 0, 1, 0, 1  # q_{-1}, q_0 of both sequences
-    p_prev, p, x, y = 0, 1, 0, 0
     for n in range(1, N + 1):
         a, b = n * n + 1, n * n
         qa_prev, qa = qa, a * qa + qa_prev
         qb_prev, qb = qb, b * qb + qb_prev
-        p_prev, p, x, y = p, a * b * p + a * x + b * y + p_prev, a * p + y, b * p + x
-        if x <= y:
-            raise AssertionError("remark ratio is not increasing")  # pragma: no cover
-        yield qa, qb, x - y
+        yield qa, qb
 
 
 def remark_counterexample(N: int) -> RemarkResult:
     """Bounded-ratio counterexample: a_n = n^2 + 1 versus b_n = n^2.
 
-    Exact integer recurrences; the ratio series is verified increasing, so
-    its maximum is the last ratio, which is verified below the enclosed
-    infinite product.
+    The ratio q_{n,a}/q_{n,b} increases at n exactly when
+    D_n = q_{n,a} q_{n-1,b} - q_{n-1,a} q_{n,b} > 0.  Since a_n - b_n = 1,
+    D_n = P_{n-1} - D_{n-1} with P_n = q_{n,a} q_{n,b}; from D_1 = 1 < P_1 = 2
+    and P_n >= P_{n-1}, induction gives 0 < D_n < P_n for every n >= 1.  The
+    exact integer recurrences check that premise (q_{n,a} > q_{n-1,a} and
+    q_{n,b} >= q_{n-1,b}) at every n and, as a guard, 0 < D_N < P_N from the
+    last two pairs.  So the ratio's maximum is the last ratio, which is
+    verified below the enclosed infinite product.
     """
-    if N < 2:
-        raise ValueError("need N >= 2")
-    for qa, qb, _ in _remark_steps(N):
-        pass
+    if N < 1:
+        raise ValueError("need N >= 1")
+    qa = qb = 1  # q_0 of both sequences
+    for step in _remark_steps(N):
+        (qa_prev, qb_prev), (qa, qb) = (qa, qb), step
+        if qa <= qa_prev or qb < qb_prev:
+            raise AssertionError("remark denominators are not increasing")
+    if not 0 < qa * qb_prev - qa_prev * qb < qa * qb:
+        raise AssertionError("remark ratio is not increasing")
     mx = Fraction(qa, qb)
     if not mx < _PRODUCT_BOUND.lo.as_fraction():
         raise AssertionError("ratio exceeded the infinite-product bound")  # pragma: no cover
@@ -184,8 +181,9 @@ def _random_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[float, 
         m = rng.uniform(lo, hi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         re, im = m * math.cos(phi), m * math.sin(phi)
-        [(x, y)], s = _gaussian_integers([re, im])
-        if lo * lo * s * s <= x * x + y * y <= hi * hi * s * s:
+        (x, xd), (y, yd) = re.as_integer_ratio(), im.as_integer_ratio()
+        r2, s2 = (x * yd) ** 2 + (y * xd) ** 2, (xd * yd) ** 2  # |z|^2 = r2/s2
+        if lo * lo * s2 <= r2 <= hi * hi * s2:
             return re, im
 
 

@@ -338,6 +338,13 @@ def test_bad_relation_params_exit_two(tmp_path, capsys, params, message):
     assert message in capsys.readouterr().err
 
 
+def test_remark_at_n_one(capsys):
+    assert main(["remark", "--N", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["result"]["max_ratio"]["value"] == "2"
+
+
 def test_flag_equals_value(capsys):
     assert main(["remark", "--N=3"]) == 0
     joined = capsys.readouterr()

@@ -1,4 +1,8 @@
+import itertools
+import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -113,7 +117,7 @@ def _remark_by_fractions(N: int):
 
 
 def test_remark_matches_fraction_loop():
-    for N in range(2, 301):
+    for N in range(1, 301):
         rr = remark_counterexample(N)
         mx, monotone, ratios = _remark_by_fractions(N)
         assert rr.max_ratio == from_fraction(mx, 96), N
@@ -121,11 +125,76 @@ def test_remark_matches_fraction_loop():
         assert rr.ratios_exact == ratios, N
 
 
+def _remark_denominators(N: int):
+    """(q_{n,a}, q_{n,b}) for n = 0..N with a_n = n^2 + 1 and b_n = n^2."""
+    qa_prev, qa, qb_prev, qb = 0, 1, 0, 1  # q_{-1}, q_0
+    yield qa, qb
+    for n in range(1, N + 1):
+        qa_prev, qa = qa, (n * n + 1) * qa + qa_prev
+        qb_prev, qb = qb, n * n * qb + qb_prev
+        yield qa, qb
+
+
+def _ratio_greater(p: int, q: int, r: int, s: int) -> bool:
+    """p/q > r/s for positive integers, exactly.  The 64-bit floors differ
+    unless the ratios are within 2^-64, and then the cross products decide."""
+    fp, fr = (p << 64) // q, (r << 64) // s
+    return fp > fr if fp != fr else p * s > r * q
+
+
+def _remark_by_integers(N: int) -> tuple[Fraction, bool]:
+    """Reference without fractions: monotonicity checked against the previous
+    ratio at every n, maximum by comparison."""
+    pairs = _remark_denominators(N)
+    next(pairs)  # q_0
+    mx = prev = next(pairs)
+    monotone = True
+    for cur in pairs:
+        monotone = monotone and _ratio_greater(*cur, *prev)
+        if _ratio_greater(*cur, *mx):
+            mx = cur
+        prev = cur
+    return Fraction(*mx), monotone
+
+
+@pytest.mark.parametrize("N", [2000, 5000])
+def test_remark_matches_integer_reference(N):
+    rr = remark_counterexample(N)
+    mx, monotone = _remark_by_integers(N)
+    assert rr.max_ratio == from_fraction(mx, 96)
+    assert rr.monotone == monotone
+
+
 def test_remark_checks_the_sign_of_the_cross_product():
-    qa_prev = qb_prev = 1  # q_0 of both sequences
-    for qa, qb, d in lemmas._remark_steps(300):
-        assert d == qa * qb_prev - qa_prev * qb
-        qa_prev, qb_prev = qa, qb
+    # the induction in remark_counterexample's docstring, checked on the cross
+    # product D_n = q_{n,a} q_{n-1,b} - q_{n-1,a} q_{n,b} for every n <= 2000
+    pairs = _remark_denominators(2000)
+    qa_prev, qb_prev = next(pairs)
+    d_prev, p_prev = 0, 1  # D_0, P_0
+    for qa, qb in pairs:
+        d, p = qa * qb_prev - qa_prev * qb, qa * qb
+        assert d == p_prev - d_prev
+        assert 0 < d < p
+        qa_prev, qb_prev, d_prev, p_prev = qa, qb, d, p
+
+
+@pytest.mark.parametrize("fault", ["q_a stalls", "q_b shrinks", "final pair"])
+def test_remark_refuses_a_faulty_recurrence(monkeypatch, fault):
+    honest = lemmas._remark_steps
+
+    def faulty(N):
+        pairs = list(honest(N))
+        if fault == "q_a stalls":
+            pairs[5] = pairs[4][0], pairs[5][1]
+        elif fault == "q_b shrinks":
+            pairs[5] = pairs[5][0], pairs[4][1] - 1
+        else:  # both denominators grow, but the last ratio equals the one before
+            pairs[-1] = 2 * pairs[-2][0], 2 * pairs[-2][1]
+        return iter(pairs)
+
+    monkeypatch.setattr(lemmas, "_remark_steps", faulty)
+    with pytest.raises(AssertionError):
+        remark_counterexample(50)
 
 
 def _abs_squared(z: GaussianRational) -> Fraction:
@@ -165,6 +234,52 @@ def test_lemma2_hypothesis_enforced(monkeypatch):
     assert all(x * x + y * y >= 4 * s * s for zs, s in seen for x, y in zs)
 
 
+def _in_annulus_by_common_scale(re: float, im: float, lo: int, hi: int) -> bool:
+    """Reference annulus test: both coordinates on one power-of-two denominator."""
+    [(x, y)], s = lemmas._gaussian_integers([re, im])
+    return lo * lo * s * s <= x * x + y * y <= hi * hi * s * s
+
+
+def _reference_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[float, float]:
+    while True:
+        m = rng.uniform(lo, hi)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        re, im = m * math.cos(phi), m * math.sin(phi)
+        if _in_annulus_by_common_scale(re, im, lo, hi):
+            return re, im
+
+
+def test_annulus_boundary_matches_the_reference(monkeypatch):
+    # the sampler draws m = 1.0 and phi = re + i*im, and reads cos/sin as the
+    # parts of phi, so each candidate point is (re, im) exactly, signed zeros too
+    monkeypatch.setattr(lemmas, "math", SimpleNamespace(
+        pi=math.pi, cos=lambda z: z.real, sin=lambda z: z.imag))
+    fallback = (5.0, 0.0)
+
+    def near(c):
+        return math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)
+
+    outcomes = set()
+    for x, y in [(2.0, 0.0), (6.0, 8.0), (0.0, 10.0)]:
+        for sx, sy in itertools.product((1.0, -1.0), repeat=2):  # -1.0 * 0.0 is -0.0
+            for re, im in itertools.product(near(sx * x), near(sy * y)):
+                script = iter([1.0, complex(re, im), 1.0, complex(*fallback)])
+                rng = SimpleNamespace(uniform=lambda a, b: next(script))
+                got = lemmas._random_modulus_point(rng, 2, 10)
+                accepted = _in_annulus_by_common_scale(re, im, 2, 10)
+                assert repr(got) == repr((re, im) if accepted else fallback), (re, im)
+                outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_modulus_sampler_matches_the_reference_stream(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    draws = [lemmas._random_modulus_point(ours, 2, 10) for _ in range(20_000)]
+    assert draws == [_reference_modulus_point(ref, 2, 10) for _ in range(20_000)]
+    assert ours.getstate() == ref.getstate()
+
+
 def test_lemma3_examples():
     # Re [z0; z1, ...] >= Re z0 when every Re z_k > 0
     assert complex_cf_eval_exact(_gaussians((1,), (1,))).re == 2
@@ -193,8 +308,6 @@ def test_random_suites_small():
 
 
 def test_lemma3_negation_identity_randomized():
-    import random
-
     rng = random.Random(8)
     for _ in range(100):
         k = rng.randint(1, 6)
@@ -209,8 +322,6 @@ def test_lemma3_negation_identity_randomized():
 def test_lemma1_threshold_crossing_bound():
     # growth per step is about (1+sqrt2)/phi ~ 1.492, so the ratio exceeds any
     # threshold T by index ceil(log T / log 1.49) + 4
-    import math
-
     tr = lemma1_trace(spec("constant", value=Fraction(2)),
                       spec("constant", value=Fraction(1)), 30, 128)
     rs = tr.ratios_exact
