@@ -29,7 +29,7 @@ from .cfcore import (
     scalar_enclosure,
     scalar_is_zero,
 )
-from .criteria import HypothesisReport, Thm1Config, check_all
+from .criteria import HYPOTHESES, HypothesisReport, Thm1Config, check_all
 from .errors import (
     CFIndepError,
     IndeterminateAtPrecision,
@@ -109,21 +109,10 @@ def _field_from_dict(d: dict) -> NumberField:
 # task runners: each returns (status, exit_code, result_dict, text_lines)
 # ---------------------------------------------------------------------------
 
-_INEQUALITIES = {
-    "decomposition": "a = (S*b + c)/d with S integral, b/c/d algebraic integers, a >= 1",
-    "house-inverse-half": "house(1/a_{n,j}) >= 1/2",
-    "real-part-sign": "(-1)^e_{j,sigma} Re(sigma(a_{n,j})) >= "
-                      "max(2^((log2 a_{n,1})^gamma), 2^(d^(n^gamma)))^-1",
-    "house-growth-bound": "house(b), house(c), house(d) <= "
-                          "max(2^((log2 a_{n,j})^gamma), 2^(d^(n^gamma)))",
-    "interleaving": "a_{n,1} < max(a_{n,M} 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma)))",
-    "ratio-liminf": "liminf sqrt(n) (a_{n,j}/a_{n,j+1} - 1) > 0",
-    "growth-limsup": "limsup a_{n,j}^(1/d^n) = infinity",
-}
-
-
-def _serialize_hypothesis_report(rep: HypothesisReport) -> dict:
-    return {
+def _hypothesis_result(rep: HypothesisReport, head: str, **extra) -> tuple[str, int, dict, list[str]]:
+    """A check's status (its overall verdict), exit code, result and text lines."""
+    result = {
+        **extra,
         "overall": rep.overall,
         "d": rep.d,
         "gamma": fraction_str(rep.gamma),
@@ -132,7 +121,7 @@ def _serialize_hypothesis_report(rep: HypothesisReport) -> dict:
         "conditions": [
             {
                 "name": c.name,
-                "inequality": _INEQUALITIES.get(c.name),
+                "inequality": HYPOTHESES[c.name].statement,
                 "verdict": c.verdict,
                 "verified_up_to": c.verified_up_to,
                 "failing_index": list(c.failing_index) if c.failing_index else None,
@@ -142,14 +131,8 @@ def _serialize_hypothesis_report(rep: HypothesisReport) -> dict:
             for c in rep.conditions
         ],
     }
-
-
-def _hypothesis_exit(rep: HypothesisReport) -> tuple[str, int]:
-    if rep.overall == "pass":
-        return "pass", 0
-    if rep.overall == "fail":
-        return "fail", 1
-    return "indeterminate", 0
+    lines = [head] + [f"  {c.name}: {c.verdict}" for c in rep.conditions]
+    return rep.overall, int(rep.overall == "fail"), result, lines
 
 
 def _resolve_sequences(cfg: RunConfig) -> dict[str, CFSpec]:
@@ -230,11 +213,7 @@ def _task_check_theorem1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[
     tcfg = Thm1Config(M=len(ordered), sequences=ordered, gamma=p["gamma"], field=fld,
                       condition5_mode=p["mode"])
     rep = check_all(tcfg, p["N"], p["precision"])
-    status, code = _hypothesis_exit(rep)
-    result = _serialize_hypothesis_report(rep)
-    lines = [f"overall: {rep.overall} (mode {rep.mode_used}, d={rep.d})"]
-    lines += [f"  {c.name}: {c.verdict}" for c in rep.conditions]
-    return status, code, result, lines
+    return _hypothesis_result(rep, f"overall: {rep.overall} (mode {rep.mode_used}, d={rep.d})")
 
 
 def _task_check_named_example(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
@@ -242,12 +221,8 @@ def _task_check_named_example(cfg: RunConfig, p: dict) -> tuple[str, int, dict, 
     tcfg = build_config(name, gamma=p["gamma"], K=p["K"])
     N = p["N"] or defaults["N"]
     rep = check_all(tcfg, N, p["precision"] or defaults["precision"])
-    status, code = _hypothesis_exit(rep)
-    result = _serialize_hypothesis_report(rep)
-    result["example"] = name
-    lines = [f"{name}: overall {rep.overall} (mode {rep.mode_used}, d={rep.d}, N={N})"]
-    lines += [f"  {c.name}: {c.verdict}" for c in rep.conditions]
-    return status, code, result, lines
+    return _hypothesis_result(rep, f"{name}: overall {rep.overall} (mode {rep.mode_used}, d={rep.d}, N={N})",
+                              example=name)
 
 
 def _single_sequence(cfg: RunConfig, p: dict) -> CFSpec:

@@ -36,6 +36,7 @@ __all__ = [
     "ConditionReport",
     "HypothesisReport",
     "MarginSeries",
+    "HYPOTHESES",
     "compute_d",
     "growth_bound",
     "check_decomposition",
@@ -94,13 +95,10 @@ class Thm1Config:
 
 
 class MarginSeries:
-    """Per-index margins plus the windowed diagnostics behind a verdict."""
+    """Per-index margins, the verdict on them and, for growth, the record indices."""
 
-    def __init__(self, values: list[DyadicInterval], verdict: str,
-                 window_min: DyadicInterval | None = None, monotonicity: str | None = None,
-                 records: list[int] | None = None):
-        self.values, self.verdict, self.window_min = values, verdict, window_min
-        self.monotonicity, self.records = monotonicity, records
+    def __init__(self, values: list[DyadicInterval], verdict: str, records: list[int] | None = None):
+        self.values, self.verdict, self.records = values, verdict, records
 
 
 class ConditionReport:
@@ -131,12 +129,11 @@ class HypothesisReport:
 
 def _growth_branches(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int,
                      prec: int) -> tuple[DyadicInterval, DyadicInterval]:
-    """The branches 2^((log2 a)^gamma) and 2^(d^(n^gamma)) of the growth bound.
+    """The branches 2^((log2 a)^gamma) and 2^(d^(n^gamma)) of the growth bound,
+    the second as ``_BRANCH`` reads it.
 
-    Exact fast paths keep boundary comparisons decidable: n^gamma is exact for
-    perfect powers, making the second branch an exact power of two.  log2(a)
-    is clamped at zero so the bound stays evaluable when a quotient dips below
-    one (which the decomposition condition reports separately).
+    log2(a) is clamped at zero so the bound stays evaluable when a quotient
+    dips below one (which the decomposition condition reports separately).
     """
     lg = iv_log2(a_iv, prec)
     zero = Dyadic(0)
@@ -151,7 +148,7 @@ def _growth_branches(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int,
 
 
 def growth_bound(a_iv: DyadicInterval, n: int, gamma: Fraction, d: int, prec: int) -> DyadicInterval:
-    """max(2^((log2 a)^gamma), 2^(d^(n^gamma))) enclosed, from an enclosure of a."""
+    """The larger of the two branches of the growth bound, from an enclosure of a."""
     if a_iv.lo.sign() <= 0:
         raise ValueError("growth bound needs a positive quotient enclosure")
     return iv_max(*_growth_branches(a_iv, n, gamma, d, prec))
@@ -229,6 +226,23 @@ class QuotientTable:
         (a, sa), (b, sb) = self.quotient(n, j), self.quotient(n, j + 1)
         return a / b - 1 if sa.field(a) is sb.field(b) else None
 
+    @_once
+    def sign_table(self, precision: int) -> dict:
+        """The sign table e_{j,sigma}, read off from the first index n = 1."""
+        signs: dict[tuple[int, int], int] = {}
+        for j in range(1, self.M + 1):
+            def attempt(work):
+                res = self.re_parts(1, j, work)
+                if all(re.lo.sign() > 0 or re.hi.sign() < 0 for re in res):
+                    return [0 if re.lo.sign() > 0 else 1 for re in res], None
+                return None, None
+
+            e, _ = _escalating(attempt, precision)
+            if e == INDET:
+                raise IndeterminateAtPrecision(f"embedding sign of a_(1,{j}) undecided")
+            signs.update(((j, i), s) for i, s in enumerate(e))
+        return signs
+
 
 def _escalating(attempt, prec: int):
     """Run attempt(work) -> (verdict | None, margin) until the verdict is decided.
@@ -301,31 +315,10 @@ def _check_house_bound(table: QuotientTable, n: int, j: int, precision: int):
     return _at_most(table, n, j, precision, sides)
 
 
-def derive_sign_table(table: QuotientTable, precision: int) -> dict:
-    """Sign table e_{j,sigma} read off from the first index n=1."""
-    signs: dict[tuple[int, int], int] = {}
-    for j in range(1, table.M + 1):
-        def attempt(work):
-            res = table.re_parts(1, j, work)
-            if all(re.lo.sign() > 0 or re.hi.sign() < 0 for re in res):
-                return [0 if re.lo.sign() > 0 else 1 for re in res], None
-            return None, None
-
-        e, _ = _escalating(attempt, precision)
-        if e == INDET:
-            raise IndeterminateAtPrecision(f"embedding sign of a_(1,{j}) undecided")
-        signs.update(((j, i), s) for i, s in enumerate(e))
-    return signs
-
-
-def check_condition10(table: QuotientTable, n: int, j: int, precision: int,
-                      e_table: dict | None = None):
-    """(-1)^e * Re(sigma(a_{n,j})) >= 1/bound(a_{n,1}), every embedding sigma.
-
-    Returns (verdict, margin); the margin is the worst signed real part minus
-    the right-hand side over all embeddings, or None without a full table.
-    """
-    signs = e_table or derive_sign_table(table, precision)
+def check_condition10(table: QuotientTable, n: int, j: int, precision: int):
+    """The real-part-sign check at (n, j): (verdict, margin), the margin the worst
+    signed real part minus 1/bound(a_{n,1}), or None without a full sign table."""
+    signs = table.sign_table(precision)
 
     def attempt(work):
         if table.enclosure(n, 1, work).lo.sign() <= 0:
@@ -347,11 +340,8 @@ def check_condition10(table: QuotientTable, n: int, j: int, precision: int,
 
 
 def check_interleaving(table: QuotientTable, n: int, precision: int):
-    """Strict a_{n,1} < max(a_{n,M} * 2^((log2 a_{n,M})^gamma), 2^(d^(n^gamma))).
-
-    Returns (verdict, margin) with margin rhs - lhs, or None when a_{n,M} is
-    not positive.
-    """
+    """The interleaving check at n: (verdict, margin rhs - lhs), the margin None
+    when a_{n,M} is not positive."""
     def sides(work):
         aM_iv = table.enclosure(n, table.M, work)
         first, second = table.branches(n, table.M, work)
@@ -361,14 +351,10 @@ def check_interleaving(table: QuotientTable, n: int, precision: int):
 
 
 def ratio_margin(table: QuotientTable, j: int, N: int, precision: int) -> MarginSeries:
-    """Series sqrt(n) * (a_{n,j}/a_{n,j+1} - 1), with trailing-window verdict.
-
-    The verdict is prefix-consistent only: pass needs a certainly positive
-    trailing-window minimum, and a trailing window that is not strictly
-    decreasing; a nonpositive window minimum is a fail witness.  The
-    trailing window is the last ceil(N/4) indices, to suppress small-n
-    transients.  An index where either quotient is not certainly positive
-    has margin 0.
+    """Series sqrt(n) * (a_{n,j}/a_{n,j+1} - 1), with the prefix-consistent
+    verdict the ratio-liminf record reads; a nonpositive minimum over the
+    trailing window is a fail witness.  An index where either quotient is not
+    certainly positive has margin 0.
     """
     if not 1 <= j <= table.M - 1:
         raise ValueError("ratio condition needs 1 <= j <= M-1")
@@ -384,36 +370,28 @@ def ratio_margin(table: QuotientTable, j: int, N: int, precision: int) -> Margin
         else:
             diff_enc = iv_sub(iv_div(a_iv, b_iv, precision), singleton(1), precision)
         values.append(iv_mul(iv_sqrt(singleton(n), precision), diff_enc, precision))
-    window = values[-max(1, -(-N // 4)):]
+    window, falling = _trailing_window(values, N)
     wmin = min(window, key=lambda v: v.lo)
-    mono = _window_monotonicity(window)
     if wmin.hi.sign() <= 0:
         verdict = FAIL
     elif wmin.lo.sign() > 0:
-        verdict = INDET if mono == "decreasing" else PASS
+        verdict = INDET if falling else PASS
     else:
         verdict = INDET
-    return MarginSeries(values, verdict, window_min=wmin, monotonicity=mono)
+    return MarginSeries(values, verdict)
 
 
-def _window_monotonicity(window: list[DyadicInterval]) -> str:
-    if len(window) < 2:
-        return "flat"
-    if all(b.lo > a.hi for a, b in zip(window, window[1:])):
-        return "increasing"
-    if all(b.hi < a.lo for a, b in zip(window, window[1:])):
-        return "decreasing"
-    return "mixed"
+def _trailing_window(values: list[DyadicInterval], N: int) -> tuple[list[DyadicInterval], bool]:
+    """The last ceil(N/4) values, which skip small-n transients, and whether
+    they certainly decrease strictly."""
+    window = values[-max(1, -(-N // 4)):]
+    return window, len(window) > 1 and all(b.hi < a.lo for a, b in zip(window, window[1:]))
 
 
 def growth_margin(table: QuotientTable, j: int, N: int, precision: int) -> MarginSeries:
-    """Series a_{n,j}^(1/d^n) in the log domain, with record tracking.
-
-    The verdict is prefix-consistent only: pass needs at least two strictly
-    increasing records with the final one certainly above 2, and a trailing
-    window that is not strictly decreasing; a strictly decreasing trailing
-    window that stays certainly below 2 is a fail witness.  Anything else
-    is indeterminate.  The trailing window is as in ``ratio_margin``.
+    """Series a_{n,j}^(1/d^n) in the log domain, with record tracking and the
+    prefix-consistent verdict the growth-limsup record reads; a strictly
+    decreasing trailing window that stays certainly below 2 is a fail witness.
     An index whose quotient is not certainly positive has value 0.
     """
     d = table.d
@@ -432,20 +410,19 @@ def growth_margin(table: QuotientTable, j: int, N: int, precision: int) -> Margi
         best_hi = g.hi if best_hi is None else max(best_hi, g.hi)
     thr = singleton(2)
     last_record_val = values[records[-1] - 1] if records else values[0]
-    window = values[-max(1, -(-N // 4)):]
-    mono = _window_monotonicity(window)
+    window, falling = _trailing_window(values, N)
     wmax = max(window, key=lambda v: v.hi)
-    if len(records) >= 2 and last_record_val.certainly_gt(thr) and mono != "decreasing":
+    if len(records) >= 2 and last_record_val.certainly_gt(thr) and not falling:
         verdict = PASS
-    elif mono == "decreasing" and wmax.certainly_lt(thr):
+    elif falling and wmax.certainly_lt(thr):
         verdict = FAIL
     else:
         verdict = INDET
-    return MarginSeries(values, verdict, window_min=wmax, monotonicity=mono, records=records)
+    return MarginSeries(values, verdict, records=records)
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# the hypotheses, one record each, and their aggregation
 # ---------------------------------------------------------------------------
 
 def _fold(name: str, N: int, rows, notes: dict | None = None) -> ConditionReport:
@@ -468,11 +445,6 @@ def _fold(name: str, N: int, rows, notes: dict | None = None) -> ConditionReport
     return ConditionReport(name, verdict, N, margins, witness, notes=notes or {})
 
 
-def _pairs(table: QuotientTable, N: int, evaluate):
-    """Rows of ((n, j), verdict, margin) over j = 1..M for each n = 1..N."""
-    return ([((n, j), *evaluate(n, j)) for j in range(1, table.M + 1)] for n in range(1, N + 1))
-
-
 def _while_passing(rows):
     """The rows up to and including the first with a verdict other than pass."""
     for row in rows:
@@ -481,75 +453,132 @@ def _while_passing(rows):
             return
 
 
-def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
-    """Run every condition for n <= N and aggregate into one report.
+def _ratio_report(h, table: QuotientTable, N: int, precision: int) -> ConditionReport:
+    """One row per n of every j's verdict and margin, j = 1..M-1."""
+    ratios = {j: h.evaluate(table, j, N, precision) for j in range(1, table.M)}
+    rows = ([((j,), ms.verdict, ms.values[n - 1]) for j, ms in ratios.items()] for n in range(1, N + 1))
+    return _fold(h.name, N, rows, notes={"per_j": {j: ms.verdict for j, ms in ratios.items()},
+                                         "semantics": "prefix-consistent"})
 
-    Every condition reads the quotients through one ``QuotientTable`` that
-    lives only for this call.
-    """
-    table = QuotientTable(cfg)
 
-    def decomposition(n, j):
-        verdict = check_decomposition(table, n, j)
-        return verdict, iv_sub(table.enclosure(n, j, precision), singleton(1), precision)
-
-    conditions = [_fold("decomposition", N, _pairs(table, N, decomposition))]
-    # house(1/a) >= 1/2, possibly replaced by the sign variant
-    mode_used, c5_report = _check_condition5(table, N, precision)
-    conditions.append(c5_report)
-    conditions.append(_fold("house-growth-bound", N, _pairs(
-        table, N, lambda n, j: _check_house_bound(table, n, j, precision))))
-    conditions.append(_fold("interleaving", N, (
-        [((n,), *check_interleaving(table, n, precision))] for n in range(1, N + 1))))
-
-    ratios = {j: ratio_margin(table, j, N, precision) for j in range(1, cfg.M)}
-    conditions.append(_fold(
-        "ratio-liminf", N,
-        ([((j,), ms.verdict, ms.values[n - 1]) for j, ms in ratios.items()] for n in range(1, N + 1)),
-        notes={"per_j": {j: ms.verdict for j, ms in ratios.items()}, "semantics": "prefix-consistent"},
-    ))
-
-    # growth limsup passes when at least one j passes; its series is the last
-    # passing j's, else the first j's
-    growth = {j: growth_margin(table, j, N, precision) for j in range(1, cfg.M + 1)}
+def _growth_report(h, table: QuotientTable, N: int, precision: int) -> ConditionReport:
+    """Pass when at least one j passes; the series is the last passing j's, else the first j's."""
+    growth = {j: h.evaluate(table, j, N, precision) for j in range(1, table.M + 1)}
     per_j = {j: ms.verdict for j, ms in growth.items()}
     passing = [ms for ms in growth.values() if ms.verdict == PASS]
-    g_verdict = PASS if passing else FAIL if all(v == FAIL for v in per_j.values()) else INDET
-    conditions.append(
-        ConditionReport("growth-limsup", g_verdict, N, (passing[-1] if passing else growth[1]).values,
-                        None if g_verdict == PASS else (1,),
-                        notes={"per_j": per_j, "quantifier": "any-j",
-                               "semantics": "prefix-consistent"})
-    )
+    verdict = PASS if passing else FAIL if all(v == FAIL for v in per_j.values()) else INDET
+    return ConditionReport(h.name, verdict, N, (passing[-1] if passing else growth[1]).values,
+                           None if verdict == PASS else (1,),
+                           notes={"per_j": per_j, "quantifier": "any-j", "semantics": "prefix-consistent"})
 
+
+def _sign_report(h, table: QuotientTable, N: int, precision: int) -> ConditionReport:
+    """The fold of the rows, with the sign table they read; indeterminate without one."""
+    try:
+        signs = table.sign_table(precision)
+    except IndeterminateAtPrecision:
+        return ConditionReport(h.name, INDET, N, [], (1,), notes={"reason": "sign table underivable"})
+    return _fold(h.name, N, h.rows(table, N, precision),
+                 notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(signs.items())}})
+
+
+class Hypothesis:
+    """One hypothesis: report name, scope, statement, the reading taken where
+    the paper's abstract leaves it open, and evaluation.  At scope "(n, j)" or
+    "n", ``evaluate(table, n, j, precision)`` gives (verdict, margin | None),
+    j None at "n"; at "j", ``evaluate(table, j, N, precision)`` gives a
+    MarginSeries.  ``fold`` replaces the plain fold of the rows into a report;
+    ``mode`` names the condition-5 variant a record is."""
+
+    def __init__(self, name: str, scope: str, statement: str, reading: str, evaluate,
+                 fold=None, mode: str | None = None):
+        self.name, self.scope, self.statement, self.reading = name, scope, statement, reading
+        self.evaluate, self.fold, self.mode = evaluate, fold, mode
+
+    def rows(self, table: QuotientTable, N: int, precision: int):
+        """Rows of (index, verdict, margin | None), one per n = 1..N, lazily."""
+        js = [None] if self.scope == "n" else range(1, table.M + 1)
+        for n in range(1, N + 1):
+            yield [((n,) if j is None else (n, j), *self.evaluate(table, n, j, precision)) for j in js]
+
+    def check(self, table: QuotientTable, N: int, precision: int) -> ConditionReport:
+        if self.fold is not None:
+            return self.fold(self, table, N, precision)
+        return _fold(self.name, N, self.rows(table, N, precision))
+
+
+# the growth bound as the statements print it, and _growth_branches's second branch
+_BOUND = "max({}2^((log2 a_{{n,{}}})^gamma), 2^(d^(n^gamma)))"
+_BRANCH = ("the bound's second branch is 2^(d^(n^gamma)) when n^gamma is an integer, "
+           "and d^(n^gamma) otherwise")
+
+# The evaluations call the public checkers through their module names, so a
+# wrapper bound to a name (the benchmark's tracer, a test's counter) sees every call.
+HYPOTHESES = {h.name: h for h in [
+    Hypothesis(
+        "decomposition", "(n, j)",
+        "a = (S*b + c)/d with S integral, b/c/d algebraic integers, a >= 1",
+        "each a_{n,j} is read in its own field; D is the config field's degree, and "
+        "check-theorem1 without a field takes the first field among its sequences",
+        lambda table, n, j, precision: (check_decomposition(table, n, j),
+                                        iv_sub(table.enclosure(n, j, precision), singleton(1), precision))),
+    Hypothesis(
+        "house-inverse-half", "(n, j)", "house(1/a_{n,j}) >= 1/2",
+        "condition 5 is house-half or real-part-sign; auto mode reports house-half only when "
+        "every index passes it",
+        _check_house_half, mode="house-half"),
+    Hypothesis(
+        "real-part-sign", "(n, j)",
+        "(-1)^e_{j,sigma} Re(sigma(a_{n,j})) >= " + _BOUND.format("", 1) + "^-1",
+        "the sign table e_{j,sigma} is read at n = 1, over each element's own field; " + _BRANCH,
+        lambda table, n, j, precision: check_condition10(table, n, j, precision),
+        fold=_sign_report, mode="real-part-sign"),
+    Hypothesis(
+        "house-growth-bound", "(n, j)",
+        "house(b), house(c), house(d) <= " + _BOUND.format("", "j"), _BRANCH, _check_house_bound),
+    Hypothesis(
+        "interleaving", "n", "a_{n,1} < " + _BOUND.format("a_{n,M} ", "M"), _BRANCH,
+        lambda table, n, j, precision: check_interleaving(table, n, precision)),
+    Hypothesis(
+        "ratio-liminf", "j", "liminf sqrt(n) (a_{n,j}/a_{n,j+1} - 1) > 0",
+        "liminf > 0 means a certainly positive minimum over the trailing window, the last "
+        "ceil(N/4) indices, and a window that is not strictly decreasing",
+        lambda table, j, N, precision: ratio_margin(table, j, N, precision), fold=_ratio_report),
+    Hypothesis(
+        "growth-limsup", "j", "limsup a_{n,j}^(1/d^n) = infinity",
+        "limsup = infinity means at least two increasing records, the last certainly above 2, "
+        "and a trailing window that is not strictly decreasing; at least one j must pass",
+        lambda table, j, N, precision: growth_margin(table, j, N, precision), fold=_growth_report),
+]}
+
+
+def check_all(cfg: Thm1Config, N: int, precision: int) -> HypothesisReport:
+    """Fold every record for n <= N into one report, all reading one
+    ``QuotientTable`` that lives only for this call."""
+    table = QuotientTable(cfg)
+    mode_used, conditions = None, []
+    for h in HYPOTHESES.values():
+        if h.mode is None:
+            conditions.append(h.check(table, N, precision))
+        elif mode_used is None:
+            mode_used, report = _check_condition5(table, N, precision)
+            conditions.append(report)
     verdicts = {c.verdict for c in conditions}
     overall = FAIL if FAIL in verdicts else PASS if verdicts == {PASS} else INDET
     return HypothesisReport(overall, conditions, table.d, cfg.gamma, mode_used, cfg.name)
 
 
 def _check_condition5(table: QuotientTable, N: int, precision: int):
-    """Try house-half, fall back to the sign condition in auto mode.
-
-    Auto mode keeps the house-half report only when every index passes, so
-    it stops house-half at the first row that does not.
-    """
+    """(mode, report) of condition 5: the configured variant, or in auto mode
+    house-half, stopped at its first row that does not pass, then real-part-sign."""
+    variants = {h.mode: h for h in HYPOTHESES.values() if h.mode}
     auto = table.cfg.condition5_mode == "auto"
-    for mode in ["house-half", "real-part-sign"] if auto else [table.cfg.condition5_mode]:
-        if mode == "house-half":
-            rows = _pairs(table, N, lambda n, j: _check_house_half(table, n, j, precision))
-            report = _fold("house-inverse-half", N, _while_passing(rows) if auto else rows)
+    for mode in variants if auto else [table.cfg.condition5_mode]:
+        h = variants[mode]
+        if auto and mode == "house-half":
+            report = _fold(h.name, N, _while_passing(h.rows(table, N, precision)))
         else:
-            try:
-                signs = derive_sign_table(table, precision)
-            except IndeterminateAtPrecision:
-                report = ConditionReport("real-part-sign", INDET, N, [], (1,),
-                                         notes={"reason": "sign table underivable"})
-            else:
-                report = _fold(
-                    "real-part-sign", N,
-                    _pairs(table, N, lambda n, j: check_condition10(table, n, j, precision, e_table=signs)),
-                    notes={"e_table": {f"{j},{i}": e for (j, i), e in sorted(signs.items())}},
-                )
+            report = h.check(table, N, precision)
         if report.verdict == PASS:
             break
     return mode, report

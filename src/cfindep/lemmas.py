@@ -44,10 +44,8 @@ __all__ = [
     "remark_counterexample",
     "run_lemma2_suite",
     "run_lemma3_suite",
-    "TOLERANCE",
 ]
 
-TOLERANCE = Fraction(1, 2 ** 40)
 _SUITE_MAX_LEN = 8  # longest random tuple in the lemma 2 and 3 suites
 
 
@@ -168,15 +166,15 @@ class SuiteResult:
         return self.passed == self.trials
 
 
-def _gaussian_integers(floats: list[float]) -> tuple[list[tuple[int, int]], int]:
-    """Pairs (x_k, y_k) and a power of two s with floats[2k] + i*floats[2k+1] == (x_k + i*y_k)/s."""
-    pairs = [f.as_integer_ratio() for f in floats]
+def _gaussian_integers(pairs: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """Pairs (x_k, y_k) and a power of two s with (x_k + i*y_k)/s == pairs[2k] + i*pairs[2k+1]."""
     scale = max(d for _, d in pairs)  # every denominator is a power of two
     ms = [n * (scale // d) for n, d in pairs]
     return list(zip(ms[::2], ms[1::2])), scale
 
 
-def _random_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[float, float]:
+def _random_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A random point with lo <= |z| <= hi exactly, as the integer ratios of its two floats."""
     while True:
         m = rng.uniform(lo, hi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
@@ -184,7 +182,7 @@ def _random_modulus_point(rng: random.Random, lo: int, hi: int) -> tuple[float, 
         (x, xd), (y, yd) = re.as_integer_ratio(), im.as_integer_ratio()
         r2, s2 = (x * yd) ** 2 + (y * xd) ** 2, (xd * yd) ** 2  # |z|^2 = r2/s2
         if lo * lo * s2 <= r2 <= hi * hi * s2:
-            return re, im
+            return (x, xd), (y, yd)
 
 
 def _run_suite(trials: int, seed: int, trial) -> SuiteResult:
@@ -206,21 +204,18 @@ def _run_suite(trials: int, seed: int, trial) -> SuiteResult:
     return SuiteResult(trials, passed, seed, None if worst is None else Fraction(*worst), failures)
 
 
-_FLOOR = 1 - TOLERANCE
-
-
 def _lemma2_trial(rng: random.Random) -> tuple[int, int, bool]:
-    """|v|^2 = |A|^2/|B|^2 for v = A/B from ``gaussian_cf``, and |v| >= 1 - 2^-40."""
+    """|v|^2 = |A|^2/|B|^2 for v = A/B from ``gaussian_cf``, and |v| >= 1."""
     k = rng.randint(1, _SUITE_MAX_LEN)
-    floats = [c for _ in range(k) for c in _random_modulus_point(rng, 2, 10)]
-    ar, ai, br, bi = gaussian_cf(*_gaussian_integers(floats))
+    ratios = [c for _ in range(k) for c in _random_modulus_point(rng, 2, 10)]
+    ar, ai, br, bi = gaussian_cf(*_gaussian_integers(ratios))
     num, den = ar * ar + ai * ai, br * br + bi * bi
-    return num, den, num * _FLOOR.denominator ** 2 >= _FLOOR.numerator ** 2 * den
+    return num, den, num >= den
 
 
 def _lemma3_trial(rng: random.Random) -> tuple[int, int, bool]:
     """Margin Re v - Re z0 with Re v = Re(A conj B)/|B|^2 for v = A/B; passes when
-    it is >= -2^-40 and |Re w| == Re v for w = [-z0; -z1, ...]."""
+    it is >= 0 and |Re w| == Re v for w = [-z0; -z1, ...]."""
     k = rng.randint(1, _SUITE_MAX_LEN)
     floats = []
     for _ in range(k):
@@ -228,21 +223,20 @@ def _lemma3_trial(rng: random.Random) -> tuple[int, int, bool]:
         while re <= 0:
             re = rng.uniform(0.0, 5.0)
         floats += [re, rng.uniform(-5.0, 5.0)]
-    pts, scale = _gaussian_integers(floats)
+    pts, scale = _gaussian_integers([f.as_integer_ratio() for f in floats])
     ar, ai, br, bi = gaussian_cf(pts, scale)
     cr, ci, dr, di = gaussian_cf([(-x, -y) for x, y in pts], scale)
     v_re, v_den = ar * br + ai * bi, br * br + bi * bi
     w_re, w_den = cr * dr + ci * di, dr * dr + di * di
     num, den = scale * v_re - pts[0][0] * v_den, scale * v_den
-    ok = num * TOLERANCE.denominator >= -TOLERANCE.numerator * den and abs(w_re) * v_den == v_re * w_den
-    return num, den, ok
+    return num, den, num >= 0 and abs(w_re) * v_den == v_re * w_den
 
 
 def run_lemma2_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
-    """Random tuples with |z_k| in [2, 10]: modulus of the CF stays >= 1 - 2^-40."""
+    """Random tuples with |z_k| in [2, 10]: the modulus of the CF is at least 1."""
     return _run_suite(trials, seed, _lemma2_trial)
 
 
 def run_lemma3_suite(trials: int = 1000, seed: int = 0) -> SuiteResult:
-    """Random right-half-plane tuples: Re CF >= Re z0 - 2^-40 and negation identity."""
+    """Random right-half-plane tuples: Re CF >= Re z0 and the negation identity."""
     return _run_suite(trials, seed, _lemma3_trial)

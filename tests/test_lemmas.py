@@ -12,7 +12,6 @@ from cfindep import lemmas
 from cfindep.cfcore import GaussianRational, complex_cf_eval_exact, gaussian_cf
 from cfindep.errors import QuotientBelowOne
 from cfindep.lemmas import (
-    TOLERANCE,
     lemma1_trace,
     remark_counterexample,
     run_lemma2_suite,
@@ -236,7 +235,7 @@ def test_lemma2_hypothesis_enforced(monkeypatch):
 
 def _in_annulus_by_common_scale(re: float, im: float, lo: int, hi: int) -> bool:
     """Reference annulus test: both coordinates on one power-of-two denominator."""
-    [(x, y)], s = lemmas._gaussian_integers([re, im])
+    [(x, y)], s = lemmas._gaussian_integers([re.as_integer_ratio(), im.as_integer_ratio()])
     return lo * lo * s * s <= x * x + y * y <= hi * hi * s * s
 
 
@@ -267,7 +266,8 @@ def test_annulus_boundary_matches_the_reference(monkeypatch):
                 rng = SimpleNamespace(uniform=lambda a, b: next(script))
                 got = lemmas._random_modulus_point(rng, 2, 10)
                 accepted = _in_annulus_by_common_scale(re, im, 2, 10)
-                assert repr(got) == repr((re, im) if accepted else fallback), (re, im)
+                want = (re, im) if accepted else fallback
+                assert got == tuple(c.as_integer_ratio() for c in want), (re, im)
                 outcomes.add(accepted)
     assert outcomes == {True, False}
 
@@ -276,8 +276,25 @@ def test_annulus_boundary_matches_the_reference(monkeypatch):
 def test_modulus_sampler_matches_the_reference_stream(seed):
     ours, ref = random.Random(seed), random.Random(seed)
     draws = [lemmas._random_modulus_point(ours, 2, 10) for _ in range(20_000)]
-    assert draws == [_reference_modulus_point(ref, 2, 10) for _ in range(20_000)]
+    assert draws == [tuple(c.as_integer_ratio() for c in _reference_modulus_point(ref, 2, 10))
+                     for _ in range(20_000)]
     assert ours.getstate() == ref.getstate()
+
+
+def test_lemma2_checks_the_bound_exactly(monkeypatch):
+    # [2; -2, 2, -2, ...] with k quotients has |v| = (k+1)/k, so lemma 2's
+    # bound |v| >= 1 is an infimum; the suite checks that bound with no slack
+    def trial(k):
+        points = iter(((2 * (-1) ** i, 1), (0, 1)) for i in range(k))
+        monkeypatch.setattr(lemmas, "_random_modulus_point", lambda rng, lo, hi: next(points))
+        return lemmas._lemma2_trial(SimpleNamespace(randint=lambda a, b: k))
+
+    for k in range(1, 41):
+        num, den, ok = trial(k)
+        assert ok and Fraction(num, den) == Fraction(k + 1, k) ** 2, k
+    # a value on the bound, |v| = |3 + 4i|/|4 + 3i| = 1, passes
+    monkeypatch.setattr(lemmas, "gaussian_cf", lambda zs, scale: (3, 4, 4, 3))
+    assert trial(1) == (25, 25, True)
 
 
 def test_lemma3_examples():
@@ -301,7 +318,7 @@ def test_random_suites_small():
     s2 = run_lemma2_suite(trials=200, seed=42)
     assert s2.all_passed and s2.worst >= 1
     s3 = run_lemma3_suite(trials=200, seed=42)
-    assert s3.all_passed and s3.worst >= -TOLERANCE
+    assert s3.all_passed and s3.worst == 0  # one-quotient tuples meet lemma 3's bound
     # determinism: same seed gives identical outcome
     again = run_lemma2_suite(trials=200, seed=42)
     assert again.worst == s2.worst

@@ -16,8 +16,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import cfindep
+from cfindep import criteria, relation
+from cfindep.bigreal import poly
+from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.interval import DyadicInterval, singleton
 
 PACKAGE = pathlib.Path(cfindep.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -285,3 +290,19 @@ def test_installed_tracer_wraps_every_benchmarked_function():
              if m["name"].rsplit(".", 1)[1] in ("calls", "total_s", "repeat_share")}
     assert "bigreal.refine_root" in named
     assert sorted(named - wrapped) == []
+
+
+def test_tracer_probes_bind_existing_parameters():
+    # the tracer's argument probes read growth_bound's prec, refine_root's
+    # target_width and lll_reduce's basis by name: a renamed parameter would
+    # pass every other test and fail a traced benchmark run with KeyError
+    tracer = _tracer().Tracer(64)
+    calls = {
+        "criteria.growth_bound": (criteria.growth_bound, (singleton(4), 1, Fraction(1, 2), 2, 128)),
+        "bigreal.refine_root": (poly.refine_root, (poly.IntPoly.of(-2, 0, 1),
+                                                    DyadicInterval(Dyadic(1), Dyadic(2)), Dyadic(1, -80))),
+        "relation.lll_reduce": (relation.lll_reduce, ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],)),
+    }
+    for name, (fn, args) in calls.items():
+        tracer._probe_for(name, fn)(args, {})
+    assert (tracer.escalated, tracer.bits_max, tracer.dim_max) == (1, 80, 3)
