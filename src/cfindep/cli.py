@@ -16,10 +16,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bigreal.dyadic import rational_to_dyadic
-from .bigreal.interval import MIN_PRECISION, DyadicInterval, singleton
-from .bigreal.poly import IntPoly
-from .catalog import build_config, catalog, list_named_examples
+from .bigreal.interval import MIN_PRECISION, singleton
+from .catalog import build_config, catalog, list_named_examples, resolve_family
 from .cfcore import (
     advance,
     determinant_value,
@@ -29,7 +27,7 @@ from .cfcore import (
     scalar_enclosure,
     scalar_is_zero,
 )
-from .criteria import HYPOTHESES, HypothesisReport, Thm1Config, check_all
+from .criteria import HYPOTHESES, HypothesisReport, check_all
 from .errors import (
     CFIndepError,
     IndeterminateAtPrecision,
@@ -43,10 +41,10 @@ from .lemmas import (
     run_lemma2_suite,
     run_lemma3_suite,
 )
-from .numfield import FieldElement, NumberField, field_new
+from .numfield import FieldElement
 from .relation import find_relation, find_relation_over_field
 from .reportfmt import dumps_report, fraction_str, interval_payload, scalar_payload
-from .sequences import CFSpec, parse_int, parse_rational, parse_sequence, spec as make_spec
+from .sequences import CFSpec, parse_int, parse_rational, spec as make_spec
 
 __all__ = ["main", "RunConfig", "run"]
 
@@ -89,22 +87,6 @@ class RunConfig:
         return cls(d["task"], d.get("field"), d.get("sequences"), d.get("params"), output)
 
 
-def _field_from_dict(d: dict) -> NumberField:
-    coeffs = d.get("minpoly")
-    root = d.get("root")
-    if not coeffs or not isinstance(coeffs, list):
-        raise ValueError("field.minpoly must be a nonempty coefficient list")
-    if not isinstance(root, list) or len(root) != 2:
-        raise ValueError("field.root must be [lo, hi] exact rationals")
-    lo = parse_rational(root[0])
-    hi = parse_rational(root[1])
-    iv = DyadicInterval(
-        rational_to_dyadic(lo.numerator, lo.denominator, 64, up=False),
-        rational_to_dyadic(hi.numerator, hi.denominator, 64, up=True),
-    )
-    return field_new(IntPoly(tuple(parse_int(c, "field.minpoly") for c in coeffs)), iv)
-
-
 # ---------------------------------------------------------------------------
 # task runners: each returns (status, exit_code, result_dict, text_lines)
 # ---------------------------------------------------------------------------
@@ -133,10 +115,6 @@ def _hypothesis_result(rep: HypothesisReport, head: str, **extra) -> tuple[str, 
     }
     lines = [head] + [f"  {c.name}: {c.verdict}" for c in rep.conditions]
     return rep.overall, int(rep.overall == "fail"), result, lines
-
-
-def _resolve_sequences(cfg: RunConfig) -> dict[str, CFSpec]:
-    return {name: parse_sequence(d) for name, d in cfg.sequences.items()}
 
 
 def _integer(minimum: int | None = None) -> tuple:
@@ -204,14 +182,7 @@ def _parse_params(cfg: RunConfig, defaults: dict) -> dict:
 
 
 def _task_check_theorem1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
-    fld = _field_from_dict(cfg.field) if cfg.field else None
-    seqs = _resolve_sequences(cfg)
-    ordered = [seqs[name] for name in p["order"] or sorted(seqs)]
-    if fld is None:
-        # infer the ambient field (hence the degree D) from the sequences
-        fld = next((s.field for s in ordered if s.field is not None), None)
-    tcfg = Thm1Config(M=len(ordered), sequences=ordered, gamma=p["gamma"], field=fld,
-                      condition5_mode=p["mode"])
+    tcfg = resolve_family(cfg.sequences, p["order"], cfg.field, p["gamma"], p["mode"])[2]
     rep = check_all(tcfg, p["N"], p["precision"])
     return _hypothesis_result(rep, f"overall: {rep.overall} (mode {rep.mode_used}, d={rep.d})")
 
@@ -231,13 +202,12 @@ def _single_sequence(cfg: RunConfig, p: dict) -> CFSpec:
         if p["j"] > tcfg.M:
             raise ValueError("j out of range")
         return tcfg.sequences[p["j"] - 1]
-    seqs = _resolve_sequences(cfg)
     name = p["sequence"]
-    if name is None and len(seqs) == 1:
-        name = next(iter(seqs))
+    if name is None and len(cfg.sequences) == 1:
+        name = next(iter(cfg.sequences))
     if name is None:
         raise ValueError("params.sequence must name a configured sequence")
-    return seqs[name]
+    return resolve_family(cfg.sequences, [name])[1][0]
 
 
 def _task_convergents(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
@@ -279,14 +249,13 @@ def _task_enclose(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
 
 
 def _task_lemma1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
-    seqs = _resolve_sequences(cfg)
     if (p["a"] is None) != (p["b"] is None):
         raise ValueError("lemma1 needs both params.a and params.b, or neither")
     if p["a"] is None:
         a = make_spec("constant", value=Fraction(2))
         b = make_spec("constant", value=Fraction(1))
     else:
-        a, b = seqs[p["a"]], seqs[p["b"]]
+        a, b = resolve_family(cfg.sequences, [p["a"], p["b"]])[1]
     N = p["N"]
     tr = lemma1_trace(a, b, N, p["precision"])
     result = {
@@ -334,12 +303,9 @@ def _task_relation(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     prec, n_trunc = p["precision"], p["N"]
     if p["example"] is not None:
         tcfg = build_config(p["example"])
-        seq_list = tcfg.sequences
-        fld = tcfg.field
+        fld, seq_list = tcfg.field, tcfg.sequences
     else:
-        fld = _field_from_dict(cfg.field) if cfg.field else None
-        seqs = _resolve_sequences(cfg)
-        seq_list = [seqs[nm] for nm in p["values"] or sorted(seqs)]
+        fld, seq_list, _ = resolve_family(cfg.sequences, p["values"], cfg.field)
     expand = fld is not None if p["expand_field"] is None else p["expand_field"]
     values = []
     for s in seq_list:

@@ -28,7 +28,7 @@ from .bigreal.interval import (
 from .cfcore import scalar, scalar_at_least_one, scalar_enclosure
 from .errors import IndeterminateAtPrecision
 from .numfield import NumberField
-from .sequences import CFSpec, spec
+from .sequences import CFSpec
 
 __all__ = [
     "Thm1Config",
@@ -45,7 +45,6 @@ __all__ = [
     "ratio_margin",
     "growth_margin",
     "check_all",
-    "c2_config",
 ]
 
 PASS = "pass"
@@ -582,10 +581,3 @@ def _check_condition5(table: QuotientTable, N: int, precision: int):
         if report.verdict == PASS:
             break
     return mode, report
-
-
-def c2_config(K: int, base: CFSpec, gamma: Fraction = Fraction(1, 2), name: str | None = None) -> Thm1Config:
-    """Convenience constructor: rational quotients a_n/j for j = 1..K."""
-    seqs = [spec("div-by-j", base=base, j=j) for j in range(1, K + 1)]
-    return Thm1Config(M=K, sequences=seqs, gamma=gamma, field=None, D=1,
-                      condition5_mode="auto", name=name)

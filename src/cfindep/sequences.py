@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .bigreal.dyadic import Dyadic
+from .bigreal.dyadic import Dyadic, rational_to_dyadic
 from .bigreal.interval import DyadicInterval
 from .bigreal.poly import IntPoly, SturmChain, factor_with_roots, refine_root
 from .errors import (
@@ -35,6 +35,7 @@ __all__ = [
     "KINDS",
     "spec",
     "parse_sequence",
+    "parse_field",
     "parse_rational",
     "parse_int",
     "sqrt_j_family",
@@ -310,6 +311,25 @@ def parse_sequence(desc: dict) -> CFSpec:
     return kind.parse(desc)
 
 
+def parse_field(desc: dict) -> NumberField:
+    """The number field a JSON field descriptor names, e.g.
+    ``{"minpoly": [-2, 0, 1], "root": ["1", "2"]}``: the root of ``minpoly``
+    (constant term first) inside the exact rational interval ``root``."""
+    coeffs = desc.get("minpoly")
+    root = desc.get("root")
+    if not coeffs or not isinstance(coeffs, list):
+        raise ValueError("field.minpoly must be a nonempty coefficient list")
+    if not isinstance(root, list) or len(root) != 2:
+        raise ValueError("field.root must be [lo, hi] exact rationals")
+    lo = parse_rational(root[0])
+    hi = parse_rational(root[1])
+    iv = DyadicInterval(
+        rational_to_dyadic(lo.numerator, lo.denominator, 64, up=False),
+        rational_to_dyadic(hi.numerator, hi.denominator, 64, up=True),
+    )
+    return field_new(IntPoly(tuple(parse_int(c, "field.minpoly") for c in coeffs)), iv)
+
+
 def _list(desc: dict, key: str) -> list:
     values = desc[key]
     if not isinstance(values, list):
@@ -386,7 +406,7 @@ def _polynomial(s: CFSpec, n: int) -> tuple:
     return 0, acc
 
 
-def _hanluc(s: CFSpec, n: int) -> tuple:
+def _prime_ratio(s: CFSpec, n: int) -> tuple:
     """Prime-ratio quotients over Q(sqrt 2): (1 + p_n/n) sqrt2 for j=1 and
     b_n (p_n/n) sqrt2 for j=2, p_n the n-th prime and b_n the base."""
     ratio = Fraction(nth_prime(n), n)
@@ -396,7 +416,7 @@ def _hanluc(s: CFSpec, n: int) -> tuple:
     return E, u * ratio * sqrt2_field().generator()
 
 
-def _hanluc_decomposition(s: CFSpec, n: int) -> Decomposition:
+def _prime_ratio_decomposition(s: CFSpec, n: int) -> Decomposition:
     f = sqrt2_field()
     if s._p("j") == 1:
         return Decomposition(n + nth_prime(n), f.generator(), f.zero(), f.from_rational(n))
@@ -430,10 +450,19 @@ def _phi_exponent(s: CFSpec, n: int) -> int:
     return s._p("offset") + 2 * (n - 1)
 
 
+@lru_cache(maxsize=32)
+def _family(build: Callable, *args) -> tuple[CFSpec, ...]:
+    """``build(*args)``, built once for every sequence that names the same
+    family: the roots of one polynomial over one base share their fields, and
+    the sqrt(j) over one base share one compositum.  Threads that race on a
+    family may each build it; every build gives the same quotients."""
+    return tuple(build(*args))
+
+
 def _parse_root_scaled(desc: dict) -> CFSpec:
     idx = _int(desc, "root_index")
     poly = IntPoly(tuple(parse_int(c, "poly") for c in _list(desc, "poly")))
-    fam = polynomial_root_family(poly, _base(desc))
+    fam = _family(polynomial_root_family, poly, _base(desc))
     if not 1 <= idx <= len(fam):
         raise ValueError("root_index out of range")
     return fam[idx - 1]
@@ -443,7 +472,7 @@ def _parse_sqrt_j_scaled(desc: dict) -> CFSpec:
     K, j = _int(desc, "K"), _int(desc, "j")
     if not 1 <= j <= K:
         raise ValueError("j out of range for sqrt-j-scaled")
-    return sqrt_j_family(K, _base(desc))[K - j]
+    return _family(sqrt_j_family, K, _base(desc))[K - j]
 
 
 KINDS: dict[str, _Kind] = {
@@ -469,7 +498,7 @@ KINDS: dict[str, _Kind] = {
         _decomposition,
         lambda desc: spec("pow2-geometric", d=_int(desc, "d", 0)),
     ),
-    "hanluc": _Kind(_hanluc, _hanluc_decomposition, _parse_hanluc),
+    "hanluc": _Kind(_prime_ratio, _prime_ratio_decomposition, _parse_hanluc),
     "div-by-j": _Kind(
         _scaled(lambda s, n: Fraction(1, s._p("j"))),
         lambda s, n: _decomposition(s, n, 1, s._p("j")),

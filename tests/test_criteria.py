@@ -13,7 +13,6 @@ from cfindep.cfcore import run_recurrence, scalar
 from cfindep.criteria import (
     QuotientTable,
     Thm1Config,
-    c2_config,
     check_all,
     check_condition10,
     check_decomposition,
@@ -264,7 +263,7 @@ def test_fail_reverification_at_doubled_precision():
 
 def test_specialization_consistency():
     # the Theorem-1 checker on hand-built div-by-j sequences agrees with the
-    # convenience constructor for D=1, M=K
+    # c2 catalog entry at D=1, M=K
     base = spec("doubly-exponential", d=2, c=3)
     K = 3
     manual = Thm1Config(
@@ -272,7 +271,7 @@ def test_specialization_consistency():
         sequences=[spec("div-by-j", base=base, j=j) for j in range(1, K + 1)],
         gamma=Fraction(1, 2), field=None, D=1,
     )
-    auto = c2_config(K, base)
+    auto = build_config("c2", K=K)
     r_manual = check_all(manual, 5, 128)
     r_auto = check_all(auto, 5, 128)
     assert r_manual.overall == r_auto.overall

@@ -158,6 +158,7 @@ _FRESH_RUN = """
 import contextlib, io, json, pathlib, sys
 from cfindep import cli
 from cfindep.numfield import embeddings
+from cfindep.sequences import parse_field
 
 config_path = sys.argv[1]
 runs = [["check-named-example", name, "--N", "3"] for name in ("ex1", "c3", "t2")]
@@ -166,7 +167,7 @@ codes = []
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-field = cli._field_from_dict(json.loads(pathlib.Path(config_path).read_text())["field"])
+field = parse_field(json.loads(pathlib.Path(config_path).read_text())["field"])
 pairs = embeddings(field, 128).complex_pairs
 print(codes, len(pairs), sorted({"sympy", "numpy"} & set(sys.modules)))
 """
@@ -306,3 +307,19 @@ def test_tracer_probes_bind_existing_parameters():
     for name, (fn, args) in calls.items():
         tracer._probe_for(name, fn)(args, {})
     assert (tracer.escalated, tracer.bits_max, tracer.dim_max) == (1, 80, 3)
+
+
+def test_benchmark_reads_of_the_catalog_hold():
+    # perfbench/op.py reads each entry's default precision through
+    # cli.catalog() on traced runs, and perfbench/checks.py an entry's j-th
+    # sequence through build_config; a catalog change that broke either would
+    # fail only those benchmark runs
+    from cfindep import cli
+    from cfindep.catalog import build_config
+    from cfindep.sequences import CFSpec
+
+    assert cli.catalog()
+    for name, entry in cli.catalog().items():
+        assert all(type(entry.defaults.get(key)) is int for key in ("N", "precision")), name
+        seqs = build_config(name).sequences
+        assert type(seqs) is list and seqs and all(type(s) is CFSpec for s in seqs), name
