@@ -15,8 +15,9 @@ enclosures.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from operator import index
 
 from ..errors import DivisorContainsZero, NegativeSqrt, refuse_assignment
@@ -365,15 +366,9 @@ def iv_hull(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
 # pure in (Dyadic or ints, precision, end) and return immutable Dyadics.
 _POINT_CACHE_SIZE = 4096
 
-# The log and exp series run on raw (mantissa, exponent) int pairs m * 2**e.
-# They round exactly as the interval operations they stand for (iv_add,
-# iv_mul, iv_square, iv_div by an integer) at `work` bits, so they give the
-# same endpoints while building a Dyadic only for the result.  A pair
-# need not be canonical: rounding to p bits depends on the value alone.  A
-# quotient by an integer takes its shift from the bit lengths of the
-# numerator and the divisor and is never reduced, as in _pair_quotient; a
-# power of two kept in the divisor adds as much to the shift as it takes
-# from the quotient's exponent, so the pair is the one _pair_quotient gives.
+# Directed rounding of raw (mantissa, exponent) int pairs m * 2**e, as
+# Dyadic.round_down and round_up round; a pair need not be canonical, since
+# rounding to p bits depends on the value alone.
 
 
 def _pair_down(m: int, e: int, prec: int) -> tuple[int, int]:
@@ -392,163 +387,87 @@ def _pair_up(m: int, e: int, prec: int) -> tuple[int, int]:
     return -((-m) >> excess), e + excess
 
 
-# One-sided series.  Each endpoint of a log or exp bound is the partial sum
-# of one chain of directed roundings: the round-up chain rounds every step
-# up, the round-down chain every step down, and neither reads the other's
-# values.  Both chains stop at the same index n: the first n at which the
-# round-up chain's stopping pair x+_n (the term for exp, the odd power for
-# ln) falls below 2**threshold.  The round-up chain sees that itself; the
-# round-down chain sees only x-_n <= x+_n and certifies the stop with
-# _certainly_below.
+# Argument-reduced kernels (Brent & Zimmermann, Modern Computer Arithmetic,
+# ch. 4).  Each endpoint is one chain of fixed-point integers at a scale
+# 2**f: the round-down chain floors every step, so each of its integers is at
+# most the true value times 2**f and the dropped series tail only lowers it
+# further; the round-up chain takes every ceiling and adds a bound on the
+# tail.  The chain for one end reads no value of the other, and each stops by
+# its own test.  The number s of reduction steps and the scale are fixed
+# functions of the precision: about sqrt(prec)/2 halvings for exp, and about
+# sqrt(prec)/4 square roots for ln, where a math.isqrt costs several series
+# steps; s >= 1 in both.
 
-
-def _gap_exp(hm: int, he: int, lm: int, le: int) -> int:
-    """An integer a with hi/lo - 1 < 2**a for pairs 0 < lo <= hi."""
-    e0 = min(he, le)
-    d = (hm << (he - e0)) - (lm << (le - e0))
-    # hi - lo < 2**(len(d) + e0) and lo >= 2**(len(lm) - 1 + le)
-    return d.bit_length() + e0 - lm.bit_length() + 1 - le
-
-
-def _certainly_below(m: int, e: int, threshold: int, slack: int) -> bool:
-    """m * 2**e * (1 + 2**slack) < 2**threshold, for m * 2**e < 2**threshold;
-    False (undecided) when slack > 0.
-
-    Lemma (the certified stop).  Let every chain quantity be positive,
-    eps = 2**(1 - work), and G >= 4 - work an integer with u+/u- - 1 < 2**G
-    for exp, and t+/t- - 1 < 2**G and s+/s- - 1 < 2**G (s = t**2) for ln.
-    Rounding a positive value to work bits (_pair_down, _pair_up, and
-    _pair_quotient, whose quotient keeps at least work + 1 bits) moves it by
-    a factor in (1 - eps, 1 + eps), and (1 + eps)/(1 - eps) <= 1 + 4*eps =
-    1 + 2**(3 - work).  Then
-        exp:  t+_j/t-_j <= (u+/u-)**j * ((1 + eps)/(1 - eps))**(2(j - 1))
-              (a product and a quotient per step),
-        ln:   p+_k/p-_k <= (t+/t-) * ((s+/s-) * (1 + eps)/(1 - eps))**k,
-    so by log(1 + y) <= y the logarithm Y of either ratio is at most
-    2*n*2**G < 2**(len(n) + G + 1), with n = j for exp, n = k + 1 for ln and
-    len the bit length.  With slack = len(n) + G + 2 <= 0, Y <= 1, so
-    e**Y <= 1 + 2*Y < 1 + 2**slack: when this returns True, x+_n is below
-    2**threshold and the chain stops at n.  When it returns False the step
-    is undecided; the round-down chain then runs the round-up chain for its
-    stop index and continues to it.  Either way every endpoint equals the
-    one the interval-object series (both chains at once) gives.
-    """
-    if slack > 0:
-        return False
-    g = -slack
-    return m * ((1 << g) + 1) < 1 << (threshold - e + g)
-
-
-def _atanh_series(
-    p: int, pe: int, s: int, se: int, twin, work: int, threshold: int, up: bool
-) -> tuple[int, int, int]:
-    """One directed end of the partial sum of atanh(t) = t + t**3/3 + ...
-
-    p = t and s = t**2 are this end's pairs; twin is the round-up end's
-    (p, pe, s, se), which the round-down end reads for its certified stop.
-    Returns the sum pair (the round-up end adds twice the last power for the
-    tail) and the stop index k.  Each step rounds the term p/(2k+1) as
-    _pair_quotient does, with its shift from the bit lengths of p and 2k+1
-    and no gcd, and the sum and the next power as this end's _pair_up or
-    _pair_down does, all on local ints.
-    """
-    if not up:
-        gap = max(_gap_exp(twin[0], twin[1], p, pe), _gap_exp(twin[2], twin[3], s, se), 4 - work)
-    am = ae = 0
-    k = stop = 0
-    while True:
-        # p/(2k+1) to work + 1 bits; a shift down happens only at k = 0 for
-        # p = 2**(work + 2), where it is exact
-        d = 2 * k + 1
-        sh = work + 1 - p.bit_length() + d.bit_length()
-        q, r = divmod(p << sh, d) if sh >= 0 else (p >> -sh, 0)
-        q, qe = q + (up and r != 0), pe - sh
-        if ae <= qe:
-            am += q << (qe - ae)
-        else:
-            am, ae = (am << (ae - qe)) + q, qe
-        if (x := am.bit_length() - work) > 0:
-            am, ae = (-(-am >> x) if up else am >> x), ae + x
-        p, pe = p * s, pe + se
-        if (x := p.bit_length() - work) > 0:
-            p, pe = (-(-p >> x) if up else p >> x), pe + x
-        k += 1
-        if not stop and p.bit_length() + pe <= threshold:  # power < 2**threshold
-            if up:
-                e = min(ae, pe + 1)
-                return (*_pair_up((am << (ae - e)) + (p << (pe + 1 - e)), e, work), k)
-            if _certainly_below(p, pe, threshold, (k + 1).bit_length() + gap + 2):
-                stop = k
-            else:
-                stop = _atanh_series(*twin, None, work, threshold, True)[2]
-        if k == stop:
-            return am, ae, k
-
-
-def _exp_series(u: int, ue: int, twin, work: int, threshold: int, up: bool) -> tuple[int, int, int]:
-    """One directed end of the partial sum of exp(u) = 1 + u + u**2/2! + ...
-
-    u = r ln 2 is this end's pair in (0, ln 2); twin is the round-up end's
-    (u, ue), which the round-down end reads for its certified stop.  Returns
-    the sum pair (the round-up end adds twice the last term for the tail:
-    the ratio of consecutive terms is below ln2/j <= 0.35 there, so the tail
-    is below twice the term) and the stop index j.  Each step rounds as
-    _atanh_series does; the term's quotient by j, too, takes its shift from
-    the bit lengths of the term and of j, with no gcd.
-    """
-    if not up:
-        gap = max(_gap_exp(*twin, u, ue), 4 - work)
-    am, ae = 1, 0
-    tm, te = u, ue  # term
-    j = 1
-    stop = 0
-    while True:
-        if ae <= te:
-            am += tm << (te - ae)
-        else:
-            am, ae = (am << (ae - te)) + tm, te
-        if (x := am.bit_length() - work) > 0:
-            am, ae = (-(-am >> x) if up else am >> x), ae + x
-        j += 1
-        tm, te = tm * u, te + ue
-        if (x := tm.bit_length() - work) > 0:
-            tm, te = (-(-tm >> x) if up else tm >> x), te + x
-        # tm/j to work + 1 bits; tm has at most work bits here
-        sh = work + 1 - tm.bit_length() + j.bit_length()
-        q, r = divmod(tm << sh, j)
-        tm, te = q + (up and r != 0), te - sh
-        if not stop and tm.bit_length() + te <= threshold:  # term < 2**threshold
-            if up:
-                e = min(ae, te + 1)
-                return (*_pair_up((am << (ae - e)) + (tm << (te + 1 - e)), e, work), j)
-            if _certainly_below(tm, te, threshold, j.bit_length() + gap + 2):
-                stop = j
-            else:
-                stop = _exp_series(*twin, None, work, threshold, True)[2]
-        if j == stop:
-            return am, ae, j
+# Guard bits below the last bit of a result.  The error counts in the lemmas
+# of _ln_mantissa_end and _exp2_end, about twice the number of series terms
+# and reductions, must stay below 2**(_GUARD - 4); with about 2 sqrt(prec)
+# terms that holds for any precision below 2**24 bits.  _GUARD < 31 keeps
+# the error of ln 2 below one unit in _exp2_end.
+_GUARD = 20
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _ln_mantissa_end(m_num: int, m_shift: int, prec: int, up: bool) -> Dyadic:
-    """One end of ln(m) for m = m_num / 2**m_shift in [1, 2], as
-    2*atanh((m-1)/(m+1)) on the chain of that end."""
-    work = prec + 16
+    """One end of ln(m) for m = m_num / 2**m_shift in [1, 2], rounded to
+    work = prec + 16 bits in that end's direction.
+
+    With R = m**(1/2**s) (s square roots) and t = (R - 1)/(R + 1),
+    ln m = 2**(s + 1) * atanh(t), and the shift by s + 1 is exact.  At the
+    scale 2**f, f = work + s + _GUARD + z with m - 1 >= 2**-z, the chain
+    rounds m, each root (math.isqrt, or its ceiling), t, t**2, each power
+    t**(2k + 1) and each term power/(2k + 1) in its own direction.  Every
+    map is increasing in its inputs, so the round-down sum is at most
+    atanh(t) (it also drops the tail) and the round-up sum at least the
+    partial sum.  The round-up chain adds its last power p as the tail
+    bound: t <= 1/3, so the tail past the term p/(2k + 1) is below
+    p t**2 / (3 (1 - t**2)) < p/24.
+
+    Accuracy, in units u = 2**-f: m is off by < u, each root by < u plus
+    half the error of its input (sqrt is 1/2-Lipschitz on [1, 2]), so R by
+    < 2u; t by < 2u (dt/dR <= 1/2, plus the division's rounding); t**2 and
+    each power by < 3u (t <= 1/3), each term by < 2u, and the dropped or
+    added tail by at most u.  So n terms are off by < (2n + 3)u in all.  As
+    ln(m) >= (m - 1)/2, t >= (R - 1)/3 >= ln(m)/2**(s + 2) >= 2**-(z + s + 3),
+    so the relative error is below (2n + 3) 2**(3 - work - _GUARD) <=
+    2**-(work + 1).  The final rounding adds less than one unit in the last
+    place of the end, so the end is within 2 units in the last place at work
+    bits of the larger of itself and ln m.
+    """
     num = m_num - (1 << m_shift)
-    den = m_num + (1 << m_shift)
     if num == 0:
         return Dyadic(0)
     if num < 0:
         raise ValueError("mantissa below 1")
-    ph, phe = _rational_pair(num, den, work, True)  # t
-    sh, she = _pair_up(ph * ph, 2 * phe, work)  # t**2, as iv_square
-    if up:
-        p, s, twin = (ph, phe), (sh, she), None
+    work = prec + 16
+    s = isqrt(work) // 4 + 1
+    f = work + s + _GUARD + m_shift + 1 - num.bit_length()
+    sh = f - m_shift
+    if sh >= 0:
+        r = m_num << sh
     else:
-        pl, ple = _rational_pair(num, den, work, False)
-        p, s, twin = (pl, ple), _pair_down(pl * pl, 2 * ple, work), (ph, phe, sh, she)
-    am, ae, _ = _atanh_series(*p, *s, twin, work, -(prec + 8), up)
-    return Dyadic(am, ae + 1)  # times 2; doubling keeps the bit count
+        r = -(-m_num >> -sh) if up else m_num >> -sh
+    one = 1 << f
+    for _ in range(s):
+        x = r << f
+        r = isqrt(x)
+        r += up and r * r < x
+    t, rem = divmod((r - one) << f, r + one)
+    t += up and rem != 0
+    t2 = -(-t * t >> f) if up else t * t >> f
+    total = power = t
+    k = 1
+    if up:
+        while power > 1:
+            power = -(-power * t2 >> f)
+            k += 2
+            total -= -power // k
+        total += power  # tail bound
+    else:
+        while power:
+            power = power * t2 >> f
+            k += 2
+            total += power // k
+    return Dyadic(*(_pair_up if up else _pair_down)(total, s + 1 - f, work))
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
@@ -577,21 +496,57 @@ def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
 def _exp2_end(x: Dyadic, prec: int, up: bool) -> Dyadic:
-    """One end of 2**x as 2**k * exp(r ln 2) with k = floor(x)."""
+    """One end of 2**x = 2**k * exp(v)**(2**s), with k = floor(x) and
+    v = (x - k) ln 2 / 2**s.
+
+    At the scale 2**w, w = prec + s + _GUARD, the chain rounds v (from its
+    own end of ln 2), each Taylor term (the one before times v / j) and
+    each of the s squarings in its own direction; every map is increasing, so the
+    round-down result is at most 2**x (it also drops the tail) and the
+    round-up result at least the partial sum.  The round-up chain adds its
+    last term as the tail bound: v <= ln 2 / 2 < 1/2, so each later term is
+    below a quarter of the one before and the tail is below a third of the
+    last term.
+
+    Accuracy, in units u = 2**-w: v is off by < 2u, one rounding and ln 2's
+    error (at most 2**-(prec + 31), 2 units in the last place at prec + 32
+    bits) times (x - k) 2**(w - s) < 2**(prec + _GUARD); so exp(v) is off by
+    < 4u.  Each term is off by < 2u and the tail by at most u, so n terms
+    are off by < (2n + 5)u, relatively too as exp(v) >= 1.  Each squaring
+    about doubles a relative error and adds u, so the s squarings leave it
+    below 2**s (2n + 5 + s) u <= 2**-(prec + 1).  The final rounding to prec
+    bits adds less than one unit in the last place of the end, so the end is
+    within 2 units in the last place at prec bits of the larger of itself
+    and 2**x.
+    """
     k = x.floor()
     if x.is_integer():
         return Dyadic(1, k)
     r = x - Dyadic(k)  # in (0, 1), exact
-    work = prec + 16
-    ln2 = _ln_mantissa_end(2, 0, work, True)
-    uh = _pair_up(r.man * ln2.man, r.exp + ln2.exp, work)  # in (0, ln 2)
+    s = isqrt(prec) // 2 + 1
+    w = prec + s + _GUARD
+    ln2 = _ln_mantissa_end(2, 0, prec + 16, up)
+    m, e = r.man * ln2.man, r.exp + ln2.exp + w - s  # v * 2**w = m * 2**e
+    total = term = 1 << w
+    j = 0
     if up:
-        u, twin = uh, None
+        v = m << e if e >= 0 else -(-m >> -e)
+        while term > 1:
+            j += 1
+            term = -((-term * v >> w) // j)
+            total += term
+        total += term  # tail bound
+        for _ in range(s):
+            total = -(-total * total >> w)
     else:
-        ln2 = _ln_mantissa_end(2, 0, work, False)
-        u, twin = _pair_down(r.man * ln2.man, r.exp + ln2.exp, work), uh
-    am, ae, _ = _exp_series(*u, twin, work, -(prec + 8), up)
-    return Dyadic(*(_pair_up if up else _pair_down)(am, ae + k, prec))
+        v = m << e if e >= 0 else m >> -e
+        while term:
+            j += 1
+            term = (term * v >> w) // j
+            total += term
+        for _ in range(s):
+            total = total * total >> w
+    return Dyadic(*(_pair_up if up else _pair_down)(total, k - w, prec))
 
 
 def iv_exp2(a: DyadicInterval, prec: int) -> DyadicInterval:

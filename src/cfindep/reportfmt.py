@@ -43,22 +43,21 @@ def dyadic_decimal(x: Dyadic, sig: int = _SIG_DEFAULT, round_up: bool = False) -
         return "0"
     neg = x.man < 0
     man, e = abs(x.man), x.exp
-    # decimal exponent t with 10^t <= |x| < 10^(t+1)
+    num, den = (man << e, 1) if e >= 0 else (man, 1 << -e)
+    # decimal exponent t with 10^t <= |x| < 10^(t+1), and p = 10^|t|: one
+    # power, moved to 10^|t -+ 1| by an exact *10 or //10
     t = (man.bit_length() + e) * 30103 // 100000
-    while _cmp_pow10(man, e, t) < 0:
-        t -= 1
-    while _cmp_pow10(man, e, t + 1) >= 0:
-        t += 1
-    s = sig - 1 - t
-    num, den = man, 1
-    if e >= 0:
-        num <<= e
+    p = 10 ** abs(t)
+    while _cmp_pow10(num, den, t, p) < 0:
+        t, p = t - 1, p * 10 if t <= 0 else p // 10
+    while _cmp_pow10(num, den, t + 1, p // 10 if t < 0 else p * 10) >= 0:
+        t, p = t + 1, p // 10 if t < 0 else p * 10
+    # |x| * 10^(sig-1-t) as num/den, with 10^-t = p or 1/p
+    num *= _pow10(sig - 1)
+    if t >= 0:
+        den *= p
     else:
-        den <<= -e
-    if s >= 0:
-        num *= _pow10(s)
-    else:
-        den *= _pow10(-s)
+        num *= p
     if round_up:
         digits = -((-num) // den)
     else:
@@ -84,17 +83,12 @@ def dyadic_decimal(x: Dyadic, sig: int = _SIG_DEFAULT, round_up: bool = False) -
     return ("-" if neg else "") + mantissa + f"e{'+' if t >= 0 else '-'}{abs(t)}"
 
 
-def _cmp_pow10(man: int, e: int, t: int) -> int:
-    """Compare man * 2^e against 10^t (both positive)."""
-    num, den = man, 1
-    if e >= 0:
-        num <<= e
-    else:
-        den <<= -e
+def _cmp_pow10(num: int, den: int, t: int, p: int) -> int:
+    """Compare num/den against 10^t (both positive), given p = 10^|t|."""
     if t >= 0:
-        den *= _pow10(t)
+        den *= p
     else:
-        num *= _pow10(-t)
+        num *= p
     return (num > den) - (num < den)
 
 

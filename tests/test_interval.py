@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from functools import cache
 
 import mpmath
 import pytest
@@ -431,57 +430,6 @@ def test_sqrt_interval_high_precision():
         _mp_enclosure_check(v, mpmath.sqrt(mpmath.mpf(f.numerator) / f.denominator))
 
 
-# Reference series: _ln_mantissa_end and _exp2_end with every step an
-# interval operation, both ends at once.  Each one-sided kernel on
-# (mantissa, exponent) int pairs must return the matching endpoint.
-@cache
-def _object_ln_mantissa(m_num, m_shift, prec):
-    work = prec + 16
-    num = m_num - (1 << m_shift)
-    den = m_num + (1 << m_shift)
-    if num == 0:
-        return singleton(0)
-    t = DyadicInterval(
-        rational_to_dyadic(num, den, work, up=False),
-        rational_to_dyadic(num, den, work, up=True),
-    )
-    t2 = iv_square(t, work)
-    threshold = Dyadic(1, -(prec + 8))
-    total = singleton(0)
-    power = t
-    k = 0
-    while True:
-        term = iv_div(power, singleton(2 * k + 1), work)
-        total = iv_add(total, term, work)
-        power = iv_mul(power, t2, work)
-        k += 1
-        if power.hi < threshold:
-            total = iv_add(total, DyadicInterval(Dyadic(0), power.hi.scaled(1)), work)
-            break
-    return iv_mul(total, singleton(2), work)
-
-
-def _object_exp2_point(x, prec):
-    if x.is_integer():
-        return singleton(Dyadic(1, x.floor()))
-    k = x.floor()
-    r = x - Dyadic(k)
-    work = prec + 16
-    u = iv_mul(DyadicInterval(r, r), _object_ln_mantissa(2, 0, work), work)
-    threshold = Dyadic(1, -(prec + 8))
-    total = singleton(1)
-    term = u
-    j = 1
-    while True:
-        total = iv_add(total, term, work)
-        j += 1
-        term = iv_div(iv_mul(term, u, work), singleton(j), work)
-        if term.hi < threshold:
-            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
-            break
-    return DyadicInterval(total.lo.scaled(k).round_down(prec), total.hi.scaled(k).round_up(prec))
-
-
 @st.composite
 def _mantissas(draw):
     # m = m_num / 2**m_shift across [1, 2], short and long numerators
@@ -503,6 +451,63 @@ _SERIES_PRECISIONS = st.one_of(
 )
 
 
+# Each end of a kernel against mpmath's interval context at 4x the bits the
+# end is accurate to (at least 64 more), plus the arguments' own lengths so
+# that they enter exactly: the end must lie on its side of mpmath's whole
+# enclosure, and within 2 units in the last place of the true value.
+def _raw_dyadic(raw):
+    sign, man, exp, _ = raw
+    return Dyadic(-man if sign else man, exp)
+
+
+def _reference(f, bits, *args):
+    """mpmath's enclosure of f(*args) for Dyadic args, as a Dyadic pair."""
+    old = iv.prec
+    iv.prec = max(4 * bits, bits + 64) + sum(
+        abs(d.man).bit_length() + max(0, d.exp) for d in args)
+    try:
+        y = f(*map(_iv_point, args))
+    finally:
+        iv.prec = old
+    return tuple(map(_raw_dyadic, y._mpi_))
+
+
+def _assert_end(end, up, ref, bits, slack=Dyadic(0)):
+    """end is on its side of ref = (lo, hi) and within 2 units in the last
+    place at `bits` bits (plus an absolute slack) of every point of ref.
+
+    The unit is taken at the larger of |end| and the true value: an end
+    rounded outward across a power of two lands on the coarser grid beyond
+    it."""
+    lo, hi = ref
+    assert hi <= end if up else end <= lo
+    err = end - lo if up else hi - end
+    y = max(abs(end), min(abs(lo), abs(hi)))
+    ulp = Dyadic(1, y.exp + y.man.bit_length() - bits)  # 2**(floor(log2 y) + 1 - bits)
+    assert err <= ulp.scaled(1) + slack
+
+
+def _check_ln_mantissa_ends(m_num, m_shift, prec):
+    ends = [interval._ln_mantissa_end.__wrapped__(m_num, m_shift, prec, up) for up in (False, True)]
+    if m_num == 1 << m_shift:
+        assert ends == [Dyadic(0)] * 2
+        return
+    work = prec + 16
+    ref = _reference(iv.log, work, Dyadic(m_num, -m_shift))
+    for end, up in zip(ends, (False, True)):
+        _assert_end(end, up, ref, work)
+
+
+def _check_exp2_ends(x, prec):
+    ends = [interval._exp2_end.__wrapped__(x, prec, up) for up in (False, True)]
+    if x.is_integer():
+        assert ends == [Dyadic(1, x.floor())] * 2
+        return
+    ref = _reference(lambda v: iv.exp(v * iv.log(2)), prec, x)
+    for end, up in zip(ends, (False, True)):
+        _assert_end(end, up, ref, prec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_mantissas(), _SERIES_PRECISIONS)
 @example((2, 0), 4)
@@ -510,10 +515,11 @@ _SERIES_PRECISIONS = st.one_of(
 @example(((1 << 300) + 12345, 300), 4096)
 @example((1, 0), 64)
 @example((3, 1), 53)
-def test_ln_mantissa_matches_object_series(m, prec):
-    ref = _object_ln_mantissa(*m, prec)
-    assert interval._ln_mantissa_end.__wrapped__(*m, prec, False) == ref.lo
-    assert interval._ln_mantissa_end.__wrapped__(*m, prec, True) == ref.hi
+@example((30747, 14), 4)
+@example((51951, 15), 7)
+def test_ln_mantissa_end_against_mpmath(m, prec):
+    # accurate at the work precision, prec + 16 bits, that log2 divides at
+    _check_ln_mantissa_ends(*m, prec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -522,45 +528,30 @@ def test_ln_mantissa_matches_object_series(m, prec):
 @example(Dyadic(-1, -1), 4096)
 @example(Dyadic(-7, -2), 128)
 @example(Dyadic(5), 64)
-def test_exp2_point_matches_object_series(x, prec):
-    ref = _object_exp2_point(x, prec)
-    assert interval._exp2_end.__wrapped__(x, prec, False) == ref.lo
-    assert interval._exp2_end.__wrapped__(x, prec, True) == ref.hi
+@example(Dyadic(23333, -15), 4)
+@example(Dyadic(23333, -15), 4096)
+def test_exp2_end_against_mpmath(x, prec):
+    _check_exp2_ends(x, prec)
 
 
-@settings(max_examples=40, deadline=None)
-@given(_fractional_dyadics(), _SERIES_PRECISIONS)
-@example(Dyadic(1, -1), 4)
-@example(Dyadic(-7, -2), 128)
-def test_exp_series_sums_match_object_series(x, prec):
-    # each chain's sum at the work precision, before _exp2_end rounds it to
-    # prec bits and so hides a wrong last bit
-    r = x - Dyadic(x.floor())
-    work = prec + 16
-    u = iv_mul(DyadicInterval(r, r), _object_ln_mantissa(2, 0, work), work)
-    total, term, j = singleton(1), u, 1
-    while True:
-        total = iv_add(total, term, work)
-        j += 1
-        term = iv_div(iv_mul(term, u, work), singleton(j), work)
-        if term.hi < Dyadic(1, -(prec + 8)):
-            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
-            break
-    hi, lo = (u.hi.man, u.hi.exp), (u.lo.man, u.lo.exp)
-    up = interval._exp_series(*hi, None, work, -(prec + 8), True)
-    down = interval._exp_series(*lo, hi, work, -(prec + 8), False)
-    assert (Dyadic(*down[:2]), Dyadic(*up[:2])) == (total.lo, total.hi)
-    assert down[2] == up[2] == j
+_THIRD = rational_to_dyadic(1, 3, 64, up=False)
 
 
-def _object_log2_point(x, prec):
-    if x.man == 1:
-        return singleton(x.exp)
-    bits = x.man.bit_length()
-    work = prec + 16
-    ln_m = _object_ln_mantissa(x.man, bits - 1, work)
-    frac = iv_div(ln_m, _object_ln_mantissa(2, 0, work), work)
-    return iv_add(singleton(x.exp + bits - 1), frac, prec)
+@pytest.mark.parametrize("prec", range(4, 13))
+@pytest.mark.parametrize("x", [
+    Dyadic(0), Dyadic(7), Dyadic(-7), Dyadic(10 ** 6),  # integral: exact powers of two
+    Dyadic(10 ** 6) + _THIRD, Dyadic(-10 ** 6) + _THIRD,
+    Dyadic(1, -3000), Dyadic(-3) + Dyadic(1, -3000),  # r = 2**-3000
+], ids=["0", "7", "-7", "1e6", "1e6+third", "-1e6+third", "r-tiny", "-3+r-tiny"])
+def test_exp2_edges(x, prec):
+    _check_exp2_ends(x, prec)
+
+
+@pytest.mark.parametrize("prec", range(4, 13))
+@pytest.mark.parametrize("m", [(2, 0), ((1 << 5000) + 1, 5000), ((1 << 5000) - 1, 4999)],
+                         ids=["2", "1+2^-5000", "2-2^-4999"])
+def test_ln_mantissa_edges(m, prec):
+    _check_ln_mantissa_ends(*m, prec)
 
 
 @st.composite
@@ -577,83 +568,60 @@ def _positive_dyadics(draw):
        st.sampled_from((Fraction(1, 3), Fraction(5, 7), Fraction(7, 5), Fraction(3, 10))))
 @example(Dyadic((1 << 100) - 1, -100), 64, Fraction(1, 3))
 @example(Dyadic(3), 4, Fraction(5, 7))
-def test_log2_and_pow_match_object_series(x, prec, gamma):
-    """Each end of log2 and of the log-path rational power reads the matching
-    ends of the object series, as the interval composition does."""
-    assert iv_log2(singleton(x), prec) == _object_log2_point(x, prec)
+def test_log2_and_pow_ends_against_mpmath(x, prec, gamma):
+    """Each end of log2 is within 2 units in the last place at prec, plus
+    2**-(prec + 8) for the fraction ln(m)/ln 2 it adds to the exponent at
+    prec + 16 bits; each end of x**gamma within 2 units plus the effect of
+    its exponent gamma * log2(x), rounded at prec + 8 bits."""
+    lg = [interval._log2_end.__wrapped__(x, prec, up) for up in (False, True)]
+    if x.man == 1:
+        assert lg == [Dyadic(x.exp)] * 2  # exact
+    else:
+        ref = _reference(lambda v: iv.log(v) / iv.log(2), prec, x)
+        for end, up in zip(lg, (False, True)):
+            _assert_end(end, up, ref, prec, Dyadic(1, -(prec + 8)))
     assume(interval._exact_pow(x, gamma) is None)
-    lg = iv_mul(_object_log2_point(x, prec + 8), from_fraction(gamma, prec + 8), prec + 8)
-    ref = DyadicInterval(_object_exp2_point(lg.lo, prec).lo, _object_exp2_point(lg.hi, prec).hi)
-    assert iv_pow_frac(singleton(x), gamma, prec) == ref
+    g = iv_pow_frac(singleton(x), gamma, prec)
+    ref = _reference(lambda v: iv.exp(iv.log(v) * gamma.numerator / gamma.denominator), prec, x)
+    # the exponent is off by at most |y| * 2**-(prec + 5) + 2**-(prec + 13),
+    # which moves 2**y relatively by less than ln 2 times that; span is at
+    # least gamma * |log2 x| + 1, as gamma < 2
+    span = (abs(lg[0]) + abs(lg[1]) + Dyadic(1)).scaled(1)
+    for end, up in zip((g.lo, g.hi), (False, True)):
+        _assert_end(end, up, ref, prec, (ref[1] * span).scaled(-(prec + 4)))
 
 
 _POINT_CACHES = (interval._ln_mantissa_end, interval._log2_end, interval._exp2_end)
 
 
-def _count_chains(monkeypatch):
-    """Record (series, up) for every call of the two one-sided chains."""
-    calls = []
-    for name in ("_exp_series", "_atanh_series"):
-        real = getattr(interval, name)
-
-        def counted(*args, real=real, name=name):
-            calls.append((name, args[-1]))
-            return real(*args)
-
-        monkeypatch.setattr(interval, name, counted)
-    return calls
-
-
-# Found by searching low precisions, where eps = 2**(1 - work) is large: the
-# round-down term falls below the threshold inside the band the certified
-# test cannot rule out, so the round-down chain asks the round-up chain for
-# its stop index.  For ln(51951 / 2**15) at 7 bits that index is a later one:
-# stopping where the round-down power first falls below the threshold gives
-# a different endpoint.
-@pytest.mark.parametrize(
-    "kernel, args, series, ref, naive_differs",
-    [
-        (interval._exp2_end, (Dyadic(23333, -15), 4), "_exp_series",
-         lambda: _object_exp2_point(Dyadic(23333, -15), 4), False),
-        (interval._ln_mantissa_end, (30747, 14, 4), "_atanh_series",
-         lambda: _object_ln_mantissa(30747, 14, 4), False),
-        (interval._ln_mantissa_end, (51951, 15, 7), "_atanh_series",
-         lambda: _object_ln_mantissa(51951, 15, 7), True),
-    ],
-)
-def test_undecided_stop_takes_the_round_up_index(
-    monkeypatch, kernel, args, series, ref, naive_differs
-):
-    interval._ln_mantissa_end(2, 0, 20, False)  # ln 2 for the exp kernel, warm
-    interval._ln_mantissa_end(2, 0, 20, True)
-    calls = _count_chains(monkeypatch)
-    assert kernel.__wrapped__(*args, False) == ref().lo
-    assert calls == [(series, False), (series, True)]
-    monkeypatch.setattr(interval, "_certainly_below", lambda *a: True)
-    assert (kernel.__wrapped__(*args, False) != ref().lo) == naive_differs
-
-
 def test_each_endpoint_runs_one_chain(monkeypatch):
-    calls = _count_chains(monkeypatch)
+    """The lower end of 2**x reads only the round-down ln 2 and the upper end
+    only the round-up one; each end of log2 reads its own end of ln(m) and
+    the opposite end of the divisor ln 2."""
+    calls = []
+    real = interval._ln_mantissa_end
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(interval, "_ln_mantissa_end", recorded)
     for c in _POINT_CACHES:
         c.cache_clear()
-    a = DyadicInterval(Dyadic(1, -2), Dyadic(3, -2))
-    assert iv_exp2(a, 64) == DyadicInterval(
-        _object_exp2_point(a.lo, 64).lo, _object_exp2_point(a.hi, 64).hi
-    )
-    # one chain per endpoint of 2**x, and each end of ln 2 once
-    assert sorted(calls) == [("_atanh_series", False), ("_atanh_series", True),
-                             ("_exp_series", False), ("_exp_series", True)]
+    x = Dyadic(5, -2)
+    interval._exp2_end(x, 64, False)
+    assert calls == [(2, 0, 80, False)]
+    interval._exp2_end(x, 64, True)
+    assert calls == [(2, 0, 80, False), (2, 0, 80, True)]
     calls.clear()
-    for c in _POINT_CACHES:
-        c.cache_clear()
+    iv_exp2(DyadicInterval(Dyadic(1, -2), x), 64)
+    iv_exp2(DyadicInterval(Dyadic(1, -2), x), 64)
+    assert calls == [(2, 0, 80, False)]  # only the new lower end; the rest is cached
+    calls.clear()
     iv_log2(DyadicInterval(Dyadic(3), Dyadic(5)), 64)
     # ln(3/2) down and ln 2 up for the lower end, ln(5/4) up and ln 2 down
     # for the upper end
-    assert sorted(calls) == [("_atanh_series", False)] * 2 + [("_atanh_series", True)] * 2
-    calls.clear()
-    iv_log2(DyadicInterval(Dyadic(3), Dyadic(5)), 64)
-    assert calls == []  # every end is cached
+    assert calls == [(3, 1, 80, False), (2, 0, 80, True), (5, 2, 80, True), (2, 0, 80, False)]
 
 
 def test_point_caches_are_bounded():

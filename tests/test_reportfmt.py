@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import DyadicInterval, from_fraction
 from cfindep.reportfmt import dyadic_decimal, fraction_str, interval_payload, scalar_payload
@@ -74,3 +76,84 @@ def test_scalar_payload_forms():
     assert p["exact"] == "7/3"
     assert p["decimal"]["value"].startswith("2.333")
     assert fraction_str(Fraction(-5, 10)) == "-1/2"
+
+
+def _oracle_decimal(x: Dyadic, sig: int, round_up: bool) -> str:
+    """dyadic_decimal as it stood with three separate powers of ten per
+    endpoint: the reference for the byte-identity test below."""
+    if x.man == 0:
+        return "0"
+    neg = x.man < 0
+    man, e = abs(x.man), x.exp
+
+    def cmp_pow10(t):
+        num, den = man, 1
+        if e >= 0:
+            num <<= e
+        else:
+            den <<= -e
+        if t >= 0:
+            den *= 10 ** t
+        else:
+            num *= 10 ** -t
+        return (num > den) - (num < den)
+
+    t = (man.bit_length() + e) * 30103 // 100000
+    while cmp_pow10(t) < 0:
+        t -= 1
+    while cmp_pow10(t + 1) >= 0:
+        t += 1
+    s = sig - 1 - t
+    num, den = man, 1
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    if s >= 0:
+        num *= 10 ** s
+    else:
+        den *= 10 ** -s
+    if round_up:
+        digits = -((-num) // den)
+    else:
+        digits = (2 * num + den) // (2 * den)
+    if digits >= 10 ** sig:
+        digits //= 10
+        t += 1
+    text = str(digits).rjust(sig, "0")
+    mantissa = text[0] + "." + text[1:] if sig > 1 else text
+    mantissa = mantissa.rstrip("0").rstrip(".")
+    if -4 <= t <= 15:
+        raw = text
+        if t >= 0:
+            ip = raw[: t + 1] if t + 1 <= len(raw) else raw + "0" * (t + 1 - len(raw))
+            fp = raw[t + 1 :] if t + 1 < len(raw) else ""
+        else:
+            ip = "0"
+            fp = "0" * (-t - 1) + raw
+        out = ip + ("." + fp if fp else "")
+        out = out.rstrip("0").rstrip(".") if "." in out else out
+        return ("-" if neg else "") + out
+    return ("-" if neg else "") + mantissa + f"e{'+' if t >= 0 else '-'}{abs(t)}"
+
+
+@st.composite
+def _wide_dyadics(draw):
+    # mantissas up to 2000 bits, some of them near a power of ten
+    bits = draw(st.integers(1, 2000))
+    man = draw(st.integers(0, (1 << bits) - 1))
+    if draw(st.booleans()):
+        man = 10 ** draw(st.integers(0, 600)) + draw(st.integers(-2, 2))
+    return Dyadic(draw(st.sampled_from((-1, 1))) * man, draw(st.integers(-20000, 20000)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_wide_dyadics(), st.integers(1, 40), st.booleans())
+@example(Dyadic(0), 24, False)
+@example(Dyadic(1), 1, True)
+@example(Dyadic(10 ** 24 - 1), 24, False)  # rounds up to the next power of ten
+@example(Dyadic(999, -10), 2, True)
+@example(Dyadic(5, -1), 1, False)
+@example(Dyadic(625, -4), 40, True)
+def test_decimal_matches_three_power_rendering(x, sig, round_up):
+    assert dyadic_decimal(x, sig, round_up) == _oracle_decimal(x, sig, round_up)
