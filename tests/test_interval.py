@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 import pytest
@@ -532,6 +533,134 @@ def test_ln_mantissa_end_against_mpmath(m, prec):
 @example(Dyadic(23333, -15), 4096)
 def test_exp2_end_against_mpmath(x, prec):
     _check_exp2_ends(x, prec)
+
+
+# Reference series: _ln_mantissa_end and _exp2_end with every step an
+# interval operation, both ends at once, stopping once the upper end of the
+# term falls below 2**-(prec + 8) and adding twice that end as the tail.
+@cache
+def _object_ln_mantissa(m_num, m_shift, prec):
+    work = prec + 16
+    num = m_num - (1 << m_shift)
+    den = m_num + (1 << m_shift)
+    if num == 0:
+        return singleton(0)
+    t = DyadicInterval(
+        rational_to_dyadic(num, den, work, up=False),
+        rational_to_dyadic(num, den, work, up=True),
+    )
+    t2 = iv_square(t, work)
+    threshold = Dyadic(1, -(prec + 8))
+    total = singleton(0)
+    power = t
+    k = 0
+    while True:
+        term = iv_div(power, singleton(2 * k + 1), work)
+        total = iv_add(total, term, work)
+        power = iv_mul(power, t2, work)
+        k += 1
+        if power.hi < threshold:
+            total = iv_add(total, DyadicInterval(Dyadic(0), power.hi.scaled(1)), work)
+            break
+    return iv_mul(total, singleton(2), work)
+
+
+def _object_exp2_point(x, prec):
+    if x.is_integer():
+        return singleton(Dyadic(1, x.floor()))
+    k = x.floor()
+    r = x - Dyadic(k)
+    work = prec + 16
+    u = iv_mul(DyadicInterval(r, r), _object_ln_mantissa(2, 0, work), work)
+    threshold = Dyadic(1, -(prec + 8))
+    total = singleton(1)
+    term = u
+    j = 1
+    while True:
+        total = iv_add(total, term, work)
+        j += 1
+        term = iv_div(iv_mul(term, u, work), singleton(j), work)
+        if term.hi < threshold:
+            total = iv_add(total, DyadicInterval(Dyadic(0), term.hi.scaled(1)), work)
+            break
+    return DyadicInterval(total.lo.scaled(k).round_down(prec), total.hi.scaled(k).round_up(prec))
+
+
+def _assert_near_object_series(end, up, ref, bits):
+    """end lies in the reference enclosure ref, or beyond it on its own side
+    by at most 2 units in the last place at `bits` bits.
+
+    ref encloses the true value and the end is within 2 units of that, so
+    this holds however much looser ref is.  The unit is taken at the largest
+    of |end|, |ref.lo| and |ref.hi|, which is at least the unit at the true
+    value."""
+    y = max(abs(end), abs(ref.lo), abs(ref.hi))
+    two_units = Dyadic(1, y.exp + y.man.bit_length() + 1 - bits)
+    if up:
+        assert ref.lo <= end <= ref.hi + two_units
+    else:
+        assert ref.lo - two_units <= end <= ref.hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mantissas(), _SERIES_PRECISIONS)
+@example((2, 0), 4)
+@example((2, 0), 4096)
+@example(((1 << 300) + 12345, 300), 4096)
+@example((1, 0), 64)
+@example((3, 1), 53)
+def test_ln_mantissa_matches_object_series(m, prec):
+    ref = _object_ln_mantissa(*m, prec)
+    for up in (False, True):
+        end = interval._ln_mantissa_end.__wrapped__(*m, prec, up)
+        _assert_near_object_series(end, up, ref, prec + 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fractional_dyadics(), _SERIES_PRECISIONS)
+@example(Dyadic(1, -1), 4)
+@example(Dyadic(-1, -1), 4096)
+@example(Dyadic(-7, -2), 128)
+@example(Dyadic(5), 64)
+def test_exp2_point_matches_object_series(x, prec):
+    ref = _object_exp2_point(x, prec)
+    for up in (False, True):
+        end = interval._exp2_end.__wrapped__(x, prec, up)
+        _assert_near_object_series(end, up, ref, prec)
+
+
+# Low-precision inputs found where the round-down end's last series term
+# lies next to its stopping point: the twin-chain series that the kernels
+# replaced could not certify the round-down stop there and took the round-up
+# chain's stop index, and for ln(51951 / 2**15) at 7 bits a round-down stop
+# of its own gave another end.  The cases keep the ids they had then.  Each
+# end now stops by its own test: computed alone, it reads no value of the
+# other end and lies within 2 units in the last place of the reference.
+@pytest.mark.parametrize("kernel, args, bits, ref", [
+    pytest.param(interval._exp2_end, (Dyadic(23333, -15), 4), 4,
+                 lambda: _object_exp2_point(Dyadic(23333, -15), 4),
+                 id="_exp2_end-args0-_exp_series-<lambda>-False"),
+    pytest.param(interval._ln_mantissa_end, (30747, 14, 4), 20,
+                 lambda: _object_ln_mantissa(30747, 14, 4),
+                 id="_ln_mantissa_end-args1-_atanh_series-<lambda>-False"),
+    pytest.param(interval._ln_mantissa_end, (51951, 15, 7), 23,
+                 lambda: _object_ln_mantissa(51951, 15, 7),
+                 id="_ln_mantissa_end-args2-_atanh_series-<lambda>-True"),
+])
+def test_undecided_stop_takes_the_round_up_index(monkeypatch, kernel, args, bits, ref):
+    reads = []
+    real = interval._ln_mantissa_end
+
+    def recorded(*a):
+        reads.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(interval, "_ln_mantissa_end", recorded)
+    for up in (False, True):
+        reads.clear()
+        end = kernel.__wrapped__(*args, up)
+        assert all(a[-1] == up for a in reads)  # only its own end of ln 2
+        _assert_near_object_series(end, up, ref(), bits)
 
 
 _THIRD = rational_to_dyadic(1, 3, 64, up=False)
