@@ -1,64 +1,1 @@
 """Arbitrary-precision dyadic interval arithmetic and rigorous root refinement."""
-
-from .dyadic import Dyadic, rational_to_dyadic, sqrt_down, sqrt_up
-from .interval import (
-    ComplexInterval,
-    DyadicInterval,
-    from_fraction,
-    iv_abs,
-    iv_add,
-    iv_div,
-    iv_exp2,
-    iv_hull,
-    iv_log2,
-    iv_max,
-    iv_mul,
-    iv_neg,
-    iv_pow_frac,
-    iv_pow_int,
-    iv_sqrt,
-    iv_square,
-    iv_sub,
-    singleton,
-)
-from .poly import (
-    IntPoly,
-    isolate_real_roots,
-    is_squarefree,
-    qpoly_eval_complex,
-    qpoly_eval_interval,
-    refine_root,
-    sturm_count,
-)
-
-__all__ = [
-    "ComplexInterval",
-    "Dyadic",
-    "DyadicInterval",
-    "IntPoly",
-    "from_fraction",
-    "isolate_real_roots",
-    "is_squarefree",
-    "iv_abs",
-    "iv_add",
-    "iv_div",
-    "iv_exp2",
-    "iv_hull",
-    "iv_log2",
-    "iv_max",
-    "iv_mul",
-    "iv_neg",
-    "iv_pow_frac",
-    "iv_pow_int",
-    "iv_sqrt",
-    "iv_square",
-    "iv_sub",
-    "qpoly_eval_complex",
-    "qpoly_eval_interval",
-    "rational_to_dyadic",
-    "refine_root",
-    "singleton",
-    "sqrt_down",
-    "sqrt_up",
-    "sturm_count",
-]

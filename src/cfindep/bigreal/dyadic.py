@@ -74,9 +74,6 @@ class Dyadic:
 
     # -- structure -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.man == 0
-
     def sign(self) -> int:
         return (self.man > 0) - (self.man < 0)
 

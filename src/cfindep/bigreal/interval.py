@@ -3,9 +3,9 @@
 Every operation returns an interval that contains the exact mathematical
 result of applying the operation to any points of its inputs.  Each function
 that rounds takes its working precision as a required argument of at least
-4 bits; there is no ambient default.  The operators ``+``, ``-`` and ``*`` on
-intervals are exact (no rounding) and accept intervals, ints, Dyadics and
-integral Fractions; there is no ``/`` operator.
+4 bits; there is no ambient default.  The operators ``+``, ``*`` and ``-``
+(with the interval on the left) are exact (no rounding) and accept
+intervals, ints, Dyadics and integral Fractions; there is no ``/`` operator.
 
 Beyond ring operations the module provides the few directed transcendental
 bounds the hypothesis checkers need (``iv_exp2``, ``iv_log2``, rational
@@ -106,10 +106,6 @@ class DyadicInterval:
     def contains_zero(self) -> bool:
         return self.lo.sign() <= 0 <= self.hi.sign()
 
-    def contains(self, x) -> bool:
-        """lo <= x <= hi for a Dyadic, int or Fraction x."""
-        return _cmp_exact(self.lo, x) <= 0 <= _cmp_exact(self.hi, x)
-
     def contains_interval(self, other: "DyadicInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -128,9 +124,6 @@ class DyadicInterval:
     def certainly_le(self, other: "DyadicInterval") -> bool:
         return self.hi <= other.lo
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
     def __repr__(self) -> str:
         return f"DyadicInterval({float(self.lo)!r}, {float(self.hi)!r})"
 
@@ -146,10 +139,6 @@ class DyadicInterval:
         o = _exact(other)
         return NotImplemented if o is None else DyadicInterval(self.lo - o.hi, self.hi - o.lo)
 
-    def __rsub__(self, other):
-        o = _exact(other)
-        return NotImplemented if o is None else DyadicInterval(o.lo - self.hi, o.hi - self.lo)
-
     def __mul__(self, other):
         o = _exact(other)
         return NotImplemented if o is None else DyadicInterval(*_products(self, o))
@@ -161,37 +150,6 @@ class DyadicInterval:
 
 
 _set_lo, _set_hi = DyadicInterval.lo.__set__, DyadicInterval.hi.__set__
-
-
-def _cmp_exact(d: Dyadic, x) -> int:
-    """Sign of d - x for a Dyadic, int or Fraction x.
-
-    Decided like ``_pair_cmp``: by sign, then by leading-bit position, and
-    by cross-multiplication only when those tie, when the shift is bounded by
-    the operand sizes; ``as_fraction`` would expand an exponent like 2**70.
-    """
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = x.numerator
-    if isinstance(x, int):
-        x = Dyadic(x)
-    if isinstance(x, Dyadic):
-        return _pair_cmp(d.man, d.exp, x.man, x.exp)
-    if not isinstance(x, Fraction):
-        raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
-    a, n, q = d.man, x.numerator, x.denominator
-    sa, sn = (a > 0) - (a < 0), (n > 0) - (n < 0)
-    if sa != sn:
-        return (sa > sn) - (sa < sn)
-    # |d| in [2**(la-1), 2**la) and |x| in (2**(lx-1), 2**(lx+1))
-    la = d.exp + abs(a).bit_length()
-    lx = abs(n).bit_length() - q.bit_length()
-    if la <= lx - 1 or la >= lx + 2:
-        return sa if la >= lx + 2 else -sa
-    if d.exp >= 0:
-        lhs, rhs = (a << d.exp) * q, n
-    else:
-        lhs, rhs = a * q, n << -d.exp
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def _exact(x) -> DyadicInterval | None:

@@ -34,11 +34,9 @@ from .interval import (
 __all__ = [
     "IntPoly",
     "SturmChain",
-    "sturm_count",
     "refine_root",
     "isolate_real_roots",
     "complex_root_boxes",
-    "irreducible_factors",
     "factor_with_roots",
     "qpoly_eval_interval",
     "qpoly_eval_complex",
@@ -140,14 +138,6 @@ def _to_q(p: IntPoly) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
 
 
-def is_squarefree(p: IntPoly) -> bool:
-    try:
-        SturmChain(p)
-    except NotSquarefree:
-        return False
-    return True
-
-
 def _pair_eval(coeffs: tuple[int, ...], m: int, e: int) -> tuple[int, int]:
     """An integer polynomial at m * 2**e, exactly, as a pair, by integer
     Horner: with x = n / 2**k the loop computes 2**(k*deg) * p(x)."""
@@ -230,11 +220,6 @@ def _positive_primitive(q: list[Fraction]) -> tuple[int, ...]:
     ints = [c.numerator * (den // c.denominator) for c in q]
     g = math.gcd(*ints) or 1
     return tuple(c // g for c in ints)
-
-
-def sturm_count(p: IntPoly, interval: DyadicInterval) -> int:
-    """Number of distinct real roots of a squarefree p in the closed interval."""
-    return SturmChain(p).count(interval)
 
 
 # Bound on the refinement memo; refine_root is pure in its hashable arguments.
@@ -610,21 +595,10 @@ def _subset_factor(units, subset, rest: tuple[int, ...], prec: int):
     return False if quotient is None else (IntPoly(tuple(cand)), quotient)
 
 
-def irreducible_factors(p: IntPoly) -> list[IntPoly]:
-    """The monic irreducible factors over Z of a monic squarefree p, by degree.
-
-    Callers strip the sign and content: a primitive p that is not monic has a
-    factor that is not monic, and raises ``ValueError`` here.  See
-    ``factor_with_roots`` for the method.
-    """
-    if not p.is_monic():
-        raise ValueError(f"{p!r} is not monic")
-    return factor_with_roots(p, isolate_real_roots(p))  # raises NotSquarefree
-
-
 def factor_with_roots(p: IntPoly, isolating: list[DyadicInterval]) -> list[IntPoly]:
-    """``irreducible_factors`` of a monic squarefree p, given isolating
-    intervals of all its real roots in ascending order (``isolate_real_roots``).
+    """The monic irreducible factors over Z of a monic squarefree p, by
+    degree, given isolating intervals of all its real roots in ascending
+    order (``SturmChain.isolate``).  Callers strip the sign and content.
 
     A monic factor of p is the product of (x - r) over a conjugation-closed
     set of its roots and has integer coefficients; conversely such a product

@@ -214,10 +214,9 @@ def _never_point(p, q) -> bool:
     p or q is irrational, or p/q is a rational that is not dyadic."""
     if any(isinstance(x, FieldElement) and not x.is_rational() for x in (p, q)):
         return True
-    if isinstance(p, Fraction) and isinstance(q, Fraction):
-        d = (p / q).denominator
-        return d & (d - 1) != 0
-    return False
+    p, q = (x.as_fraction() if isinstance(x, FieldElement) else Fraction(x) for x in (p, q))
+    d = (p / q).denominator
+    return d & (d - 1) != 0
 
 
 def _least_useful_work(states: list[ConvergentState], n: int, qq: DyadicInterval) -> int:
@@ -244,14 +243,15 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     The limit is sandwiched between consecutive convergents two orders deeper
     than requested: their hull sits strictly inside the order-n bracket with
     margin, so outward rounding can violate neither containment nor the width
-    bound 1/(q_n q_{n+1}).  The working precision doubles, up to 8 rungs from
-    prec + 16 bits, until that bound is met.  The convergent states do not
+    bound 1/(q_n q_{n+1}).  The working precision doubles from prec + 16
+    bits until that bound is met: first, uncounted, up to the least useful
+    work below, then for at most 8 rungs.  The convergent states do not
     depend on it, so they are built once.  A rung whose order-(n+2)
     convergent alone is wider than the bound fails without evaluating the
     order-(n+3) one, since their hull contains it.
 
-    The loop skips, without computing them, the rungs that must fail by the
-    following lemma, with c = 3.  ``iv_div`` and
+    The rungs that must fail by the following lemma, with c = 3, are skipped
+    without computing them, and they do not count against the 8.  ``iv_div`` and
     ``from_fraction`` at ``work`` bits round each endpoint x to a mantissa of
     at most work + 2 bits, so x is a multiple of a power of two
     2**k >= |x| * 2**-(work + 2).  Let 2**e <= p/q for the order-(n+2)
@@ -262,9 +262,13 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     2**(e - work - c) wide.  The bound's lower end is at most
     1/(q_n q_{n+1}) <= 2**-L, so the rung fails whenever e - work - c > -L.
     The interval is certainly not a point when p or q is an irrational field
-    element or p/q is a non-dyadic rational; otherwise no rung is skipped.
-    A skipped rung fails like a computed one, so every outcome,
-    ``PrecisionInsufficient`` included, is the same as without the skip.
+    element, or when p/q is a rational that is not dyadic, whether p and q
+    are rationals or rational field elements: the interval contains p/q, and
+    a point interval is dyadic.  Otherwise no rung is skipped.  A skipped
+    rung would fail if computed, so a call succeeds at the work where a
+    ladder computing every rung from prec + 16 bits succeeds; the 8 rungs
+    count from the least useful work, so the requested precision does not
+    cap the work.
 
     Each rung is tried first against a coarse bound: half the lower end B64 of 1/(q_n q_{n+1}) from the same 64-bit enclosures.
     It never exceeds the lower end B of the bound at ``work``.  With
@@ -288,10 +292,9 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     qq = _q_product(states, n, 64)
     least = _least_useful_work(states, n, qq)
     coarse = iv_div(singleton(1), qq, 64).lo.scaled(-1)
+    while work < least:
+        work *= 2
     for _ in range(8):
-        if work < least:
-            work *= 2
-            continue
         c1 = _convergent_interval(states[n + 1], work)  # order n+2
         value = None
         for bound in (coarse, None):

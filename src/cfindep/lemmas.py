@@ -99,11 +99,6 @@ class RemarkResult:
     def __init__(self, max_ratio: DyadicInterval, bound: DyadicInterval, monotone: bool, N: int):
         self.max_ratio, self.bound, self.monotone, self.N = max_ratio, bound, monotone, N
 
-    @property
-    def ratios_exact(self) -> list[Fraction]:
-        """q_{n,a}/q_{n,b} for n = 1..N, recomputed on each read."""
-        return [Fraction(qa, qb) for qa, qb in _remark_steps(self.N)]
-
 
 # Enclosure of prod_{n>=1} (1 + 1/n^2)^2: the partial product to 10^6 terms
 # in directed 96-bit fixed point, times the tail factor (N/(N-1))^2 >= exp(2/N)

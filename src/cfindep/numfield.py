@@ -176,9 +176,6 @@ class FieldElement:
             raise ValueError(f"{self!r} is not rational")
         return self.coords[0]
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
             if other.field is not self.field:
@@ -203,12 +200,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         return FieldElement(tuple(a - b for a, b in zip(self.coords, o.coords)), self.field)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return FieldElement(tuple(-a for a in self.coords), self.field)

@@ -25,6 +25,7 @@ from cfindep.cfcore import (
 )
 from cfindep.criteria import check_all, compute_d
 from cfindep.lemmas import (
+    _remark_steps,
     lemma1_trace,
     remark_counterexample,
     run_lemma2_suite,
@@ -190,7 +191,7 @@ def test_c07_lemma1_and_remark():
         assert rr.monotone
         cap = Fraction(1352, 100)
         assert rr.bound.hi.as_fraction() < cap  # 13.52 upper-bounds the product
-        assert all(r < cap for r in rr.ratios_exact)
+        assert all(Fraction(qa, qb) < cap for qa, qb in _remark_steps(2000))
         assert rr.max_ratio.hi.as_fraction() < cap
 
 

@@ -22,6 +22,8 @@ from cfindep.cfcore import (
     CFValueEnclosure,
     GaussianRational,
     _convergent_interval,
+    _least_useful_work,
+    _q_product,
     advance,
     complex_cf_eval_exact,
     determinant_value,
@@ -35,6 +37,7 @@ from cfindep.cfcore import (
     scalar_is_zero,
 )
 from cfindep.errors import (
+    BitBudgetExceeded,
     FieldMismatch,
     PrecisionInsufficient,
     QuotientBelowOne,
@@ -42,6 +45,7 @@ from cfindep.errors import (
 )
 from cfindep.numfield import FieldElement
 from cfindep.sequences import phi_field, spec, sqrt2_field
+from enclosing import contains
 
 
 class ZeroTailDivision(Exception):
@@ -194,9 +198,11 @@ def test_enclose_rejects_small_quotients():
 
 
 def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
-    """Reference: rebuild the recurrence and evaluate both convergents on every rung."""
-    work = prec + 16
-    for _ in range(8):
+    """Reference: rebuild the recurrence and evaluate both convergents on every
+    rung from prec + 16 bits; 8 failing rungs at or above the least useful
+    work exhaust the precision, as in ``enclose_value``."""
+    work, failed, least = prec + 16, [], None
+    while True:
         st = initial_state(0)
         states = []
         for k in range(1, n + 4):
@@ -213,14 +219,21 @@ def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
         bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
         if value.width() <= bound.lo:
             return CFValueEnclosure(value, n, "nested-convergents")
+        failed.append(work)
+        # read only then: test_enclose_value_evaluates_only_the_succeeding_rung
+        # records the precision of every enclosure this reference computes
+        if len(failed) >= 8:
+            if least is None:
+                least = _least_useful_work(states, n, _q_product(states, n, 64))
+            if sum(w >= least for w in failed) == 8:
+                raise PrecisionInsufficient("enclosure width bound not met")
         work *= 2
-    raise PrecisionInsufficient("enclosure width bound not met")
 
 
 def _outcome(enclose, *args):
     try:
         return enclose(*args)
-    except PrecisionInsufficient:  # t2 at N = 5 below 1024 bits, on both paths
+    except PrecisionInsufficient:
         return PrecisionInsufficient
 
 
@@ -237,6 +250,25 @@ def test_enclose_value_equals_rung_loop_on_catalog():
     for name, n, prec in PROBE_ENCLOSE:
         args = (build_config(name).sequences[0], n, prec)
         assert enclose_value(*args) == _rung_loop_enclosure(*args), name
+
+
+def test_enclose_value_higher_precision_never_fails_where_lower_succeeds():
+    # every catalog sequence at N = 2..6: the only failure is the quotient
+    # guard, which does not depend on the precision
+    for name in catalog():
+        for j, s in enumerate(build_config(name).sequences, start=1):
+            for n in range(2, 7):
+                outcomes = []
+                for prec in (64, 128, 256, 512):
+                    try:
+                        enclose_value(s, n, prec)
+                    except (BitBudgetExceeded, PrecisionInsufficient) as e:
+                        outcomes.append(type(e))
+                    else:
+                        outcomes.append(True)
+                where = (name, j, n, outcomes)
+                assert PrecisionInsufficient not in outcomes, where
+                assert outcomes == sorted(outcomes, key=lambda o: o is True), where
 
 
 def test_enclose_value_evaluates_only_the_succeeding_rung(monkeypatch):
@@ -314,7 +346,7 @@ def test_complex_exact_matches_interval():
            GaussianRational.of(Fraction(3), Fraction(2))]
     exact = complex_cf_eval_exact(pts)
     boxed = _boxed_cf([ComplexInterval(from_fraction(p.re, 96), from_fraction(p.im, 96)) for p in pts], 96)
-    assert boxed.re.contains(exact.re) and boxed.im.contains(exact.im)
+    assert contains(boxed.re, exact.re) and contains(boxed.im, exact.im)
 
 
 def _stepwise_cf(zs: list[GaussianRational]) -> GaussianRational:

@@ -317,10 +317,15 @@ def test_convergents_past_the_digit_limit_exit_two(capsys):
     assert err.startswith("error: a 15310-bit / 1-bit rational ") and "int-to-str" in err
 
 
-def test_enclose_precision_exhausted_exit_three(capsys):
-    # eight doublings from 80 bits never reach the width 1/(q_5 q_6) of t2
-    assert main(["enclose", "--example", "t2", "--N", "5", "--precision", "64"]) == 3
-    assert "precision exhausted" in capsys.readouterr().err
+def test_enclose_precision_exhausted_exit_three(tmp_path, capsys):
+    # [0; 2, 2, ...] and [0; 14, 14, ...] at N = 3 are enclosed to width
+    # 1/(q_3 q_4), far above 2^-256, so the limit probe cannot start
+    cfg = {"task": "relation",
+           "sequences": {"a1": {"kind": "constant", "value": 2},
+                         "a2": {"kind": "constant", "value": 14}},
+           "params": {"use": "limit", "N": 3, "precision": 256}}
+    assert _run_config(tmp_path, cfg) == 3
+    assert "precision exhausted: input enclosure wider than 2^-precision" in capsys.readouterr().err
 
 
 _RELATION = {"task": "relation", "params": {"example": "ex1", "N": 3, "precision": 128}}

@@ -12,12 +12,14 @@ from cfindep import lemmas
 from cfindep.cfcore import GaussianRational, complex_cf_eval_exact, gaussian_cf
 from cfindep.errors import QuotientBelowOne
 from cfindep.lemmas import (
+    _remark_steps,
     lemma1_trace,
     remark_counterexample,
     run_lemma2_suite,
     run_lemma3_suite,
 )
 from cfindep.sequences import spec, sqrt2_field
+from enclosing import contains
 
 
 def test_lemma1_pell_vs_fibonacci():
@@ -29,7 +31,7 @@ def test_lemma1_pell_vs_fibonacci():
     assert rs[17] > 1000
     assert all(b > a for a, b in zip(rs[1:], rs[2:]))  # increasing from n=2
     # hypothesis margin sqrt(n)(2/1 - 1) = sqrt(n)
-    assert tr.liminf_margin[3].contains(Fraction(2))
+    assert contains(tr.liminf_margin[3], Fraction(2))
 
 
 def test_lemma1_identical_sequences():
@@ -46,7 +48,7 @@ def test_lemma1_slow_margin():
     tr = lemma1_trace(a, b, 12, prec=128)
     # margin sqrt(n) * (a_n/b_n - 1) = 1/sqrt(n), whose square is 1/n
     for n, m in enumerate(tr.liminf_margin, start=1):
-        assert iv_mul(m, m, 128).contains(Fraction(1, n))
+        assert contains(iv_mul(m, m, 128), Fraction(1, n))
     assert tr.ratios_exact is None  # enclosure path
     # ratios grow, slowly
     assert tr.ratios[-1].lo.as_fraction() > tr.ratios[0].hi.as_fraction() * Fraction(3, 2)
@@ -95,8 +97,8 @@ def test_remark_counterexample_small():
     # the enclosed infinite product is (sinh pi / pi)^2 ~ 13.5137
     assert Fraction(1351, 100) < rr.bound.lo.as_fraction()
     # hand recurrence: q_{2,a}/q_{2,b} = 11/5
-    assert rr.ratios_exact[1] == Fraction(11, 5)
-    assert Fraction(1) < rr.ratios_exact[1] < Fraction(1352, 100)
+    qa, qb = list(_remark_steps(10))[1]
+    assert Fraction(qa, qb) == Fraction(11, 5) < Fraction(1352, 100)
 
 
 def _remark_by_fractions(N: int):
@@ -121,7 +123,7 @@ def test_remark_matches_fraction_loop():
         mx, monotone, ratios = _remark_by_fractions(N)
         assert rr.max_ratio == from_fraction(mx, 96), N
         assert rr.monotone == monotone, N
-        assert rr.ratios_exact == ratios, N
+        assert [Fraction(qa, qb) for qa, qb in _remark_steps(N)] == ratios, N
 
 
 def _remark_denominators(N: int):

@@ -11,6 +11,7 @@ import pytest
 import oracle
 from cfindep.catalog import build_config, catalog
 from cfindep.cfcore import scalar_enclosure
+from enclosing import contains
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -24,4 +25,4 @@ def test_catalog_quotients_match_closed_forms(name):
             E, r, alpha = form(n)
             assert seq.pair(n)[0] == E, (j, n)
             enclosure = scalar_enclosure(seq.quotient(n), prec)
-            assert enclosure.contains(oracle.value(E, r, alpha, 4 * prec)), (j, n)
+            assert contains(enclosure, oracle.value(E, r, alpha, 4 * prec)), (j, n)

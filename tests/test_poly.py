@@ -25,13 +25,12 @@ from cfindep.bigreal.poly import (
     SturmChain,
     _aberth_roots,
     _sign_at,
-    irreducible_factors,
+    factor_with_roots,
     isolate_real_roots,
-    is_squarefree,
     refine_root,
-    sturm_count,
 )
 from cfindep.errors import NoSignChange, NonConvergent, NotSquarefree
+from enclosing import contains
 
 
 def _quadratic_roots_oracle(b: int, c: int):
@@ -46,22 +45,30 @@ def _quadratic_roots_oracle(b: int, c: int):
     )
 
 
+def _squarefree(p: IntPoly) -> bool:
+    try:
+        SturmChain(p)
+    except NotSquarefree:
+        return False
+    return True
+
+
 def test_sturm_examples():
     p = IntPoly.of(-2, 0, 1)
-    assert sturm_count(p, DyadicInterval(Dyadic(0), Dyadic(2))) == 1
-    assert sturm_count(p, DyadicInterval(Dyadic(-2), Dyadic(2))) == 2
+    assert SturmChain(p).count(DyadicInterval(Dyadic(0), Dyadic(2))) == 1
+    assert SturmChain(p).count(DyadicInterval(Dyadic(-2), Dyadic(2))) == 2
     # roots of x^2 - 8x + 14 are 4 +/- sqrt 2 (quadratic formula oracle)
     q = IntPoly.of(14, -8, 1)
     r1lo, r1hi, r2lo, r2hi = _quadratic_roots_oracle(-8, 14)
     assert 0 < r1lo and r2hi < 10
-    assert sturm_count(q, DyadicInterval(Dyadic(0), Dyadic(10))) == 2
+    assert SturmChain(q).count(DyadicInterval(Dyadic(0), Dyadic(10))) == 2
 
 
 def test_sturm_requires_squarefree():
     with pytest.raises(NotSquarefree):
-        sturm_count(IntPoly.of(1, 2, 1), DyadicInterval(Dyadic(-2), Dyadic(0)))
-    assert is_squarefree(IntPoly.of(-2, 0, 1))
-    assert not is_squarefree(IntPoly.of(1, 2, 1))
+        SturmChain(IntPoly.of(1, 2, 1))
+    assert _squarefree(IntPoly.of(-2, 0, 1))
+    assert not _squarefree(IntPoly.of(1, 2, 1))
 
 
 def test_refine_root_sqrt2():
@@ -119,7 +126,7 @@ def _mantissa_bits(iv: DyadicInterval) -> int:
 
 def _squarefree_low_degree():
     coeffs = st.tuples(st.lists(st.integers(-20, 20), min_size=2, max_size=4), st.integers(1, 4))
-    return coeffs.map(lambda c: IntPoly(tuple(c[0]) + (c[1],))).filter(is_squarefree)
+    return coeffs.map(lambda c: IntPoly(tuple(c[0]) + (c[1],))).filter(_squarefree)
 
 
 def _assert_refined_against_mpmath(p: IntPoly, bits: int) -> None:
@@ -149,7 +156,7 @@ def _assert_refined_against_mpmath(p: IntPoly, bits: int) -> None:
 @example(IntPoly.of(0, -4, 0, 1), 300)  # the root 0 is exact
 def test_refine_root_matches_mpmath_with_bounded_mantissas(p, bits):
     # monic, degree up to 6
-    assume(is_squarefree(p) and isolate_real_roots(p))
+    assume(_squarefree(p) and isolate_real_roots(p))
     _assert_refined_against_mpmath(p, bits)
 
 
@@ -279,7 +286,7 @@ def _same_endpoints(p, isolating, target):
 @example([-1, 3, 3, -4, -1], 1, 2112, 3)
 def test_integer_refine_root_matches_object_loop(low, lead, bits, odd):
     p = IntPoly(tuple(low) + (lead,))
-    assume(is_squarefree(p))
+    assume(_squarefree(p))
     for iv in isolate_real_roots(p):
         _same_endpoints(p, iv, Dyadic(odd, -bits))
 
@@ -337,8 +344,8 @@ def test_interval_evaluation_contains_exact():
         x = DyadicInterval(from_fraction(lo, 96).lo, from_fraction(hi, 96).hi)
         a1, f1, a2, f2 = poly._pair_eval_interval(p.coeffs, x.lo.man, x.lo.exp, x.hi.man, x.hi.exp, 96)
         v = DyadicInterval(Dyadic(a1, f1), Dyadic(a2, f2))
-        assert v.contains(p.eval_fraction(lo)) and v.contains(p.eval_fraction(hi))
-        assert v.contains(p.eval_fraction((lo + hi) / 2))
+        assert contains(v, p.eval_fraction(lo)) and contains(v, p.eval_fraction(hi))
+        assert contains(v, p.eval_fraction((lo + hi) / 2))
 
 
 def test_refine_root_against_numpy_roots():
@@ -351,7 +358,7 @@ def test_refine_root_against_numpy_roots():
         while True:
             coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [1]
             p = IntPoly(tuple(coeffs))
-            if is_squarefree(p):
+            if _squarefree(p):
                 break
         true_roots = sorted(z.real for z in np.roots(list(reversed(coeffs)))
                             if abs(z.imag) < 1e-9)
@@ -440,8 +447,8 @@ def _totally_real_products(draw, max_degree):
 @example(IntPoly.of(40, 42, -125, 133, -87, 33, -9, 1))  # a real root of 5 far from the rest
 @example(IntPoly.of(-100548, 11668, 42077, 3695, 107, 1))  # Newton refinement took minutes
 def test_factors_match_sympy(p):
-    assume(is_squarefree(p))
-    assert irreducible_factors(p) == _sympy_factors(p)
+    assume(_squarefree(p))
+    assert factor_with_roots(p, isolate_real_roots(p)) == _sympy_factors(p)
 
 
 @settings(max_examples=20, deadline=None)
@@ -449,19 +456,17 @@ def test_factors_match_sympy(p):
 @example(_product([_TOTALLY_REAL[2], _TOTALLY_REAL[3], _shifted(_TOTALLY_REAL[2], 1),
                    _shifted(_TOTALLY_REAL[3], -2)]))
 def test_totally_real_factors_match_sympy(p):
-    assume(is_squarefree(p))
-    assert irreducible_factors(p) == _sympy_factors(p)
+    assume(_squarefree(p))
+    assert factor_with_roots(p, isolate_real_roots(p)) == _sympy_factors(p)
 
 
 def test_factoring_edge_cases():
-    assert irreducible_factors(IntPoly.of(1)) == []
-    assert irreducible_factors(IntPoly.of(-7, 1)) == [IntPoly.of(-7, 1)]
-    assert irreducible_factors(IntPoly.of(0, -1, 0, 1)) == [
-        IntPoly.of(-1, 1), IntPoly.of(0, 1), IntPoly.of(1, 1)]
-    with pytest.raises(ValueError):
-        irreducible_factors(IntPoly.of(-2, 0, 2))  # primitive part x^2 - 1 is the caller's job
+    for p, factors in ((IntPoly.of(1), []), (IntPoly.of(-7, 1), [IntPoly.of(-7, 1)]),
+                       (IntPoly.of(0, -1, 0, 1),
+                        [IntPoly.of(-1, 1), IntPoly.of(0, 1), IntPoly.of(1, 1)])):
+        assert factor_with_roots(p, isolate_real_roots(p)) == factors
     with pytest.raises(NotSquarefree):
-        irreducible_factors(IntPoly.of(1, 2, 1))
+        isolate_real_roots(IntPoly.of(1, 2, 1))
 
 
 # -- Aberth seeds against numpy ----------------------------------------------
@@ -472,7 +477,7 @@ def test_factoring_edge_cases():
 @example([1, 0, 0, 0, 0, 0, 0, 0], 1)
 def test_aberth_seeds_match_numpy_roots(low, lead):
     p = IntPoly(tuple(low) + (lead,))
-    assume(is_squarefree(p))
+    assume(_squarefree(p))
     seeds = _aberth_roots(p)
     expected = [complex(z) for z in np.roots(list(reversed(p.coeffs)))]
     assert len(seeds) == len(expected) == p.degree()
@@ -524,7 +529,7 @@ _dyadics = st.builds(Dyadic, st.integers(-(2 ** 40), 2 ** 40), st.integers(-40, 
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=10), _dyadics, _dyadics)
 def test_sturm_chain_matches_fraction_path(coeffs, a, b):
     p = IntPoly(tuple(coeffs))
-    assume(p.degree() >= 1 and is_squarefree(p))
+    assume(p.degree() >= 1 and _squarefree(p))
     chain, ref = SturmChain(p), _fraction_chain(p)
     a, b = min(a, b), max(a, b)
     for x in (a, b):
@@ -532,14 +537,14 @@ def test_sturm_chain_matches_fraction_path(coeffs, a, b):
         assert chain.variations(x) == _fraction_variations(ref, x.as_fraction())
     closed = (_fraction_variations(ref, a.as_fraction()) - _fraction_variations(ref, b.as_fraction())
               + (p.eval_dyadic(a).sign() == 0))
-    assert sturm_count(p, DyadicInterval(a, b)) == closed
+    assert chain.count(DyadicInterval(a, b)) == closed
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=9))
 def test_isolation_unchanged_by_integer_signs(coeffs):
     p = IntPoly(tuple(coeffs))
-    assume(p.degree() >= 1 and is_squarefree(p))
+    assume(p.degree() >= 1 and _squarefree(p))
     fast = isolate_real_roots(p)
     with pytest.MonkeyPatch.context() as mp:
         ref = _fraction_chain(p)
