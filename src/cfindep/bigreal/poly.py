@@ -83,12 +83,6 @@ class IntPoly:
             return IntPoly((0,))
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def eval_dyadic(self, x: Dyadic) -> Dyadic:
         """Exact evaluation at a dyadic point."""
         return Dyadic(*_pair_eval(self.coeffs, x.man, x.exp))
@@ -101,41 +95,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly{self.coeffs}"
-
-
-# -- rational polynomial helpers (lists of Fraction, constant first) ---------
-
-def _qtrim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _qdeg(p: list[Fraction]) -> int:
-    return -1 if (len(p) == 1 and p[0] == 0) else len(p) - 1
-
-
-def _qdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by a nonzero b."""
-    a = list(a)
-    db, lb = _qdeg(b), b[-1]
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while _qdeg(a) >= db:
-        shift = _qdeg(a) - db
-        coef = a[-1] / lb
-        q[shift] = coef
-        for i in range(db + 1):
-            a[shift + i] -= coef * b[i]
-        _qtrim(a)
-    return _qtrim(q), a
-
-
-def _qrem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return _qdivmod(a, b)[1]
-
-
-def _to_q(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
 
 
 def _pair_eval(coeffs: tuple[int, ...], m: int, e: int) -> tuple[int, int]:
@@ -158,23 +117,25 @@ def _sign_at(coeffs: tuple[int, ...], x: Dyadic) -> int:
 class SturmChain:
     """The Sturm sequence of a squarefree integer polynomial, built once.
 
-    Each member is the rational remainder scaled by a positive rational to a
-    primitive integer polynomial, so it has the same signs everywhere and the
-    sign variations are those of the rational chain.  The remainder sequence
-    is Euclid's algorithm on (p, p'), so it also decides squarefreeness.
+    Each member is the primitive part of the integer pseudo-remainder of the
+    two before it, which scales a by |lc(b)| at each step.  That is the
+    rational remainder times a positive rational, so it has the same signs
+    everywhere and the sign variations are those of the rational chain.  The
+    remainder sequence is Euclid's algorithm on (p, p'), so it also decides
+    squarefreeness.
     """
 
     def __init__(self, p: IntPoly):
         if p.is_zero():
             raise NotSquarefree("the zero polynomial has repeated roots")
-        chain = [_to_q(p)] + ([_to_q(p.derivative())] if p.degree() > 0 else [])
-        while _qdeg(chain[-1]) > 0:
-            r = _qrem(chain[-2], chain[-1])
-            if _qdeg(r) < 0:
+        chain = [_primitive(p.coeffs)] + ([_primitive(p.derivative().coeffs)] if p.degree() > 0 else [])
+        while len(chain[-1]) > 1:
+            r = _pseudo_remainder(chain[-2], chain[-1])
+            if not any(r):
                 raise NotSquarefree(f"{p!r} has repeated roots")
-            chain.append([-c for c in r])
+            chain.append(_primitive([-c for c in r]))
         self.p = p
-        self.members = [_positive_primitive(q) for q in chain]
+        self.members = chain
 
     def variations(self, x: Dyadic) -> int:
         """Sign changes along the chain at x, zeros skipped."""
@@ -215,11 +176,28 @@ class SturmChain:
         return roots
 
 
-def _positive_primitive(q: list[Fraction]) -> tuple[int, ...]:
-    den = math.lcm(*(c.denominator for c in q))
-    ints = [c.numerator * (den // c.denominator) for c in q]
-    g = math.gcd(*ints) or 1
-    return tuple(c // g for c in ints)
+def _primitive(coeffs) -> tuple[int, ...]:
+    """A nonzero integer polynomial divided by its (positive) content."""
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """|lc(b)|**k * (a mod b) for some k >= 0, trimmed: each step scales the
+    remainder by |lc(b)| before it cancels the leading term, so every step
+    stays in the integers."""
+    r, db = list(a), len(b) - 1
+    m, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    while len(r) > db:
+        top = r.pop() * s  # the term of degree len(r), cancelled below
+        if top:
+            shift = len(r) - db
+            r = [m * c for c in r]
+            for i in range(db):
+                r[shift + i] -= top * b[i]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return r
 
 
 # Bound on the refinement memo; refine_root is pure in its hashable arguments.

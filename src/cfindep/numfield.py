@@ -54,8 +54,8 @@ __all__ = [
     "embeddings",
     "sigma_eval",
     "house",
+    "characteristic_polynomial",
     "is_algebraic_integer",
-    "minimal_polynomial",
     "multiquadratic_field",
 ]
 
@@ -464,74 +464,64 @@ def house(x: FieldElement, precision: int) -> DyadicInterval:
     raise PrecisionInsufficient("house enclosure did not converge")  # pragma: no cover
 
 
-def minimal_polynomial(x: FieldElement) -> list[Fraction]:
-    """Exact monic minimal polynomial of x over Q, constant term first."""
-    d = x.field.degree
-    powers: list[tuple[Fraction, ...]] = [tuple([Fraction(1)] + [Fraction(0)] * (d - 1))]
-    cur = x.field.one()
+def characteristic_polynomial(x: FieldElement) -> list[Fraction]:
+    """The characteristic polynomial of multiplication by x on the field,
+    monic of degree D, constant term first: the minimal polynomial of x to
+    the power D / deg.  Its coefficients come by Newton's identities from
+    the traces Tr(x^k), each linear in the coordinates of x^k with the
+    traces Tr(theta^i) as weights, which Newton's identities give in turn
+    from the monic defining polynomial.  The norm of x is (-1)^D chi(0).
+    """
+    f, d = x.field.minpoly.coeffs, x.field.degree
+    weights = [d]  # Tr(theta^i), i < D
+    for k in range(1, d):
+        weights.append(-k * f[d - k] - sum(f[d - i] * weights[k - i] for i in range(1, k)))
+    traces, power = [], x.field.one()  # Tr(x^k), k = 1..D
     for _ in range(d):
-        cur = cur * x
-        powers.append(cur.coords)
+        power = power * x
+        traces.append(sum(w * c for w, c in zip(weights, power.coords)))
+    e = [Fraction(1)]  # elementary symmetric functions of the conjugates of x
     for k in range(1, d + 1):
-        sol = _solve_exact(powers[:k], powers[k], d)
-        if sol is not None:
-            return [-c for c in sol] + [Fraction(1)]
-    raise AssertionError("minimal polynomial search exhausted")  # pragma: no cover
-
-
-def _solve_exact(cols, target, dim) -> list[Fraction] | None:
-    """Solve sum c_j cols[j] = target over Q, or None if inconsistent."""
-    k = len(cols)
-    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(dim)]
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if rows[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][k]
-    return sol
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    return [(-1) ** k * e[k] for k in range(d, -1, -1)]
 
 
 def is_algebraic_integer(x: FieldElement) -> bool:
-    """True iff the exact minimal polynomial of x is monic with integer coefficients.
-
-    A rational q has minimal polynomial x - q, so only its denominator counts."""
+    """True iff x is a root of a monic integer polynomial: iff its
+    characteristic polynomial, a power of its minimal polynomial, has
+    integer coefficients (Gauss's lemma).  A rational q has minimal
+    polynomial x - q, so only its denominator counts."""
     if x.is_rational():
         return x.coords[0].denominator == 1
-    return all(c.denominator == 1 for c in minimal_polynomial(x))
+    return all(c.denominator == 1 for c in characteristic_polynomial(x))
 
 
 # ---------------------------------------------------------------------------
 # multiquadratic compositum Q(sqrt(p1), ..., sqrt(pr))
 # ---------------------------------------------------------------------------
 
-def _sqfree_mul(d1: int, d2: int) -> tuple[int, int]:
-    g = math.gcd(d1, d2)
-    return g, (d1 // g) * (d2 // g)
+def _shift_by_sqrt(f: tuple[int, ...], p: int) -> tuple[list[int], list[int]]:
+    """(E, O) with f(x + y) = E(x) + y O(x) modulo y^2 = p, by Horner."""
+    n = len(f)
+    E, O = [0] * n, [0] * n
+    for c in reversed(f):  # (E + yO)(x + y) + c = xE + pO + c + y(E + xO)
+        E, O = ([c + p * O[0]] + [E[i - 1] + p * O[i] for i in range(1, n)],
+                [E[0]] + [O[i - 1] + E[i] for i in range(1, n)])
+    return E, O
 
 
-def _mq_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            g, d3 = _sqfree_mul(d1, d2)
-            out[d3] = out.get(d3, Fraction(0)) + c1 * c2 * g
-    return {k: v for k, v in out.items() if v}
+def _sum_of_square_roots(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal polynomial of sum(sqrt p), each prime adjoined by
+    f(x - sqrt p) f(x + sqrt p) = E^2 - p O^2 over Z."""
+    f = (0, 1)
+    for p in primes:
+        E, O = _shift_by_sqrt(f, p)
+        g = [0] * (2 * len(f) - 1)
+        for i, (a, b) in enumerate(zip(E, O)):
+            for j, (c, d) in enumerate(zip(E, O)):
+                g[i + j] += a * c - p * b * d
+        f = tuple(g)
+    return f
 
 
 def multiquadratic_field(primes: tuple[int, ...]):
@@ -539,38 +529,15 @@ def multiquadratic_field(primes: tuple[int, ...]):
 
     Returns (field, sqrt_of) where sqrt_of(j) is the element sqrt(j) for any
     positive integer j whose squarefree part divides the product of the primes.
+    The generator is theta = sum(sqrt p).  For each p, with f the minimal
+    polynomial of theta - sqrt p and f(x + y) = E + y O modulo y^2 = p,
+    0 = f(theta - sqrt p) = E(theta) - sqrt p O(theta), so sqrt p is
+    E(theta) / O(theta); O(theta) = 0 would make theta + sqrt p a root of f too.
     """
     primes = tuple(sorted(set(primes)))
-    r = len(primes)
-    dim = 1 << r
-    if dim > MAX_FIELD_DEGREE:
-        raise ValueError(f"compositum degree {dim} exceeds {MAX_FIELD_DEGREE}")
-    # basis keyed by squarefree products of the primes
-    keys = [1]
-    for p in primes:
-        keys += [k * p for k in keys]
-    keys.sort()
-    key_index = {k: i for i, k in enumerate(keys)}
-
-    gamma = {p: Fraction(1) for p in primes} if primes else {1: Fraction(1)}
-
-    def to_vec(el: dict[int, Fraction]) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * dim
-        for k, c in el.items():
-            v[key_index[k]] = c
-        return tuple(v)
-
-    powers = [{1: Fraction(1)}]
-    for _ in range(dim):
-        powers.append(_mq_mul(powers[-1], gamma))
-    vecs = [to_vec(p) for p in powers]
-    sol = _solve_exact(vecs[:dim], vecs[dim], dim)
-    if sol is None:  # pragma: no cover
-        raise AssertionError("compositum generator has unexpected degree")
-    coeffs = [-c for c in sol] + [Fraction(1)]
-    if any(c.denominator != 1 for c in coeffs):  # pragma: no cover
-        raise AssertionError("compositum minimal polynomial is not integral")
-    minpoly = IntPoly(tuple(int(c) for c in coeffs))
+    if 1 << len(primes) > MAX_FIELD_DEGREE:
+        raise ValueError(f"compositum degree {1 << len(primes)} exceeds {MAX_FIELD_DEGREE}")
+    minpoly = IntPoly(_sum_of_square_roots(primes) if primes else (-1, 1))
 
     hint = singleton(0)
     for p in primes:
@@ -580,25 +547,25 @@ def multiquadratic_field(primes: tuple[int, ...]):
     pad = Dyadic(1, -20)
     hint = DyadicInterval(hint.lo - pad, hint.hi + pad)
     field = field_new(minpoly, hint)
+    roots = {}
+    for p in primes:
+        E, O = _shift_by_sqrt(_sum_of_square_roots(tuple(q for q in primes if q != p)), p)
+        roots[p] = field.element(E) / field.element(O)
 
     def sqrt_of(j: int) -> FieldElement:
         if j <= 0:
             raise ValueError("sqrt_of needs a positive integer")
-        m, j0 = 1, j
+        m, j0, root = 1, j, field.one()
         for p in primes:
             while j0 % (p * p) == 0:
                 j0 //= p * p
                 m *= p
+            if j0 % p == 0:
+                j0 //= p
+                root = root * roots[p]
         s = math.isqrt(j0)
-        if s * s == j0:
-            return field.from_rational(m * s)
-        if j0 not in key_index:
+        if s * s != j0:
             raise ValueError(f"sqrt({j}) does not lie in this compositum")
-        target = [Fraction(0)] * dim
-        target[key_index[j0]] = Fraction(m)
-        c = _solve_exact(vecs[:dim], tuple(target), dim)
-        if c is None:  # pragma: no cover
-            raise AssertionError("sqrt coordinates not solvable")
-        return field.element(c)
+        return root * (m * s)
 
     return field, sqrt_of

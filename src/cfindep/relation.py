@@ -256,31 +256,21 @@ def find_relation(values: list[DyadicInterval], height: int, precision: int) -> 
 
 
 def find_relation_over_field(values: list[DyadicInterval], field: NumberField,
-                             height: int, precision: int,
-                             basis=None) -> RelationResult:
+                             height: int, precision: int) -> RelationResult:
     """Relation search over a number field via an expanded coefficient basis.
 
-    Searches integer relations among {w_i * v_j} union {w_i} for the basis
-    elements w_i (powers of the generator by default); a field relation with
-    coefficients in the integer span of that basis exists exactly when such an
-    expanded relation does.  Found coefficients map back to field elements
-    (A_1, ..., A_M, A_0).  Pass ``basis`` (a list of D field elements, e.g. an
-    integral basis) to widen the coefficient span beyond Z[theta].
+    Searches integer relations among {theta^i * v_j} union {theta^i}, i < D;
+    a field relation with coefficients in Z[theta] exists exactly when such
+    an expanded relation does.  Found coefficients map back to field
+    elements (A_1, ..., A_M, A_0).
     """
     d = field.degree
     m = len(values)
     work = precision + 16 + 8 * d
-    if basis is None:
-        theta = field.root_enclosure(work)
-        basis_encs = [singleton(1)]
-        for _ in range(d - 1):
-            basis_encs.append(iv_mul(basis_encs[-1], theta, work))
-        basis_elems = None
-    else:
-        if len(basis) != d:
-            raise ValueError("coefficient basis must have D elements")
-        basis_elems = list(basis)
-        basis_encs = [b.enclosure(work) for b in basis_elems]
+    theta = field.root_enclosure(work)
+    basis_encs = [singleton(1)]
+    for _ in range(d - 1):
+        basis_encs.append(iv_mul(basis_encs[-1], theta, work))
     expanded: list[DyadicInterval] = []
     for v in values:
         for be in basis_encs:
@@ -294,15 +284,5 @@ def find_relation_over_field(values: list[DyadicInterval], field: NumberField,
     res = find_relation(expanded, height, precision)
     if res.found:
         c = res.coefficients
-        k_coeffs = []
-        for j in range(m + 1):
-            chunk = c[j * d:(j + 1) * d]
-            if basis_elems is None:
-                k_coeffs.append(field.element(chunk))
-            else:
-                acc = field.zero()
-                for ci, w in zip(chunk, basis_elems):
-                    acc = acc + ci * w
-                k_coeffs.append(acc)
-        res.k_coefficients = k_coeffs
+        res.k_coefficients = [field.element(c[j * d:(j + 1) * d]) for j in range(m + 1)]
     return res

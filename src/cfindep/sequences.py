@@ -240,7 +240,7 @@ def polynomial_root_family(p: IntPoly, base: CFSpec) -> list[CFSpec]:
     except NotSquarefree:
         raise RootsNotRealDistinctGreaterOne("repeated roots") from None
     window = DyadicInterval(Dyadic(1), Dyadic(p.cauchy_root_bound()))
-    if chain.count(window) - (1 if p.eval_fraction(Fraction(1)) == 0 else 0) != deg:
+    if chain.count(window) - (sum(p.coeffs) == 0) != deg:
         raise RootsNotRealDistinctGreaterOne("roots must all be real and > 1")
     if not p.is_monic():
         raise RootsNotRealDistinctGreaterOne(f"{p!r} is not monic, so one of its factors is not")

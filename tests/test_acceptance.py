@@ -31,7 +31,7 @@ from cfindep.lemmas import (
     run_lemma2_suite,
     run_lemma3_suite,
 )
-from cfindep.numfield import field_new, house, is_algebraic_integer, minimal_polynomial
+from cfindep.numfield import characteristic_polynomial, field_new, house, is_algebraic_integer
 from cfindep.relation import find_relation, find_relation_over_field
 from cfindep.sequences import spec, sqrt2_field
 from test_cfcore import eval_finite
@@ -274,8 +274,7 @@ def test_c11_house_and_integrality():
         rng = random.Random(11)
         for _ in range(25):
             x = k.element([rng.randint(-40, 40), rng.randint(-40, 40)])
-            m = minimal_polynomial(x)  # norm = ((-1)^deg m m(0))^(2 / deg m)
-            norm = ((-1) ** (len(m) - 1) * m[0]) ** (2 // (len(m) - 1))
+            norm = characteristic_polynomial(x)[0]  # (-1)^D chi(0), D = 2
             a, b = x.coords
             assert norm == a * a - 2 * b * b and norm.denominator == 1
 

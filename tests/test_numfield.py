@@ -15,11 +15,11 @@ from cfindep.catalog import build_config
 from cfindep.errors import DivisionByZero, FieldMismatch, NotMonic, Reducible, RootNotIsolated
 from cfindep.numfield import (
     NumberField,
+    characteristic_polynomial,
     embeddings,
     field_new,
     house,
     is_algebraic_integer,
-    minimal_polynomial,
     multiquadratic_field,
     sigma_eval,
 )
@@ -256,7 +256,7 @@ def test_is_algebraic_integer_examples():
     k5 = _sqrt5()
     phi = k5.element([Fraction(1, 2), Fraction(1, 2)])
     assert is_algebraic_integer(phi)
-    assert minimal_polynomial(phi) == [Fraction(-1), Fraction(-1), Fraction(1)]
+    assert characteristic_polynomial(phi) == [Fraction(-1), Fraction(-1), Fraction(1)]
     k = _sqrt2()
     assert not is_algebraic_integer(k.element([0, Fraction(1, 2)]))
     assert is_algebraic_integer(k.from_rational(7))
@@ -264,11 +264,9 @@ def test_is_algebraic_integer_examples():
 
 
 def _norm(x) -> Fraction:
-    """Product of the conjugates of x from its minimal polynomial m:
-    ((-1)^deg m * m(0))^(D / deg m)."""
-    m = minimal_polynomial(x)
-    deg = len(m) - 1
-    return ((-1) ** deg * m[0]) ** (x.field.degree // deg)
+    """Product of the conjugates of x from its characteristic polynomial
+    chi: (-1)^D * chi(0)."""
+    return (-1) ** x.field.degree * characteristic_polynomial(x)[0]
 
 
 def _sympy_norm(x) -> Fraction:
@@ -332,6 +330,23 @@ def test_multiquadratic_compositum():
     assert sqrt_of(4).as_fraction() == 2
     assert (sqrt_of(8) * sqrt_of(8)).as_fraction() == 8
     assert is_algebraic_integer(s2) and is_algebraic_integer(s3)
+    # 5 sqrt 2 lies in Q(sqrt 2, sqrt 3), though 50 is not squarefree
+    assert sqrt_of(50) == 5 * s2 and sqrt_of(12) == 2 * s3
+    with pytest.raises(ValueError):
+        sqrt_of(28)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5)])
+def test_multiquadratic_compositum_matches_sympy(primes):
+    fld, sqrt_of = multiquadratic_field(primes)
+    y = sympy.Symbol("y")
+    theta = sum(sympy.sqrt(p) for p in primes)
+    expected = sympy.Poly(sympy.minimal_polynomial(theta, y), y).all_coeffs()[::-1]
+    assert list(fld.minpoly.coeffs) == expected
+    for p in primes:
+        coords = sqrt_of(p).coords
+        value = sum(sympy.Rational(c.numerator, c.denominator) * theta ** i for i, c in enumerate(coords))
+        assert sympy.expand(value) == sympy.sqrt(p)
 
 
 def test_sign_at_identity():
@@ -343,29 +358,36 @@ def test_sign_at_identity():
     assert k.zero().sign_at_identity() == 0
 
 
-# Q(sqrt 2), Q(cbrt 2) and the field of x^4 + 3x^2 + 1.  The last has no real
-# root for field_new to select, so it is built directly: minimal polynomials
-# and norms are the same at every conjugate, and sympy may take any root.
+# Q(sqrt 2), Q(cbrt 2) and the field of x^4 + 3x^2 + 1, and the last two
+# again with the generator shifted by 1, whose defining polynomials have every
+# coefficient nonzero, so each trace Tr(theta^k) takes every term of Newton's
+# identities.  The quartics have no real root for field_new to select, so
+# they are built directly: minimal polynomials and norms are the same at
+# every conjugate, and sympy may take any root.
 _ORACLE_FIELDS = {
     "sqrt2": (IntPoly.of(-2, 0, 1), sympy.sqrt(2)),
     "cbrt2": (IntPoly.of(-2, 0, 0, 1), sympy.cbrt(2)),
     "imaginary4": (IntPoly.of(1, 0, 3, 0, 1), sympy.I * sympy.GoldenRatio),
+    "1+cbrt2": (IntPoly.of(-3, 3, -3, 1), 1 + sympy.cbrt(2)),
+    "1+imaginary4": (IntPoly.of(5, -10, 9, -4, 1), 1 + sympy.I * sympy.GoldenRatio),
 }
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_ORACLE_FIELDS)),
        st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=4, max_size=4))
 @example("imaginary4", [Fraction(0), Fraction(0), Fraction(1), Fraction(0)])  # in Q(sqrt 5)
 @example("cbrt2", [Fraction(-7, 3), Fraction(0), Fraction(0), Fraction(0)])
 def test_norm_and_minimal_polynomial_match_sympy(name, coords):
     poly, root = _ORACLE_FIELDS[name]
+    # chi = m^(D / deg m) for sympy's minimal polynomial m of x
     x = NumberField(poly, None).element(coords[:poly.degree()])
-    assert x.is_zero() or _norm(x) == _sympy_norm(x)
+    assert _norm(x) == _sympy_norm(x)
     t, y = sympy.symbols("t y")
     g = sum(sympy.Rational(c.numerator, c.denominator) * t ** i for i, c in enumerate(x.coords))
-    expected = sympy.Poly(sympy.minimal_polynomial(g.subs(t, root), y), y).monic().all_coeffs()[::-1]
-    assert minimal_polynomial(x) == [Fraction(str(c)) for c in expected]
+    m = sympy.Poly(sympy.minimal_polynomial(g.subs(t, root), y), y).monic()
+    expected = (m ** (poly.degree() // m.degree())).all_coeffs()[::-1]
+    assert characteristic_polynomial(x) == [Fraction(str(c)) for c in expected]
 
 
 # x / y against sympy's algebraic field: random monic irreducible quadratics

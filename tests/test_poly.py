@@ -344,8 +344,8 @@ def test_interval_evaluation_contains_exact():
         x = DyadicInterval(from_fraction(lo, 96).lo, from_fraction(hi, 96).hi)
         a1, f1, a2, f2 = poly._pair_eval_interval(p.coeffs, x.lo.man, x.lo.exp, x.hi.man, x.hi.exp, 96)
         v = DyadicInterval(Dyadic(a1, f1), Dyadic(a2, f2))
-        assert contains(v, p.eval_fraction(lo)) and contains(v, p.eval_fraction(hi))
-        assert contains(v, p.eval_fraction((lo + hi) / 2))
+        for point in (x.lo, x.hi, x.midpoint()):
+            assert contains(v, p.eval_dyadic(point))
 
 
 def test_refine_root_against_numpy_roots():
@@ -550,6 +550,38 @@ def test_isolation_unchanged_by_integer_signs(coeffs):
         ref = _fraction_chain(p)
         mp.setattr(SturmChain, "variations", lambda self, x: _fraction_variations(ref, x.as_fraction()))
         assert isolate_real_roots(p) == fast
+
+
+def _positive_primitive(q: list[Fraction]) -> tuple[int, ...]:
+    """The primitive integer polynomial that is a positive multiple of q."""
+    den = math.lcm(*(c.denominator for c in q))
+    ints = [c.numerator * (den // c.denominator) for c in q]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-30, 30) | st.just(0), max_size=8), st.sampled_from([1, -1, 2, -3, 5]),
+       st.sampled_from([1, 3, -4]), st.none() | st.integers(-3, 3))
+@example([5, 0, 0, 0], -1, 1, None)  # one nonzero step by lc = -4: a signed pseudo-remainder flips
+@example([2, -3, 0], 1, 1, None)  # (x - 1)^2 (x + 2)
+@example([1], 2, 3, 1)  # 3 (2x + 1)(x - 1)^2
+def test_sturm_chain_members_are_primitive_fraction_remainders(low, lead, content, square):
+    # degree 1-9, leading coefficients of both signs, non-primitive inputs;
+    # a squared factor x - square makes p not squarefree, and the rational
+    # chain then ends in a zero remainder
+    coeffs = low + [lead]
+    if square is not None:
+        for _ in range(2):  # times (x - square)
+            coeffs = [a - square * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    p = IntPoly(tuple(content * c for c in coeffs))
+    assume(1 <= p.degree() <= 9)
+    ref = _fraction_chain(p)
+    if [] in ref:
+        with pytest.raises(NotSquarefree):
+            SturmChain(p)
+    else:
+        assert SturmChain(p).members == [_positive_primitive(q) for q in ref]
 
 
 def test_sturm_chain_rejects_repeated_roots():

@@ -176,23 +176,6 @@ def test_planted_recovery_batch():
         assert lhs == 0  # exact true relation
 
 
-def test_find_relation_over_field_integral_basis_override():
-    # Q(sqrt5) with the genuine integral basis {1, (1+sqrt5)/2}: a relation
-    # with half-integer power-basis coordinates becomes reachable
-    k5 = field_new(IntPoly.of(-5, 0, 1), DyadicInterval(Dyadic(2), Dyadic(3)))
-    phi = k5.element([Fraction(1, 2), Fraction(1, 2)])  # golden ratio
-    rng = random.Random(21)
-    alpha = Fraction(rng.getrandbits(300), 2 ** 300)
-    a_iv = from_fraction(alpha, 340)
-    phi_alpha = iv_mul(a_iv, phi.enclosure(340), 340)
-    res = find_relation_over_field([a_iv, phi_alpha], k5, 100, 256,
-                                   basis=[k5.one(), phi])
-    assert res.found
-    a1, a2, a0 = res.k_coefficients
-    total = a1 * alpha + a2 * phi * alpha + a0
-    assert total.is_zero()
-
-
 def test_lll_shortest_vector_quality_bruteforce():
     # in dimension 2-3 compare against exhaustive search over small combos:
     # ||b1||^2 <= 2^(n-1) * ||shortest||^2

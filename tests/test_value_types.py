@@ -19,7 +19,7 @@ from cfindep.catalog import catalog
 from cfindep.cfcore import _RATIONAL, CFValueEnclosure, GaussianRational, initial_state
 from cfindep.cli import RunConfig
 from cfindep.criteria import ConditionReport
-from cfindep.numfield import embeddings, is_algebraic_integer, minimal_polynomial
+from cfindep.numfield import characteristic_polynomial, embeddings, is_algebraic_integer
 from cfindep.sequences import KINDS, Decomposition, phi_field, spec, sqrt2_field
 
 
@@ -124,5 +124,6 @@ def test_rational_elements_are_integral_exactly_when_their_minimal_polynomial_is
     f = sqrt2_field()
     for q in (Fraction(0), Fraction(7), Fraction(-3), Fraction(7, 2), Fraction(-1, 3)):
         x = f.from_rational(q)
-        assert is_algebraic_integer(x) == all(c.denominator == 1 for c in minimal_polynomial(x))
+        assert characteristic_polynomial(x) == [q * q, -2 * q, 1]  # (t - q)^2
+        assert is_algebraic_integer(x) == (q.denominator == 1)
 
