@@ -321,7 +321,8 @@ def iv_hull(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
 # ---------------------------------------------------------------------------
 
 # Bound on the entries of each point cache below.  The cached functions are
-# pure in (Dyadic or ints, precision, end) and return immutable Dyadics.
+# pure in (Dyadic or ints, precision) and return the immutable pair (lower
+# end, upper end), so a point argument runs one chain for both ends.
 _POINT_CACHE_SIZE = 4096
 
 # Directed rounding of raw (mantissa, exponent) int pairs m * 2**e, as
@@ -346,102 +347,96 @@ def _pair_up(m: int, e: int, prec: int) -> tuple[int, int]:
 
 
 # Argument-reduced kernels (Brent & Zimmermann, Modern Computer Arithmetic,
-# ch. 4).  Each endpoint is one chain of fixed-point integers at a scale
-# 2**f: the round-down chain floors every step, so each of its integers is at
-# most the true value times 2**f and the dropped series tail only lowers it
-# further; the round-up chain takes every ceiling and adds a bound on the
-# tail.  The chain for one end reads no value of the other, and each stops by
-# its own test.  The number s of reduction steps and the scale are fixed
+# ch. 4) with midpoint-radius ends (van der Hoeven, "Ball arithmetic", 2010).
+# Each kernel runs one chain of fixed-point integers at a scale 2**f per
+# (point, precision).  Every step of the chain takes a floor, so its total is
+# at most the true value times 2**f, and the kernel's docstring proves a
+# radius: the total is less than that many units below the true value.  The
+# lower end is the total rounded down, the upper end the total plus the
+# radius rounded up.  The number s of reduction steps and the scale are fixed
 # functions of the precision: about sqrt(prec)/2 halvings for exp, and about
 # sqrt(prec)/4 square roots for ln, where a math.isqrt costs several series
-# steps; s >= 1 in both.
+# steps; s >= 2 in both.
 
 # Guard bits below the last bit of a result.  The error counts in the lemmas
-# of _ln_mantissa_end and _exp2_end, about twice the number of series terms
-# and reductions, must stay below 2**(_GUARD - 4); with about 2 sqrt(prec)
-# terms that holds for any precision below 2**24 bits.  _GUARD < 31 keeps
-# the error of ln 2 below one unit in _exp2_end.
+# of _ln_mantissa_ends and _exp2_ends (before the squarings), about the number
+# of series terms, must stay below 2**(_GUARD - 4); with about 2 sqrt(prec)
+# terms that holds for any precision below 2**24 bits.  _GUARD < 31 keeps the
+# error of ln 2 below one unit in _exp2_ends.
 _GUARD = 20
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _ln_mantissa_end(m_num: int, m_shift: int, prec: int, up: bool) -> Dyadic:
-    """One end of ln(m) for m = m_num / 2**m_shift in [1, 2], rounded to
-    work = prec + 16 bits in that end's direction.
+def _ln_mantissa_ends(m_num: int, m_shift: int, prec: int) -> tuple[Dyadic, Dyadic]:
+    """Both ends of ln(m) for m = m_num / 2**m_shift in [1, 2], rounded
+    outward to work = prec + 16 bits.
 
     With R = m**(1/2**s) (s square roots) and t = (R - 1)/(R + 1),
     ln m = 2**(s + 1) * atanh(t), and the shift by s + 1 is exact.  At the
     scale 2**f, f = work + s + _GUARD + z with m - 1 >= 2**-z, the chain
-    rounds m, each root (math.isqrt, or its ceiling), t, t**2, each power
-    t**(2k + 1) and each term power/(2k + 1) in its own direction.  Every
-    map is increasing in its inputs, so the round-down sum is at most
-    atanh(t) (it also drops the tail) and the round-up sum at least the
-    partial sum.  The round-up chain adds its last power p as the tail
-    bound: t <= 1/3, so the tail past the term p/(2k + 1) is below
-    p t**2 / (3 (1 - t**2)) < p/24.
+    floors m, each root (math.isqrt), t, t**2, each power t**(2k + 1) and
+    each term power/(2k + 1), and stops after the first zero power.  Every
+    map is increasing in its inputs, so the total is at most atanh(t) 2**f.
 
-    Accuracy, in units u = 2**-f: m is off by < u, each root by < u plus
-    half the error of its input (sqrt is 1/2-Lipschitz on [1, 2]), so R by
-    < 2u; t by < 2u (dt/dR <= 1/2, plus the division's rounding); t**2 and
-    each power by < 3u (t <= 1/3), each term by < 2u, and the dropped or
-    added tail by at most u.  So n terms are off by < (2n + 3)u in all.  As
-    ln(m) >= (m - 1)/2, t >= (R - 1)/3 >= ln(m)/2**(s + 2) >= 2**-(z + s + 3),
-    so the relative error is below (2n + 3) 2**(3 - work - _GUARD) <=
-    2**-(work + 1).  The final rounding adds less than one unit in the last
-    place of the end, so the end is within 2 units in the last place at work
-    bits of the larger of itself and ln m.
+    Radius: with n terms summed, the last at the odd index k = 2n - 1 of
+    bit length b, the total is less than n + 2 + b//2 = (k + 5 + b)//2 units
+    u = 2**-f below atanh(t) 2**f.  As work >= 16, s >= 2, so R <= 2**(1/4)
+    and t < 1/11.  m is off by < u, each root by < u plus half the error of
+    its input (sqrt is 1/2-Lipschitz on [1, 2]), so R by < 2u; t by < 2u
+    (dt/dR <= 1/2, plus the division's rounding); t**2 by < (4t + 1)u < 3u/2;
+    each power past t by < (3t/2 + 2t**2 + 1)u < 6u/5, so the term at index
+    i >= 3 by < (1 + 6/(5i))u; and the dropped tail, past a power below
+    6u/5, by < u/100.  The sum of 1/i over odd 3 <= i <= k is at most
+    ln(k)/2, so the total error is below (n + 1 + (3/5) ln k + 1/100)u <
+    (n + 2 + b//2)u.  The upper end is the total plus that radius, rounded
+    up, so both ends are within the radius, at most (2n + 3)u, of atanh(t)
+    before their last rounding.  As ln(m) >= (m - 1)/2,
+    t >= (R - 1)/3 >= ln(m)/2**(s + 2) >= 2**-(z + s + 3), so that is a
+    relative error below (2n + 3) 2**(3 - work - _GUARD) <= 2**-(work + 1).
+    The last rounding adds less than one unit in the last place of the end,
+    so each end is within 2 units in the last place at work bits of the
+    larger of itself and ln m.
     """
     num = m_num - (1 << m_shift)
     if num == 0:
-        return Dyadic(0)
+        return (Dyadic(0),) * 2
     if num < 0:
         raise ValueError("mantissa below 1")
     work = prec + 16
     s = isqrt(work) // 4 + 1
     f = work + s + _GUARD + m_shift + 1 - num.bit_length()
     sh = f - m_shift
-    if sh >= 0:
-        r = m_num << sh
-    else:
-        r = -(-m_num >> -sh) if up else m_num >> -sh
+    r = m_num << sh if sh >= 0 else m_num >> -sh
     one = 1 << f
     for _ in range(s):
-        x = r << f
-        r = isqrt(x)
-        r += up and r * r < x
-    t, rem = divmod((r - one) << f, r + one)
-    t += up and rem != 0
-    t2 = -(-t * t >> f) if up else t * t >> f
+        r = isqrt(r << f)
+    t = ((r - one) << f) // (r + one)
+    t2 = t * t >> f
     total = power = t
     k = 1
-    if up:
-        while power > 1:
-            power = -(-power * t2 >> f)
-            k += 2
-            total -= -power // k
-        total += power  # tail bound
-    else:
-        while power:
-            power = power * t2 >> f
-            k += 2
-            total += power // k
-    return Dyadic(*(_pair_up if up else _pair_down)(total, s + 1 - f, work))
+    while power:
+        power = power * t2 >> f
+        k += 2
+        total += power // k
+    e = s + 1 - f
+    radius = (k + 5 + k.bit_length()) // 2
+    return Dyadic(*_pair_down(total, e, work)), Dyadic(*_pair_up(total + radius, e, work))
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _log2_end(x: Dyadic, prec: int, up: bool) -> Dyadic:
-    """One end of log2(x): the exponent plus ln(mantissa)/ln 2, each end
+def _log2_ends(x: Dyadic, prec: int) -> tuple[Dyadic, Dyadic]:
+    """Both ends of log2(x): the exponent plus ln(mantissa)/ln 2, each end
     rounded as iv_div and iv_add round it."""
     if x.sign() <= 0:
         raise ValueError("log2 requires a positive argument")
     if x.man == 1:
-        return Dyadic(x.exp)  # exact power of two
+        return (Dyadic(x.exp),) * 2  # a power of two, exact
     bits = x.man.bit_length()
     work = prec + 16
-    ln_m = _ln_mantissa_end(x.man, bits - 1, work, up)  # >= 0
-    frac = _quotient(ln_m, _ln_mantissa_end(2, 0, work, not up), work, up)
-    total = Dyadic(x.exp + bits - 1) + frac
-    return total.round_up(prec) if up else total.round_down(prec)
+    ln_m, ln2 = _ln_mantissa_ends(x.man, bits - 1, work), _ln_mantissa_ends(2, 0, work)
+    k = Dyadic(x.exp + bits - 1)
+    return ((k + _quotient(ln_m[0], ln2[1], work, False)).round_down(prec),
+            (k + _quotient(ln_m[1], ln2[0], work, True)).round_up(prec))
 
 
 def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
@@ -449,68 +444,62 @@ def iv_log2(a: DyadicInterval, prec: int) -> DyadicInterval:
     _check_prec(prec)
     if a.lo.sign() <= 0:
         raise ValueError("log2 requires a strictly positive interval")
-    return DyadicInterval(_log2_end(a.lo, prec, False), _log2_end(a.hi, prec, True))
+    return DyadicInterval(_log2_ends(a.lo, prec)[0], _log2_ends(a.hi, prec)[1])
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _exp2_end(x: Dyadic, prec: int, up: bool) -> Dyadic:
-    """One end of 2**x = 2**k * exp(v)**(2**s), with k = floor(x) and
-    v = (x - k) ln 2 / 2**s.
+def _exp2_ends(x: Dyadic, prec: int) -> tuple[Dyadic, Dyadic]:
+    """Both ends of 2**x = 2**k * exp(v)**(2**s), with k = floor(x) and
+    v = (x - k) ln 2 / 2**s, rounded outward to prec bits.
 
-    At the scale 2**w, w = prec + s + _GUARD, the chain rounds v (from its
-    own end of ln 2), each Taylor term (the one before times v / j) and
-    each of the s squarings in its own direction; every map is increasing, so the
-    round-down result is at most 2**x (it also drops the tail) and the
-    round-up result at least the partial sum.  The round-up chain adds its
-    last term as the tail bound: v <= ln 2 / 2 < 1/2, so each later term is
-    below a quarter of the one before and the tail is below a third of the
-    last term.
+    At the scale 2**w, w = prec + s + _GUARD, the chain floors v (from the
+    lower end of ln 2), each Taylor term (the one before times v / j) and
+    each of the s squarings, and stops after the first zero term.  Every map
+    is increasing, so the total is at most 2**(x - k) 2**w.
 
-    Accuracy, in units u = 2**-w: v is off by < 2u, one rounding and ln 2's
-    error (at most 2**-(prec + 31), 2 units in the last place at prec + 32
-    bits) times (x - k) 2**(w - s) < 2**(prec + _GUARD); so exp(v) is off by
-    < 4u.  Each term is off by < 2u and the tail by at most u, so n terms
-    are off by < (2n + 5)u, relatively too as exp(v) >= 1.  Each squaring
-    about doubles a relative error and adds u, so the s squarings leave it
-    below 2**s (2n + 5 + s) u <= 2**-(prec + 1).  The final rounding to prec
-    bits adds less than one unit in the last place of the end, so the end is
-    within 2 units in the last place at prec bits of the larger of itself
+    Radius: with n terms past the 1 summed, the total is less than
+    (9n + 10) 2**(s - 2) units u = 2**-w below 2**(x - k) 2**w.  As
+    prec >= 4, s >= 2, so v < ln(2)/4 < 0.18.  v is off by < (1 + 2**-11)u:
+    one rounding, and ln 2's error (at most 2**-(prec + 31), 2 units in the
+    last place at prec + 32 bits) times (x - k) 2**(w - s) <
+    2**(prec + _GUARD); so exp(v) is off by < 1.19u.  The first term, v, is
+    exact, each later term j is off by < (1 + 0.18 (9/8)/j)u < 9u/8, and the
+    dropped tail, past a term below 9u/8, by < u/10.  So the sum is off by
+    < ((9n + 10)/8 - 1)u, relatively too as exp(v) >= 1.  Each squaring at
+    most doubles a relative error and adds u, so the s squarings leave it
+    below 2**s (9n + 10)/8 u, and 2**(x - k) < 2 makes the error less than
+    the radius.  The upper end is the total plus the radius, rounded up, so
+    both ends are within (9n + 10) 2**-(prec + _GUARD + 2) <= 2**-prec of
+    2**(x - k) relatively before their last rounding.  That rounding to prec
+    bits adds less than one unit in the last place of the end, so each end
+    is within 2 units in the last place at prec bits of the larger of itself
     and 2**x.
     """
     k = x.floor()
     if x.is_integer():
-        return Dyadic(1, k)
+        return (Dyadic(1, k),) * 2
     r = x - Dyadic(k)  # in (0, 1), exact
     s = isqrt(prec) // 2 + 1
     w = prec + s + _GUARD
-    ln2 = _ln_mantissa_end(2, 0, prec + 16, up)
+    ln2 = _ln_mantissa_ends(2, 0, prec + 16)[0]
     m, e = r.man * ln2.man, r.exp + ln2.exp + w - s  # v * 2**w = m * 2**e
+    v = m << e if e >= 0 else m >> -e
     total = term = 1 << w
     j = 0
-    if up:
-        v = m << e if e >= 0 else -(-m >> -e)
-        while term > 1:
-            j += 1
-            term = -((-term * v >> w) // j)
-            total += term
-        total += term  # tail bound
-        for _ in range(s):
-            total = -(-total * total >> w)
-    else:
-        v = m << e if e >= 0 else m >> -e
-        while term:
-            j += 1
-            term = (term * v >> w) // j
-            total += term
-        for _ in range(s):
-            total = total * total >> w
-    return Dyadic(*(_pair_up if up else _pair_down)(total, k - w, prec))
+    while term:
+        j += 1
+        term = (term * v >> w) // j
+        total += term
+    for _ in range(s):
+        total = total * total >> w
+    radius = (9 * j + 10) << (s - 2)
+    return Dyadic(*_pair_down(total, k - w, prec)), Dyadic(*_pair_up(total + radius, k - w, prec))
 
 
 def iv_exp2(a: DyadicInterval, prec: int) -> DyadicInterval:
     """Enclosure of 2**x over the interval."""
     _check_prec(prec)
-    return DyadicInterval(_exp2_end(a.lo, prec, False), _exp2_end(a.hi, prec, True))
+    return DyadicInterval(_exp2_ends(a.lo, prec)[0], _exp2_ends(a.hi, prec)[1])
 
 
 def _introot(n: int, k: int) -> int:
@@ -556,10 +545,10 @@ def _pow_end(v: Dyadic, gamma: Fraction, prec: int, up: bool) -> Dyadic:
     if gamma.denominator == 2:
         sq = iv_pow_int(DyadicInterval(v, v), gamma.numerator, prec + 8)
         return sqrt_up(sq.hi, prec) if up else sqrt_down(sq.lo, prec)
-    lg = _log2_end(v, prec + 8, up)
+    lg = _log2_ends(v, prec + 8)[up]
     g = from_fraction(gamma, prec + 8)
     lg = lg * (g.hi if (lg.man >= 0) == up else g.lo)  # the end _products pairs it with
-    return _exp2_end(lg.round_up(prec + 8) if up else lg.round_down(prec + 8), prec, up)
+    return _exp2_ends(lg.round_up(prec + 8) if up else lg.round_down(prec + 8), prec)[up]
 
 
 def iv_pow_frac(a: DyadicInterval, gamma: Fraction, prec: int) -> DyadicInterval:

@@ -170,8 +170,8 @@ def _configs(draw) -> dict:
     for key, default in cli.TASKS[task][1].items():
         if key in _SIZES or default is ... or draw(st.booleans()):
             params[key] = draw(_MUTATED if draw(st.integers(0, 5)) == 5 else _VALID[key])
-    config = {"task": task, "params": params, "sequences": {
-        k: _SEQUENCES[k] for k in draw(st.sets(st.sampled_from(_NAMES), min_size=1))}}
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))  # in draw order
+    config = {"task": task, "params": params, "sequences": {k: _SEQUENCES[k] for k in names}}
     if draw(st.booleans()):
         config["field"] = draw(st.sampled_from([_FIELD, None]))
     if draw(st.booleans()):

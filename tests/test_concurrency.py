@@ -83,7 +83,7 @@ def test_harmonic_cache_survives_thread_switching(monkeypatch):
 def test_shared_point_caches_under_thread_switching():
     # the log2/exp2 point caches are filled by whichever thread gets there
     # first; every thread must still see the serial reports exactly
-    caches = (interval._ln_mantissa_end, interval._log2_end, interval._exp2_end)
+    caches = (interval._ln_mantissa_ends, interval._log2_ends, interval._exp2_ends)
     names = ("c4", "c5", "t2")
 
     def job(_):

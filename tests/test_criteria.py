@@ -11,8 +11,11 @@ from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import build_config
 from cfindep.cfcore import run_recurrence, scalar
 from cfindep.criteria import (
+    INDET,
     QuotientTable,
     Thm1Config,
+    _escalating,
+    _trailing_window,
     check_all,
     check_condition10,
     check_decomposition,
@@ -362,3 +365,51 @@ def test_interval_quotients_are_refused():
         scalar(iv)
     with pytest.raises(TypeError, match="DyadicInterval"):
         check_all(Thm1Config(M=1, sequences=[spec("custom", fn=lambda n: iv)]), 2, 64)
+
+
+def _iv(lo, hi):
+    return DyadicInterval(Dyadic(lo), Dyadic(hi))
+
+
+def test_trailing_window_decreases_only_certainly():
+    # [1, 3] after [2, 4] may lie above it: overlapping entries are not a
+    # certain strict decrease, though each lower end is below the one before
+    high, overlapping, below = _iv(2, 4), _iv(1, 3), _iv(0, 1)
+    assert _trailing_window([high, overlapping], 8) == ([high, overlapping], False)
+    assert _trailing_window([high, below], 8) == ([high, below], True)
+
+
+class _Enclosures:
+    """A quotient table for growth_margin: the hand-built enclosures of
+    a_{n,1}, with d = 1, so that each value encloses a_{n,1} itself."""
+
+    d = 1
+
+    def __init__(self, *enclosures):
+        self.enclosures = enclosures
+
+    def enclosure(self, n, j, work):
+        return self.enclosures[n - 1]
+
+
+@pytest.mark.parametrize("second, records, verdict", [
+    (_iv(3, 8), [1], INDET),  # overlaps the first: possibly, not certainly, a record
+    (_iv(5, 8), [1, 2], "pass"),
+])
+def test_growth_record_needs_a_certainly_higher_value(second, records, verdict):
+    series = growth_margin(_Enclosures(_iv(3, 4), second), 1, 2, 64)
+    assert (series.records, series.verdict) == (records, verdict)
+
+
+def test_escalation_doubles_until_a_verdict():
+    works = []
+
+    def third_doubling(work):
+        works.append(work)
+        return ("pass" if work >= 8 * 64 else None), work
+
+    assert _escalating(third_doubling, 64) == ("pass", 64)  # the first attempt's margin
+    assert works == [64, 128, 256, 512]
+    works.clear()
+    assert _escalating(lambda work: (works.append(work), (None, work))[1], 64) == (INDET, 64)
+    assert works == [64 << i for i in range(6)]

@@ -457,9 +457,9 @@ def _assert_end(end, up, ref, bits, slack=Dyadic(0)):
 
 
 def _check_ln_mantissa_ends(m_num, m_shift, prec):
-    ends = [interval._ln_mantissa_end.__wrapped__(m_num, m_shift, prec, up) for up in (False, True)]
+    ends = interval._ln_mantissa_ends.__wrapped__(m_num, m_shift, prec)
     if m_num == 1 << m_shift:
-        assert ends == [Dyadic(0)] * 2
+        assert ends == (Dyadic(0),) * 2
         return
     work = prec + 16
     ref = _reference(iv.log, work, Dyadic(m_num, -m_shift))
@@ -468,9 +468,9 @@ def _check_ln_mantissa_ends(m_num, m_shift, prec):
 
 
 def _check_exp2_ends(x, prec):
-    ends = [interval._exp2_end.__wrapped__(x, prec, up) for up in (False, True)]
+    ends = interval._exp2_ends.__wrapped__(x, prec)
     if x.is_integer():
-        assert ends == [Dyadic(1, x.floor())] * 2
+        assert ends == (Dyadic(1, x.floor()),) * 2
         return
     ref = _reference(lambda v: iv.exp(v * iv.log(2)), prec, x)
     for end, up in zip(ends, (False, True)):
@@ -503,7 +503,7 @@ def test_exp2_end_against_mpmath(x, prec):
     _check_exp2_ends(x, prec)
 
 
-# Reference series: _ln_mantissa_end and _exp2_end with every step an
+# Reference series: _ln_mantissa_ends and _exp2_ends with every step an
 # interval operation, both ends at once, stopping once the upper end of the
 # term falls below 2**-(prec + 8) and adding twice that end as the tail.
 @cache
@@ -579,8 +579,7 @@ def _assert_near_object_series(end, up, ref, bits):
 @example((3, 1), 53)
 def test_ln_mantissa_matches_object_series(m, prec):
     ref = _object_ln_mantissa(*m, prec)
-    for up in (False, True):
-        end = interval._ln_mantissa_end.__wrapped__(*m, prec, up)
+    for end, up in zip(interval._ln_mantissa_ends.__wrapped__(*m, prec), (False, True)):
         _assert_near_object_series(end, up, ref, prec + 16)
 
 
@@ -592,8 +591,7 @@ def test_ln_mantissa_matches_object_series(m, prec):
 @example(Dyadic(5), 64)
 def test_exp2_point_matches_object_series(x, prec):
     ref = _object_exp2_point(x, prec)
-    for up in (False, True):
-        end = interval._exp2_end.__wrapped__(x, prec, up)
+    for end, up in zip(interval._exp2_ends.__wrapped__(x, prec), (False, True)):
         _assert_near_object_series(end, up, ref, prec)
 
 
@@ -601,34 +599,35 @@ def test_exp2_point_matches_object_series(x, prec):
 # lies next to its stopping point: the twin-chain series that the kernels
 # replaced could not certify the round-down stop there and took the round-up
 # chain's stop index, and for ln(51951 / 2**15) at 7 bits a round-down stop
-# of its own gave another end.  The cases keep the ids they had then.  Each
-# end now stops by its own test: computed alone, it reads no value of the
-# other end and lies within 2 units in the last place of the reference.
-@pytest.mark.parametrize("kernel, args, bits, ref", [
-    pytest.param(interval._exp2_end, (Dyadic(23333, -15), 4), 4,
-                 lambda: _object_exp2_point(Dyadic(23333, -15), 4),
-                 id="_exp2_end-args0-_exp_series-<lambda>-False"),
-    pytest.param(interval._ln_mantissa_end, (30747, 14, 4), 20,
-                 lambda: _object_ln_mantissa(30747, 14, 4),
-                 id="_ln_mantissa_end-args1-_atanh_series-<lambda>-False"),
-    pytest.param(interval._ln_mantissa_end, (51951, 15, 7), 23,
-                 lambda: _object_ln_mantissa(51951, 15, 7),
-                 id="_ln_mantissa_end-args2-_atanh_series-<lambda>-True"),
+# of its own gave another end.  The cases keep the ids they had then.  Both
+# ends now come from one floor chain and its radius: each lies on its side of
+# mpmath's enclosure within 2 units in the last place, and near the reference
+# series; the exp2 chain reads ln 2 once, for its lower end.
+@pytest.mark.parametrize("kernel, args, bits, ref, check, ln_reads", [
+    pytest.param(interval._exp2_ends, (Dyadic(23333, -15), 4), 4,
+                 lambda: _object_exp2_point(Dyadic(23333, -15), 4), _check_exp2_ends,
+                 [(2, 0, 20)], id="_exp2_end-args0-_exp_series-<lambda>-False"),
+    pytest.param(interval._ln_mantissa_ends, (30747, 14, 4), 20,
+                 lambda: _object_ln_mantissa(30747, 14, 4), _check_ln_mantissa_ends,
+                 [], id="_ln_mantissa_end-args1-_atanh_series-<lambda>-False"),
+    pytest.param(interval._ln_mantissa_ends, (51951, 15, 7), 23,
+                 lambda: _object_ln_mantissa(51951, 15, 7), _check_ln_mantissa_ends,
+                 [], id="_ln_mantissa_end-args2-_atanh_series-<lambda>-True"),
 ])
-def test_undecided_stop_takes_the_round_up_index(monkeypatch, kernel, args, bits, ref):
+def test_undecided_stop_takes_the_round_up_index(monkeypatch, kernel, args, bits, ref, check,
+                                                 ln_reads):
+    check(*args)
     reads = []
-    real = interval._ln_mantissa_end
+    real = interval._ln_mantissa_ends
 
     def recorded(*a):
         reads.append(a)
         return real(*a)
 
-    monkeypatch.setattr(interval, "_ln_mantissa_end", recorded)
-    for up in (False, True):
-        reads.clear()
-        end = kernel.__wrapped__(*args, up)
-        assert all(a[-1] == up for a in reads)  # only its own end of ln 2
+    monkeypatch.setattr(interval, "_ln_mantissa_ends", recorded)
+    for end, up in zip(kernel.__wrapped__(*args), (False, True)):
         _assert_near_object_series(end, up, ref(), bits)
+    assert reads == ln_reads
 
 
 _THIRD = rational_to_dyadic(1, 3, 64, up=False)
@@ -670,9 +669,9 @@ def test_log2_and_pow_ends_against_mpmath(x, prec, gamma):
     2**-(prec + 8) for the fraction ln(m)/ln 2 it adds to the exponent at
     prec + 16 bits; each end of x**gamma within 2 units plus the effect of
     its exponent gamma * log2(x), rounded at prec + 8 bits."""
-    lg = [interval._log2_end.__wrapped__(x, prec, up) for up in (False, True)]
+    lg = interval._log2_ends.__wrapped__(x, prec)
     if x.man == 1:
-        assert lg == [Dyadic(x.exp)] * 2  # exact
+        assert lg == (Dyadic(x.exp),) * 2  # exact
     else:
         ref = _reference(lambda v: iv.log(v) / iv.log(2), prec, x)
         for end, up in zip(lg, (False, True)):
@@ -688,37 +687,33 @@ def test_log2_and_pow_ends_against_mpmath(x, prec, gamma):
         _assert_end(end, up, ref, prec, (ref[1] * span).scaled(-(prec + 4)))
 
 
-_POINT_CACHES = (interval._ln_mantissa_end, interval._log2_end, interval._exp2_end)
+_POINT_CACHES = (interval._ln_mantissa_ends, interval._log2_ends, interval._exp2_ends)
 
 
-def test_each_endpoint_runs_one_chain(monkeypatch):
-    """The lower end of 2**x reads only the round-down ln 2 and the upper end
-    only the round-up one; each end of log2 reads its own end of ln(m) and
-    the opposite end of the divisor ln 2."""
-    calls = []
-    real = interval._ln_mantissa_end
+def _hits_and_misses():
+    return [c.cache_info()[:2] for c in _POINT_CACHES]
 
-    def recorded(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(interval, "_ln_mantissa_end", recorded)
+def test_each_endpoint_runs_one_chain():
+    """A point interval misses each kernel's cache once: both of its ends
+    are the two ends of one cached pair, and each lies on its side of
+    mpmath's enclosure within 2 units in the last place."""
     for c in _POINT_CACHES:
         c.cache_clear()
     x = Dyadic(5, -2)
-    interval._exp2_end(x, 64, False)
-    assert calls == [(2, 0, 80, False)]
-    interval._exp2_end(x, 64, True)
-    assert calls == [(2, 0, 80, False), (2, 0, 80, True)]
-    calls.clear()
+    e = iv_exp2(singleton(x), 64)
+    # (hits, misses) of ln(mantissa), log2 and exp2; exp2 reads ln 2 at 80 bits
+    assert _hits_and_misses() == [(0, 1), (0, 0), (1, 1)]
     iv_exp2(DyadicInterval(Dyadic(1, -2), x), 64)
-    iv_exp2(DyadicInterval(Dyadic(1, -2), x), 64)
-    assert calls == [(2, 0, 80, False)]  # only the new lower end; the rest is cached
-    calls.clear()
-    iv_log2(DyadicInterval(Dyadic(3), Dyadic(5)), 64)
-    # ln(3/2) down and ln 2 up for the lower end, ln(5/4) up and ln 2 down
-    # for the upper end
-    assert calls == [(3, 1, 80, False), (2, 0, 80, True), (5, 2, 80, True), (2, 0, 80, False)]
+    assert _hits_and_misses() == [(1, 1), (0, 0), (2, 2)]  # only the new lower end
+    g = iv_log2(singleton(Dyadic(5)), 64)
+    # ln(5/4) is new, ln 2 at 80 bits is the one exp2 read
+    assert _hits_and_misses() == [(2, 2), (1, 1), (2, 2)]
+    _check_exp2_ends(x, 64)
+    assert (e.lo, e.hi) == interval._exp2_ends(x, 64)
+    ref = _reference(lambda v: iv.log(v) / iv.log(2), 64, Dyadic(5))
+    _assert_end(g.lo, False, ref, 64, Dyadic(1, -72))
+    _assert_end(g.hi, True, ref, 64, Dyadic(1, -72))
 
 
 def test_point_caches_are_bounded():

@@ -13,9 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from cfindep.bigreal.interval import singleton
+from cfindep import sequences
+from cfindep.bigreal.dyadic import Dyadic
+from cfindep.bigreal.interval import DyadicInterval, singleton
+from cfindep.bigreal.poly import IntPoly
 from cfindep.cfcore import enclose_value
 from cfindep.criteria import Thm1Config, check_all
+from cfindep.numfield import field_new
 from cfindep.relation import find_relation
 from cfindep.sequences import Decomposition, spec
 from enclosing import contains
@@ -76,3 +80,25 @@ def test_dependent_family_yields_its_relation(family):
     res = find_relation(values + [singleton(1)], 100, 1024)
     assert (res.status, res.coefficients) == ("found", coefficients)
     assert contains(res.residual, 0)
+
+
+SQRT5 = field_new(IntPoly.of(-5, 0, 1), DyadicInterval(Dyadic(2), Dyadic(3)))
+
+
+@pytest.mark.parametrize("b, verdict, witness", [
+    ((Fraction(1, 4), Fraction(1, 4)), "fail", (1, 1)),  # (1 + sqrt 5)/4, not integral
+    ((Fraction(1, 2), Fraction(1, 2)), "pass", None),  # the golden ratio, integral
+])
+def test_decomposition_needs_integral_pieces(monkeypatch, b, verdict, witness):
+    """No kind the JSON descriptors reach has a non-integral piece: every kind
+    puts its denominators into d.  A test-side kind a_n = 2**(n 3**n) b,
+    decomposed as (S b + 0)/1 with S = 2**(n 3**n), agrees with its quotient
+    and has a_n >= 1, so only the integrality of b decides."""
+    b = SQRT5.element(b)
+    monkeypatch.setitem(sequences.KINDS, "sqrt5-scaled", sequences._Kind(
+        lambda s, n: (n * 3 ** n, b),
+        lambda s, n: Decomposition(2 ** (n * 3 ** n), b, SQRT5.zero(), SQRT5.one())))
+    cfg = Thm1Config(M=1, sequences=[spec("sqrt5-scaled", field=SQRT5)], field=SQRT5)
+    rep = check_all(cfg, 3, 128)
+    dec = next(c for c in rep.conditions if c.name == "decomposition")
+    assert (dec.verdict, dec.failing_index) == (verdict, witness)
