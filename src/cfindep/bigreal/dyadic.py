@@ -173,7 +173,6 @@ def _pair_cmp(a: int, ae: int, b: int, be: int) -> int:
 
 
 ZERO = Dyadic(0, 0)
-ONE = Dyadic(1, 0)
 
 
 def rational_to_dyadic(num: int, den: int, prec: int, up: bool) -> Dyadic:

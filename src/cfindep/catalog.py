@@ -34,8 +34,8 @@ def resolve_family(sequences: dict, order: list[str] | None = None, field: dict 
     parsed = {key: parse_sequence(desc) for key, desc in sequences.items()}
     ordered = [parsed[key] for key in order or sorted(parsed)]
     ambient = fld if fld is not None else next((s.field for s in ordered if s.field is not None), None)
-    return fld, ordered, Thm1Config(M=len(ordered), sequences=ordered, gamma=gamma, field=ambient,
-                                    condition5_mode=mode, name=name)
+    return fld, ordered, Thm1Config(ordered, gamma=gamma, field=ambient, condition5_mode=mode,
+                                    name=name)
 
 
 class CatalogEntry:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bigreal.dyadic import Dyadic
 from .bigreal.interval import (
@@ -27,7 +27,6 @@ from .numfield import FieldElement, embeddings, house, is_algebraic_integer, sig
 
 __all__ = [
     "ConvergentState",
-    "CFValueEnclosure",
     "GaussianRational",
     "initial_state",
     "advance",
@@ -136,11 +135,9 @@ class ConvergentState:
         self.__dict__.update(n=n, p_prev=p_prev, q_prev=q_prev, p_cur=p_cur, q_cur=q_cur)
 
 
-def initial_state(a0=0) -> ConvergentState:
-    a0, _ = scalar(a0)
-    one = Fraction(1)
-    zero = Fraction(0)
-    return ConvergentState(0, one, zero, a0, one)
+def initial_state() -> ConvergentState:
+    """Order 0 of [0; a_1, a_2, ...]: p_{-1} = 1, q_{-1} = 0, p_0 = 0, q_0 = 1."""
+    return ConvergentState(0, Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
 
 def advance(state: ConvergentState, a_next) -> ConvergentState:
@@ -160,29 +157,19 @@ def determinant_value(state: ConvergentState):
     return state.q_cur * state.p_prev - state.p_cur * state.q_prev
 
 
-def run_recurrence(quotients, a0=0) -> list[ConvergentState]:
-    """States after each quotient, starting from [a0; q1, q2, ...]."""
-    out = []
-    st = initial_state(a0)
+def run_recurrence(quotients) -> Iterator[ConvergentState]:
+    """States of orders 1, 2, ... of [0; a_1, a_2, ...], yielded one per
+    quotient, each as soon as its quotient is read."""
+    st = initial_state()
     for a in quotients:
         st = advance(st, a)
-        out.append(st)
-    return out
+        yield st
 
 
 # -- value enclosures ----------------------------------------------------------
 
-class CFValueEnclosure:
-    __setattr__ = __delattr__ = refuse_assignment
-
-    def __init__(self, value: DyadicInterval, order: int, tail_bound_kind: str):
-        self.__dict__.update(value=value, order=order, tail_bound_kind=tail_bound_kind)
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is CFValueEnclosure else NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.order, self.tail_bound_kind))
+# how ``enclose_value`` bounds the tail: the hull of two nested convergents
+TAIL_BOUND_KIND = "nested-convergents"
 
 
 def _convergent_interval(state: ConvergentState, work: int) -> DyadicInterval:
@@ -192,17 +179,11 @@ def _convergent_interval(state: ConvergentState, work: int) -> DyadicInterval:
     return iv_div(scalar_enclosure(p, work), scalar_enclosure(q, work), work)
 
 
-def _quotient_states(cf, n: int) -> list[ConvergentState]:
-    """States of orders 1 .. n+3, each quotient certified >= 1."""
-    st = initial_state(0)
-    states = []
-    for k in range(1, n + 4):
-        a = cf.quotient(k)
-        if not scalar_at_least_one(a):
-            raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
-        st = advance(st, a)
-        states.append(st)
-    return states
+def _at_least_one(a, k: int):
+    """a, the quotient at index k, once it is certified >= 1."""
+    if not scalar_at_least_one(a):
+        raise QuotientBelowOne(f"quotient at index {k} is not certainly >= 1")
+    return a
 
 
 def _floor_log2(x: Dyadic) -> int:
@@ -237,7 +218,7 @@ def _q_product(states: list[ConvergentState], n: int, prec: int) -> DyadicInterv
                   scalar_enclosure(states[n].q_cur, prec), prec)
 
 
-def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
+def enclose_value(cf, n: int, prec: int) -> DyadicInterval:
     """Rigorous enclosure of the CF limit [0; a1, a2, ...] at order n.
 
     The limit is sandwiched between consecutive convergents two orders deeper
@@ -288,7 +269,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
     if n < 1:
         raise ValueError("order must be >= 1")
     work = prec + 16
-    states = _quotient_states(cf, n)
+    states = list(run_recurrence(_at_least_one(cf.quotient(k), k) for k in range(1, n + 4)))
     qq = _q_product(states, n, 64)
     least = _least_useful_work(states, n, qq)
     coarse = iv_div(singleton(1), qq, 64).lo.scaled(-1)
@@ -304,7 +285,7 @@ def enclose_value(cf, n: int, prec: int) -> CFValueEnclosure:
                 if value is None:
                     value = iv_hull(c1, _convergent_interval(states[n + 2], work))  # order n+3
                 if value.width() <= bound:
-                    return CFValueEnclosure(value, n, "nested-convergents")
+                    return value
         work *= 2
     raise PrecisionInsufficient("enclosure width bound not met")
 

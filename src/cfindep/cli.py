@@ -14,15 +14,15 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import tee
 
 from . import __version__
 from .bigreal.interval import MIN_PRECISION, singleton
 from .catalog import build_config, catalog, list_named_examples, resolve_family
 from .cfcore import (
-    advance,
+    TAIL_BOUND_KIND,
     determinant_value,
     enclose_value,
-    initial_state,
     run_recurrence,
     scalar_enclosure,
     scalar_is_zero,
@@ -212,12 +212,12 @@ def _single_sequence(cfg: RunConfig, p: dict) -> CFSpec:
 
 def _task_convergents(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     seq = _single_sequence(cfg, p)
-    st = initial_state(0)
+    # lazily: quotient n and order n are computed only after row n - 1 is written,
+    # so a row that cannot be written stops the work there
+    quotients, feed = tee(map(seq.quotient, range(1, p["N"] + 1)))
     rows = []
     lines = []
-    for n in range(1, p["N"] + 1):
-        a = seq.quotient(n)
-        st = advance(st, a)
+    for n, (a, st) in enumerate(zip(quotients, run_recurrence(feed)), start=1):
         det = determinant_value(st)
         det_str = "+1" if scalar_is_zero(det - 1) else ("-1" if scalar_is_zero(det + 1) else "?")
         rows.append({
@@ -239,11 +239,11 @@ def _scalar_bits(x) -> int:
 
 def _task_enclose(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     prec = p["precision"]
-    enc = enclose_value(_single_sequence(cfg, p), p["N"], prec)
+    value = enclose_value(_single_sequence(cfg, p), p["N"], prec)
     result = {
-        "order": enc.order,
-        "tail_bound_kind": enc.tail_bound_kind,
-        "value": interval_payload(enc.value, sig=max(24, prec // 3)),
+        "order": p["N"],
+        "tail_bound_kind": TAIL_BOUND_KIND,
+        "value": interval_payload(value, sig=max(24, prec // 3)),
     }
     return "ok", 0, result, [f"value = {result['value']['value']} +/- {result['value']['plus_minus']}"]
 
@@ -259,7 +259,7 @@ def _task_lemma1(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     N = p["N"]
     tr = lemma1_trace(a, b, N, p["precision"])
     result = {
-        "indices": tr.indices,
+        "indices": list(range(1, N + 1)),
         "ratios": [interval_payload(r) for r in tr.ratios],
         "hypothesis_margin": [interval_payload(m) for m in tr.liminf_margin],
         "ratios_exact": [fraction_str(r) for r in tr.ratios_exact] if tr.ratios_exact else None,
@@ -310,9 +310,9 @@ def _task_relation(cfg: RunConfig, p: dict) -> tuple[str, int, dict, list[str]]:
     values = []
     for s in seq_list:
         if p["use"] == "limit":
-            values.append(enclose_value(s, n_trunc, prec + 48).value)
+            values.append(enclose_value(s, n_trunc, prec + 48))
         else:
-            st = run_recurrence([s.quotient(k) for k in range(1, n_trunc + 1)])[-1]
+            st = list(run_recurrence([s.quotient(k) for k in range(1, n_trunc + 1)]))[-1]
             values.append(scalar_enclosure(st.p_cur / st.q_cur, prec + 48))
     if expand and fld is not None:
         res = find_relation_over_field(values, fld, p["height"], prec)
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_USAGE, f"error: {e}", sep="\n", file=sys.stderr)
         return 2
     try:
-        if flags.get("config"):
+        if "config" in flags:
             with open(flags["config"], "r", encoding="utf-8") as fh:
                 cfg = RunConfig.from_dict(json.load(fh))
             if cfg.task != task:
@@ -467,9 +467,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg.params.setdefault("name", name)
             if task == "relation":
                 cfg.params.setdefault("example", name)
-        if flags.get("out"):
+        if "out" in flags:
             cfg.output["path"] = flags["out"]
-        if flags.get("format"):
+        if "format" in flags:
             cfg.output["format"] = flags["format"]
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -492,10 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         payload = "\n".join([f"task: {cfg.task}", f"status: {report['status']}"] + lines) + "\n"
     else:
         payload = dumps_report(report)
-    path = cfg.output.get("path")
-    if path:
+    if "path" in cfg.output:
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(cfg.output["path"], "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)

@@ -63,24 +63,22 @@ class Thm1Config:
     """A concrete instance of the criterion's hypotheses.
 
     ``sequences`` are ordered with j=1 the (eventually) largest, matching the
-    ratio condition a_{n,j}/a_{n,j+1} > 1.  ``field`` fixes the ambient field
+    ratio condition a_{n,j}/a_{n,j+1} > 1; M is their count.  ``field`` fixes the ambient field
     degree D; None means Q (D=1).  Per-sequence elements may live in their own
     fields (e.g. root families of a reducible polynomial); houses, integrality
     and embedding signs are evaluated against each element's own conjugates.
     ``condition5_mode`` is house-half, real-part-sign or auto.
     """
 
-    def __init__(self, M: int, sequences: list[CFSpec], gamma: Fraction = Fraction(1, 2),
+    def __init__(self, sequences: list[CFSpec], gamma: Fraction = Fraction(1, 2),
                  field: NumberField | None = None, D: int | None = None,
                  condition5_mode: str = "auto", name: str | None = None):
         if not 0 < gamma < 1:
             raise ValueError("gamma must lie strictly inside (0, 1)")
-        if len(sequences) != M:
-            raise ValueError("sequence count must equal M")
         if condition5_mode not in ("house-half", "real-part-sign", "auto"):
             raise ValueError(f"unknown condition5 mode {condition5_mode!r}")
-        self.M, self.sequences, self.gamma, self.field, self.D = M, sequences, gamma, field, D
-        self.condition5_mode, self.name = condition5_mode, name
+        self.sequences, self.gamma, self.field, self.D = sequences, gamma, field, D
+        self.M, self.condition5_mode, self.name = len(sequences), condition5_mode, name
 
     @property
     def degree(self) -> int:

@@ -54,10 +54,11 @@ _SUITE_MAX_LEN = 8  # longest random tuple in the lemma 2 and 3 suites
 # ---------------------------------------------------------------------------
 
 class RatioTrace:
-    def __init__(self, indices: list[int], ratios: list[DyadicInterval],
-                 liminf_margin: list[DyadicInterval], ratios_exact: list[Fraction] | None):
-        self.indices, self.ratios = indices, ratios
-        self.liminf_margin, self.ratios_exact = liminf_margin, ratios_exact
+    """Per n = 1..N: the ratio enclosure, the hypothesis margin, and the exact ratio."""
+
+    def __init__(self, ratios: list[DyadicInterval], liminf_margin: list[DyadicInterval],
+                 ratios_exact: list[Fraction] | None):
+        self.ratios, self.liminf_margin, self.ratios_exact = ratios, liminf_margin, ratios_exact
 
 
 def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
@@ -72,7 +73,7 @@ def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
     ratios: list[DyadicInterval] = []
     margins: list[DyadicInterval] = []
     exact_ratios: list[Fraction] | None = [] if exact else None
-    st_a, st_b = initial_state(0), initial_state(0)
+    st_a, st_b = initial_state(), initial_state()
     for n, ((an, _), (bn, _)) in enumerate(quotients, start=1):
         for name, q in (("a", an), ("b", bn)):
             if not scalar_at_least_one(q):
@@ -92,12 +93,12 @@ def lemma1_trace(a: CFSpec, b: CFSpec, N: int, prec: int) -> RatioTrace:
             a_iv, b_iv = scalar_enclosure(an, prec), scalar_enclosure(bn, prec)
             rel = iv_div(iv_sub(a_iv, b_iv, prec), b_iv, prec)
         margins.append(iv_mul(sq, rel, prec))
-    return RatioTrace(list(range(1, N + 1)), ratios, margins, exact_ratios)
+    return RatioTrace(ratios, margins, exact_ratios)
 
 
 class RemarkResult:
-    def __init__(self, max_ratio: DyadicInterval, bound: DyadicInterval, monotone: bool, N: int):
-        self.max_ratio, self.bound, self.monotone, self.N = max_ratio, bound, monotone, N
+    def __init__(self, max_ratio: DyadicInterval, bound: DyadicInterval, monotone: bool):
+        self.max_ratio, self.bound, self.monotone = max_ratio, bound, monotone
 
 
 # Enclosure of prod_{n>=1} (1 + 1/n^2)^2: the partial product to 10^6 terms
@@ -144,7 +145,7 @@ def remark_counterexample(N: int) -> RemarkResult:
     mx = Fraction(qa, qb)
     if not mx < _PRODUCT_BOUND.lo.as_fraction():
         raise AssertionError("ratio exceeded the infinite-product bound")  # pragma: no cover
-    return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, True, N)
+    return RemarkResult(from_fraction(mx, 96), _PRODUCT_BOUND, True)
 
 
 # ---------------------------------------------------------------------------

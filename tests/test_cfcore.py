@@ -19,7 +19,7 @@ from cfindep.bigreal.interval import (
 from cfindep.bigreal.poly import IntPoly, refine_root
 from cfindep.catalog import build_config, catalog
 from cfindep.cfcore import (
-    CFValueEnclosure,
+    TAIL_BOUND_KIND,
     GaussianRational,
     _convergent_interval,
     _least_useful_work,
@@ -68,11 +68,11 @@ def eval_finite(quotients):
 
 
 def test_advance_fibonacci_and_pell():
-    states = run_recurrence([1] * 11)
+    states = list(run_recurrence([1] * 11))
     assert states[9].q_cur == 89 and states[10].q_cur == 144
-    pell = run_recurrence([2] * 5)
+    pell = list(run_recurrence([2] * 5))
     assert [s.q_cur for s in pell] == [2, 5, 12, 29, 70]
-    one = run_recurrence([2])
+    one = list(run_recurrence([2]))
     assert one[0].p_cur == Fraction(1) and one[0].q_cur == 2
 
 
@@ -81,14 +81,14 @@ def test_determinant_identity_random_corpus():
     for _ in range(60):
         n = rng.randint(1, 30)
         qs = [Fraction(rng.randint(1, 10**6), rng.randint(1, 100)) + 1 for _ in range(n)]
-        st = initial_state(0)
+        st = initial_state()
         for k, a in enumerate(qs, start=1):
             st = advance(st, a)
             assert determinant_value(st) == (-1) ** k
 
 
 def test_advance_refuses_a_quotient_from_another_field():
-    st = advance(initial_state(0), sqrt2_field().generator())
+    st = advance(initial_state(), sqrt2_field().generator())
     with pytest.raises(FieldMismatch):
         advance(st, phi_field().generator())
 
@@ -98,7 +98,7 @@ def test_determinant_identity_field_corpus():
     rng = random.Random(6)
     for _ in range(20):
         n = rng.randint(1, 15)
-        st = initial_state(0)
+        st = initial_state()
         for i in range(1, n + 1):
             u, v = rng.randint(1, 9), rng.randint(0, 4)
             st = advance(st, k.element([u, v]))
@@ -120,7 +120,7 @@ def test_eval_finite_matches_recurrence():
     for _ in range(40):
         n = rng.randint(1, 12)
         qs = [Fraction(rng.randint(1, 50), rng.randint(1, 5)) + 1 for _ in range(n)]
-        st = run_recurrence(qs)[-1]
+        st = list(run_recurrence(qs))[-1]
         assert eval_finite([Fraction(0)] + qs) == Fraction(st.p_cur) / Fraction(st.q_cur)
 
 
@@ -133,7 +133,7 @@ def alternating_sum(quotients):
 
 def product_below_denominator(quotients) -> bool:
     """q_n > a_1 a_2 ... a_n for the CF [0; a1, ..., an]."""
-    return run_recurrence(quotients)[-1].q_cur > math.prod(Fraction(a) for a in quotients)
+    return list(run_recurrence(quotients))[-1].q_cur > math.prod(Fraction(a) for a in quotients)
 
 
 def test_alternating_sum_examples():
@@ -147,15 +147,15 @@ def test_alternating_sum_equals_convergent():
     for _ in range(40):
         n = rng.randint(1, 15)
         qs = [Fraction(rng.randint(1, 40), rng.randint(1, 4)) + 1 for _ in range(n)]
-        st = run_recurrence(qs)[-1]
+        st = list(run_recurrence(qs))[-1]
         assert alternating_sum(qs) == Fraction(st.p_cur) / Fraction(st.q_cur)
 
 
 def test_product_lower_bound():
-    st = run_recurrence([2] * 5)[-1]
+    st = list(run_recurrence([2] * 5))[-1]
     assert st.q_cur == 70 and product_below_denominator([2] * 5)
     assert product_below_denominator([1] * 5)
-    st = run_recurrence([3, 1, 4])[-1]
+    st = list(run_recurrence([3, 1, 4]))[-1]
     assert st.q_cur == 19 and product_below_denominator([3, 1, 4])
     assert not product_below_denominator([7])  # q_1 = a_1: the bound holds from n = 2
 
@@ -163,15 +163,15 @@ def test_product_lower_bound():
 def test_enclose_value_golden():
     enc = enclose_value(spec("constant", value=Fraction(1)), 10, 64)
     # limit is 1/phi, inside [55/89, 89/144]
-    assert Fraction(55, 89) <= enc.value.lo.as_fraction()
-    assert enc.value.hi.as_fraction() <= Fraction(89, 144)
-    assert enc.value.width().as_fraction() <= Fraction(1, 89 * 144)
+    assert Fraction(55, 89) <= enc.lo.as_fraction()
+    assert enc.hi.as_fraction() <= Fraction(89, 144)
+    assert enc.width().as_fraction() <= Fraction(1, 89 * 144)
     phi_poly = IntPoly.of(-1, -1, 1)
     root = refine_root(phi_poly, DyadicInterval(Dyadic(1), Dyadic(2)), Dyadic(1, -80))
     inv_phi_lo = 1 / root.hi.as_fraction()
     inv_phi_hi = 1 / root.lo.as_fraction()
-    assert enc.value.lo.as_fraction() <= inv_phi_lo and inv_phi_hi <= enc.value.hi.as_fraction()
-    assert enc.tail_bound_kind == "nested-convergents"
+    assert enc.lo.as_fraction() <= inv_phi_lo and inv_phi_hi <= enc.hi.as_fraction()
+    assert TAIL_BOUND_KIND == "nested-convergents"
 
 
 def test_enclose_value_sqrt2_minus_one():
@@ -179,16 +179,16 @@ def test_enclose_value_sqrt2_minus_one():
     root = refine_root(IntPoly.of(-2, 0, 1), DyadicInterval(Dyadic(1), Dyadic(2)), Dyadic(1, -90))
     lo = root.lo.as_fraction() - 1
     hi = root.hi.as_fraction() - 1
-    assert enc.value.lo.as_fraction() <= lo and hi <= enc.value.hi.as_fraction()
-    st = run_recurrence([Fraction(2)] * 9)
+    assert enc.lo.as_fraction() <= lo and hi <= enc.hi.as_fraction()
+    st = list(run_recurrence([Fraction(2)] * 9))
     bound = Fraction(1) / (Fraction(st[7].q_cur) * Fraction(st[8].q_cur))
-    assert enc.value.width().as_fraction() <= bound
+    assert enc.width().as_fraction() <= bound
 
 
 def test_enclose_precision_refinement_nested():
     s = spec("constant", value=Fraction(2))
-    a = enclose_value(s, 8, 64).value
-    b = enclose_value(s, 8, 128).value
+    a = enclose_value(s, 8, 64)
+    b = enclose_value(s, 8, 128)
     assert a.contains_interval(b)
 
 
@@ -197,13 +197,13 @@ def test_enclose_rejects_small_quotients():
         enclose_value(spec("constant", value=Fraction(1, 2)), 3, 64)
 
 
-def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
+def _rung_loop_enclosure(cf, n: int, prec: int) -> DyadicInterval:
     """Reference: rebuild the recurrence and evaluate both convergents on every
     rung from prec + 16 bits; 8 failing rungs at or above the least useful
     work exhaust the precision, as in ``enclose_value``."""
     work, failed, least = prec + 16, [], None
     while True:
-        st = initial_state(0)
+        st = initial_state()
         states = []
         for k in range(1, n + 4):
             a = cf.quotient(k)
@@ -218,7 +218,7 @@ def _rung_loop_enclosure(cf, n: int, prec: int) -> CFValueEnclosure:
         qn1 = scalar_enclosure(states[n].q_cur, work)
         bound = iv_div(singleton(1), iv_mul(qn, qn1, work), work)
         if value.width() <= bound.lo:
-            return CFValueEnclosure(value, n, "nested-convergents")
+            return value
         failed.append(work)
         # read only then: test_enclose_value_evaluates_only_the_succeeding_rung
         # records the precision of every enclosure this reference computes
@@ -310,7 +310,7 @@ def test_enclose_value_builds_exact_recurrence_once():
 
 def test_nested_convergents_property():
     qs = [Fraction(x) for x in (1, 2, 1, 3, 1, 2, 4, 1, 2, 5)]
-    states = run_recurrence(qs)
+    states = list(run_recurrence(qs))
     vals = [Fraction(s.p_cur) / Fraction(s.q_cur) for s in states]
     evens = vals[1::2]  # p_2/q_2, p_4/q_4, ... (0-indexed: states[1] is order 2)
     odds = vals[0::2]
@@ -393,7 +393,7 @@ def test_error_term_diagnostic():
     # 1/(q_n^2 (a_{n+1} + q_{n-1}/q_n + 1)) < |alpha - p_n/q_n| < 1/(q_n^2 (a_{n+1} + q_{n-1}/q_n))
     # and [0; a_n, ..., a_1] = q_{n-1}/q_n, for alpha = sqrt2 - 1 at n = 5
     qs = [Fraction(2)] * 6
-    st = run_recurrence(qs[:-1])[-1]
+    st = list(run_recurrence(qs[:-1]))[-1]
     assert eval_finite([Fraction(0)] + qs[-2::-1]) == Fraction(st.q_prev) / Fraction(st.q_cur)
     tail = qs[-1] + Fraction(st.q_prev) / Fraction(st.q_cur)
     upper = 1 / (Fraction(st.q_cur) ** 2 * tail)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,8 +14,11 @@ SCHEMA_PATH = "src/cfindep/schemas/report.schema.json"
 
 
 def _run_cli(args, **kw):
+    # the child imports cfindep from the same src/ as this process
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "cfindep.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=env, **kw)
 
 
 def _schema():

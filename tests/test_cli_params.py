@@ -111,6 +111,25 @@ def test_malformed_value_message(config, message):
     assert _main(config) == (2, "", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--out", ""], ["--out="], ["--config", ""], ["--config="],
+], ids=["--out ''", "--out=", "--config ''", "--config="])
+def test_empty_path_flag_exits_two(argv):
+    # an empty path names no file: it is refused, not read as "no path given"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check-named-example", "ex1", "--N", "3", *argv])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(("config error: ", "error: "))
+
+
+def test_empty_config_output_path_exits_two():
+    config = {"task": "check-named-example", "params": {"name": "ex1", "N": 3},
+              "output": {"path": ""}}
+    code, out, err = _main(config)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_present_config_null_field_means_no_field():
     # to_dict writes "field": null, so a report's config echo must read back
     config = {"task": "remark", "field": None, "params": {"N": 3}}

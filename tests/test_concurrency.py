@@ -30,8 +30,8 @@ def test_parallel_checks_are_deterministic():
             tuple(c.verdict for c in rep.conditions),
             report_digest(rep),
             suite.worst,
-            enc.value.lo.as_fraction(),
-            enc.value.hi.as_fraction(),
+            enc.lo.as_fraction(),
+            enc.hi.as_fraction(),
         )
 
     with ThreadPoolExecutor(max_workers=4) as pool:

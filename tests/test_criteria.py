@@ -50,30 +50,30 @@ def _sqrt2_scaled_config(m: int) -> Thm1Config:
     val = f.element([0, m])
     s = spec("custom", field=f, fn=lambda n: val,
              decomp_fn=lambda n: Decomposition(m, f.generator(), f.zero(), f.one()))
-    return Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2), field=f)
+    return Thm1Config(sequences=[s], gamma=Fraction(1, 2), field=f)
 
 
 def test_check_decomposition_examples():
     # a = (4+sqrt2) * m with S=m, b=4+sqrt2, c=0, d=1
     base = spec("doubly-exponential", d=3)
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
-    cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
+    cfg = Thm1Config(sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     for n in (1, 2, 3):
         for j in (1, 2):
             assert check_decomposition(QuotientTable(cfg), n, j) == "pass"
     # a = 5/2 with S=5, b=1, c=0, d=2
     s = spec("constant", value=Fraction(5, 2))
-    cfg2 = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
+    cfg2 = Thm1Config(sequences=[s], gamma=Fraction(1, 2))
     assert check_decomposition(QuotientTable(cfg2), 1, 1) == "pass"
     # a = 1/2 fails the a >= 1 requirement
     s3 = spec("constant", value=Fraction(1, 2))
-    cfg3 = Thm1Config(M=1, sequences=[s3], gamma=Fraction(1, 2))
+    cfg3 = Thm1Config(sequences=[s3], gamma=Fraction(1, 2))
     assert check_decomposition(QuotientTable(cfg3), 1, 1) == "fail"
 
 
 def _house_reports(cfg: Thm1Config, N: int, precision: int) -> dict:
     """The two house conditions of check_all, with house-half forced."""
-    forced = Thm1Config(M=cfg.M, sequences=cfg.sequences, gamma=cfg.gamma, field=cfg.field,
+    forced = Thm1Config(sequences=cfg.sequences, gamma=cfg.gamma, field=cfg.field,
                         D=cfg.D, condition5_mode="house-half", name=cfg.name)
     rep = check_all(forced, N, precision)
     return {c.name: c for c in rep.conditions if c.name.startswith("house")}
@@ -119,7 +119,7 @@ def test_house_bound_example():
 
     base = spec("doubly-exponential", d=3)
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
-    cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
+    cfg = Thm1Config(sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     for n in range(1, 5):
         assert _check_house_bound(QuotientTable(cfg), n, 1, 128)[0] == "pass"
     half = _house_reports(cfg, 1, 128)["house-inverse-half"]
@@ -129,7 +129,7 @@ def test_house_bound_example():
 def test_condition10_examples():
     # rational a >= 1 passes with identity-only embedding, e = 0
     s = spec("constant", value=Fraction(3))
-    cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
+    cfg = Thm1Config(sequences=[s], gamma=Fraction(1, 2))
     assert check_condition10(QuotientTable(cfg), 1, 1, 96)[0] == "pass"
     # sign alternating with n violates the fixed-sign table
     f = sqrt2_field()
@@ -138,65 +138,65 @@ def test_condition10_examples():
         return f.element([0, (-1) ** n * n * 2])
 
     s2 = spec("custom", field=f, fn=alt)
-    cfg2 = Thm1Config(M=1, sequences=[s2], gamma=Fraction(1, 2), field=f)
+    cfg2 = Thm1Config(sequences=[s2], gamma=Fraction(1, 2), field=f)
     assert check_condition10(QuotientTable(cfg2), 2, 1, 96)[0] == "fail"  # table derived at n=1 breaks at n=2
 
 
 def test_interleaving_examples():
     # M = 1: always passes for a > 1
     s = spec("constant", value=Fraction(7))
-    cfg = Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2))
+    cfg = Thm1Config(sequences=[s], gamma=Fraction(1, 2))
     assert check_interleaving(QuotientTable(cfg), 2, 96)[0] == "pass"
     # a_{n,1} = 2 * a_{n,M} with huge a_{n,M}: first branch dominates
     big = spec("pow2-geometric", d=3)
     twice = spec("custom", fn=lambda n: 2 * big.quotient(n))
-    cfg2 = Thm1Config(M=2, sequences=[twice, big], gamma=Fraction(1, 2))
+    cfg2 = Thm1Config(sequences=[twice, big], gamma=Fraction(1, 2))
     assert check_interleaving(QuotientTable(cfg2), 2, 96)[0] == "pass"
     # a_{n,1} = a_{n,M}^3 with a_{n,M} = 2^n: fails for large n (gamma = 1/2)
     base = spec("custom", fn=lambda n: Fraction(2) ** n)
     cube = spec("custom", fn=lambda n: Fraction(2) ** (3 * n))
-    cfg3 = Thm1Config(M=2, sequences=[cube, base], gamma=Fraction(1, 2))
+    cfg3 = Thm1Config(sequences=[cube, base], gamma=Fraction(1, 2))
     assert check_interleaving(QuotientTable(cfg3), 60, 96)[0] == "fail"
 
 
 def test_ratio_margin_examples():
     base = spec("doubly-exponential", d=3)
     fam = polynomial_root_family(IntPoly.of(14, -8, 1), base)
-    cfg = Thm1Config(M=2, sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
+    cfg = Thm1Config(sequences=[fam[1], fam[0]], gamma=Fraction(1, 2), field=fam[1].field)
     ms = ratio_margin(QuotientTable(cfg), 1, 8, 96)
     assert ms.verdict == "pass"
     # ratio (4+sqrt2)/(4-sqrt2) - 1 ~ 1.094; margin grows like sqrt(n)
     assert float(ms.values[3].midpoint()) == pytest.approx(2 * 1.09383632, rel=1e-4)
     # equal sequences: margin identically zero -> fail
     s = spec("constant", value=Fraction(5))
-    cfg2 = Thm1Config(M=2, sequences=[s, s], gamma=Fraction(1, 2))
+    cfg2 = Thm1Config(sequences=[s, s], gamma=Fraction(1, 2))
     assert ratio_margin(QuotientTable(cfg2), 1, 8, 96).verdict == "fail"
     # ratio 1 + 1/n: margin 1/sqrt(n) decays -> indeterminate
     a = spec("custom", fn=lambda n: Fraction(n + 1, n) * 5)
     b = spec("constant", value=Fraction(5))
-    cfg3 = Thm1Config(M=2, sequences=[a, b], gamma=Fraction(1, 2))
+    cfg3 = Thm1Config(sequences=[a, b], gamma=Fraction(1, 2))
     assert ratio_margin(QuotientTable(cfg3), 1, 12, 96).verdict == "indeterminate"
 
 
 def test_growth_margin_examples():
     # a_n = 2^(n 3^n), d = 3: g_n = 2^n -> pass
     base = spec("doubly-exponential", d=3)
-    cfg = Thm1Config(M=1, sequences=[base], gamma=Fraction(1, 2), D=2)
+    cfg = Thm1Config(sequences=[base], gamma=Fraction(1, 2), D=2)
     assert cfg.d == 2  # D=2, M=1 -> max(2, 1) = 2
-    cfg3 = Thm1Config(M=2, sequences=[base, base], gamma=Fraction(1, 2), D=2)
+    cfg3 = Thm1Config(sequences=[base, base], gamma=Fraction(1, 2), D=2)
     assert cfg3.d == 3
     ms = growth_margin(QuotientTable(cfg3), 1, 6, 96)
     assert ms.verdict == "pass"
     assert ms.records and len(ms.records) >= 2
     # a_n = 2^(3^n), d = 3: g identically 2 -> indeterminate
     geo = spec("pow2-geometric", d=3)
-    cfg4 = Thm1Config(M=2, sequences=[geo, geo], gamma=Fraction(1, 2), D=2)
+    cfg4 = Thm1Config(sequences=[geo, geo], gamma=Fraction(1, 2), D=2)
     ms2 = growth_margin(QuotientTable(cfg4), 1, 6, 96)
     assert ms2.verdict == "indeterminate"
     assert all(contains(v, Fraction(2)) for v in ms2.values)
     # a_n = n, d = 2: g -> 1, certainly decreasing -> fail
     lin = spec("polynomial", coeffs=(Fraction(0), Fraction(1)))
-    cfg5 = Thm1Config(M=2, sequences=[lin, lin], gamma=Fraction(1, 2), D=1)
+    cfg5 = Thm1Config(sequences=[lin, lin], gamma=Fraction(1, 2), D=1)
     ms3 = growth_margin(QuotientTable(cfg5), 1, 16, 96)
     assert ms3.verdict == "fail"
 
@@ -218,7 +218,7 @@ def test_check_all_ex1_and_witness():
     assert "decomposition" in names and "interleaving" in names
     # violate a >= 1 at n = 1: overall fail with witness (1, j)
     bad = spec("constant", value=Fraction(1, 3))
-    cfgbad = Thm1Config(M=2, sequences=[spec("constant", value=Fraction(5)), bad],
+    cfgbad = Thm1Config(sequences=[spec("constant", value=Fraction(5)), bad],
                         gamma=Fraction(1, 2))
     repbad = check_all(cfgbad, 3, 96)
     assert repbad.overall == "fail"
@@ -237,12 +237,12 @@ def test_nonpositive_quotient_fails_without_crash():
              decomp_fn=lambda n: Decomposition((-1) ** n * n * 2, f.generator(), f.zero(), f.one())),
     ]
     for seq in seqs:
-        rep = check_all(Thm1Config(M=1, sequences=[seq], gamma=Fraction(1, 2), field=seq.field), 3, 96)
+        rep = check_all(Thm1Config(sequences=[seq], gamma=Fraction(1, 2), field=seq.field), 3, 96)
         assert rep.overall == "fail"
         dec = rep.conditions[0]
         assert dec.name == "decomposition" and dec.verdict == "fail" and dec.failing_index == (1, 1)
     # a zero quotient as the divisor of the ratio condition
-    two = Thm1Config(M=2, sequences=[spec("constant", value=Fraction(5)), seqs[0]],
+    two = Thm1Config(sequences=[spec("constant", value=Fraction(5)), seqs[0]],
                      gamma=Fraction(1, 2))
     rep = check_all(two, 3, 96)
     assert rep.overall == "fail" and rep.conditions[0].failing_index == (1, 2)
@@ -271,7 +271,6 @@ def test_specialization_consistency():
     base = spec("doubly-exponential", d=2, c=3)
     K = 3
     manual = Thm1Config(
-        M=K,
         sequences=[spec("div-by-j", base=base, j=j) for j in range(1, K + 1)],
         gamma=Fraction(1, 2), field=None, D=1,
     )
@@ -284,9 +283,7 @@ def test_specialization_consistency():
 
 def test_gamma_validation():
     with pytest.raises(ValueError):
-        Thm1Config(M=1, sequences=[spec("constant", value=Fraction(2))], gamma=Fraction(1))
-    with pytest.raises(ValueError):
-        Thm1Config(M=2, sequences=[spec("constant", value=Fraction(2))], gamma=Fraction(1, 2))
+        Thm1Config(sequences=[spec("constant", value=Fraction(2))], gamma=Fraction(1))
 
 
 def _table_calls(monkeypatch, cfg, N, precision):
@@ -328,9 +325,9 @@ def test_float_quotients_are_refused():
     big = spec("custom", fn=lambda n: 2.0 ** (n * 3 ** n) * 1.5)
     small = spec("custom", fn=lambda n: 2.0 ** (n * 3 ** n))
     with pytest.raises(TypeError, match="float"):
-        check_all(Thm1Config(M=2, sequences=[big, small]), 3, 64)
+        check_all(Thm1Config(sequences=[big, small]), 3, 64)
     with pytest.raises(TypeError, match="float"):
-        run_recurrence([1.5, 2.5])
+        list(run_recurrence([1.5, 2.5]))
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -352,7 +349,7 @@ def test_t2_verdict_in_its_quartic_field(K):
 ])
 def test_growth_limsup_does_not_pass_a_falling_window(k, D, N, verdict):
     base = spec("doubly-exponential", d=k)
-    cfg = Thm1Config(M=2, sequences=[spec("div-by-j", base=base, j=j) for j in (1, 2)], D=D)
+    cfg = Thm1Config(sequences=[spec("div-by-j", base=base, j=j) for j in (1, 2)], D=D)
     rep = check_all(cfg, N, 128)
     growth = next(c for c in rep.conditions if c.name == "growth-limsup")
     assert growth.verdict == rep.overall == verdict
@@ -364,7 +361,7 @@ def test_interval_quotients_are_refused():
     with pytest.raises(TypeError, match="DyadicInterval"):
         scalar(iv)
     with pytest.raises(TypeError, match="DyadicInterval"):
-        check_all(Thm1Config(M=1, sequences=[spec("custom", fn=lambda n: iv)]), 2, 64)
+        check_all(Thm1Config(sequences=[spec("custom", fn=lambda n: iv)]), 2, 64)
 
 
 def _iv(lo, hi):

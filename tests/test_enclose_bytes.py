@@ -39,4 +39,4 @@ def test_rung_encloses_only_the_deeper_convergents(monkeypatch):
     monkeypatch.setattr(numfield.FieldElement, "enclosure", counting)
     enc = enclose_value(build_config("ex1").sequences[0], 6, 1024)
     assert precisions == {64: 4, (1024 + 16) << 5: 4}
-    assert enc.order == 6 and not enc.value.is_point()
+    assert not enc.is_point()

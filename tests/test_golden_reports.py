@@ -45,7 +45,7 @@ def _escalation_config() -> Thm1Config:
     f = sqrt2_field()
     val = f.element([2 + Fraction(1, 2 ** 199), Fraction(1, 2 ** 200)])
     s = spec("custom", field=f, fn=lambda n: val)
-    return Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2), field=f,
+    return Thm1Config(sequences=[s], gamma=Fraction(1, 2), field=f,
                       condition5_mode="house-half")
 
 
@@ -54,7 +54,7 @@ def _condition10_fail_config() -> Thm1Config:
     # where 1 - 2 sqrt2 < 0; the identity embedding stays positive throughout
     f = sqrt2_field()
     s = spec("custom", field=f, fn=lambda n: f.element([3, 1] if n % 2 else [1, 2]))
-    return Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2), field=f,
+    return Thm1Config(sequences=[s], gamma=Fraction(1, 2), field=f,
                       condition5_mode="real-part-sign")
 
 
@@ -63,13 +63,13 @@ def _house_half_pass_config() -> Thm1Config:
     val = f.element([0, 1])
     s = spec("custom", field=f, fn=lambda n: val,
              decomp_fn=lambda n: Decomposition(1, f.generator(), f.zero(), f.one()))
-    return Thm1Config(M=1, sequences=[s], gamma=Fraction(1, 2), field=f,
+    return Thm1Config(sequences=[s], gamma=Fraction(1, 2), field=f,
                       condition5_mode="house-half")
 
 
 def _below_one_config() -> Thm1Config:
-    return Thm1Config(M=2, sequences=[spec("constant", value=Fraction(5)),
-                                      spec("constant", value=Fraction(1, 3))],
+    return Thm1Config(sequences=[spec("constant", value=Fraction(5)),
+                                 spec("constant", value=Fraction(1, 3))],
                       gamma=Fraction(1, 2))
 
 

@@ -67,7 +67,7 @@ for c in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)):
 @pytest.mark.parametrize("family", CASES)
 def test_dependent_family_fails(family):
     seqs, condition, witness, _ = CASES[family]
-    rep = check_all(Thm1Config(M=2, sequences=seqs), 6, 128)
+    rep = check_all(Thm1Config(sequences=seqs), 6, 128)
     assert rep.overall == "fail"
     failed = [c for c in rep.conditions if c.verdict == "fail"]
     assert [(c.name, c.failing_index) for c in failed] == [(condition, witness)]
@@ -76,7 +76,7 @@ def test_dependent_family_fails(family):
 @pytest.mark.parametrize("family", CASES)
 def test_dependent_family_yields_its_relation(family):
     seqs, _, _, coefficients = CASES[family]
-    values = [enclose_value(s, 5, 1024 + 48).value for s in seqs]
+    values = [enclose_value(s, 5, 1024 + 48) for s in seqs]
     res = find_relation(values + [singleton(1)], 100, 1024)
     assert (res.status, res.coefficients) == ("found", coefficients)
     assert contains(res.residual, 0)
@@ -98,7 +98,7 @@ def test_decomposition_needs_integral_pieces(monkeypatch, b, verdict, witness):
     monkeypatch.setitem(sequences.KINDS, "sqrt5-scaled", sequences._Kind(
         lambda s, n: (n * 3 ** n, b),
         lambda s, n: Decomposition(2 ** (n * 3 ** n), b, SQRT5.zero(), SQRT5.one())))
-    cfg = Thm1Config(M=1, sequences=[spec("sqrt5-scaled", field=SQRT5)], field=SQRT5)
+    cfg = Thm1Config(sequences=[spec("sqrt5-scaled", field=SQRT5)], field=SQRT5)
     rep = check_all(cfg, 3, 128)
     dec = next(c for c in rep.conditions if c.name == "decomposition")
     assert (dec.verdict, dec.failing_index) == (verdict, witness)

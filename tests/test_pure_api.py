@@ -126,6 +126,40 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _read_names(tree) -> set:
+    """Every name a module reads: loaded names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_level_assignment_is_read():
+    # a module-level constant that src/, tests/ and perfbench/ never read,
+    # and that __all__ does not export, is dead code
+    read = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / directory).rglob("*.py")):
+            read |= _read_names(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for path, tree in _modules():
+        exported = _all_names(tree)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id != "__all__" \
+                            and name.id not in read | exported:
+                        found.append(f"{path}:{node.lineno} {name.id}")
+    assert found == []
+
+
 SCALAR_TYPES = {"FieldElement", "Fraction", "DyadicInterval"}
 
 

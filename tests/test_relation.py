@@ -97,7 +97,7 @@ def test_find_relation_planted_golden():
     from cfindep.sequences import spec
 
     p = 128
-    enc = enclose_value(spec("constant", value=Fraction(1)), 95, p + 48).value
+    enc = enclose_value(spec("constant", value=Fraction(1)), 95, p + 48)
     two_a_three = iv_add(iv_mul(singleton(2), enc, p + 48), singleton(3), p + 48)
     res = find_relation([enc, two_a_three, singleton(1)], 100, p)
     assert res.found and res.coefficients == [2, -1, 3]

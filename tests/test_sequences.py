@@ -246,7 +246,7 @@ def test_rational_base_decomposes(kind):
     # a_n = 5/2 scales the unit-base quotient by 5/2, and S*b/d recomposes it
     s = BASE_SCALED[kind](spec("constant", value=Fraction(5, 2)))
     unit = BASE_SCALED[kind](spec("constant", value=Fraction(1)))
-    cfg = Thm1Config(M=1, sequences=[s], field=s.field)
+    cfg = Thm1Config(sequences=[s], field=s.field)
 
     def coords(x):
         return x.coords if isinstance(x, FieldElement) else x
@@ -286,7 +286,7 @@ def test_interval_base_rejected_in_code_and_json(kind):
 def test_prime_pi_power_negative_j_decomposes(j):
     # a_n = b_n (n/(n + pi(n)))^|j|: S = b_n n^|j| and d = (n + pi(n))^|j| stay integers
     s = spec("prime-pi-power", base=spec("doubly-exponential", d=2), j=j)
-    cfg = Thm1Config(M=1, sequences=[s])
+    cfg = Thm1Config(sequences=[s])
     for n in range(1, 5):
         assert type(s.decomposition(n).S) is int
         assert check_decomposition(QuotientTable(cfg), n, 1) == "pass", n

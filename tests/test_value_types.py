@@ -16,7 +16,7 @@ from cfindep.bigreal.dyadic import Dyadic
 from cfindep.bigreal.interval import ComplexInterval, DyadicInterval
 from cfindep.bigreal.poly import IntPoly
 from cfindep.catalog import catalog
-from cfindep.cfcore import _RATIONAL, CFValueEnclosure, GaussianRational, initial_state
+from cfindep.cfcore import _RATIONAL, GaussianRational, initial_state
 from cfindep.cli import RunConfig
 from cfindep.criteria import ConditionReport
 from cfindep.numfield import characteristic_polynomial, embeddings, is_algebraic_integer
@@ -36,8 +36,7 @@ def _immutables():
         IntPoly.of(-2, 0, 1),
         f.generator(),
         embeddings(f, 64),
-        initial_state(1),
-        CFValueEnclosure(_iv(1, 2), 3, "nested-convergents"),
+        initial_state(),
         GaussianRational.of(1, 2),
         Decomposition(1, Fraction(1), Fraction(0), Fraction(1)),
         spec("constant", value=Fraction(2)),
@@ -70,7 +69,6 @@ def test_equal_values_are_equal_and_hash_equal():
         (f.element([1, 2]), f.generator() * 2 + 1),
         (spec("constant", value=Fraction(2)), spec("constant", value=Fraction(4, 2))),
         (GaussianRational.of(1), GaussianRational(Fraction(1), Fraction(0))),
-        (CFValueEnclosure(_iv(1, 2), 3, "k"), CFValueEnclosure(_iv(1, 2), 3, "k")),
     ]
     for a, b in pairs:
         assert a == b and not a != b and hash(a) == hash(b), (a, b)
